@@ -1,6 +1,6 @@
 """Setuptools entry point.
 
-Package metadata lives in ``pyproject.toml``; this file exists so that
+Package metadata lives in ``setup.cfg``; this file exists so that
 ``pip install -e .`` works in offline environments where the ``wheel``
 package (needed by PEP 660 editable installs) is unavailable.
 """

@@ -9,8 +9,9 @@ runtime tests exercising specific paths.  This package checks the whole
 
 * :mod:`repro.analysis.rules` — rule base class, stable-ID registry and
   shared AST helpers;
-* :mod:`repro.analysis.hygiene` — ENV001 (env-knob routing), EXC001
-  (silent swallows), DEF001 (mutable defaults), PRN001 (bare prints);
+* :mod:`repro.analysis.hygiene` — ENV001 (env-knob routing), POOL001
+  (one pool scheduler), EXC001 (silent swallows), DEF001 (mutable
+  defaults), PRN001 (bare prints);
 * :mod:`repro.analysis.determinism` — ITER001 (unordered iteration in
   the deterministic folds), TIME001 (wall-clock/entropy isolation),
   PKL001 (payload picklability), FPR001 (fingerprint purity);

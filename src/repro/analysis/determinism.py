@@ -238,8 +238,8 @@ class PayloadPicklabilityRule(Rule):
     summary = (
         "a registered pool-crossing payload class (SubtreeItem, "
         "ResumeFrontier, ReductionTask/Result, SpanRecord, chain "
-        "checkpoints/outcomes) stores a lambda, generator expression, "
-        "threading lock or open file handle"
+        "checkpoints/outcomes, the Shipped result envelope) stores a "
+        "lambda, generator expression, threading lock or open file handle"
     )
     invariant = (
         "work items, resume frontiers, result envelopes and spans cross "
@@ -273,6 +273,7 @@ class PayloadPicklabilityRule(Rule):
         ),
         "repro/engine/reduction.py": frozenset({"ReductionTask", "ReductionResult"}),
         "repro/obs/trace.py": frozenset({"SpanRecord"}),
+        "repro/store/workqueue.py": frozenset({"Shipped"}),
     }
 
     _LOCK_FACTORIES = frozenset(

@@ -1,9 +1,10 @@
-"""Hygiene rules: env-knob routing, silent swallows, defaults, prints.
+"""Hygiene rules: env-knob routing, pool access, silent swallows, defaults, prints.
 
-These four rules guard conventions that every PR so far has had to
+These five rules guard conventions that every PR so far has had to
 re-establish by review: environment access goes through the typed knob
-registry, broad exception handlers record what they swallowed, function
-defaults are immutable, and nothing but the CLI writes to stdout.
+registry, process pools are reached only through the one scheduler,
+broad exception handlers record what they swallowed, function defaults
+are immutable, and nothing but the CLI writes to stdout.
 """
 
 from __future__ import annotations
@@ -85,6 +86,77 @@ class EnvRegistryRule(Rule):
                 f"direct environment access (os.{parts[1]}) outside the "
                 "repro.obs.env knob registry",
             )
+
+
+@register
+class PoolSchedulerRule(Rule):
+    """POOL001: only the one pool scheduler touches the pool machinery."""
+
+    rule_id = "POOL001"
+    name = "one-pool-scheduler"
+    summary = (
+        "concurrent.futures / multiprocessing imported, or the shared pool "
+        "taken via shared_pool/discard_shared_pool, outside the pool "
+        "scheduler (repro/store/workqueue.py)"
+    )
+    invariant = (
+        "every pooled item — a chain, a subtree item, an engine task — is "
+        "submitted, awaited, retried and recovered in-process by "
+        "repro.store.workqueue, so there is one failure taxonomy, one "
+        "result envelope and one set of pool_* counters"
+    )
+    motivation = (
+        "the chain fan-out, the subtree queue and the engine batch each "
+        "grew their own submit/timeout/retry/fallback copy, and the copies "
+        "drifted: a failed chain recomputed every chain and threw away the "
+        "dominant chain's finished search"
+    )
+    fix = (
+        "describe the work as a repro.store.workqueue item: dispatch it "
+        "through a PoolScheduler and collect it with PoolScheduler.resolve"
+    )
+
+    #: The one module allowed to touch the pool machinery.
+    allowed_paths: Tuple[str, ...] = ("repro/store/workqueue.py",)
+
+    _POOL_MODULES = frozenset({"concurrent", "multiprocessing"})
+    #: Scheduler internals that hand out (or tear down) the raw pool.
+    _POOL_ACCESSORS = frozenset({"shared_pool", "discard_shared_pool"})
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.path in self.allowed_paths:
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (
+                    func.id
+                    if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None
+                )
+                if called in self._POOL_ACCESSORS:
+                    yield ctx.finding(
+                        self,
+                        node,
+                        f"{called}() called outside the pool scheduler "
+                        "(repro/store/workqueue.py)",
+                    )
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in self._POOL_MODULES:
+                    continue
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{name} imported outside the pool scheduler "
+                    "(repro/store/workqueue.py)",
+                )
 
 
 @register

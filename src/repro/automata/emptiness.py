@@ -197,16 +197,13 @@ class SubtreeOutcome:
     was hit first — the caller re-splits the item one level deeper), or
     ``"aborted"`` (the global ``max_paths`` cap was hit — the sequential
     search would have aborted too).  ``stats`` carries the worker's
-    instrumentation deltas when the item ran in another process, and
-    ``spans`` its recorded trace spans (:mod:`repro.obs.trace`) for the
-    coordinator to fold into the parent trace.
+    instrumentation deltas when the item ran in another process.
     """
 
     status: str
     steps: Optional[Tuple[PathStep, ...]]
     explored: int
     stats: Optional[Dict[str, int]] = None
-    spans: Optional[Tuple["trace.SpanRecord", ...]] = None
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,7 @@ class ChainCheckpoint:
     :class:`RoundExpansion` plus the fold total accumulated so far, and
     ``base_explored`` the exploration total of the completed earlier
     rounds — exactly the state
-    :func:`repro.store.workqueue.run_budgeted_search` needs to make the
+    :func:`repro.store.workqueue.run_decomposed_search` needs to make the
     resumed arithmetic land where the uninterrupted fold would have.
     """
 
@@ -964,18 +961,25 @@ def _search_accepted_path(
     subtree_mode: bool = False,
     split_budget: Optional[int] = None,
     executor=None,
-) -> Tuple[Optional[AccessPath], int, bool, Dict[str, int]]:
+    clock: Optional[BudgetClock] = None,
+    checkpoint: Optional[ChainCheckpoint] = None,
+) -> Tuple[
+    Optional[AccessPath], int, bool, Dict[str, int], Optional[ChainCheckpoint]
+]:
     """Guided search for an accepted path.
 
-    Returns ``(witness, explored, exhausted, stats)``.  With
-    ``subtree_mode`` the search runs as the deterministic trunk/fold
-    decomposition of :mod:`repro.store.workqueue`: the same result
-    whether *executor* dispatches items to a worker pool or everything
-    resolves in-process.  Under ``memoize=False`` every field coincides
-    with the plain sequential search (scope-local expansion memos make
-    counts additive over subtrees); with memoisation on, agreement on
+    Returns ``(witness, explored, exhausted, stats, checkpoint)``.  With
+    ``subtree_mode`` — or a budget *clock* — the search runs as the
+    deterministic trunk/fold decomposition of
+    :mod:`repro.store.workqueue`: the same result whether *executor*
+    dispatches items to a worker pool or everything resolves in-process.
+    Under ``memoize=False`` every field coincides with the plain
+    sequential search (scope-local expansion memos make counts additive
+    over subtrees); with memoisation on, agreement on
     verdict/witness/``exhausted`` holds away from the ``max_paths``
-    boundary — see :class:`_WitnessSearch` for the exact statement.
+    boundary — see :class:`_WitnessSearch` for the exact statement.  A
+    non-``None`` *checkpoint* in the result means the clock ran out
+    first; passing it back resumes the search where it stopped.
     """
     search = _WitnessSearch(
         automaton,
@@ -990,27 +994,33 @@ def _search_accepted_path(
         memoize=memoize,
         node_memo=node_memo,
     )
-    if not subtree_mode:
-        return search.run()
+    if not subtree_mode and clock is None:
+        return search.run() + (None,)
     from repro.store.workqueue import run_decomposed_search
 
     context = None
     if executor is not None:
         context = (automaton, vocabulary, search.initial_snapshot, search.params())
-    steps, explored, exhausted, stats = run_decomposed_search(
-        search, split_budget=split_budget, executor=executor, context=context
+    steps, explored, exhausted, stats, checkpoint = run_decomposed_search(
+        search,
+        clock=clock,
+        checkpoint=checkpoint,
+        split_budget=split_budget,
+        executor=executor,
+        context=context,
     )
     witness = AccessPath(steps) if steps is not None else None
-    return witness, explored, exhausted, stats
+    return witness, explored, exhausted, stats, checkpoint
 
 
 @dataclass(frozen=True)
 class ChainOutcome:
     """The verdict of one Lemma 4.9 chain restriction.
 
-    ``spans`` carries the trace spans a pool worker recorded while
-    checking this chain (:mod:`repro.obs.trace`); the coordinator folds
-    them into the parent trace when collecting the outcome.
+    A non-``None`` ``checkpoint`` means the budget expired inside the
+    chain: it is *undecided*, ``explored``/``stats`` only carry the
+    partial work for the UNKNOWN result's accounting, and the outcome
+    must not enter the chain fold.
     """
 
     prechecked_empty: bool
@@ -1018,7 +1028,7 @@ class ChainOutcome:
     explored: int
     exhausted: bool
     stats: Optional[Dict[str, int]] = None
-    spans: Optional[Tuple["trace.SpanRecord", ...]] = None
+    checkpoint: Optional[ChainCheckpoint] = None
 
 
 def check_restriction(
@@ -1028,19 +1038,33 @@ def check_restriction(
     search_kwargs: Dict[str, object],
     use_datalog_precheck: bool,
     executor=None,
+    clock: Optional[BudgetClock] = None,
+    checkpoint: Optional[ChainCheckpoint] = None,
 ) -> ChainOutcome:
     """Precheck + witness search for a single chain restriction.
 
-    This is the unit of work of both the sequential chain loop and the
-    process-pool fan-out in :mod:`repro.store.parallel`; sharing it (and
-    the fold in :func:`_fold_chain_outcomes`) is what makes the two modes
-    return bit-identical :class:`EmptinessResult` values.  *executor* is
-    the optional subtree work-queue executor a coordinator passes for a
-    chain whose search should fan its own DFS subtrees out
-    (:mod:`repro.store.workqueue`); workers never pass one.
+    This is the unit of work of the sequential chain loop, the pooled
+    chain items of :mod:`repro.store.parallel` and the anytime loop;
+    sharing it (and the fold in :func:`_fold_chain_outcomes`) is what
+    makes every mode return bit-identical :class:`EmptinessResult`
+    values.  *executor* is the optional subtree executor
+    (:mod:`repro.store.workqueue`) a coordinator passes for a chain whose
+    search should fan its own DFS subtrees out; workers never pass one.
+
+    With a started budget *clock* the search can stop at a work-item
+    boundary; the outcome then carries a :class:`ChainCheckpoint`, and
+    passing it back as *checkpoint* resumes the chain.  A resumed call
+    skips the Datalog precheck: a chain that checkpoints necessarily
+    passed it already.  The precheck itself is not interruptible, so a
+    deadline can overshoot by at most one containment check.
     """
-    with trace.trace_span("emptiness.chain", states=len(restriction.states)):
-        if use_datalog_precheck:
+    with trace.trace_span(
+        "emptiness.chain",
+        states=len(restriction.states),
+        budgeted=clock is not None,
+        resumed=checkpoint is not None,
+    ):
+        if checkpoint is None and use_datalog_precheck:
             with trace.trace_span("emptiness.precheck"):
                 prechecked = datalog_emptiness_precheck(restriction, vocabulary)
             if prechecked is True:
@@ -1048,11 +1072,19 @@ def check_restriction(
                 return ChainOutcome(
                     prechecked_empty=True, witness=None, explored=0, exhausted=True
                 )
-        witness, explored, exhausted, stats = _search_accepted_path(
-            restriction, vocabulary, initial, executor=executor, **search_kwargs
+        witness, explored, exhausted, stats, checkpoint = _search_accepted_path(
+            restriction,
+            vocabulary,
+            initial,
+            executor=executor,
+            clock=clock,
+            checkpoint=checkpoint,
+            **search_kwargs,
         )
         trace.annotate(
-            outcome="witness" if witness is not None else "no_witness",
+            outcome="interrupted"
+            if checkpoint is not None
+            else ("witness" if witness is not None else "no_witness"),
             explored=explored,
         )
     return ChainOutcome(
@@ -1061,83 +1093,7 @@ def check_restriction(
         explored=explored,
         exhausted=exhausted,
         stats=stats,
-    )
-
-
-def _check_restriction_budgeted(
-    restriction: AAutomaton,
-    vocabulary: AccessVocabulary,
-    initial: Instance,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-    clock: BudgetClock,
-    checkpoint: Optional[ChainCheckpoint] = None,
-    executor=None,
-) -> Tuple[ChainOutcome, Optional[ChainCheckpoint]]:
-    """Budgeted precheck + witness search for one chain restriction.
-
-    The anytime counterpart of :func:`check_restriction`: the witness
-    search runs as the decomposed trunk/fold under *clock*
-    (:func:`repro.store.workqueue.run_budgeted_search`), so it can stop
-    at a work-item boundary and hand back a :class:`ChainCheckpoint`.
-    Returns ``(outcome, checkpoint)``; a non-``None`` checkpoint means
-    the chain is *undecided* — the outcome then only carries the partial
-    exploration count and stats for the UNKNOWN result's accounting and
-    must not enter the chain fold.  A resumed call (*checkpoint* given)
-    skips the Datalog precheck: a chain that checkpoints necessarily
-    passed it already.  The precheck itself is not interruptible, so a
-    deadline can overshoot by at most one containment check.
-    """
-    with trace.trace_span(
-        "emptiness.chain",
-        states=len(restriction.states),
-        budgeted=True,
-        resumed=checkpoint is not None,
-    ):
-        if checkpoint is None and use_datalog_precheck:
-            with trace.trace_span("emptiness.precheck"):
-                prechecked = datalog_emptiness_precheck(restriction, vocabulary)
-            if prechecked is True:
-                trace.annotate(outcome="prechecked_empty")
-                return (
-                    ChainOutcome(
-                        prechecked_empty=True, witness=None, explored=0, exhausted=True
-                    ),
-                    None,
-                )
-        kwargs = dict(search_kwargs)
-        kwargs.pop("subtree_mode", None)
-        split_budget = kwargs.pop("split_budget", None)
-        search = _WitnessSearch(restriction, vocabulary, initial, **kwargs)
-        context = None
-        if executor is not None:
-            context = (restriction, vocabulary, search.initial_snapshot, search.params())
-        from repro.store.workqueue import run_budgeted_search
-
-        steps, explored, exhausted, stats, new_checkpoint = run_budgeted_search(
-            search,
-            clock,
-            checkpoint=checkpoint,
-            split_budget=split_budget,
-            executor=executor,
-            context=context,
-        )
-        trace.annotate(
-            outcome="interrupted"
-            if new_checkpoint is not None
-            else ("witness" if steps is not None else "no_witness"),
-            explored=explored,
-        )
-    witness = AccessPath(steps) if steps is not None else None
-    return (
-        ChainOutcome(
-            prechecked_empty=False,
-            witness=witness,
-            explored=explored,
-            exhausted=exhausted,
-            stats=stats,
-        ),
-        new_checkpoint,
+        checkpoint=checkpoint,
     )
 
 
@@ -1220,17 +1176,12 @@ def _anytime_emptiness(
     checkpoint = resume_from.checkpoint if resume_from is not None else None
     num_chains = len(restrictions)
 
-    executor = None
+    workers = 1
     if use_executor:
-        try:
-            from repro.store.parallel import _SUBTREE_POOL_UNITS, _worker_count
-            from repro.store.workqueue import SubtreeExecutor, shared_pool
+        from repro.store.parallel import worker_count
+        from repro.store.workqueue import SubtreeExecutor
 
-            workers = _worker_count(_SUBTREE_POOL_UNITS, max_workers)
-            if workers > 1:
-                executor = SubtreeExecutor(shared_pool(workers))
-        except Exception:
-            executor = None  # pool-less environments degrade in process
+        workers = worker_count(1, max_workers, subtree=True)
 
     for index in range(start_chain, num_chains):
         if checkpoint is None and clock.expired():
@@ -1240,24 +1191,24 @@ def _anytime_emptiness(
                 num_chains,
                 ResumeFrontier(index, None, tuple(completed), num_chains, signature),
             )
-        outcome, new_checkpoint = _check_restriction_budgeted(
+        outcome = check_restriction(
             restrictions[index],
             vocabulary,
             initial,
             search_kwargs,
             use_datalog_precheck,
-            clock,
+            executor=SubtreeExecutor(workers) if workers > 1 else None,
+            clock=clock,
             checkpoint=checkpoint,
-            executor=executor,
         )
         checkpoint = None
-        if new_checkpoint is not None:
+        if outcome.checkpoint is not None:
             return _unknown_result(
                 completed,
                 outcome,
                 num_chains,
                 ResumeFrontier(
-                    index, new_checkpoint, tuple(completed), num_chains, signature
+                    index, outcome.checkpoint, tuple(completed), num_chains, signature
                 ),
             )
         completed.append(outcome)
@@ -1286,11 +1237,11 @@ def _fold_chain_outcomes(
                 stats[key] = stats.get(key, 0) + value
 
     for outcome in outcomes:
+        merge_stats(outcome.stats)
         if outcome.prechecked_empty:
             _metrics.counter("emptiness.prechecked_chains")
             continue
         total_explored += outcome.explored
-        merge_stats(outcome.stats)
         if outcome.witness is not None:
             _metrics.counter("emptiness.nonempty_results")
             _metrics.absorb("emptiness", stats)
@@ -1468,8 +1419,9 @@ def automaton_emptiness(
             max_workers=max_workers,
         )
 
+    outcomes: Optional[Iterable[ChainOutcome]] = None
     if parallel and (len(restrictions) > 1 or subtree_parallel):
-        outcomes: Iterable[ChainOutcome] = map_chain_outcomes(
+        outcomes = map_chain_outcomes(
             restrictions,
             vocabulary,
             initial,
@@ -1478,7 +1430,7 @@ def automaton_emptiness(
             max_workers=max_workers,
             pool_size=len(derived_fact_pool),
         )
-    else:
+    if outcomes is None:
         outcomes = (
             check_restriction(
                 restriction, vocabulary, initial, search_kwargs, use_datalog_precheck

@@ -54,15 +54,12 @@ from repro.engine.reduction import (
     values_key,
     vocabulary_key,
 )
+from repro.store import workqueue
 from repro.store.verdict_cache import VerdictCache
 
 #: Environment toggle consulted when ``DecisionEngine(parallel=None)``:
 #: allow batch dispatch through the shared worker pool (still cost-gated).
 PARALLEL_TASKS_ENV = envknobs.PARALLEL_TASKS_ENV
-
-#: Upper bound on batch workers (mirrors the chain fan-out's cap: each
-#: worker pays interpreter warm-up, and batches are rarely that wide).
-_MAX_WORKERS_CAP = 8
 
 
 # ----------------------------------------------------------------------
@@ -646,39 +643,10 @@ def execute_task(task: ReductionTask):
     return executor(task.args)
 
 
-@dataclass(frozen=True)
-class _ShippedTaskResult:
-    """A pooled task's value plus its worker-side observability payload.
-
-    Picklable by name: built in the worker, unwrapped by
-    :meth:`DecisionEngine._drain_pooled`, which folds ``spans`` into the
-    coordinator trace and ``counters`` (the worker registry's delta for
-    this task) into the coordinator metrics registry.
-    """
-
-    value: object
-    spans: Optional[Tuple] = None
-    counters: Optional[Dict[str, float]] = None
-
-
-def _pooled_execute(task: ReductionTask, trace_on: bool = False):
-    """Worker-side entry of a pooled reduction task (fault point ``task``).
-
-    *trace_on* ships the coordinator's tracing flag with the submission
-    (persistent workers inherit stale state otherwise); the worker's
-    spans and metric deltas ride back on the :class:`_ShippedTaskResult`
-    envelope.
-    """
-    from repro.store import faults
-
-    _trace.configure_worker(trace_on)
-    base = _metrics.REGISTRY.counters_snapshot()
-    faults.fire("task")
+def _pooled_task(task: ReductionTask):
+    """Worker side of a pooled reduction task (picklable by name)."""
     with _trace.trace_span(f"task:{task.kind}", pooled=True):
-        value = execute_task(task)
-    spans = tuple(_trace.take_spans()) if trace_on else None
-    counters = _metrics.REGISTRY.counters_delta(base)
-    return _ShippedTaskResult(value, spans or None, counters or None)
+        return execute_task(task)
 
 
 def _bump(stats: Dict[str, int], key: str, amount: int = 1) -> None:
@@ -979,14 +947,42 @@ class DecisionEngine:
         Pooled when the gate opens; otherwise in-process.  Either way the
         batch deadline is enforced between tasks: an expired clock skips
         the remaining computations with provenance ``"deadline"``.
+        Pooled tasks go through the shared scheduler of
+        :mod:`repro.store.workqueue`, which retries, times out and falls
+        back in-process with identical verdicts; every occurrence is
+        counted in this engine's stats.
         """
+        scheduler = None
+        futures: List = [None] * len(pending)
         if len(pending) > 1 and self._dispatch_allowed(pending):
-            pooled = self._pooled_stream(pending, clock)
-            if pooled is not None:
-                yield from pooled
-                return
-        for entry in pending:
+            from repro.store.parallel import worker_count
+
+            workers = worker_count(len(pending), self.max_workers)
+            scheduler = workqueue.PoolScheduler(workers, self._stats)
+            _trace.event("engine.dispatch", workers=workers, tasks=len(pending))
+            futures = [
+                scheduler.dispatch("task", _pooled_task, _with_budget(task, clock))
+                for _, task, _ in pending
+            ]
+        for entry, future in zip(pending, futures):
             _, task, _ = entry
+            if future is not None:
+                value, provenance = scheduler.resolve(
+                    future,
+                    "task",
+                    lambda: scheduler.dispatch(
+                        "task", _pooled_task, _with_budget(task, clock)
+                    ),
+                    lambda: execute_task(_with_budget(task, clock)),
+                    clock=clock,
+                    # Budget-aware kinds recompute past the batch deadline
+                    # with the (zero) remaining budget: a tagged, resumable
+                    # partial; the rest is simply not available in time.
+                    compute_on_expiry=task.kind in _BUDGET_AWARE_KINDS,
+                    kind=task.kind,
+                )
+                yield entry, value, provenance
+                continue
             if (
                 clock is not None
                 and clock.expired()
@@ -1012,145 +1008,6 @@ class DecisionEngine:
             return False
         total_cost = sum(task.cost_hint for _, task, _ in pending)
         return total_cost >= min_dispatch_cost()
-
-    def _pooled_stream(self, pending, clock):
-        """Submit the batch to the shared pool; ``None`` if that fails.
-
-        On success returns a generator draining the futures in submission
-        order with the full failure taxonomy of the subtree pool: payload
-        errors fail fast to an in-process recompute, transient worker
-        deaths retry with backoff on a rebuilt pool before falling back,
-        and per-item timeouts (:data:`repro.store.workqueue.POOL_ITEM_TIMEOUT_ENV`)
-        abandon the worker rather than stall the batch.
-        """
-        from repro.store import workqueue
-        from repro.store.parallel import available_cpus
-
-        workers = self.max_workers
-        if workers is None:
-            workers = min(len(pending), available_cpus(), _MAX_WORKERS_CAP)
-        workers = max(1, min(workers, len(pending)))
-        try:
-            pool = workqueue.shared_pool(workers)
-            _trace.event("engine.dispatch", workers=workers, tasks=len(pending))
-            futures = [
-                pool.submit(
-                    _pooled_execute, _with_budget(task, clock), _trace.enabled()
-                )
-                for _, task, _ in pending
-            ]
-        except Exception as error:
-            workqueue.discard_shared_pool()
-            _bump(
-                self._stats,
-                "pool_payload_errors"
-                if workqueue._is_payload_error(error)
-                else "pool_submit_errors",
-            )
-            return None
-        return self._drain_pooled(pending, futures, workers, clock)
-
-    def _drain_pooled(self, pending, futures, workers, clock):
-        import time as _time
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        from repro.store import workqueue
-
-        stats = self._stats
-        item_timeout = workqueue.pool_item_timeout()
-        retry_limit = workqueue.pool_retry_limit()
-        for entry, future in zip(pending, futures):
-            _, task, _ = entry
-            attempt = 0
-            retried = False
-            while True:
-                timeout = item_timeout
-                if clock is not None:
-                    remaining = clock.remaining_s()
-                    if remaining is not None:
-                        timeout = (
-                            remaining if timeout is None else min(timeout, remaining)
-                        )
-                try:
-                    value = (
-                        future.result()
-                        if timeout is None
-                        else future.result(timeout=timeout)
-                    )
-                    if isinstance(value, _ShippedTaskResult):
-                        _trace.attach_children(value.spans)
-                        _metrics.REGISTRY.merge_counters(value.counters)
-                        value = value.value
-                    yield entry, value, ("pooled_retry" if retried else "pooled")
-                    break
-                except FuturesTimeout:
-                    future.cancel()
-                    if clock is not None and clock.expired():
-                        # Batch deadline, not a stalled worker.  Budget-aware
-                        # tasks recompute here with the (zero) remaining
-                        # budget — a tagged, resumable partial; the rest is
-                        # simply not available in time.
-                        if task.kind in _BUDGET_AWARE_KINDS:
-                            yield entry, self._fallback_value(task, clock), "fallback"
-                        else:
-                            yield entry, None, "deadline"
-                        break
-                    # A stalled worker must not stall the batch: abandon
-                    # the future and recompute here (workqueue semantics).
-                    _bump(stats, "pool_timeouts")
-                    _trace.event(
-                        "pool.timeout", point="task", kind=task.kind, timeout_s=timeout
-                    )
-                    yield entry, self._fallback_value(task, clock), "fallback"
-                    break
-                except Exception as error:
-                    if workqueue._is_payload_error(error):
-                        # Deterministic: a payload that cannot cross the
-                        # process boundary fails on every resubmit.
-                        _bump(stats, "pool_payload_errors")
-                        _trace.event(
-                            "pool.payload_error",
-                            point="task",
-                            kind=task.kind,
-                            error=type(error).__name__,
-                        )
-                        yield entry, self._fallback_value(task, clock), "fallback"
-                        break
-                    _bump(stats, "pool_worker_failures")
-                    if attempt >= retry_limit:
-                        yield entry, self._fallback_value(task, clock), "fallback"
-                        break
-                    _time.sleep(workqueue._RETRY_BACKOFF_S * (2 ** attempt))
-                    attempt += 1
-                    retried = True
-                    _bump(stats, "pool_retries")
-                    _trace.event(
-                        "pool.retry",
-                        point="task",
-                        kind=task.kind,
-                        attempt=attempt,
-                        error=type(error).__name__,
-                    )
-                    try:
-                        workqueue.discard_shared_pool()
-                        pool = workqueue.shared_pool(workers)
-                        future = pool.submit(
-                            _pooled_execute, _with_budget(task, clock), _trace.enabled()
-                        )
-                    except Exception:
-                        _bump(stats, "pool_submit_errors")
-                        yield entry, self._fallback_value(task, clock), "fallback"
-                        break
-
-    def _fallback_value(self, task, clock):
-        """In-process recompute after a pool failure (identical verdict).
-
-        A genuine task error re-raises identically here, preserving the
-        contract that pooling never changes outcomes.
-        """
-        _bump(self._stats, "pool_inprocess_fallbacks")
-        with _trace.trace_span("pool.fallback", point="task", kind=task.kind):
-            return execute_task(_with_budget(task, clock))
 
     # ------------------------------------------------------------------
     # Single-shot conveniences (the normalised forms of the old calls)

@@ -1,6 +1,10 @@
-"""Persistent fact-store subsystem: O(1) snapshots + parallel chain checking.
+"""Persistent fact-store subsystem: O(1) snapshots + the one pool scheduler.
 
-See ``src/repro/store/README.md`` for the architecture note.
+Snapshots make configurations cheap to capture and picklable; the pool
+scheduler (:mod:`repro.store.workqueue`) ships chains, subtree items and
+engine tasks to one shared worker pool with one failure taxonomy, and
+:mod:`repro.store.parallel` decides which chains go there.  See
+``src/repro/store/README.md`` for the architecture note.
 """
 
 from repro.store.backend import (
@@ -27,6 +31,8 @@ from repro.store.verdict_cache import (
 )
 from repro.store.workqueue import (
     DEFAULT_SPLIT_BUDGET,
+    PoolScheduler,
+    Shipped,
     SubtreeExecutor,
     discard_shared_pool,
     shared_pool,
@@ -58,6 +64,8 @@ __all__ = [
     "store_stats",
     "verify_store",
     "DEFAULT_SPLIT_BUDGET",
+    "PoolScheduler",
+    "Shipped",
     "SubtreeExecutor",
     "discard_shared_pool",
     "shared_pool",

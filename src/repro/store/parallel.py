@@ -32,9 +32,12 @@ Guarantees:
   ``max_workers`` overrides the gate (tests use it to exercise the real
   pool on single-core machines; operators to force dispatch).
 
-* **Sequential fallback.**  One restriction, one worker, an unavailable
-  pool (restricted environments without ``fork``/semaphores) or a worker
-  failure all degrade to in-process sequential checking.
+* **Per-chain recovery.**  Chains, the dominant chain's subtree items
+  and engine tasks all go through the one scheduler of
+  :mod:`repro.store.workqueue`; a failed chain item retries on a
+  rebuilt pool or falls back in process on its own, without disturbing
+  the other chains.  One restriction, one worker or a closed cost gate
+  keep every chain on ``automaton_emptiness``'s own in-process loop.
 
 The pool prefers the ``fork`` start method (cheap on Linux, inherits the
 parent's hash seed); under ``spawn`` correctness is preserved because
@@ -50,10 +53,8 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import env as envknobs
-from repro.obs import trace as _trace
-from repro.store import faults, workqueue
+from repro.store import workqueue
 from repro.store.snapshot import Snapshot, SnapshotInstance
-from repro.store.workqueue import SubtreeExecutor, warn_invalid_env
 
 #: Environment toggle consulted when ``automaton_emptiness(parallel=None)``.
 PARALLEL_CHAINS_ENV = envknobs.PARALLEL_CHAINS_ENV
@@ -76,9 +77,9 @@ PARALLEL_MIN_COST_ENV = envknobs.PARALLEL_MIN_COST_ENV
 #: millisecond-scale calls where pool latency dominates.
 DEFAULT_MIN_DISPATCH_COST = envknobs.DEFAULT_MIN_DISPATCH_COST
 
-#: Upper bound on workers regardless of core count: chain counts are small
-#: and each worker pays a full search setup, so very wide pools only add
-#: startup latency.
+#: Upper bound on workers regardless of core count, for every pooled
+#: caller: chain counts and batches are small and each worker pays a full
+#: search setup, so very wide pools only add startup latency.
 _MAX_WORKERS_CAP = 8
 
 #: How many parallel units to assume when sizing a pool for subtree mode:
@@ -151,7 +152,19 @@ def estimate_chain_cost(
     return (states + transitions) * budget
 
 
-def _worker_count(num_units: int, max_workers: Optional[int]) -> int:
+def worker_count(
+    num_units: int, max_workers: Optional[int], subtree: bool = False
+) -> int:
+    """Pool size for *num_units* independent units of work.
+
+    The one sizing rule of every pooled caller — chain fan-out, subtree
+    and anytime searches, engine batches — so they agree on the size and
+    the shared pool is not rebuilt between them.  In subtree mode a
+    single chain still yields many items, so the pool is sized by CPUs
+    and the cap rather than by the chain count.
+    """
+    if subtree:
+        num_units = max(num_units, _SUBTREE_POOL_UNITS)
     if max_workers is not None:
         # An explicit worker count is honoured as given (minus idle
         # workers): tests use it to exercise the real pool on single-core
@@ -166,49 +179,14 @@ def _should_dispatch(total_cost: int, max_workers: Optional[int]) -> bool:
     return total_cost >= min_dispatch_cost()
 
 
-def _check_chain_payload(payload):
-    """Top-level worker entry point (must be picklable by name).
-
-    The payload's optional sixth element is the coordinator's tracing
-    flag; when set, the worker records its ``emptiness.chain`` span tree
-    locally and ships it back on ``ChainOutcome.spans`` for the
-    coordinator to fold into the parent trace.
-    """
-    restriction, vocabulary, initial_snapshot, search_kwargs, use_precheck = payload[:5]
-    trace_on = bool(payload[5]) if len(payload) > 5 else False
+def _check_chain(restriction, vocabulary, initial_snapshot, search_kwargs, use_precheck):
+    """Worker side of a chain item (picklable by name)."""
     from repro.automata.emptiness import check_restriction
 
-    _trace.configure_worker(trace_on)
-    faults.fire("chain")
     initial = SnapshotInstance.from_snapshot(initial_snapshot)
-    outcome = check_restriction(
+    return check_restriction(
         restriction, vocabulary, initial, search_kwargs, use_precheck
     )
-    if trace_on:
-        spans = tuple(_trace.take_spans())
-        if spans:
-            outcome = dataclasses.replace(outcome, spans=spans)
-    return outcome
-
-
-def _sequential(
-    restrictions: Sequence,
-    vocabulary,
-    initial,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-) -> List:
-    from repro.automata.emptiness import check_restriction
-
-    outcomes = []
-    for restriction in restrictions:
-        outcome = check_restriction(
-            restriction, vocabulary, initial, search_kwargs, use_datalog_precheck
-        )
-        outcomes.append(outcome)
-        if outcome.witness is not None:
-            break  # the fold stops here; later chains are dead work
-    return outcomes
 
 
 def _initial_snapshot(initial) -> Snapshot:
@@ -217,138 +195,21 @@ def _initial_snapshot(initial) -> Snapshot:
     return SnapshotInstance.from_instance(initial).snapshot()
 
 
-def _chain_fanout(
-    pool,
-    restrictions: Sequence,
-    vocabulary,
-    initial,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-) -> List:
-    """Whole-chain fan-out: one pool task per restriction."""
-    initial_snapshot = _initial_snapshot(initial)
-    payloads = [
-        (
-            restriction,
-            vocabulary,
-            initial_snapshot,
-            search_kwargs,
-            use_datalog_precheck,
-            _trace.enabled(),
-        )
-        for restriction in restrictions
-    ]
-    futures = [pool.submit(_check_chain_payload, payload) for payload in payloads]
-    outcomes = []
-    for index, future in enumerate(futures):
-        outcome = future.result()
-        _trace.attach_children(outcome.spans)
-        outcomes.append(outcome)
-        if outcome.witness is not None:
-            # The fold stops at the first witness in restriction order,
-            # so everything after this chain is dead work: cancel what
-            # has not started (running tasks finish in the background
-            # and are discarded).
-            for later in futures[index + 1 :]:
-                later.cancel()
-            break
-    return outcomes
+def _earlier_witness_finished(futures: Dict[int, object], dominant: int) -> bool:
+    """Whether a chain before *dominant* already finished with a witness.
 
-
-def _hybrid_fanout(
-    pool,
-    restrictions: Sequence,
-    vocabulary,
-    initial,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-    pool_size: Optional[int] = None,
-) -> List:
-    """Subtree-aware placement: split the straggler, pool the rest.
-
-    The chain with the largest cost estimate is the straggler that makes
-    whole-chain granularity lose; its witness search runs in the
-    coordinator with its DFS subtrees dispatched to the shared pool,
-    while every other chain ships as a whole-chain task into the same
-    queue.  Workers therefore stay busy on the dominant chain's items as
-    the small chains drain — the sequential tail is split instead of
-    waited on.  Placement depends on runtime estimates, but the subtree
-    decomposition's results are placement-independent, so the folded
-    outcome never does.
+    A non-blocking scan: such a witness makes the dominant chain dead
+    work (the fold stops before it).  A chain that finishes *while* the
+    dominant search runs is not seen — that race is inherent to running
+    them concurrently — but the cheap chains often beat the coordinator
+    to this point, and skipping a multi-second dominant search is worth
+    the O(#chains) check.
     """
-    from repro.automata.emptiness import check_restriction
-
-    costs = [
-        estimate_chain_cost(r, search_kwargs, pool_size) for r in restrictions
-    ]
-    dominant = max(range(len(restrictions)), key=lambda i: (costs[i], -i))
-    initial_snapshot = _initial_snapshot(initial)
-    futures = {}
-    for index, restriction in enumerate(restrictions):
-        if index == dominant:
-            continue
-        payload = (
-            restriction,
-            vocabulary,
-            initial_snapshot,
-            search_kwargs,
-            use_datalog_precheck,
-            _trace.enabled(),
-        )
-        futures[index] = pool.submit(_check_chain_payload, payload)
-
-    def _earlier_witness_already_found() -> bool:
-        # Non-blocking scan: a finished earlier-indexed chain carrying a
-        # witness makes the dominant chain dead work (the fold stops
-        # before it).  A chain that finishes *while* the dominant search
-        # runs is not seen — that race is inherent to running them
-        # concurrently — but the cheap chains often beat the coordinator
-        # to this point, and skipping a multi-second dominant search is
-        # worth the O(#chains) check.
-        for index in range(dominant):
-            future = futures.get(index)
-            if future is not None and future.done():
-                try:
-                    if future.result().witness is not None:
-                        return True
-                except Exception:
-                    return False  # broken future: the caller's fallback handles it
-        return False
-
-    if _earlier_witness_already_found():
-        dominant_outcome = None
-    else:
-        executor = SubtreeExecutor(pool)
-        dominant_outcome = check_restriction(
-            restrictions[dominant],
-            vocabulary,
-            initial,
-            search_kwargs,
-            use_datalog_precheck,
-            executor=executor,
-        )
-    outcomes = []
-    for index in range(len(restrictions)):
-        if index == dominant and dominant_outcome is None:
-            # Unreachable by the fold: an earlier chain's witness
-            # truncates the walk before this entry.  Assert the
-            # invariant rather than fabricating an outcome.
-            raise AssertionError(
-                "dominant chain skipped without an earlier witness"
-            )  # pragma: no cover - guarded by _earlier_witness_already_found
-        outcome = (
-            dominant_outcome if index == dominant else futures[index].result()
-        )
-        if index != dominant:
-            _trace.attach_children(outcome.spans)
-        outcomes.append(outcome)
-        if outcome.witness is not None:
-            for later in range(index + 1, len(restrictions)):
-                future = futures.get(later)
-                if future is not None:
-                    future.cancel()
-            break
-    return outcomes
+    for index in range(dominant):
+        outcome = workqueue.finished_value(futures.get(index))
+        if outcome is not None and outcome.witness is not None:
+            return True
+    return False
 
 
 def map_chain_outcomes(
@@ -359,76 +220,109 @@ def map_chain_outcomes(
     use_datalog_precheck: bool,
     max_workers: Optional[int] = None,
     pool_size: Optional[int] = None,
-):
+) -> Optional[List]:
     """Chain outcomes in restriction order, up to the first witness.
 
+    Returns ``None`` when parallelism cannot help — no usable extra CPUs,
+    estimated work below :func:`min_dispatch_cost`, a single chain
+    outside subtree mode — and the caller checks the chains in process.
     *pool_size* is the caller's fact-pool cardinality hint for
     :func:`estimate_chain_cost` (``automaton_emptiness`` derives the
     pool anyway and passes its size along so the gate can bound the
     exploration budget by the actual search space).
 
-    Dispatches the per-chain checks (and, in subtree mode, the dominant
-    chain's subtree items) to the shared process pool and collects the
-    ordered outcomes; once an outcome carries a witness the remaining
-    chains are dead work (the caller's fold stops there, mirroring the
-    sequential early exit), so not-yet-started tasks are cancelled and
-    the list is truncated at that point.  Falls back to in-process
-    sequential checking whenever parallelism cannot help (no usable
-    extra CPUs, estimated work below :func:`min_dispatch_cost`, a single
-    chain outside subtree mode) or cannot be obtained (no pool, a worker
-    failure) — by construction the folded result is the same.
+    Otherwise every chain ships as a pool item of the shared scheduler
+    (:mod:`repro.store.workqueue`) — except, in subtree mode, the chain
+    with the largest cost estimate: that straggler is what makes
+    whole-chain granularity lose, so its witness search runs in the
+    coordinator with its DFS subtrees dispatched to the same queue, and
+    workers pick them up as the small chains drain.  Once an outcome
+    carries a witness the remaining chains are dead work (the caller's
+    fold stops there, mirroring the sequential early exit), so
+    not-yet-started items are cancelled and the list is truncated at
+    that point.  A chain whose item fails retries or falls back in
+    process on its own; the failures are counted (``pool_*``) in the
+    first outcome's stats.  Placement depends on runtime estimates, but
+    the folded result never does.
     """
+    from repro.automata.emptiness import check_restriction
+
     num_chains = len(restrictions)
     subtree = bool(search_kwargs.get("subtree_mode"))
-    units = num_chains if not subtree else max(num_chains, _SUBTREE_POOL_UNITS)
-    workers = _worker_count(units, max_workers)
-    total_cost = sum(
+    workers = worker_count(num_chains, max_workers, subtree)
+    costs = [
         estimate_chain_cost(restriction, search_kwargs, pool_size)
         for restriction in restrictions
-    )
+    ]
     if (
         workers <= 1
-        or not _should_dispatch(total_cost, max_workers)
+        or not _should_dispatch(sum(costs), max_workers)
         or (num_chains <= 1 and not subtree)
     ):
-        return _sequential(
-            restrictions, vocabulary, initial, search_kwargs, use_datalog_precheck
+        return None
+    dominant = (
+        max(range(num_chains), key=lambda i: (costs[i], -i)) if subtree else None
+    )
+    scheduler = workqueue.PoolScheduler(workers)
+    initial_snapshot = _initial_snapshot(initial)
+
+    def submit(index: int):
+        return scheduler.dispatch(
+            "chain",
+            _check_chain,
+            restrictions[index],
+            vocabulary,
+            initial_snapshot,
+            search_kwargs,
+            use_datalog_precheck,
         )
-    try:
-        pool = workqueue.shared_pool(workers)
-        if subtree:
-            return _hybrid_fanout(
-                pool,
-                restrictions,
-                vocabulary,
-                initial,
-                search_kwargs,
-                use_datalog_precheck,
-                pool_size,
-            )
-        return _chain_fanout(
-            pool,
-            restrictions,
+
+    def check(index: int, executor=None):
+        return check_restriction(
+            restrictions[index],
             vocabulary,
             initial,
             search_kwargs,
             use_datalog_precheck,
+            executor=executor,
         )
-    except Exception:
-        # Pools can be unavailable (sandboxes without semaphores) and
-        # exotic payloads can fail to pickle; verdicts must not depend on
-        # either, so recompute everything in process — and say so: the
-        # fallback is recorded in the first outcome's stats instead of
-        # being swallowed (stats are excluded from result equality, so
-        # the determinism guarantees are untouched).
-        workqueue.discard_shared_pool()
-        _trace.event("pool.fallback", point="chain")
-        outcomes = _sequential(
-            restrictions, vocabulary, initial, search_kwargs, use_datalog_precheck
-        )
-        if outcomes:
-            first = outcomes[0]
-            stats = dict(first.stats or {})
-            stats["pool_chain_fallbacks"] = stats.get("pool_chain_fallbacks", 0) + 1
-            outcomes[0] = dataclasses.replace(first, stats=stats)
-        return outcomes
+
+    futures = {index: submit(index) for index in range(num_chains) if index != dominant}
+    outcomes = []
+    try:
+        dominant_outcome = None
+        if dominant is not None and not _earlier_witness_finished(futures, dominant):
+            dominant_outcome = check(dominant, workqueue.SubtreeExecutor(workers))
+        for index in range(num_chains):
+            if index == dominant:
+                if dominant_outcome is None:
+                    # Unreachable by the fold: an earlier chain's witness
+                    # truncates the walk before this entry.
+                    raise AssertionError(
+                        "dominant chain skipped without an earlier witness"
+                    )  # pragma: no cover - guarded by _earlier_witness_finished
+                outcome = dominant_outcome
+            else:
+                future = futures.pop(index)
+                if future is None:
+                    outcome = check(index)
+                else:
+                    outcome, _ = scheduler.resolve(
+                        future,
+                        "chain",
+                        lambda: submit(index),
+                        lambda: check(index),
+                    )
+            outcomes.append(outcome)
+            if outcome.witness is not None:
+                break
+    finally:
+        for future in futures.values():
+            if future is not None:
+                future.cancel()
+    if scheduler.counters:
+        stats = dict(outcomes[0].stats or {})
+        for key, value in scheduler.counters.items():
+            stats[key] = stats.get(key, 0) + value
+        outcomes[0] = dataclasses.replace(outcomes[0], stats=stats)
+    return outcomes

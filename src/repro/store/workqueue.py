@@ -1,17 +1,28 @@
-"""Shared-queue subtree execution for the emptiness witness search.
+"""The one pool scheduler: every pooled item is submitted and resolved here.
 
-The Lemma 4.9 chain decomposition (:mod:`repro.store.parallel`) gives
-whole-chain parallelism, which loses when one hard chain dominates: the
-pool drains to a single busy worker while the stragglers' subtrees sit
-inside it, unreachable.  This module parallelises *inside* a chain.
-Snapshots are picklable by construction, so a DFS frontier node ships as
-a self-contained :class:`~repro.automata.emptiness.SubtreeItem`
-``(states, snapshot, known, budget)``; workers pull items from the
-shared pool queue, run each to completion — or hand it back for
-**re-splitting** when it exceeds the per-item work budget — and the
-coordinator folds the outcomes deterministically.
+Three kinds of work share one persistent process pool:
 
-Guarantees:
+* **chains** — a whole Lemma 4.9 chain restriction check
+  (:mod:`repro.store.parallel` decides which chains go to the pool);
+* **subtree items** — DFS frontier nodes of one chain's witness search.
+  Snapshots are picklable by construction, so a node ships as a
+  self-contained :class:`~repro.automata.emptiness.SubtreeItem`
+  ``(states, snapshot, known, budget)``; workers run each to completion
+  — or hand it back for **re-splitting** when it exceeds the per-item
+  work budget — and the coordinator folds the outcomes deterministically
+  (:func:`run_decomposed_search`);
+* **engine tasks** — independent reduction tasks of a
+  :class:`~repro.engine.DecisionEngine` batch.
+
+Every kind goes through the same three pieces: one worker entry
+(:func:`_run_item`: configure tracing, fire the scripted fault, run,
+capture spans and the metrics-registry counter delta), one result
+envelope (:class:`Shipped`) and one resolver (:meth:`PoolScheduler.resolve`: wait,
+classify the failure, retry on a rebuilt pool, fall back in-process).
+A caller only chooses *what* to run and *what* the in-process
+equivalent is; results never depend on where an item ran.
+
+Guarantees of the decomposed search:
 
 * **Deterministic results.**  :func:`run_decomposed_search` returns the
   same ``(witness, explored, exhausted)`` whether items run in worker
@@ -30,11 +41,11 @@ Guarantees:
   children — adaptive granularity without nondeterminism, at the cost of
   discarding the overflowed attempt (at most one budget's worth of
   work).
-* **Warm shared pool.**  One persistent process pool (shared with the
-  chain-level fan-out) is reused across ``automaton_emptiness`` calls;
-  each worker caches the unpickled search context per coordinator token,
-  so after the first item of a context only the item itself is rebuilt
-  per task.
+* **Warm shared pool.**  The pool is reused across calls; each worker
+  caches the unpickled search context per coordinator token, so after
+  the first item of a context only the item itself is rebuilt per task.
+* **Anytime.**  Given a started budget clock the same fold stops at a
+  work-item boundary and returns a resumable checkpoint.
 
 Early cancellation: once the fold settles on a witness, not-yet-started
 items are cancelled (running ones finish in the background and are
@@ -43,13 +54,14 @@ discarded), mirroring the chain-level early exit.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 # NOTE: repro.store is initialised very early (the query plan cache pulls
 # in the snapshot store), so this module must not import the repro.core
@@ -141,11 +153,10 @@ def _bump(stats: Dict[str, int], key: str, amount: int = 1) -> None:
 # milliseconds (fork of a large parent, interpreter warm-up), which would
 # otherwise be paid by every emptiness call.  The pool is replaced when a
 # caller needs more workers than it has, and discarded on any failure
-# (the next call recreates it).  Both the chain-level fan-out
-# (:mod:`repro.store.parallel`) and the subtree executor draw from it,
-# so chain tasks and subtree items interleave in one queue — which is
-# exactly how a dominant chain's subtrees fill workers that drained
-# their own chains.
+# (the next call recreates it).  Chains, subtree items and engine tasks
+# all draw from it, so they interleave in one queue — which is exactly
+# how a dominant chain's subtrees fill workers that drained their own
+# chains.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
@@ -180,8 +191,40 @@ def discard_shared_pool() -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker side: per-process context cache
+# Worker side: the one entry point and the result envelope
 # ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class Shipped:
+    """What a pool worker returns for one item.
+
+    ``value`` is the item's result, ``spans`` the trace spans the worker
+    recorded for it (folded under the coordinator's live span on
+    collection) and ``counters`` the worker metrics-registry delta
+    (merged into the coordinator registry via ``merge_counters``).
+    """
+
+    value: object
+    spans: Optional[Tuple] = None
+    counters: Optional[Dict[str, float]] = None
+
+
+def _run_item(point: str, fn: Callable, args: Tuple, trace_on: bool) -> Shipped:
+    """The worker entry point of every pooled item (picklable by name).
+
+    *point* names the fault-injection point (``chain``, ``subtree`` or
+    ``task``).  *trace_on* travels with every submission: persistent
+    workers inherit whatever tracing flag the coordinator had at fork
+    time, so the entry reconfigures :mod:`repro.obs.trace` per item.
+    """
+    _trace.configure_worker(trace_on)
+    base = _metrics.REGISTRY.counters_snapshot()
+    faults.fire(point)
+    value = fn(*args)
+    spans = tuple(_trace.take_spans()) if trace_on else None
+    counters = _metrics.REGISTRY.counters_delta(base)
+    return Shipped(value, spans or None, counters or None)
+
+
 #: Worker-process cache of unpickled search contexts, keyed by the
 #: coordinator's context token.  Bounded: coordinators churn through
 #: contexts (one per chain restriction), workers must not accumulate
@@ -194,7 +237,7 @@ _TOKEN_COUNTER = 0
 
 
 def _next_context_token() -> Tuple[int, int]:
-    """A token unique per (coordinator process, executor instance)."""
+    """A token unique per (coordinator process, bound search context)."""
     global _TOKEN_COUNTER
     _TOKEN_COUNTER += 1
     return (os.getpid(), _TOKEN_COUNTER)
@@ -214,25 +257,13 @@ def _cached_search(token: Tuple[int, int], blob: bytes):
     return search
 
 
-def _subtree_worker(
-    token: Tuple[int, int],
-    blob: bytes,
-    item,
-    node_budget: int,
-    trace_on: bool = False,
-):
-    """Top-level worker entry point (must be picklable by name).
+def _subtree_worker(token: Tuple[int, int], blob: bytes, item, node_budget: int):
+    """Run one subtree item against the cached search context.
 
-    *trace_on* travels with every submission: persistent workers inherit
-    whatever tracing flag the coordinator had at fork time, so the entry
-    reconfigures :mod:`repro.obs.trace` per item and ships the spans it
-    recorded back on the outcome (``SubtreeOutcome.spans``), where the
-    coordinator folds them into the parent trace.
+    The outcome carries the search-stats delta of this item in
+    ``SubtreeOutcome.stats``; the coordinator merges it into the search
+    stats it reports.
     """
-    import dataclasses
-
-    _trace.configure_worker(trace_on)
-    faults.fire("subtree")
     search = _cached_search(token, blob)
     before = dict(search.stats)
     with _trace.trace_span(
@@ -244,179 +275,228 @@ def _subtree_worker(
         for key, value in search.stats.items()
         if value != before.get(key, 0)
     }
-    spans = tuple(_trace.take_spans()) if trace_on else None
-    return dataclasses.replace(outcome, stats=delta or None, spans=spans or None)
+    return dataclasses.replace(outcome, stats=delta or None)
 
 
 # ----------------------------------------------------------------------
-# Coordinator side
+# Coordinator side: submission and the one resolver
 # ----------------------------------------------------------------------
-class SubtreeExecutor:
-    """Submits one search context's subtree items to the shared pool.
+def _unwrap(result):
+    """An item's value; a :class:`Shipped` envelope's payload is folded in."""
+    if not isinstance(result, Shipped):
+        return result
+    _trace.attach_children(result.spans)
+    _metrics.REGISTRY.merge_counters(result.counters)
+    return result.value
 
-    The context payload is pickled **once** (:meth:`bind`) and its bytes
-    shipped with every item; workers unpickle it on first sight and cache
-    the built search per context token, so steady-state per-item cost is
-    the item itself plus a bytes copy over the pipe.  Any submission or
-    result failure marks the executor dead — the fold then resolves the
-    remaining items in-process, with identical results.
+
+class PoolScheduler:
+    """Submits one caller's items to the shared pool and resolves them.
+
+    *workers* sizes the shared pool (:func:`repro.store.parallel.worker_count`).
+    Every pool event of the caller's items is counted into *counters*
+    (the caller's stats dict, or a fresh one).  A submission failure
+    (``pool_payload_errors`` / ``pool_submit_errors``) makes the
+    scheduler unusable, so the caller resolves its remaining items
+    in-process — with identical results.
     """
 
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self._pool = pool
-        self._workers = max(2, getattr(pool, "_max_workers", 2))
-        self._token: Optional[Tuple[int, int]] = None
-        self._blob: Optional[bytes] = None
-        self._node_budget: Optional[int] = None
-        self._dead = False
-        #: Failure/retry/timeout occurrences, merged into the final
-        #: search stats (and from there into ``EmptinessResult.stats``).
-        self.counters: Dict[str, int] = {}
-
-    def bind(self, context_payload, node_budget: int) -> None:
-        """Attach the search context and the per-item work budget."""
-        if self._blob is None:
-            self._token = _next_context_token()
-            try:
-                self._blob = pickle.dumps(
-                    context_payload, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
-                # Unpicklable context: a deterministic payload property,
-                # so the pool path can never work for this search — fail
-                # fast to in-process resolution, no retries.
-                _bump(self.counters, "pool_payload_errors")
-                self._dead = True
-        self._node_budget = node_budget
-
-    @property
-    def usable(self) -> bool:
-        return not self._dead and self._blob is not None
+    def __init__(self, workers: int, counters: Optional[Dict[str, int]] = None) -> None:
+        self.workers = workers
+        self.counters: Dict[str, int] = {} if counters is None else counters
+        self.usable = True
 
     def mark_dead(self) -> None:
-        self._dead = True
+        self.usable = False
 
-    def submit(self, item):
-        """A future for *item*, or ``None`` when the pool is unusable."""
+    def dispatch(self, point: str, fn: Callable, *args):
+        """A future for ``fn(*args)`` run in a worker, or ``None`` when unusable."""
         if not self.usable:
             return None
         try:
-            return self._pool.submit(
-                _subtree_worker,
-                self._token,
-                self._blob,
-                item,
-                self._node_budget,
-                _trace.enabled(),
+            return shared_pool(self.workers).submit(
+                _run_item, point, fn, args, _trace.enabled()
             )
         except Exception as error:
-            _bump(
-                self.counters,
-                "pool_payload_errors" if _is_payload_error(error) else "pool_submit_errors",
-            )
-            self._dead = True
+            if _is_payload_error(error):
+                _bump(self.counters, "pool_payload_errors")
+            else:
+                # A pool that cannot be built or has broken: the next
+                # caller starts from a fresh one.
+                _bump(self.counters, "pool_submit_errors")
+                discard_shared_pool()
+            self.usable = False
             return None
 
-    def retry_submit(self, item):
-        """Resubmit *item* on a freshly rebuilt shared pool (retry path).
+    def resolve(
+        self,
+        future,
+        point: str,
+        resubmit: Callable,
+        compute: Callable,
+        *,
+        clock=None,
+        compute_on_expiry: bool = False,
+        **attrs,
+    ) -> Tuple[object, str]:
+        """Wait for one pooled item and recover from every failure.
 
-        A dead worker breaks the whole ``ProcessPoolExecutor``, so a
-        retry means replacing the shared pool.  Sibling futures from the
-        old pool fail on their own ``result()`` calls and take their own
-        recovery (retry or fallback) paths; new workers rebuild the
-        context cache from the blob on first sight.
+        Returns ``(value, provenance)`` with provenance ``"pooled"``,
+        ``"pooled_retry"`` (pooled after a retry), ``"fallback"`` (computed
+        in-process by *compute*) or ``"deadline"`` (``value`` is ``None``).
+        Failure taxonomy, each occurrence counted into :attr:`counters` and
+        traced as a ``pool.*`` event carrying *point* and *attrs*:
+
+        * **timeout** (``pool_timeouts``) — the per-item deadline
+          (:func:`pool_item_timeout`) passed without a result.  No retry:
+          the worker behind a stuck future is still busy, and queueing
+          another copy behind it would stall the caller further.  The
+          scheduler is marked dead and the item falls back.
+        * **payload error** (``pool_payload_errors``) — pickling/unpickling
+          failed.  Deterministic, so retrying the same bytes is pointless:
+          mark the scheduler dead and fall back.
+        * **transient worker failure** (``pool_worker_failures``) — a dead
+          worker (``BrokenProcessPool``), a severed pipe, a cancelled
+          sibling of a replaced pool.  Retried up to :func:`pool_retry_limit`
+          times (``pool_retries`` counts attempts) with exponential backoff:
+          the shared pool is rebuilt and *resubmit* called; once the retries
+          are spent (or the scheduler is dead) the item falls back and the
+          scheduler is marked dead.
+
+        Every fallback is counted in ``pool_inprocess_fallbacks`` and runs
+        under a ``pool.fallback`` span.  A started *clock* (a
+        :class:`~repro.core.budget.BudgetClock`) caps each wait at its
+        remaining time; a wait cut short by the clock's deadline is not a
+        stalled worker — the item is then ``"deadline"``, or computed
+        in-process when *compute_on_expiry* is set.
         """
+        item_timeout = pool_item_timeout()
+        attempt = 0
+        while True:
+            timeout = item_timeout
+            if clock is not None:
+                remaining = clock.remaining_s()
+                if remaining is not None:
+                    timeout = remaining if timeout is None else min(timeout, remaining)
+            try:
+                result = future.result() if timeout is None else future.result(timeout=timeout)
+            except FuturesTimeout:
+                future.cancel()
+                if clock is not None and clock.expired():
+                    if not compute_on_expiry:
+                        return None, "deadline"
+                    return self._fallback(point, compute, attrs), "fallback"
+                _bump(self.counters, "pool_timeouts")
+                _trace.event("pool.timeout", point=point, timeout_s=timeout, **attrs)
+                self.mark_dead()
+                return self._fallback(point, compute, attrs), "fallback"
+            except Exception as error:
+                if _is_payload_error(error):
+                    _bump(self.counters, "pool_payload_errors")
+                    _trace.event(
+                        "pool.payload_error", point=point, error=type(error).__name__, **attrs
+                    )
+                    self.mark_dead()
+                    return self._fallback(point, compute, attrs), "fallback"
+                _bump(self.counters, "pool_worker_failures")
+                future = None
+                if self.usable and attempt < pool_retry_limit():
+                    time.sleep(_RETRY_BACKOFF_S * (2 ** attempt))
+                    attempt += 1
+                    _bump(self.counters, "pool_retries")
+                    _trace.event(
+                        "pool.retry",
+                        point=point,
+                        attempt=attempt,
+                        error=type(error).__name__,
+                        **attrs,
+                    )
+                    # A dead worker breaks the whole ProcessPoolExecutor, so a
+                    # retry replaces the shared pool; sibling futures of the old
+                    # pool fail on their own result() calls and take their own
+                    # recovery paths.
+                    discard_shared_pool()
+                    future = resubmit()
+                if future is None:
+                    self.mark_dead()
+                    return self._fallback(point, compute, attrs), "fallback"
+                continue
+            return _unwrap(result), ("pooled_retry" if attempt else "pooled")
+
+    def _fallback(self, point: str, compute: Callable, attrs):
+        _bump(self.counters, "pool_inprocess_fallbacks")
+        with _trace.trace_span("pool.fallback", point=point, **attrs):
+            return compute()
+
+
+class SubtreeExecutor(PoolScheduler):
+    """Submits one search context's subtree items.
+
+    The context payload is pickled once per :meth:`bind` and its bytes
+    shipped with every item; workers unpickle it on first sight and cache
+    the built search per context token, so steady-state per-item cost is
+    the item itself plus a bytes copy over the pipe.
+    """
+
+    def __init__(self, workers: int, counters: Optional[Dict[str, int]] = None) -> None:
+        super().__init__(workers, counters)
+        self._token: Optional[Tuple[int, int]] = None
+        self._blob: Optional[bytes] = None
+        self._node_budget: Optional[int] = None
+
+    def bind(self, context_payload, node_budget: int) -> None:
+        """Attach a search context and the per-item work budget."""
+        self._token = _next_context_token()
+        self._node_budget = node_budget
+        try:
+            self._blob = pickle.dumps(context_payload, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
+            # Unpicklable context: a deterministic payload property, so
+            # the pool path can never work for this search — fail fast to
+            # in-process resolution, no retries.
+            _bump(self.counters, "pool_payload_errors")
+            self._blob = None
+            self.usable = False
+
+    def submit(self, item):
+        """A future for *item*, or ``None`` when the pool is unusable."""
         if self._blob is None:
             return None
-        try:
-            discard_shared_pool()
-            self._pool = shared_pool(self._workers)
-            self._dead = False
-            return self._pool.submit(
-                _subtree_worker,
-                self._token,
-                self._blob,
-                item,
-                self._node_budget,
-                _trace.enabled(),
-            )
-        except Exception:
-            _bump(self.counters, "pool_submit_errors")
-            self._dead = True
-            return None
+        return self.dispatch(
+            "subtree", _subtree_worker, self._token, self._blob, item, self._node_budget
+        )
 
 
+def finished_value(future):
+    """The value of *future* if it already finished cleanly, else ``None``.
+
+    Never waits and folds nothing into the coordinator: the item is
+    still resolved (once) through :meth:`PoolScheduler.resolve` later.
+    """
+    if future is None or not future.done() or future.cancelled():
+        return None
+    if future.exception() is not None:
+        return None
+    result = future.result()
+    return result.value if isinstance(result, Shipped) else result
+
+
+# ----------------------------------------------------------------------
+# The decomposed witness search: one deterministic fold
+# ----------------------------------------------------------------------
 def _merge_stats(into: Dict[str, int], stats: Optional[Dict[str, int]]) -> None:
     if stats:
         for key, value in stats.items():
             into[key] = into.get(key, 0) + value
 
 
-def _pooled_outcome(future, item, executor, extra_stats):
-    """The pooled outcome for *item*, or ``None`` when the pool gave up.
+def _expiry_errors(clock) -> Tuple:
+    """What a search raises when *clock* runs out mid-item (nothing without one)."""
+    if clock is None:
+        return ()
+    from repro.core.budget import BudgetExpired
 
-    Failure taxonomy (each occurrence counted into *extra_stats*):
-
-    * **timeout** (``pool_timeouts``) — the per-item deadline
-      (:func:`pool_item_timeout`) passed without a result.  No retry: the
-      worker behind a stuck future is still busy, and queueing another
-      copy behind it would stall the fold further.  The executor is
-      marked dead and the item resolves in-process.
-    * **payload error** (``pool_payload_errors``) — pickling/unpickling
-      failed.  Deterministic, so retrying the same bytes is pointless:
-      fail fast to in-process.
-    * **transient worker failure** (``pool_worker_failures``) — a dead
-      worker (``BrokenProcessPool``), a severed pipe, a cancelled
-      sibling of a replaced pool.  Retried up to
-      :func:`pool_retry_limit` times (``pool_retries`` counts attempts)
-      with exponential backoff on a rebuilt pool, then in-process.
-
-    The recovery is scoped to this executor where possible — the shared
-    pool may be carrying sibling whole-chain tasks (the hybrid fan-out),
-    and those fail on their own ``result()`` calls, where the
-    chain-level fallback lives.
-    """
-    timeout = pool_item_timeout()
-    attempt = 0
-    while True:
-        try:
-            if timeout is None:
-                return future.result()
-            return future.result(timeout=timeout)
-        except FuturesTimeout:
-            _bump(extra_stats, "pool_timeouts")
-            _trace.event("pool.timeout", point="subtree", timeout_s=timeout)
-            future.cancel()
-            if executor is not None:
-                executor.mark_dead()
-            return None
-        except Exception as error:
-            if _is_payload_error(error):
-                _bump(extra_stats, "pool_payload_errors")
-                _trace.event(
-                    "pool.payload_error", point="subtree", error=type(error).__name__
-                )
-                if executor is not None:
-                    executor.mark_dead()
-                return None
-            _bump(extra_stats, "pool_worker_failures")
-            resubmit = getattr(executor, "retry_submit", None)
-            if resubmit is None or attempt >= pool_retry_limit():
-                if executor is not None:
-                    executor.mark_dead()
-                return None
-            time.sleep(_RETRY_BACKOFF_S * (2 ** attempt))
-            attempt += 1
-            _bump(extra_stats, "pool_retries")
-            _trace.event(
-                "pool.retry",
-                point="subtree",
-                attempt=attempt,
-                error=type(error).__name__,
-            )
-            future = resubmit(item)
-            if future is None:
-                return None
+    return (BudgetExpired,)
 
 
 def _resolve_item(search, item, future, budget, executor, extra_stats, horizon):
@@ -437,32 +517,25 @@ def _resolve_item(search, item, future, budget, executor, extra_stats, horizon):
     rejected by the caller, making both placements land on the same
     result.
     """
-    outcome = None
-    if future is not None:
-        outcome = _pooled_outcome(future, item, executor, extra_stats)
-        if outcome is None:
-            # A failed item must not change verdicts: resolve it
-            # in-process (below) and record that the pool path lost it.
-            _bump(extra_stats, "pool_inprocess_fallbacks")
-            _trace.event("pool.fallback", point="subtree")
-    if outcome is None:
+
+    def inprocess():
         with _trace.trace_span("emptiness.subtree", inprocess=True, budget=budget):
-            outcome = search.run_subtree(item, budget, hard_limit=horizon)
+            return search.run_subtree(item, budget, hard_limit=horizon)
+
+    if future is None:
+        outcome = inprocess()
     else:
-        _trace.attach_children(getattr(outcome, "spans", None))
-        _merge_stats(extra_stats, outcome.stats)
-        extra_stats["subtree_pooled_items"] = (
-            extra_stats.get("subtree_pooled_items", 0) + 1
+        outcome, provenance = executor.resolve(
+            future, "subtree", lambda: executor.submit(item), inprocess
         )
-    extra_stats["subtree_items"] = extra_stats.get("subtree_items", 0) + 1
+        if provenance != "fallback":
+            _merge_stats(extra_stats, outcome.stats)
+            _bump(extra_stats, "subtree_pooled_items")
+    _bump(extra_stats, "subtree_items")
     if outcome.status == "overflow":
-        extra_stats["subtree_overflows"] = (
-            extra_stats.get("subtree_overflows", 0) + 1
-        )
+        _bump(extra_stats, "subtree_overflows")
         expansion = search.expand_item(item)
-        return _fold_expansion(
-            search, expansion, budget, executor, extra_stats, horizon
-        )
+        return _fold_expansion(search, expansion, budget, executor, extra_stats, horizon)
     if outcome.status == "witness":
         if outcome.explored > horizon:
             # The sequential search crosses max_paths before reaching
@@ -474,7 +547,9 @@ def _resolve_item(search, item, future, budget, executor, extra_stats, horizon):
     return ("done", None, outcome.explored)
 
 
-def _fold_expansion(search, expansion, budget, executor, extra_stats, horizon):
+def _fold_expansion(
+    search, expansion, budget, executor, extra_stats, horizon, clock=None, initial_total=0
+):
     """Deterministically fold one expanded node level.
 
     Items are submitted to the pool eagerly (they are independent) but
@@ -491,32 +566,55 @@ def _fold_expansion(search, expansion, budget, executor, extra_stats, horizon):
     found by the expansion itself comes after every exported record,
     exactly as in the sequential candidate loop (the loop stops at the
     accepting candidate, so all exports precede it).
+
+    With a started *clock* (the anytime mode) the walk consults the
+    clock before each record (both budget axes) and charges each
+    record's resolved count, and an ambient ``BudgetExpired`` raised
+    mid-item (the wall-clock hook inside the DFS) abandons that item —
+    items are pure functions of ``(item, budget)``, so the abandoned
+    record simply re-runs in full on resume.  *status* then gains the
+    value ``"interrupted"``, with ``steps`` holding the records still to
+    fold and ``count`` the total folded so far — what a checkpoint needs
+    to restart the round.  A resumed round passes the checkpoint's
+    remaining records as *expansion.records* and its completed total as
+    *initial_total*: ``record.explored_at`` offsets are absolute within
+    the round, so every abort/witness decision lands exactly where the
+    uninterrupted fold would have landed.
     """
+    expired = _expiry_errors(clock)
+    records = expansion.records
     futures = {}
     if executor is not None and executor.usable:
-        for index, record in enumerate(expansion.records):
+        for index, record in enumerate(records):
             future = executor.submit(record.item)
             if future is None:
                 break
             futures[index] = future
-    total = 0
+    total = initial_total
     try:
-        for index, record in enumerate(expansion.records):
+        for index, record in enumerate(records):
             entry = record.explored_at + total
             if entry > horizon:
                 # The crossing happened in the expansion's own candidate
                 # increments (or an earlier subtree): the sequential
                 # search aborts before entering this item.
                 return ("aborted", None, entry)
-            status, steps, count = _resolve_item(
-                search,
-                record.item,
-                futures.pop(index, None),
-                budget,
-                executor,
-                extra_stats,
-                horizon - entry,
-            )
+            if clock is not None and clock.expired():
+                return ("interrupted", records[index:], total)
+            try:
+                status, steps, count = _resolve_item(
+                    search,
+                    record.item,
+                    futures.pop(index, None),
+                    budget,
+                    executor,
+                    extra_stats,
+                    horizon - entry,
+                )
+            except expired:
+                return ("interrupted", records[index:], total)
+            if clock is not None:
+                clock.charge(count)
             if status == "witness":
                 return ("witness", record.prefix + steps, entry + count)
             if status == "aborted":
@@ -530,7 +628,9 @@ def _fold_expansion(search, expansion, budget, executor, extra_stats, horizon):
             future.cancel()
 
 
-def run_decomposed_search(search, *, split_budget=None, executor=None, context=None):
+def run_decomposed_search(
+    search, *, clock=None, checkpoint=None, split_budget=None, executor=None, context=None
+):
     """Trunk + deterministic fold execution of a decomposed witness search.
 
     *search* exposes the trunk/worker protocol of
@@ -541,166 +641,58 @@ def run_decomposed_search(search, *, split_budget=None, executor=None, context=N
     depth-1 child as a work item; items resolve via *executor* (when
     bound and usable) or in-process, then fold in canonical order.
 
-    Returns ``(witness steps or None, explored, exhausted, stats)`` —
+    Returns ``(steps or None, explored, exhausted, stats, checkpoint)`` —
     identical regardless of where items ran.  The ``max_paths`` horizon
     is enforced by the fold exactly as the sequential search enforces it:
     the first exploration count beyond the cap aborts the search with
     ``explored == max_paths + 1``, and witnesses located beyond the
     horizon are discarded.
-    """
-    budget = int(split_budget) if split_budget else subtree_split_budget()
-    if executor is not None and context is not None:
-        executor.bind(context, budget)
-    bound_executor = executor
-    if executor is not None and not executor.usable:
-        executor = None
-    extra_stats: Dict[str, int] = {}
-    max_paths = search.max_paths
-    base = 0
-    for depth_limit in range(1, search.max_length + 1):
-        expansion = search.run_round_exporting(depth_limit)
-        status, steps, count = _fold_expansion(
-            search, expansion, budget, executor, extra_stats, max_paths - base
-        )
-        if status == "witness":
-            absolute = base + count
-            if absolute <= max_paths:
-                return steps, absolute, False, _final_stats(search, extra_stats, bound_executor)
-            # The sequential search would have aborted before reaching
-            # this candidate.
-            return None, max_paths + 1, False, _final_stats(search, extra_stats, bound_executor)
-        if status == "aborted" or base + count > max_paths:
-            return None, max_paths + 1, False, _final_stats(search, extra_stats, bound_executor)
-        base += count
-    return None, base, True, _final_stats(search, extra_stats, bound_executor)
 
-
-def _final_stats(
-    search, extra_stats: Dict[str, int], executor=None
-) -> Dict[str, int]:
-    stats = dict(search.stats)
-    _merge_stats(stats, extra_stats)
-    counters = getattr(executor, "counters", None)
-    if counters:
-        _merge_stats(stats, counters)
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Budgeted (anytime) execution
-# ----------------------------------------------------------------------
-def _fold_expansion_budgeted(
-    search, expansion, budget, executor, extra_stats, horizon, clock, initial_total=0
-):
-    """Budgeted fold of one round: interruptible at record boundaries.
-
-    Identical to :func:`_fold_expansion` except that the walk consults
-    *clock* before each top-level record (both budget axes) and charges
-    each record's resolved count, and an ambient :class:`BudgetExpired`
-    raised mid-item (the wall-clock hook inside the DFS) abandons that
-    item — items are pure functions of ``(item, budget)``, so the
-    abandoned record simply re-runs in full on resume.
-
-    Returns ``(status, steps, count, interrupted_state)``; *status* gains
-    the value ``"interrupted"``, in which case *interrupted_state* is
-    ``(remaining_records, completed_total)`` — exactly what a
-    checkpoint needs to restart this round where it stopped.  On a resumed
-    round, pass the checkpoint's remaining records as *expansion.records*
-    and its completed total as *initial_total*: ``record.explored_at``
-    offsets are absolute within the round, so the entry arithmetic (and
-    therefore every abort/witness decision) lands exactly where the
-    uninterrupted fold would have landed.
-    """
-    from repro.core.budget import BudgetExpired
-
-    futures = {}
-    records = expansion.records
-    if executor is not None and executor.usable:
-        for index, record in enumerate(records):
-            future = executor.submit(record.item)
-            if future is None:
-                break
-            futures[index] = future
-    total = initial_total
-    try:
-        for index, record in enumerate(records):
-            entry = record.explored_at + total
-            if entry > horizon:
-                return ("aborted", None, entry, None)
-            if clock.expired():
-                return ("interrupted", None, total, (records[index:], total))
-            try:
-                status, steps, count = _resolve_item(
-                    search,
-                    record.item,
-                    futures.pop(index, None),
-                    budget,
-                    executor,
-                    extra_stats,
-                    horizon - entry,
-                )
-            except BudgetExpired:
-                return ("interrupted", None, total, (records[index:], total))
-            clock.charge(count)
-            if status == "witness":
-                return ("witness", record.prefix + steps, entry + count, None)
-            if status == "aborted":
-                return ("aborted", None, entry + count, None)
-            total += count
-        if expansion.witness_steps is not None:
-            return (
-                "witness",
-                expansion.witness_steps,
-                expansion.witness_at + total,
-                None,
-            )
-        return ("done", None, expansion.explored + total, None)
-    finally:
-        for future in futures.values():
-            future.cancel()
-
-
-def run_budgeted_search(
-    search, clock, *, checkpoint=None, split_budget=None, executor=None, context=None
-):
-    """Anytime variant of :func:`run_decomposed_search`.
-
-    Runs the same trunk + deterministic fold, but under a started
-    :class:`~repro.core.budget.BudgetClock`: the walk stops at the first
-    record boundary where the budget is spent (or mid-item, when the
-    wall-clock hook fires inside the DFS — that item is abandoned and
-    re-run in full on resume).  Returns
-    ``(steps, explored, exhausted, stats, checkpoint)`` where a non-None
-    *checkpoint* (:class:`repro.automata.emptiness.ChainCheckpoint`)
-    means the search was interrupted; pass it back via ``checkpoint=`` —
-    on a **fresh** search object built from the same payload — to
-    continue exactly where it stopped.  Resume-to-completion is
-    field-identical to the uninterrupted run: completed records were
+    Under a started :class:`~repro.core.budget.BudgetClock` *clock* the
+    search is anytime: it stops at the first record boundary where the
+    budget is spent (or mid-item, when the wall-clock hook fires inside
+    the DFS — that item is abandoned and re-run in full on resume) and
+    returns a non-``None`` *checkpoint*
+    (:class:`repro.automata.emptiness.ChainCheckpoint`).  Pass it back via
+    ``checkpoint=`` — on a **fresh** search object built from the same
+    payload — to continue exactly where it stopped.  Resume-to-completion
+    is field-identical to the uninterrupted run: completed records were
     charged at their boundaries, the interrupted record re-runs in full,
     and a round whose trunk expansion had not finished restarts from its
     beginning (trunk memoization never prunes across rounds, so the
-    re-run reproduces the original counts).
+    re-run reproduces the original counts).  Without a clock the
+    checkpoint is always ``None``.
     """
-    from repro.automata.emptiness import ChainCheckpoint, RoundExpansion
-    from repro.core.budget import BudgetExpired
-
+    expired = _expiry_errors(clock)
     budget = int(split_budget) if split_budget else subtree_split_budget()
     if executor is not None and context is not None:
         executor.bind(context, budget)
-    bound_executor = executor
+    # The executor's counters are the one sink for this search's
+    # subtree and pool counters (an executor serves a single search).
+    extra_stats: Dict[str, int] = {} if executor is None else executor.counters
     if executor is not None and not executor.usable:
         executor = None
-    extra_stats: Dict[str, int] = {}
     max_paths = search.max_paths
     base = checkpoint.base_explored if checkpoint is not None else 0
     start_depth = checkpoint.depth_limit if checkpoint is not None else 1
 
+    def _done(steps, explored, exhausted):
+        return (
+            steps,
+            explored,
+            exhausted,
+            _final_stats(search, extra_stats),
+            None,
+        )
+
     def _interrupted(depth_limit, pending, total, expansion):
+        from repro.automata.emptiness import ChainCheckpoint
+
         return (
             None,
             base + total,
             False,
-            _final_stats(search, extra_stats, bound_executor),
+            _final_stats(search, extra_stats),
             ChainCheckpoint(
                 depth_limit=depth_limit,
                 pending=None if pending is None else tuple(pending),
@@ -714,16 +706,15 @@ def run_budgeted_search(
             ),
         )
 
-    search.interrupt = clock.interrupt_check
+    if clock is not None:
+        search.interrupt = clock.interrupt_check
     try:
         for depth_limit in range(start_depth, search.max_length + 1):
             expansion = None
             initial_total = 0
-            if (
-                checkpoint is not None
-                and depth_limit == checkpoint.depth_limit
-                and checkpoint.pending is not None
-            ):
+            if checkpoint is not None and checkpoint.pending is not None:
+                from repro.automata.emptiness import RoundExpansion
+
                 expansion = RoundExpansion(
                     records=checkpoint.pending,
                     witness_steps=checkpoint.round_witness_steps,
@@ -735,13 +726,13 @@ def run_budgeted_search(
             if expansion is None:
                 # ``pending=None`` marks a round whose trunk expansion has
                 # not completed; resume re-expands it from the beginning.
-                if clock.expired():
+                if clock is not None and clock.expired():
                     return _interrupted(depth_limit, None, 0, None)
                 try:
                     expansion = search.run_round_exporting(depth_limit)
-                except BudgetExpired:
+                except expired:
                     return _interrupted(depth_limit, None, 0, None)
-            status, steps, count, interrupted = _fold_expansion_budgeted(
+            status, steps, count = _fold_expansion(
                 search,
                 expansion,
                 budget,
@@ -752,41 +743,26 @@ def run_budgeted_search(
                 initial_total,
             )
             if status == "interrupted":
-                pending, total = interrupted
-                return _interrupted(depth_limit, pending, total, expansion)
+                return _interrupted(depth_limit, steps, count, expansion)
             if status == "witness":
                 absolute = base + count
                 if absolute <= max_paths:
-                    return (
-                        steps,
-                        absolute,
-                        False,
-                        _final_stats(search, extra_stats, bound_executor),
-                        None,
-                    )
-                return (
-                    None,
-                    max_paths + 1,
-                    False,
-                    _final_stats(search, extra_stats, bound_executor),
-                    None,
-                )
+                    return _done(steps, absolute, False)
+                # The sequential search would have aborted before
+                # reaching this candidate.
+                return _done(None, max_paths + 1, False)
             if status == "aborted" or base + count > max_paths:
-                return (
-                    None,
-                    max_paths + 1,
-                    False,
-                    _final_stats(search, extra_stats, bound_executor),
-                    None,
-                )
-            clock.charge(expansion.explored)
+                return _done(None, max_paths + 1, False)
+            if clock is not None:
+                clock.charge(expansion.explored)
             base += count
-        return (
-            None,
-            base,
-            True,
-            _final_stats(search, extra_stats, bound_executor),
-            None,
-        )
+        return _done(None, base, True)
     finally:
-        search.interrupt = None
+        if clock is not None:
+            search.interrupt = None
+
+
+def _final_stats(search, extra_stats: Dict[str, int]) -> Dict[str, int]:
+    stats = dict(search.stats)
+    _merge_stats(stats, extra_stats)
+    return stats

@@ -38,6 +38,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED_RULE_IDS = {
     "ENV001",
+    "POOL001",
     "EXC001",
     "ITER001",
     "TIME001",
@@ -187,6 +188,89 @@ class TestEnvRegistryRule:
 
 def rule_ids_suppressed(report) -> list:
     return [finding.rule for finding in report.suppressed]
+
+
+# ----------------------------------------------------------------------
+# POOL001 — pool machinery only in the scheduler
+# ----------------------------------------------------------------------
+class TestPoolSchedulerRule:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "from concurrent.futures import TimeoutError as FuturesTimeout",
+            "import concurrent.futures",
+            "from concurrent import futures",
+            "import multiprocessing",
+            "from multiprocessing.pool import Pool",
+        ],
+    )
+    def test_pool_imports_flagged(self, statement):
+        report = findings_of(
+            f"""
+            def drain(futures):
+                {statement}
+                return futures
+            """,
+            "repro/engine/engine.py",
+        )
+        assert rule_ids(report) == ["POOL001"]
+        assert "outside the pool scheduler" in report.findings[0].message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "workqueue.shared_pool(2).submit(fn)",
+            "shared_pool(2).submit(fn)",
+            "workqueue.discard_shared_pool()",
+        ],
+    )
+    def test_raw_pool_access_flagged(self, call):
+        report = findings_of(
+            f"""
+            from repro.store import workqueue
+            from repro.store.workqueue import shared_pool
+
+            def bypass(fn):
+                return {call}
+            """,
+            "repro/engine/engine.py",
+        )
+        assert rule_ids(report) == ["POOL001"]
+        assert "called outside the pool scheduler" in report.findings[0].message
+
+    def test_scheduler_module_allowed(self):
+        report = findings_of(
+            """
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            """,
+            "repro/store/workqueue.py",
+        )
+        assert report.findings == []
+
+    def test_scheduler_api_clean(self):
+        report = findings_of(
+            """
+            import os
+            from repro.store import workqueue
+
+            def fan_out(items):
+                scheduler = workqueue.PoolScheduler(2)
+                return [scheduler.dispatch("chain", os.getpid) for _ in items]
+            """,
+            "repro/store/parallel.py",
+        )
+        assert report.findings == []
+
+    def test_noqa_suppression_honoured(self):
+        report = findings_of(
+            """
+            import multiprocessing  # repro: noqa[POOL001]
+            """,
+            "repro/store/parallel.py",
+        )
+        assert report.findings == []
+        assert rule_ids_suppressed(report) == ["POOL001"]
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +645,20 @@ class TestPayloadPicklabilityRule:
         )
         assert rule_ids(report) == ["PKL001"]
         assert "file handle" in report.findings[0].message
+
+    def test_result_envelope_is_a_payload_class(self):
+        report = findings_of(
+            """
+            import dataclasses
+
+            @dataclasses.dataclass(frozen=True)
+            class Shipped:
+                value: object
+                hook = lambda self: 0
+            """,
+            "repro/store/workqueue.py",
+        )
+        assert rule_ids(report) == ["PKL001"]
 
     def test_plain_data_fields_clean(self):
         report = findings_of(

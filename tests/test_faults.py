@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.automata import emptiness as emptiness_module
 from repro.automata.emptiness import automaton_emptiness
 from repro.automata.library import containment_automaton, ltr_automaton
 from repro.automata.operations import union_automaton
@@ -174,9 +175,10 @@ class TestChainFaults:
             automaton, vocabulary, parallel=True, max_workers=2, **KWARGS
         )
         assert _result_fields(faulty) == _result_fields(sequential)
-        # the failure is visible, not swallowed: the chain-level recovery
-        # is the sequential fallback, recorded in the result stats
-        assert (faulty.stats or {}).get("pool_chain_fallbacks", 0) >= 1
+        # the failure is visible, not swallowed: every fresh worker fails
+        # the first chain it sees, so that chain falls back in process
+        # on its own, recorded in the result stats
+        assert (faulty.stats or {}).get("pool_inprocess_fallbacks", 0) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,51 @@ class TestSubtreeFaults:
         assert (
             stats.get("pool_worker_failures", 0)
             + stats.get("pool_inprocess_fallbacks", 0)
-            + stats.get("pool_chain_fallbacks", 0)
+        ) >= 1
+
+    @pytest.mark.parametrize("empty_language", [True, False])
+    def test_hybrid_chain_kill_recovers_that_chain_alone(
+        self, vocabulary, monkeypatch, empty_language
+    ):
+        """A killed non-dominant chain never costs the dominant chain's search.
+
+        In hybrid mode the coordinator searches the dominant chain with its
+        subtree items on the pool while the other chains run as pool items.
+        Killing every fresh worker's first chain item must recover that
+        chain on its own: the dominant search runs exactly once.
+        """
+        automaton = _multi_chain_automaton(vocabulary, empty_language)
+        sequential = automaton_emptiness(
+            automaton, vocabulary, parallel=False, **KWARGS
+        )
+        searched = []
+        search = emptiness_module._search_accepted_path
+
+        def counting_search(restriction, *args, **kwargs):
+            searched.append((id(restriction), kwargs.get("executor") is not None))
+            return search(restriction, *args, **kwargs)
+
+        monkeypatch.setattr(emptiness_module, "_search_accepted_path", counting_search)
+        monkeypatch.setenv(FAULT_INJECT_ENV, "kill@chain:0")
+        workqueue_module.discard_shared_pool()
+        faulty = automaton_emptiness(
+            automaton,
+            vocabulary,
+            parallel=True,
+            subtree_parallel=True,
+            max_workers=2,
+            **KWARGS,
+        )
+        assert _result_fields(faulty) == _result_fields(sequential)
+        # Only this process's searches are recorded: forked workers append
+        # to their own copy of the list.
+        dominant = [key for key, with_executor in searched if with_executor]
+        assert len(dominant) == 1
+        assert [key for key, _ in searched].count(dominant[0]) == 1
+        stats = faulty.stats or {}
+        assert (
+            stats.get("pool_worker_failures", 0)
+            + stats.get("pool_inprocess_fallbacks", 0)
         ) >= 1
 
     def test_subtree_delay_trips_the_item_timeout(self, vocabulary, monkeypatch):
@@ -227,9 +273,7 @@ class TestSubtreeFaults:
         )
         assert _result_fields(faulty) == _result_fields(sequential)
         stats = faulty.stats or {}
-        assert (
-            stats.get("pool_timeouts", 0) + stats.get("pool_chain_fallbacks", 0)
-        ) >= 1
+        assert stats.get("pool_timeouts", 0) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -275,22 +275,32 @@ class TestWorkerSpanShipping:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         token = workqueue_module._next_context_token()
         context = multiprocessing.get_context(start_method)
+        args = (token, blob, items[0], 10**6)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            outcome = pool.submit(
-                workqueue_module._subtree_worker, token, blob, items[0], 10**6, True
+            shipped = pool.submit(
+                workqueue_module._run_item,
+                "subtree",
+                workqueue_module._subtree_worker,
+                args,
+                True,
             ).result()
-        assert outcome.spans, "worker recorded no spans with tracing on"
-        clone = pickle.loads(pickle.dumps(outcome.spans))
+        assert shipped.spans, "worker recorded no spans with tracing on"
+        clone = pickle.loads(pickle.dumps(shipped.spans))
         names = [span.name for root in clone for span in root.walk()]
         assert "emptiness.subtree" in names
-        worker_pids = {span.pid for root in outcome.spans for span in root.walk()}
+        worker_pids = {span.pid for root in shipped.spans for span in root.walk()}
         assert worker_pids and os.getpid() not in worker_pids
         # The same submission with tracing off ships nothing.
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             quiet = pool.submit(
-                workqueue_module._subtree_worker, token, blob, items[0], 10**6, False
+                workqueue_module._run_item,
+                "subtree",
+                workqueue_module._subtree_worker,
+                args,
+                False,
             ).result()
         assert quiet.spans is None
+        outcome, quiet = shipped.value, quiet.value
         assert (quiet.status, quiet.steps, quiet.explored) == (
             outcome.status,
             outcome.steps,

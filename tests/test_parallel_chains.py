@@ -665,3 +665,110 @@ class TestSubtreeEnvParsing:
         assert _result_fields(via_env) == _result_fields(explicit)
         assert _result_fields(via_env) == _result_fields(sequential)
         assert (via_env.stats or {}).get("subtree_items", 0) > 0
+
+
+class TestWorkerSizing:
+    """Every pooled caller sizes the shared pool with the one rule."""
+
+    def test_mixed_callers_never_rebuild_the_pool(self, vocabulary, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.core.budget import Budget
+        from repro.engine import DecisionEngine, emptiness_task
+
+        built, submitted = [], []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                submitted.append(args[1])  # the item's fault point
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 2)
+        monkeypatch.setenv(parallel_module.PARALLEL_MIN_COST_ENV, "0")
+        monkeypatch.setattr(workqueue_module, "ProcessPoolExecutor", CountingPool)
+        workqueue_module.discard_shared_pool()
+        try:
+            automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+            kwargs = dict(max_paths=300, use_datalog_precheck=False, memoize=False)
+            automaton_emptiness(automaton, vocabulary, parallel=True, **kwargs)
+            assert "chain" in submitted
+            del submitted[:]
+            automaton_emptiness(
+                automaton, vocabulary, parallel=True, subtree_parallel=True, **kwargs
+            )
+            assert "subtree" in submitted
+            del submitted[:]
+            automaton_emptiness(
+                automaton,
+                vocabulary,
+                parallel=True,
+                subtree_parallel=True,
+                budget=Budget(node_cap=10**9),
+                **kwargs,
+            )
+            assert "subtree" in submitted
+            del submitted[:]
+            engine = DecisionEngine(parallel=True)
+            engine.run_batch(
+                [
+                    emptiness_task(
+                        automaton,
+                        vocabulary,
+                        max_paths=paths,
+                        use_datalog_precheck=False,
+                    )
+                    for paths in (200, 300)
+                ]
+            )
+            assert submitted == ["task", "task"]
+            assert built == [2]
+        finally:
+            workqueue_module.discard_shared_pool()
+
+
+class TestAnytimeContexts:
+    def test_each_chain_ships_items_with_its_own_context(
+        self, vocabulary, monkeypatch
+    ):
+        """Anytime pooled runs bind every chain's own search context."""
+        from repro.core.budget import Budget
+
+        executor_class = workqueue_module.SubtreeExecutor
+        bound, shipped = {}, []
+        bind, submit = executor_class.bind, executor_class.submit
+
+        def recording_bind(self, context, node_budget):
+            bind(self, context, node_budget)
+            bound[self._token] = frozenset(context[0].states)
+
+        def recording_submit(self, item):
+            shipped.append((self._token, item.states))
+            return submit(self, item)
+
+        monkeypatch.setattr(executor_class, "bind", recording_bind)
+        monkeypatch.setattr(executor_class, "submit", recording_submit)
+        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+        kwargs = dict(max_paths=600, use_datalog_precheck=False, memoize=False)
+        try:
+            anytime = automaton_emptiness(
+                automaton,
+                vocabulary,
+                parallel=True,
+                subtree_parallel=True,
+                max_workers=2,
+                budget=Budget(node_cap=10**9),
+                **kwargs,
+            )
+        finally:
+            workqueue_module.discard_shared_pool()
+        sequential = automaton_emptiness(
+            automaton, vocabulary, parallel=False, **kwargs
+        )
+        assert _result_fields(anytime) == _result_fields(sequential)
+        assert len(bound) > 1
+        assert shipped
+        assert all(states <= bound[token] for token, states in shipped)

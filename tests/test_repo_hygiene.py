@@ -89,3 +89,20 @@ def test_seed_strict_form_not_even_suppressible():
         "`except Exception: pass` sites suppressed via noqa (forbidden — "
         "the seed hygiene ban is unconditional): " + ", ".join(hidden)
     )
+
+
+def test_package_metadata_names_the_package():
+    """``setup.py --name --version`` reads real metadata, never UNKNOWN."""
+    import sys
+
+    import repro
+
+    completed = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split()[-2:] == ["repro", repro.__version__]

@@ -72,10 +72,11 @@ class ImmediateFuture:
         self.cancelled = True
 
 
-class ScriptedExecutor:
+class ScriptedExecutor(workqueue.PoolScheduler):
     """Pool stand-in: resolves submissions from the same script, inline."""
 
     def __init__(self, outcomes):
+        super().__init__(workers=1)
         self._outcomes = outcomes
         self.submitted = []
         self.futures = []
@@ -113,7 +114,7 @@ class TestFoldBasics:
             b: SubtreeOutcome("done", None, 20),
         }
         search = ScriptedSearch(rounds, outcomes)
-        steps, explored, exhausted, stats = workqueue.run_decomposed_search(search)
+        steps, explored, exhausted, stats, _ = workqueue.run_decomposed_search(search)
         assert steps is None
         # Round 1: 4.  Round 2: trunk 6 + subtrees 10 + 20.
         assert explored == 4 + 6 + 10 + 20
@@ -138,7 +139,7 @@ class TestFoldBasics:
             c: SubtreeOutcome("witness", ("suffix-c",), 1),
         }
         search = ScriptedSearch(rounds, outcomes)
-        steps, explored, exhausted, _ = workqueue.run_decomposed_search(search)
+        steps, explored, exhausted, _, _ = workqueue.run_decomposed_search(search)
         # b precedes c in DFS order, so b's witness wins even though c's
         # is "cheaper"; the count interleaves trunk increments (2 at b's
         # export), a's total (7) and b's local position (5).
@@ -160,7 +161,7 @@ class TestFoldBasics:
         ]
         outcomes = {a: SubtreeOutcome("done", None, 9)}
         search = ScriptedSearch(rounds, outcomes)
-        steps, explored, _, _ = workqueue.run_decomposed_search(search)
+        steps, explored, _, _, _ = workqueue.run_decomposed_search(search)
         assert steps == ("inline",)
         assert explored == 4 + 9
 
@@ -216,7 +217,7 @@ class TestHorizon:
             b: SubtreeOutcome("done", None, 100),
         }
         search = ScriptedSearch(rounds, outcomes, max_paths=50)
-        steps, explored, exhausted, _ = workqueue.run_decomposed_search(search)
+        steps, explored, exhausted, _, _ = workqueue.run_decomposed_search(search)
         assert steps is None
         assert explored == 51  # exactly max_paths + 1, like the sequential abort
         assert exhausted is False
@@ -229,7 +230,7 @@ class TestHorizon:
         rounds = [_round([ExportRecord(a, ("pre-a",), 1)], explored=1)]
         outcomes = {a: SubtreeOutcome("witness", ("suffix",), 60)}
         search = ScriptedSearch(rounds, outcomes, max_paths=50)
-        steps, explored, exhausted, _ = workqueue.run_decomposed_search(search)
+        steps, explored, exhausted, _, _ = workqueue.run_decomposed_search(search)
         # The sequential search aborts at 51 before reaching the witness
         # a loose-cap worker located at position 1 + 60.
         assert steps is None
@@ -241,7 +242,7 @@ class TestHorizon:
         rounds = [_round([ExportRecord(a, ("pre-a",), 1)], explored=1)]
         outcomes = {a: SubtreeOutcome("witness", ("suffix",), 49)}
         search = ScriptedSearch(rounds, outcomes, max_paths=50)
-        steps, explored, _, _ = workqueue.run_decomposed_search(search)
+        steps, explored, _, _, _ = workqueue.run_decomposed_search(search)
         assert steps == ("pre-a", "suffix")
         assert explored == 50
 
@@ -250,7 +251,7 @@ class TestHorizon:
         rounds = [_round([ExportRecord(a, ("pre-a",), 80)], explored=80)]
         outcomes = {a: SubtreeOutcome("witness", ("suffix",), 1)}
         search = ScriptedSearch(rounds, outcomes, max_paths=50)
-        steps, explored, _, _ = workqueue.run_decomposed_search(search)
+        steps, explored, _, _, _ = workqueue.run_decomposed_search(search)
         assert steps is None
         assert explored == 51
         assert search.subtree_calls == []  # never resolved past the crossing
@@ -276,7 +277,7 @@ class TestResplit:
             )
         }
         search = ScriptedSearch(rounds, outcomes, expansions)
-        steps, explored, _, stats = workqueue.run_decomposed_search(search)
+        steps, explored, _, stats, _ = workqueue.run_decomposed_search(search)
         # The overflowed attempt contributes nothing; the re-split
         # recounts: trunk 1 + (expansion increments 5 + child1 4 + local 3).
         assert steps == ("pre-p", "pre-c2", "suffix-2")
@@ -299,7 +300,7 @@ class TestResplit:
             mid: _round([ExportRecord(leaf, ("s-leaf",), 4)], explored=4),
         }
         search = ScriptedSearch(rounds, outcomes, expansions)
-        steps, explored, exhausted, stats = workqueue.run_decomposed_search(search)
+        steps, explored, exhausted, stats, _ = workqueue.run_decomposed_search(search)
         assert steps is None
         assert explored == 1 + 3 + 4 + 2
         assert exhausted is True
@@ -319,8 +320,11 @@ class TestExecutorFailureFallback:
             def cancel(self):
                 pass
 
-        class FailingExecutor:
+        class FailingExecutor(workqueue.PoolScheduler):
             usable = True
+
+            def __init__(self):
+                super().__init__(workers=1)
 
             def bind(self, context, node_budget):
                 pass
@@ -332,7 +336,7 @@ class TestExecutorFailureFallback:
                 return FailingFuture()
 
         search = ScriptedSearch(rounds, outcomes)
-        steps, explored, exhausted, _ = workqueue.run_decomposed_search(
+        steps, explored, exhausted, _, _ = workqueue.run_decomposed_search(
             search, executor=FailingExecutor(), context=("ctx",)
         )
         assert (steps, explored, exhausted) == (None, 1 + 5, True)
@@ -394,7 +398,7 @@ class TestWorkerContextCache:
 
 class TestSubtreeExecutorBind:
     def test_unpicklable_context_marks_executor_dead(self):
-        executor = workqueue.SubtreeExecutor(pool=None)
+        executor = workqueue.SubtreeExecutor(workers=2)
         executor.bind(lambda: None, 100)  # lambdas don't pickle
         assert not executor.usable
         assert executor.submit(_item("x")) is None
