@@ -187,18 +187,14 @@ def is_answerable_exactly(
 ) -> bool:
     """Whether the maximal answers equal the true answers on this instance.
 
-    This public signature is a thin wrapper that normalises the request
-    into a :class:`~repro.engine.reduction.ReductionTask` and runs it
-    through the single-shot decision engine; the direct implementation
-    remains available as :func:`is_answerable_exactly_legacy` (the oracle
-    path the equivalence tests compare against).  Sweeps over many hidden
+    This public signature runs :func:`is_answerable_exactly_legacy`, the
+    direct check (looked up at call time, so instrumentation that patches
+    the module attribute sees every call).  Sweeps over many hidden
     instances should prefer
     :meth:`repro.engine.DecisionEngine.answerability_sweep`, which
     deduplicates repeated instances by their store fingerprints.
     """
-    from repro.engine import single_shot_engine
-
-    return single_shot_engine().answerability(
+    return is_answerable_exactly_legacy(
         schema, query, hidden_instance, initial_values
     )
 

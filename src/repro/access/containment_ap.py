@@ -168,18 +168,14 @@ def contained_under_access_patterns(
     with head-equality, which matches the containment semantics used in the
     paper's Example 2.2.
 
-    This public signature is a thin wrapper that normalises the request
-    into a :class:`~repro.engine.reduction.ReductionTask` and runs it
-    through the single-shot decision engine; the direct implementation
-    remains available as :func:`contained_under_access_patterns_legacy`
-    (the oracle path the equivalence tests compare against).  Batch
-    callers should prefer
+    This public signature runs
+    :func:`contained_under_access_patterns_legacy`, the direct procedure
+    (looked up at call time, so instrumentation that patches the module
+    attribute sees every call).  Batch callers should prefer
     :meth:`repro.engine.DecisionEngine.containment_matrix`, which
     deduplicates structurally equal query pairs across a workload.
     """
-    from repro.engine import single_shot_engine
-
-    return single_shot_engine().containment(
+    return contained_under_access_patterns_legacy(
         schema,
         query_one,
         query_two,

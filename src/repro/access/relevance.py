@@ -196,17 +196,13 @@ def long_term_relevant(
     full binding extension (the witness search then fixes the free
     positions with fresh values).
 
-    This public signature is a thin wrapper that normalises the request
-    into a :class:`~repro.engine.reduction.ReductionTask` and runs it
-    through the single-shot decision engine; the direct implementation
-    remains available as :func:`long_term_relevant_legacy` (the oracle
-    path the equivalence tests compare against).  Batch callers should
+    This public signature runs :func:`long_term_relevant_legacy`, the
+    direct procedure (looked up at call time, so instrumentation that
+    patches the module attribute sees every call).  Batch callers should
     prefer :meth:`repro.engine.DecisionEngine.relevance_matrix`, which
     shares the memo and snapshot store across every access of a workload.
     """
-    from repro.engine import single_shot_engine
-
-    return single_shot_engine().relevance(
+    return long_term_relevant_legacy(
         schema,
         access,
         query,

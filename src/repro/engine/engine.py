@@ -21,12 +21,11 @@
   lose to the sequential loop, and a pool failure falls back to identical
   in-process execution.
 
-The single-shot wrappers (``long_term_relevant`` & friends) route through
-a module-level engine with :data:`~repro.engine.reduction.SINGLE_SHOT_POLICY`
-(no cross-request state, node memo off per the PR 4 instrumentation), so
-their behaviour is field-identical to the legacy per-call paths — which
-remain available as the ``*_legacy`` oracle functions the tests compare
-against.
+The per-call front doors (``long_term_relevant`` & friends) call their
+``*_legacy`` procedures directly; those are also what the executors below
+run, so an engine result is field-identical to the direct call.  Emptiness
+tasks keep ``automaton_emptiness``'s default ``memoize=True``, so their
+search runs with the expansion memo and the guard cache on.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from repro.engine.reduction import (
     Deduper,
     ReductionResult,
     ReductionTask,
-    SINGLE_SHOT_POLICY,
     instance_key,
     query_key,
     schema_key,
@@ -92,20 +90,18 @@ def relevance_task(
     initial=None,
     grounded: bool = False,
     require_boolean_access: bool = True,
-    build_key: bool = True,
     shared_key=None,
     cost_hint: Optional[int] = None,
 ) -> ReductionTask:
     """Normalise a long-term-relevance request (Example 2.3)."""
-    snap = _instance_payload(initial, build_key)
-    key = None
-    if build_key:
-        if shared_key is None:
-            shared_key = relevance_shared_key(
-                schema, query, snap, grounded, require_boolean_access
-            )
-        if shared_key is not None:
-            key = try_key(lambda: shared_key + (access,))
+    snap = instance_key(initial)
+    if shared_key is None:
+        shared_key = relevance_shared_key(
+            schema, query, snap, grounded, require_boolean_access
+        )
+    key = (
+        try_key(lambda: shared_key + (access,)) if shared_key is not None else None
+    )
     if cost_hint is None:
         size = snap.size() if snap is not None else 0
         cost_hint = (1 + size) * (1 + _query_size(query))
@@ -124,7 +120,6 @@ def containment_task(
     query_two,
     initial=None,
     max_identified_variables: int = 8,
-    build_key: bool = True,
     key_parts=None,
     cost_hint: Optional[int] = None,
 ) -> ReductionTask:
@@ -134,21 +129,16 @@ def containment_task(
     by a batch caller (the matrix fingerprints each query once instead of
     once per pair).
     """
-    snap = _instance_payload(initial, build_key)
-    key = None
-    if build_key:
-        if key_parts is None:
-            key_parts = try_key(
-                lambda: (
-                    schema_key(schema),
-                    query_key(query_one),
-                    query_key(query_two),
-                )
-            )
-        if key_parts is not None:
-            key = try_key(
-                lambda: key_parts + (snap, max_identified_variables)
-            )
+    snap = instance_key(initial)
+    if key_parts is None:
+        key_parts = try_key(
+            lambda: (schema_key(schema), query_key(query_one), query_key(query_two))
+        )
+    key = (
+        try_key(lambda: key_parts + (snap, max_identified_variables))
+        if key_parts is not None
+        else None
+    )
     if cost_hint is None:
         size = snap.size() if snap is not None else 0
         cost_hint = (1 + size) * (
@@ -168,25 +158,15 @@ def answerability_task(
     query,
     hidden_instance,
     initial_values=(),
-    build_key: bool = True,
 ) -> ReductionTask:
     """Normalise an exact-answerability request (accessible-part check)."""
     # Materialise the values first: the iterable feeds both the key and
     # the args, and a one-shot iterator consumed twice would silently
     # empty one of them.
     values = tuple(initial_values)
-    snap = _instance_payload(hidden_instance, build_key)
-    key = (
-        try_key(
-            lambda: (
-                schema_key(schema),
-                query_key(query),
-                snap,
-                values_key(values),
-            )
-        )
-        if build_key
-        else None
+    snap = instance_key(hidden_instance)
+    key = try_key(
+        lambda: (schema_key(schema), query_key(query), snap, values_key(values))
     )
     size = snap.size() if snap is not None else 0
     return ReductionTask(
@@ -202,25 +182,20 @@ def emptiness_task(
     automaton,
     vocabulary,
     initial=None,
-    build_key: bool = True,
     **kwargs,
 ) -> ReductionTask:
     """Normalise an A-automaton emptiness request (Theorem 4.6)."""
-    snap = _instance_payload(initial, build_key)
-    key = (
-        try_key(
-            lambda: (
-                vocabulary_key(vocabulary),
-                automaton.initial,
-                tuple(automaton.states),
-                automaton.accepting,
-                tuple(automaton.transitions),
-                snap,
-                tuple(sorted(kwargs.items())),
-            )
+    snap = instance_key(initial)
+    key = try_key(
+        lambda: (
+            vocabulary_key(vocabulary),
+            automaton.initial,
+            tuple(automaton.states),
+            automaton.accepting,
+            tuple(automaton.transitions),
+            snap,
+            tuple(sorted(kwargs.items())),
         )
-        if build_key
-        else None
     )
     states, transitions = automaton.size()
     return ReductionTask(
@@ -242,7 +217,6 @@ def bounded_check_task(
     grounded_only: bool = False,
     enforce_schema_sanity: bool = True,
     budget=None,
-    build_key: bool = True,
 ) -> ReductionTask:
     """Normalise a bounded witness-path satisfiability request.
 
@@ -253,25 +227,21 @@ def bounded_check_task(
     stay out of the key; the engine instead refuses to memoize partial
     (``interrupted``/``unknown``) values.
     """
-    snap = _instance_payload(initial, build_key)
+    snap = instance_key(initial)
     fact_pool = tuple(fact_pool) if fact_pool is not None else None
     value_pool = tuple(value_pool) if value_pool is not None else None
-    key = (
-        try_key(
-            lambda: (
-                vocabulary_key(vocabulary),
-                formula,
-                bounds,
-                snap,
-                fact_pool,
-                value_pool,
-                grounded_only,
-                enforce_schema_sanity,
-                budget,
-            )
+    key = try_key(
+        lambda: (
+            vocabulary_key(vocabulary),
+            formula,
+            bounds,
+            snap,
+            fact_pool,
+            value_pool,
+            grounded_only,
+            enforce_schema_sanity,
+            budget,
         )
-        if build_key
-        else None
     )
     return ReductionTask(
         kind="bounded_check",
@@ -299,23 +269,18 @@ def accltl_sat_task(
     grounded_only: bool = False,
     max_paths: int = 40000,
     bounded_path_length: int = 4,
-    build_key: bool = True,
 ) -> ReductionTask:
     """Normalise an AccLTL satisfiability request (the Table 1 dispatcher)."""
-    snap = _instance_payload(initial, build_key)
-    key = (
-        try_key(
-            lambda: (
-                schema_key(access_schema),
-                formula,
-                snap,
-                grounded_only,
-                max_paths,
-                bounded_path_length,
-            )
+    snap = instance_key(initial)
+    key = try_key(
+        lambda: (
+            schema_key(access_schema),
+            formula,
+            snap,
+            grounded_only,
+            max_paths,
+            bounded_path_length,
         )
-        if build_key
-        else None
     )
     return ReductionTask(
         kind="accltl_sat",
@@ -333,18 +298,14 @@ def accltl_sat_task(
     )
 
 
-def ltl_word_task(
-    formula, letters=None, max_length=None, build_key: bool = True
-) -> ReductionTask:
+def ltl_word_task(formula, letters=None, max_length=None) -> ReductionTask:
     """Normalise a propositional-LTL finite-word search (Theorem 4.12 core)."""
     normalized = (
         tuple(frozenset(letter) for letter in letters)
         if letters is not None
         else None
     )
-    key = (
-        try_key(lambda: (formula, normalized, max_length)) if build_key else None
-    )
+    key = try_key(lambda: (formula, normalized, max_length))
     return ReductionTask(
         kind="ltl_word",
         backend=DIRECT,
@@ -354,20 +315,10 @@ def ltl_word_task(
     )
 
 
-def ctl_check_task(
-    vocabulary, lts, formula, build_key: bool = True
-) -> ReductionTask:
+def ctl_check_task(vocabulary, lts, formula) -> ReductionTask:
     """Normalise a ``CTL_EX`` model-checking request over an explored LTS."""
-    key = (
-        try_key(
-            lambda: (
-                vocabulary_key(vocabulary),
-                tuple(lts.transitions),
-                formula,
-            )
-        )
-        if build_key
-        else None
+    key = try_key(
+        lambda: (vocabulary_key(vocabulary), tuple(lts.transitions), formula)
     )
     return ReductionTask(
         kind="ctl_check",
@@ -383,25 +334,17 @@ def datalog_containment_task(
     query,
     max_depth: int = 6,
     max_expansions: int = 2000,
-    build_key: bool = True,
 ) -> ReductionTask:
     """Normalise a Datalog ⊆ positive-query check (Proposition 4.11)."""
-    key = (
-        try_key(
-            lambda: (
-                tuple(program.rules),
-                tuple(
-                    (relation.name, relation.arity)
-                    for relation in program.edb_schema
-                ),
-                program.goal,
-                query_key(query),
-                max_depth,
-                max_expansions,
-            )
+    key = try_key(
+        lambda: (
+            tuple(program.rules),
+            tuple((relation.name, relation.arity) for relation in program.edb_schema),
+            program.goal,
+            query_key(query),
+            max_depth,
+            max_expansions,
         )
-        if build_key
-        else None
     )
     return ReductionTask(
         kind="datalog_containment",
@@ -418,20 +361,6 @@ def _query_size(query) -> int:
     return as_ucq(query).size()
 
 
-def _instance_payload(instance, build_key: bool):
-    """An instance as task payload.
-
-    With a key to build (memoizable / poolable tasks) the payload is the
-    canonical :class:`~repro.store.snapshot.Snapshot`; without one (the
-    single-shot wrappers, whose one-task batches never dispatch) the
-    object passes through untouched, so those calls pay no O(n)
-    snapshot/rebuild round-trip over the legacy paths.
-    """
-    if instance is None or not build_key:
-        return instance
-    return instance_key(instance)
-
-
 # ----------------------------------------------------------------------
 # Task executors (the worker entry points — top-level, picklable by name)
 # ----------------------------------------------------------------------
@@ -442,7 +371,9 @@ def _materialise(payload):
         return None
     if isinstance(payload, Snapshot):
         return payload.to_instance()
-    return payload  # single-shot pass-through: the caller's own instance
+    # An SQL generation snapshot (``instance_key`` of an SQL store) is a
+    # state token, not an instance; its pinned read-only view is one.
+    return payload.view()
 
 
 def _execute_relevance(args):
@@ -718,7 +649,7 @@ class DecisionEngine:
     cache_policy:
         Per-workload cache configuration (defaults to
         :class:`~repro.engine.reduction.CachePolicy`: cross-request memo
-        on, emptiness node memo off per the PR 4 finding).
+        on).
     parallel:
         Allow batch dispatch through the shared worker pool.  ``None``
         defers to the :data:`PARALLEL_TASKS_ENV` environment toggle (off
@@ -742,7 +673,7 @@ class DecisionEngine:
         policy = self.cache_policy
         # Without cross-request memoization there is no cross-request
         # state to persist either — the persistent tier is pinned off so
-        # the environment cannot opt single-shot engines into the store.
+        # the environment cannot opt a memo-less engine into the store.
         self._memo = VerdictCache(
             capacity=policy.memo_capacity,
             persist_path=policy.persist_path if policy.memoize_results else "",
@@ -776,7 +707,7 @@ class DecisionEngine:
     # Core execution
     # ------------------------------------------------------------------
     def run(self, task: ReductionTask) -> ReductionResult:
-        """Execute one task through the memo (single-shot entry point)."""
+        """Execute one task through the memo (one-task batch)."""
         return self.run_batch([task])[0]
 
     def run_batch(
@@ -1010,65 +941,6 @@ class DecisionEngine:
         return total_cost >= min_dispatch_cost()
 
     # ------------------------------------------------------------------
-    # Single-shot conveniences (the normalised forms of the old calls)
-    # ------------------------------------------------------------------
-    def relevance(self, schema, access, query, **kwargs):
-        """Long-term relevance of one access (Example 2.3)."""
-        task = relevance_task(
-            schema,
-            access,
-            query,
-            build_key=self.cache_policy.memoize_results,
-            **kwargs,
-        )
-        return self.run(task).value
-
-    def containment(self, schema, query_one, query_two, **kwargs):
-        """Containment under access patterns of one query pair."""
-        task = containment_task(
-            schema,
-            query_one,
-            query_two,
-            build_key=self.cache_policy.memoize_results,
-            **kwargs,
-        )
-        return self.run(task).value
-
-    def answerability(self, schema, query, hidden_instance, initial_values=()):
-        """Exact answerability of *query* on one hidden instance."""
-        task = answerability_task(
-            schema,
-            query,
-            hidden_instance,
-            initial_values,
-            build_key=self.cache_policy.memoize_results,
-        )
-        return self.run(task).value
-
-    def emptiness(self, automaton, vocabulary, initial=None, **kwargs):
-        """A-automaton emptiness with the engine's node-memo policy."""
-        kwargs.setdefault("node_memo", self.cache_policy.node_memo)
-        task = emptiness_task(
-            automaton,
-            vocabulary,
-            initial,
-            build_key=self.cache_policy.memoize_results,
-            **kwargs,
-        )
-        return self.run(task).value
-
-    def bounded_check(self, vocabulary, formula, bounds, **kwargs):
-        """Bounded witness-path satisfiability of one formula."""
-        task = bounded_check_task(
-            vocabulary,
-            formula,
-            bounds,
-            build_key=self.cache_policy.memoize_results,
-            **kwargs,
-        )
-        return self.run(task).value
-
-    # ------------------------------------------------------------------
     # Batch entry points (the matrix workloads)
     # ------------------------------------------------------------------
     def relevance_matrix(
@@ -1221,21 +1093,7 @@ class DecisionEngine:
         self._memo.clear()
 
 
-_SINGLE_SHOT_ENGINE: Optional[DecisionEngine] = None
 _SHARED_ENGINE: Optional[DecisionEngine] = None
-
-
-def single_shot_engine() -> DecisionEngine:
-    """The shared engine behind the old per-call public signatures.
-
-    Runs with :data:`~repro.engine.reduction.SINGLE_SHOT_POLICY`: no
-    cross-request memo, node memo off — each call computes exactly what
-    the legacy path computes, just normalised through the reduction layer.
-    """
-    global _SINGLE_SHOT_ENGINE
-    if _SINGLE_SHOT_ENGINE is None:
-        _SINGLE_SHOT_ENGINE = DecisionEngine(cache_policy=SINGLE_SHOT_POLICY)
-    return _SINGLE_SHOT_ENGINE
 
 
 def shared_engine() -> DecisionEngine:

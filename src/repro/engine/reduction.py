@@ -66,15 +66,8 @@ class CachePolicy:
     memoize_results:
         Cross-request memoization of task results keyed by the canonical
         task fingerprint.  On for explicitly constructed engines (matrix
-        workloads are exactly where requests repeat); off for the
-        single-shot wrappers that preserve the old per-call signatures.
-    node_memo:
-        The emptiness search's visited-node expansion memo.  The PR 4
-        instrumentation measured a 0.0 hit rate for it on the benchmark
-        workload (the sentence-level guard cache earns the memo row's
-        speedup), so it is now an engine policy defaulting **off**; a
-        workload whose configurations genuinely revisit can opt back in.
-        The guard cache is unaffected and stays on with ``memoize``.
+        workloads are exactly where requests repeat); off for a workload
+        that must compute every request cold.
     memo_capacity:
         LRU capacity of the in-memory memo tier; ``0`` is unbounded and
         ``None`` defers to the ``REPRO_MEMO_CAPACITY`` knob.
@@ -92,21 +85,10 @@ class CachePolicy:
     """
 
     memoize_results: bool = True
-    node_memo: bool = False
     memo_capacity: Optional[int] = None
     persist_path: Optional[str] = None
     lock_timeout_s: Optional[float] = None
     compact_segments: Optional[int] = None
-
-
-#: Policy of the single-shot wrappers (``long_term_relevant`` and
-#: friends): no cross-request state at all, node memo off per the PR 4
-#: finding, persistence pinned off so the environment cannot opt a
-#: single-shot call into the shared store.  Every call computes exactly
-#: what the legacy path computes.
-SINGLE_SHOT_POLICY = CachePolicy(
-    memoize_results=False, node_memo=False, persist_path=""
-)
 
 
 @dataclass(frozen=True, eq=False)

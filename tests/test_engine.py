@@ -31,7 +31,7 @@ from repro.access.relevance import (
     relevant_accesses,
 )
 from repro.automata.emptiness import automaton_emptiness
-from repro.automata.library import ltr_automaton
+from repro.automata.library import containment_automaton
 from repro.core.bounded_check import (
     Bounds,
     bounded_satisfiability,
@@ -40,11 +40,11 @@ from repro.core.bounded_check import (
 from repro.core import properties
 from repro.core.solver import AccLTLSolver
 from repro.engine import (
-    CachePolicy,
     DecisionEngine,
     Deduper,
     answerability_task,
     containment_task,
+    emptiness_task,
     execute_task,
     query_key,
     relevance_task,
@@ -58,7 +58,7 @@ from repro.workloads.matrices import (
     probe_accesses,
     query_workload,
 )
-from repro.workloads.scenarios import standard_scenarios
+from repro.workloads.scenarios import _synthetic_scenario, standard_scenarios
 
 
 def _relevance_workload(seed: int):
@@ -218,13 +218,6 @@ class TestCrossRequestMemo:
         verdict = engine.answerability_sweep(schema, query, [grown])[0]
         assert verdict == is_answerable_exactly_legacy(schema, query, grown)
 
-    def test_single_shot_policy_has_no_cross_request_state(self):
-        from repro.engine import single_shot_engine
-
-        engine = single_shot_engine()
-        assert not engine.cache_policy.memoize_results
-        assert engine.stats()["memo_entries"] == 0
-
     def test_caller_mutation_cannot_poison_memo(self, directory):
         """Counterexample Instances are caller-owned (the legacy contract);
         memo and dedup must hand out isolated copies."""
@@ -232,13 +225,17 @@ class TestCrossRequestMemo:
 
         directory.add("AddrScan", "Address", ())
         engine = DecisionEngine()
-        first = engine.containment(directory, resident_names_query(), join_query())
+        first = engine.run(
+            containment_task(directory, resident_names_query(), join_query())
+        ).value
         assert not first.contained
         pristine = first.counterexample.copy()
         # Mutate the returned counterexample, then re-request: the memo
         # serves the verdict, but with an unmutated instance.
         first.counterexample.add("Address", ("x", "y", "z", 1))
-        second = engine.containment(directory, resident_names_query(), join_query())
+        second = engine.run(
+            containment_task(directory, resident_names_query(), join_query())
+        ).value
         assert engine.stats()["memo_hits"] >= 1
         assert second.counterexample == pristine
         # In-batch duplicates are isolated from each other the same way.
@@ -318,58 +315,31 @@ class TestPooledDeterminism:
         assert engine.stats()["pooled_tasks"] == 0
 
 
-class TestNodeMemoPolicy:
-    """Satellite: the PR 4 zero-hit node memo is now an engine cache policy."""
+class TestNodeMemo:
+    """The expansion memo follows ``memoize`` and decides within a path cap."""
 
-    @pytest.fixture(scope="class")
-    def ltr_setup(self):
-        scenario = next(s for s in standard_scenarios() if s.name == "directory")
+    def test_memo_decides_within_path_cap(self):
+        scenario = _synthetic_scenario(seed=1, num_relations=3, name="synthetic-1")
         vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
-        automaton = ltr_automaton(
-            vocabulary, scenario.probe_access, scenario.query_one
+        automaton = containment_automaton(
+            vocabulary, scenario.query_one, scenario.query_two, grounded=False
         )
-        return automaton, vocabulary
-
-    def test_node_memo_off_keeps_verdict_and_guard_cache(self, ltr_setup):
-        automaton, vocabulary = ltr_setup
-        on = automaton_emptiness(automaton, vocabulary, max_paths=2000)
-        off = automaton_emptiness(
-            automaton, vocabulary, max_paths=2000, node_memo=False
+        memoized = automaton_emptiness(automaton, vocabulary, max_paths=300)
+        assert not memoized.empty and memoized.witness is not None
+        assert memoized.paths_explored == 127
+        assert memoized.stats["node_memo_hits"] > 0
+        plain = automaton_emptiness(
+            automaton, vocabulary, max_paths=300, memoize=False
         )
-        assert (on.empty, on.witness) == (off.empty, off.witness)
-        # Both caches stay reported either way (the satellite's contract).
-        for result in (on, off):
-            assert "node_memo_expansions" in result.stats
-            assert "sentence_cache_hits" in result.stats
-        assert on.stats["node_memo_expansions"] > 0
-        assert off.stats["node_memo_expansions"] == 0
-        assert off.stats["sentence_cache_hits"] > 0  # guard cache unaffected
-
-    def test_engine_policy_defaults_node_memo_off(self, ltr_setup):
-        automaton, vocabulary = ltr_setup
-        default_engine = DecisionEngine()
-        opted_in = DecisionEngine(cache_policy=CachePolicy(node_memo=True))
-        off = default_engine.emptiness(automaton, vocabulary, max_paths=2000)
-        on = opted_in.emptiness(automaton, vocabulary, max_paths=2000)
-        assert off.stats["node_memo_expansions"] == 0
-        assert on.stats["node_memo_expansions"] > 0
-        assert (on.empty, on.witness) == (off.empty, off.witness)
-
-    def test_node_memo_only_mode(self, ltr_setup):
-        """``memoize=False, node_memo=True`` — the decoupled corner."""
-        automaton, vocabulary = ltr_setup
-        result = automaton_emptiness(
-            automaton, vocabulary, max_paths=2000, memoize=False, node_memo=True
-        )
-        baseline = automaton_emptiness(automaton, vocabulary, max_paths=2000)
-        assert (result.empty, result.witness) == (baseline.empty, baseline.witness)
-        assert result.stats["node_memo_expansions"] > 0
-        # The cross-candidate guard cache is off; only the per-candidate
-        # local verdict reuse remains, so misses dominate the memoized run's.
-        assert (
-            result.stats["sentence_cache_misses"]
-            > baseline.stats["sentence_cache_misses"]
-        )
+        assert plain.empty and not plain.exhausted
+        assert plain.paths_explored == 602
+        assert plain.stats["node_memo_expansions"] == 0
+        # Engine-run emptiness tasks keep the memo: the same fields come back.
+        served = DecisionEngine().run(
+            emptiness_task(automaton, vocabulary, max_paths=300)
+        ).value
+        assert served == memoized
+        assert served.stats == memoized.stats
 
 
 class TestIdentificationDedup:
@@ -437,13 +407,16 @@ class TestIteratorInputs:
         expected = is_answerable_exactly_legacy(schema, query, initial, ("v0", "v1"))
         engine = DecisionEngine()
         assert (
-            engine.answerability(schema, query, initial, iter(("v0", "v1")))
+            engine.run(
+                answerability_task(schema, query, initial, iter(("v0", "v1")))
+            ).value
             == expected
         )
         # The memoized entry must have been keyed on the real values, so a
         # tuple-based repeat is a hit with the same (correct) verdict.
         assert (
-            engine.answerability(schema, query, initial, ("v0", "v1")) == expected
+            engine.run(answerability_task(schema, query, initial, ("v0", "v1"))).value
+            == expected
         )
         assert engine.stats()["memo_hits"] >= 1
 

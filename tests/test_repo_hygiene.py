@@ -106,3 +106,36 @@ def test_package_metadata_names_the_package():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.split()[-2:] == ["repro", repro.__version__]
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    """The benchmark tracer patches ``repro`` names; every one must exist.
+
+    ``perfbench/tracer.py`` wraps functions and methods by name (the
+    ``*_legacy`` procedures, ``automaton_emptiness``, store mutators, ...)
+    and ``perfbench/references.py`` imports the direct procedures.  A
+    rename in ``src/`` that breaks a traced benchmark run fails here.  The
+    per-call front doors must look their ``*_legacy`` procedure up at call
+    time, so a patched name still sees every front-door call.
+    """
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import references  # noqa: F401
+    from tracer import Tracer
+
+    from repro.access.answerability import is_answerable_exactly
+    from repro.workloads.scenarios import standard_scenarios
+
+    scenario = standard_scenarios()[0]
+    tracer = Tracer()
+    try:
+        tracer.install()
+        is_answerable_exactly(
+            scenario.access_schema,
+            scenario.query_one,
+            scenario.hidden_instance,
+            scenario.initial_values,
+        )
+        assert tracer.layer_calls()["access"] == 1
+    finally:
+        tracer.uninstall()
+    assert not tracer._patches

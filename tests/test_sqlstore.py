@@ -274,6 +274,23 @@ class TestCrossBackendParity:
         assert hash(instance_key(sql)) == hash(instance_key(mem))
         sql.close()
 
+    def test_engine_runs_tasks_over_sql_stores(self):
+        """An engine task whose instance is an SQL store equals the direct call."""
+        from repro.access.answerability import is_answerable_exactly_legacy
+        from repro.engine import DecisionEngine, answerability_task
+        from repro.workloads.scenarios import standard_scenarios
+
+        for scenario in standard_scenarios():
+            sql = SQLStoreInstance.from_instance(scenario.hidden_instance)
+            args = (scenario.access_schema, scenario.query_one)
+            served = DecisionEngine().run(
+                answerability_task(*args, sql, scenario.initial_values)
+            )
+            assert served.value == is_answerable_exactly_legacy(
+                *args, scenario.hidden_instance, scenario.initial_values
+            )
+            sql.close()
+
     def test_snapshot_pickle_round_trip(self):
         mem, sql = _twin_stores()
         loaded = pickle.loads(pickle.dumps(sql.snapshot()))

@@ -22,7 +22,7 @@ import warnings
 import pytest
 
 from repro.core.budget import Budget
-from repro.engine import SINGLE_SHOT_POLICY, CachePolicy, DecisionEngine, emptiness_task
+from repro.engine import CachePolicy, DecisionEngine, emptiness_task
 from repro.engine.engine import ltl_word_task
 from repro.ltl.syntax import And, Eventually, Next, Not, Prop, Until
 from repro.obs import trace
@@ -79,8 +79,10 @@ def _tasks(count: int = 3):
 
 
 def _oracle(tasks):
-    """Cold-cache oracle: a single-shot engine (no memo, no persistence)."""
-    engine = DecisionEngine(cache_policy=SINGLE_SHOT_POLICY)
+    """Cold-cache oracle: an engine with no memo and no persistence."""
+    engine = DecisionEngine(
+        cache_policy=CachePolicy(memoize_results=False, persist_path="")
+    )
     return [result.value for result in engine.run_batch(tasks)]
 
 
@@ -379,7 +381,9 @@ class TestEngineIntegration:
     def test_single_shot_policy_ignores_env_store(self, tmp_path, monkeypatch):
         store = str(tmp_path / "store")
         monkeypatch.setenv("REPRO_MEMO_PERSIST_PATH", store)
-        engine = DecisionEngine(cache_policy=SINGLE_SHOT_POLICY)
+        engine = DecisionEngine(
+            cache_policy=CachePolicy(memoize_results=False, persist_path="")
+        )
         engine.run_batch(_tasks(2))
         assert not os.path.isdir(store) or not _segments(store)
 
