@@ -107,7 +107,7 @@ class Access:
 
     def matches(self, tup: Sequence[object]) -> bool:
         """Whether *tup* agrees with the binding on the input positions."""
-        for position, value in self.binding_map().items():
+        for position, value in zip(self.method.input_positions, self.binding):
             if tup[position] != value:
                 return False
         return True

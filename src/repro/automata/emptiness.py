@@ -15,7 +15,10 @@ This module provides two procedures:
   construction.  A non-emptiness verdict comes with an accepted access
   path; an emptiness verdict is exact whenever the search exhausted the
   bounded space (which it does for the automata produced in this
-  repository — the result records the flag).
+  repository — the result records the flag).  Guard work that does not
+  depend on the candidate step — sentences over the pre configuration,
+  plan binding, path-step construction — is done once per node or once
+  per search, outside the candidate loop (see :class:`_WitnessSearch`).
 
 * :func:`guard_to_datalog` / :func:`datalog_emptiness_precheck` — the
   Lemma 4.10 connection made concrete for the guards produced by
@@ -26,13 +29,27 @@ This module provides two procedures:
   unsatisfiable.  Pruning such transitions and re-trimming gives a sound
   emptiness *pre-check* exercised by the tests and the pipeline benchmark
   (``benchmarks/bench_pipeline_vs_bruteforce.py``): when the pre-check
-  already proves emptiness the witness search is skipped entirely.
+  already proves emptiness the witness search is skipped entirely.  The
+  verdict depends on the guard alone, so one emptiness call checks each
+  distinct guard once and every in-process chain reuses the answer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.access.methods import Access
 from repro.access.path import AccessPath, PathStep
@@ -47,7 +64,6 @@ from repro.core.budget import Budget, BudgetClock
 from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.core.transition import (
-    TransitionStructure,
     prepost_names,
     seed_structure_mirror,
     validated_candidate_facts,
@@ -64,7 +80,8 @@ from repro.datalog.containment import ContainmentResult, datalog_contained_in_uc
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.evaluation import holds
+from repro.queries.evaluation import naive_satisfying_assignments
+from repro.queries.plan_cache import QueryPlan, execute_plan, get_plan
 from repro.queries.terms import Constant, Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 from repro.relational.instance import Instance
@@ -72,6 +89,11 @@ from repro.relational.schema import Relation, Schema
 from repro.store.snapshot import Snapshot, SnapshotInstance
 
 Fact = Tuple[str, Tuple[object, ...]]
+
+#: Guard verdicts of one precheck scope: ``id(guard) -> (guard, verdict)``.
+#: Holding the guard keeps its ``id`` from being reused while the entry
+#: lives; the verdict depends only on the guard and the vocabulary.
+GuardVerdicts = Dict[int, Tuple[object, bool]]
 
 
 @dataclass(frozen=True)
@@ -283,6 +305,48 @@ class ResumeFrontier:
         return self.checkpoint.items
 
 
+def _bind_sentence(sentence, number: int) -> Tuple[int, int, Tuple]:
+    """A guard sentence as the record ``(number, kind, plans)`` of the search.
+
+    *number* identifies the canonical sentence in verdict-cache keys;
+    *plans* pairs the compiled plan of each disjunct's boolean version
+    with that query; *kind* is 0 when the sentence reads only ``R_pre``
+    relations, 1 when it also reads ``R_post``, 2 when it mentions a
+    binding predicate (see :class:`_WitnessSearch`).
+    """
+    mentions_bind = False
+    mentions_post = False
+    plans: List[Tuple[QueryPlan, ConjunctiveQuery]] = []
+    for disjunct in as_ucq(sentence.query).disjuncts:
+        for atom in disjunct.atoms:
+            if is_isbind(atom.relation) or is_isbind0(atom.relation):
+                mentions_bind = True
+            elif is_post(atom.relation):
+                mentions_post = True
+        boolean = disjunct if disjunct.is_boolean else disjunct.boolean_version()
+        plans.append((get_plan(boolean), boolean))
+    kind = 2 if mentions_bind else (1 if mentions_post else 0)
+    return number, kind, tuple(plans)
+
+
+def _plans_hold(plans: Tuple, instance: Instance) -> bool:
+    """Whether a sentence bound by :func:`_bind_sentence` holds in *instance*.
+
+    The same verdict as :func:`repro.queries.evaluation.holds`: the first
+    match of any disjunct decides, and plans the slot compiler cannot
+    cover run on the naive oracle.
+    """
+    for plan, query in plans:
+        matches = (
+            naive_satisfying_assignments(query, instance)
+            if plan.fallback
+            else execute_plan(plan, query, instance)
+        )
+        if next(matches, None) is not None:
+            return True
+    return False
+
+
 class _WitnessSearch:
     """The guided witness search, set up once and re-enterable anywhere.
 
@@ -325,27 +389,50 @@ class _WitnessSearch:
       *sound but less conclusive* result (``exhausted=False`` — never a
       wrong witness, and ``exhausted=True`` still implies full coverage,
       since pruning only ever skips dominated revisits).
-    * **guard cache** — sentence verdicts keyed by ``(sentence identity,
-      configuration fingerprint, candidate step)``; a pure cache of
-      deterministic computations, so sharing it (or not) never affects
-      results, only time.
+    * **guard cache** — sentence verdicts keyed by the sentence, the
+      configuration fingerprint and as much of the candidate step as the
+      sentence can read (see below); a pure cache of deterministic
+      computations, so sharing it (or not) never affects results, only
+      time.
     * **persistent snapshots** — the configuration is a single
       :class:`~repro.store.snapshot.SnapshotInstance`; each node takes an
       O(1) snapshot, candidates layer their response on top, and
       backtracking is an O(1) ``restore``.  The snapshots double as memo
       fingerprints and as the configuration payload of subtree items.
 
-    A second store, ``base``, mirrors the configuration into the combined
-    ``R_pre``/``R_post`` transition structure and is maintained
-    incrementally alongside it, so evaluating a candidate's guards costs
-    O(|response|) instead of rebuilding an O(|configuration|) structure
-    per candidate.
+    Guards are evaluated over ``base``, a dict-backed ``Instance`` that
+    mirrors the configuration into the combined ``R_pre``/``R_post``
+    transition structure and is maintained incrementally alongside it.
+    Construction canonicalises the guard sentences (equal sentences of
+    different guards become one), binds each to the compiled boolean plans
+    of its disjuncts, and sorts it by *kind*, i.e. by what part of a
+    candidate step its verdict can depend on:
+
+    * kind 0 reads only ``R_pre`` relations — one verdict per node.
+      :meth:`node_guards` decides these once at node entry (after the
+      expansion-memo and export checks), drops the transitions they
+      reject and marks the transitions they fully decide, so the
+      candidate loop never sees them.  Cache key ``(sentence,
+      fingerprint)``.
+    * kind 1 also reads ``R_post`` — the verdict depends on the response
+      and its relation, not on the method or binding.  Cache key
+      ``(sentence, fingerprint, relation, response)``.
+    * kind 2 mentions a binding predicate — fully candidate-dependent.
+      Cache key ``(sentence, fingerprint, candidate index)``.
+
+    Per candidate, only the residual kind-1/kind-2 sentences run: the
+    response (and for kind 2 the binding facts) is staged over ``base``,
+    the bound plans execute directly on it, and exactly the staged facts
+    are removed again — O(|response|) per candidate instead of an
+    O(|configuration|) structure rebuild.  Each candidate's
+    :class:`~repro.access.path.PathStep` is built once, at construction.
 
     ``stats`` accumulates instrumentation: ``node_memo_hits`` /
     ``node_memo_expansions`` for the expansion memo,
-    ``sentence_cache_hits`` / ``sentence_cache_misses`` for the guard
-    cache.  The subtree executor adds ``subtree_items``,
-    ``subtree_overflows`` and ``subtree_pooled_items``.
+    ``sentence_cache_hits`` / ``sentence_cache_misses`` for guard cache
+    lookups (kind-0 lookups count once per node, not once per candidate).
+    The subtree executor adds ``subtree_items``, ``subtree_overflows``
+    and ``subtree_pooled_items``.
     """
 
     def __init__(
@@ -402,77 +489,60 @@ class _WitnessSearch:
         candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
         self.candidates = candidates
 
-        transitions_by_source: Dict[str, List] = {}
-        for transition in automaton.transitions:
-            transitions_by_source.setdefault(transition.source, []).append(
-                transition
-            )
+        # One validated path step per candidate, shared by every witness.
+        self.candidate_steps = [
+            PathStep(access, response) for access, response in candidates
+        ]
         self.accepting = automaton.accepting
 
         # Canonicalise guard sentences (different guards frequently embed
-        # equal sentences) and pre-split every guard into its
-        # positive/negated parts, so guard evaluation becomes a handful of
-        # cached sentence lookups.
-        canonical: Dict[object, object] = {}
+        # equal sentences) and bind each canonical sentence, once, to the
+        # compiled boolean plans of its disjuncts (:func:`_bind_sentence`),
+        # so evaluating a sentence is a direct plan execution — no per-call
+        # UCQ normalisation, boolean rewriting or plan-cache lookup.
+        records: Dict[object, Tuple[int, int, Tuple]] = {}
+        numbers = itertools.count()
 
-        def _canon(sentence):
+        def _record(sentence) -> Tuple[int, int, Tuple]:
             try:
-                return canonical.setdefault(sentence, sentence)
+                record = records.get(sentence)
             except TypeError:  # pragma: no cover - unhashable constants
-                return sentence
+                return _bind_sentence(sentence, next(numbers))
+            if record is None:
+                record = records[sentence] = _bind_sentence(sentence, next(numbers))
+            return record
 
-        guard_parts: Dict[int, Tuple[Tuple, Tuple]] = {}
+        # Transitions per source state with their guards pre-split into
+        # kind-0 and kind>=1 sentence records:
+        # ``(target, kind-0 positives, kind-0 negated, positives, negated)``.
+        guard_parts: Dict[int, Tuple[Tuple, Tuple, Tuple, Tuple]] = {}
+        compiled_transitions: Dict[str, List[Tuple]] = {}
         for transition in automaton.transitions:
             guard = transition.guard
-            if id(guard) not in guard_parts:
-                guard_parts[id(guard)] = (
-                    tuple(_canon(s) for s in guard.positives),
-                    tuple(_canon(s) for s in guard.negated),
+            parts = guard_parts.get(id(guard))
+            if parts is None:
+                positives = [_record(s) for s in guard.positives]
+                negated = [_record(s) for s in guard.negated]
+                parts = guard_parts[id(guard)] = (
+                    tuple(r for r in positives if r[1] == 0),
+                    tuple(r for r in negated if r[1] == 0),
+                    tuple(r for r in positives if r[1] > 0),
+                    tuple(r for r in negated if r[1] > 0),
                 )
-        self._canonical = canonical
-
-        # How much of the candidate step a sentence's verdict can depend
-        # on: 0 — only the pre configuration (same verdict for every
-        # candidate at a node); 1 — also the post relations (verdict
-        # depends on the response, not on which method/binding produced
-        # it); 2 — the binding predicates too (fully candidate-dependent).
-        # The coarser the class, the wider the memo sharing.
-        sentence_kinds: Dict[int, int] = {}
-        for parts in guard_parts.values():
-            for sentence in parts[0] + parts[1]:
-                if id(sentence) in sentence_kinds:
-                    continue
-                mentions_bind = False
-                mentions_post = False
-                for disjunct in sentence.query.disjuncts:
-                    for atom in disjunct.atoms:
-                        if is_isbind(atom.relation) or is_isbind0(atom.relation):
-                            mentions_bind = True
-                        elif is_post(atom.relation):
-                            mentions_post = True
-                sentence_kinds[id(sentence)] = (
-                    2 if mentions_bind else (1 if mentions_post else 0)
-                )
-        self.sentence_kinds = sentence_kinds
-
-        # Transitions per source state with their guards pre-resolved into
-        # canonicalised (positives, negated) sentence tuples, so the inner
-        # candidate loop does no per-transition dict lookups.
-        compiled_transitions: Dict[str, List[Tuple[str, Tuple, Tuple]]] = {}
-        for source, source_transitions in transitions_by_source.items():
-            compiled_transitions[source] = [
-                (transition.target,) + guard_parts[id(transition.guard)]
-                for transition in source_transitions
-            ]
+            compiled_transitions.setdefault(transition.source, []).append(
+                (transition.target,) + parts
+            )
         self.compiled_transitions = compiled_transitions
 
-        # Sentence cache: (sentence identity, config fingerprint,
-        # candidate index) -> verdict.  Canonical sentence objects live as
-        # long as the search, so ``id`` is a stable key.  Keying sentences
-        # instead of whole guards shares work between guards that embed
-        # the same sentence and across the re-exploration inherent in
-        # iterative deepening.
+        # Sentence cache: (sentence number, config fingerprint[, the
+        # part of the candidate its kind reads]) -> verdict.  Keying
+        # sentences instead of whole guards shares work between guards
+        # that embed the same sentence and across the re-exploration
+        # inherent in iterative deepening.
         self.sentence_verdicts: Dict[Tuple, bool] = {}
+        # Lookups of that cache as ``[hits, misses]``, folded into
+        # ``stats`` once per DFS run.
+        self._guard_tally = [0, 0]
         # Snapshot interning: revisiting a configuration (the norm under
         # iterative deepening) produces a structurally equal but distinct
         # Snapshot; mapping it to the first-seen object makes every later
@@ -536,19 +606,170 @@ class _WitnessSearch:
         snapshots are O(1), backtracking is an O(1) restore.  The combined
         transition structure ``base`` mirrors the configuration into the
         ``R_pre``/``R_post`` relations *once* and is then maintained by
-        bounded local deltas: a candidate's facts are laid on top, the
-        guards evaluated, and exactly those facts removed again.  The
-        structure never outlives a candidate, so it deliberately stays a
-        dict-backed ``Instance`` — persistence would buy nothing there,
-        while the delta maintenance turns the old O(|configuration|)
-        per-candidate structure rebuild into O(|response|), keeping the
-        untouched relations' caches and indexes warm across candidates.
+        bounded local deltas: a candidate's facts are laid on top, its
+        kind>=1 sentences evaluated, and exactly those facts removed
+        again.  The structure never outlives a candidate, so it
+        deliberately stays a dict-backed ``Instance`` — persistence would
+        buy nothing there, while the delta maintenance turns the
+        O(|configuration|) per-candidate structure rebuild into
+        O(|response|), keeping the untouched relations' caches and
+        indexes warm across candidates.
         """
         config = SnapshotInstance.from_snapshot(snapshot)
         base = Instance(self.vocabulary.schema)
         seed_structure_mirror(base, self.structure_names, config)
         self.config = config
         self.base = base
+
+    # ------------------------------------------------------------------
+    # Guard evaluation
+    # ------------------------------------------------------------------
+    def node_guards(
+        self, states: FrozenSet[str], fingerprint: Optional[Snapshot]
+    ) -> Callable[[int], AbstractSet[str]]:
+        """The guard evaluator of the positioned node: candidate index -> following states.
+
+        *fingerprint* is the node's interned configuration snapshot, the
+        key of the verdict cache (``None`` exactly when ``memoize`` is
+        off).  The returned function gives, for one candidate step, the
+        automaton states reached from *states* (empty when no transition
+        fires).
+
+        Guard work that cannot depend on the candidate happens here, once:
+        every kind-0 sentence of the transitions out of *states* is decided
+        against the node's structure, transitions failing one are dropped,
+        and transitions whose whole guard is kind-0 contribute their target
+        to every candidate's set.  Per candidate only the residual kind>=1
+        sentences remain; they see the candidate's response (and, for kind
+        2, its binding facts) staged over ``base``, and ``base`` is clean
+        again when the function returns, so the caller may descend between
+        calls.
+        """
+        base = self.base
+        memoize = self.memoize
+        sentence_verdicts = self.sentence_verdicts
+        tally = self._guard_tally
+        candidates = self.candidates
+        candidate_facts = self.candidate_facts
+
+        node_verdicts: Dict[int, bool] = {}
+
+        def node_holds(record) -> bool:
+            sentence_id = record[0]
+            if memoize:
+                key = (sentence_id, fingerprint)
+                verdict = sentence_verdicts.get(key)
+            else:
+                verdict = node_verdicts.get(sentence_id)
+            if verdict is None:
+                tally[1] += 1
+                verdict = _plans_hold(record[2], base)
+                if memoize:
+                    sentence_verdicts[key] = verdict
+                else:
+                    node_verdicts[sentence_id] = verdict
+            else:
+                tally[0] += 1
+            return verdict
+
+        always: Set[str] = set()
+        residual: List[Tuple[str, Tuple, Tuple]] = []
+        for state in states:
+            for target, positives0, negated0, positives, negated in (
+                self.compiled_transitions.get(state, ())
+            ):
+                if target in always:
+                    continue
+                if all(node_holds(r) for r in positives0) and not any(
+                    node_holds(r) for r in negated0
+                ):
+                    if positives or negated:
+                        residual.append((target, positives, negated))
+                    else:
+                        always.add(target)
+        always_frozen = frozenset(always)
+        if not residual:
+            return lambda index: always_frozen
+        if always:
+            residual = [entry for entry in residual if entry[0] not in always]
+
+        # The current candidate, shared by the two closures below.
+        current = 0
+        access = None
+        response: FrozenSet[Tuple[object, ...]] = frozenset()
+        stage = 0
+        applied: List[Tuple[str, Tuple[object, ...]]] = []
+        local_verdicts: Dict[int, bool] = {}
+
+        def candidate_holds(record) -> bool:
+            nonlocal stage
+            sentence_id, kind, plans = record
+            if memoize:
+                if kind == 1:
+                    key = (
+                        (sentence_id, fingerprint)
+                        if not response
+                        else (sentence_id, fingerprint, access.relation, response)
+                    )
+                else:
+                    key = (sentence_id, fingerprint, current)
+                verdict = sentence_verdicts.get(key)
+            else:
+                verdict = local_verdicts.get(sentence_id)
+            if verdict is not None:
+                tally[0] += 1
+                return verdict
+            tally[1] += 1
+            # Lay the candidate's delta over the node's structure in stages
+            # matched to what the sentence can observe: kind 1 needs the
+            # response in the post relations, only kind 2 needs the binding
+            # facts.  Each stage is applied at most once per candidate and
+            # recorded for the undo.
+            if stage < kind:
+                _pre, post_rel, isbind_rel, binding_tup, isbind0_rel = (
+                    candidate_facts[current]
+                )
+                if stage < 1:
+                    for tup in response:
+                        if base.add_unchecked(post_rel, tup):
+                            applied.append((post_rel, tup))
+                    stage = 1
+                if stage < kind:
+                    if base.add_unchecked(isbind_rel, binding_tup):
+                        applied.append((isbind_rel, binding_tup))
+                    if base.add_unchecked(isbind0_rel, ()):
+                        applied.append((isbind0_rel, ()))
+                    stage = 2
+            verdict = _plans_hold(plans, base)
+            if memoize:
+                sentence_verdicts[key] = verdict
+            else:
+                local_verdicts[sentence_id] = verdict
+            return verdict
+
+        def following_of(index: int) -> AbstractSet[str]:
+            nonlocal current, access, response, stage, local_verdicts
+            current = index
+            access, response = candidates[index]
+            stage = 0
+            if not memoize:
+                local_verdicts = {}
+            following = set(always)
+            for target, positives, negated in residual:
+                if target in following:
+                    continue
+                if all(candidate_holds(r) for r in positives) and not any(
+                    candidate_holds(r) for r in negated
+                ):
+                    following.add(target)
+            if applied:
+                # Undo exactly the candidate facts laid over the base.
+                for relation_name, tup in applied:
+                    base.discard(relation_name, tup)
+                applied.clear()
+            return following
+
+        return following_of
 
     # ------------------------------------------------------------------
     # The DFS driver
@@ -574,15 +795,13 @@ class _WitnessSearch:
         being explored — the only difference between the sequential and
         the trunk mode of the search.
         """
-        vocabulary = self.vocabulary
         config = self.config
         base = self.base
         candidates = self.candidates
+        candidate_steps = self.candidate_steps
         candidate_facts = self.candidate_facts
-        compiled_transitions = self.compiled_transitions
+        node_guards = self.node_guards
         accepting = self.accepting
-        sentence_kinds = self.sentence_kinds
-        sentence_verdicts = self.sentence_verdicts
         interned_fingerprints = self.interned_fingerprints
         memoize = self.memoize
         grounded_only = self.grounded_only
@@ -592,15 +811,12 @@ class _WitnessSearch:
         aborted = False
         node_hits = 0
         node_expansions = 0
-        sentence_hits = 0
-        sentence_misses = 0
         steps: List[PathStep] = []
 
         def dfs(
             states: FrozenSet[str], known: FrozenSet[object]
         ) -> Optional[Tuple[PathStep, ...]]:
             nonlocal explored, aborted, node_hits, node_expansions
-            nonlocal sentence_hits, sentence_misses
             depth = len(steps)
             if depth >= depth_limit:
                 return None
@@ -625,7 +841,7 @@ class _WitnessSearch:
                 expanded[node_key] = remaining
                 node_expansions += 1
             else:
-                fingerprint = None  # unused: local_verdicts keys by sentence only
+                fingerprint = None
             if export_depth is not None and depth >= export_depth:
                 # Trunk mode: the child survives the same memo check the
                 # sequential search applies at its entry, so ship it as a
@@ -636,6 +852,7 @@ class _WitnessSearch:
                     explored,
                 )
                 return None
+            following_of = node_guards(states, fingerprint)
             for index, (access, response) in enumerate(candidates):
                 if grounded_only and not all(
                     value in known for value in access.binding
@@ -647,88 +864,10 @@ class _WitnessSearch:
                     return None
                 if interrupt is not None:
                     interrupt()
-                structure = None
-                stage = 0
-                applied: List[Tuple[str, Tuple[object, ...]]] = []
-                local_verdicts: Dict[int, bool] = {}
-                pre_rel, post_rel, isbind_rel, binding_tup, isbind0_rel = (
-                    candidate_facts[index]
-                )
-
-                def ensure_stage(required: int) -> None:
-                    # Lay the candidate's delta over the node's base
-                    # structure in stages matched to what the sentence can
-                    # observe: kind-0 sentences read the base as-is,
-                    # kind-1 needs the response in the post relations,
-                    # only kind-2 needs the binding facts.  Each stage is
-                    # O(its delta), applied at most once per candidate,
-                    # and recorded for the undo.
-                    nonlocal stage, structure
-                    if stage < 1 <= required:
-                        for tup in response:
-                            if base.add_unchecked(post_rel, tup):
-                                applied.append((post_rel, tup))
-                        stage = 1
-                    if stage < 2 <= required:
-                        if base.add_unchecked(isbind_rel, binding_tup):
-                            applied.append((isbind_rel, binding_tup))
-                        if base.add_unchecked(isbind0_rel, ()):
-                            applied.append((isbind0_rel, ()))
-                        stage = 2
-                    if structure is None:
-                        structure = TransitionStructure(
-                            vocabulary=vocabulary, access=access, structure=base
-                        )
-
-                def sentence_holds(sentence) -> bool:
-                    nonlocal sentence_hits, sentence_misses
-                    kind = sentence_kinds[id(sentence)]
-                    if memoize:
-                        if kind == 0 or (kind == 1 and not response):
-                            key = (id(sentence), fingerprint)
-                        elif kind == 1:
-                            key = (
-                                id(sentence),
-                                fingerprint,
-                                access.relation,
-                                response,
-                            )
-                        else:
-                            key = (id(sentence), fingerprint, index)
-                        verdict = sentence_verdicts.get(key)
-                    else:
-                        key = id(sentence)
-                        verdict = local_verdicts.get(key)
-                    if verdict is None:
-                        sentence_misses += 1
-                        ensure_stage(kind)
-                        verdict = holds(sentence.query, structure.structure)
-                        if memoize:
-                            sentence_verdicts[key] = verdict
-                        else:
-                            local_verdicts[key] = verdict
-                    else:
-                        sentence_hits += 1
-                    return verdict
-
-                following: Set[str] = set()
-                for state in states:
-                    for target, positives, negated in compiled_transitions.get(
-                        state, ()
-                    ):
-                        if target in following:
-                            continue
-                        if all(sentence_holds(s) for s in positives) and not any(
-                            sentence_holds(s) for s in negated
-                        ):
-                            following.add(target)
-                if applied:
-                    # Undo exactly the candidate facts laid over the base.
-                    for relation_name, tup in applied:
-                        base.discard(relation_name, tup)
+                following = following_of(index)
                 if not following:
                     continue
-                step = PathStep(access, response)
+                step = candidate_steps[index]
                 if following & accepting:
                     return tuple(steps) + (step,)
                 following_frozen = frozenset(following)
@@ -741,6 +880,7 @@ class _WitnessSearch:
                 # Apply the delta to the configuration (snapshot-restored
                 # on the way back: O(1) undo) and its structure mirror
                 # (undone by the recorded delta), then recurse.
+                pre_rel, post_rel = candidate_facts[index][:2]
                 descended: List[Tuple[object, ...]] = []
                 for tup in response:
                     if config.add_unchecked(access.relation, tup):
@@ -765,8 +905,10 @@ class _WitnessSearch:
         stats = self.stats
         stats["node_memo_hits"] += node_hits
         stats["node_memo_expansions"] += node_expansions
-        stats["sentence_cache_hits"] += sentence_hits
-        stats["sentence_cache_misses"] += sentence_misses
+        tally = self._guard_tally
+        stats["sentence_cache_hits"] += tally[0]
+        stats["sentence_cache_misses"] += tally[1]
+        tally[0] = tally[1] = 0
         return witness, explored, aborted
 
     # ------------------------------------------------------------------
@@ -1005,6 +1147,7 @@ def check_restriction(
     executor=None,
     clock: Optional[BudgetClock] = None,
     checkpoint: Optional[ChainCheckpoint] = None,
+    guard_verdicts: Optional[GuardVerdicts] = None,
 ) -> ChainOutcome:
     """Precheck + witness search for a single chain restriction.
 
@@ -1021,7 +1164,14 @@ def check_restriction(
     passing it back as *checkpoint* resumes the chain.  A resumed call
     skips the Datalog precheck: a chain that checkpoints necessarily
     passed it already.  The precheck itself is not interruptible, so a
-    deadline can overshoot by at most one containment check.
+    deadline can overshoot by at most one guard's containment checks.
+
+    The precheck decides each distinct guard once (Lemma 4.10 depends on
+    the guard alone).  *guard_verdicts* is the memo of those verdicts:
+    the in-process chain loops of one :func:`automaton_emptiness` call
+    pass one dict to all their chains, which share their transitions, so
+    each guard's Datalog program is built and checked once per call.
+    Without it (pooled chain items) the chain keeps its own.
     """
     with trace.trace_span(
         "emptiness.chain",
@@ -1031,7 +1181,11 @@ def check_restriction(
     ):
         if checkpoint is None and use_datalog_precheck:
             with trace.trace_span("emptiness.precheck"):
-                prechecked = datalog_emptiness_precheck(restriction, vocabulary)
+                prechecked = _precheck_empty(
+                    restriction,
+                    vocabulary,
+                    {} if guard_verdicts is None else guard_verdicts,
+                )
             if prechecked is True:
                 trace.annotate(outcome="prechecked_empty")
                 return ChainOutcome(
@@ -1140,6 +1294,7 @@ def _anytime_emptiness(
     start_chain = resume_from.chain_index if resume_from is not None else 0
     checkpoint = resume_from.checkpoint if resume_from is not None else None
     num_chains = len(restrictions)
+    guard_verdicts: GuardVerdicts = {}
 
     workers = 1
     if use_executor:
@@ -1165,6 +1320,7 @@ def _anytime_emptiness(
             executor=SubtreeExecutor(workers) if workers > 1 else None,
             clock=clock,
             checkpoint=checkpoint,
+            guard_verdicts=guard_verdicts,
         )
         checkpoint = None
         if outcome.checkpoint is not None:
@@ -1269,7 +1425,10 @@ def automaton_emptiness(
     while the unmemoised one stops undecided at 602.  Engine-run emptiness
     tasks keep the default (on); ``EmptinessResult.stats`` reports both
     caches (``node_memo_hits``/``node_memo_expansions`` and
-    ``sentence_cache_hits``/``sentence_cache_misses``).
+    ``sentence_cache_hits``/``sentence_cache_misses``).  The guard-cache
+    counters are informational: sentences over the pre configuration are
+    looked up once per node rather than once per candidate, so their
+    totals and hit ratio are lower than when every candidate re-asked.
 
     ``parallel`` fans independent work out across worker processes
     (:mod:`repro.store.parallel`) — the per-search caches are
@@ -1395,9 +1554,15 @@ def automaton_emptiness(
             pool_size=len(derived_fact_pool),
         )
     if outcomes is None:
+        guard_verdicts: GuardVerdicts = {}
         outcomes = (
             check_restriction(
-                restriction, vocabulary, initial, search_kwargs, use_datalog_precheck
+                restriction,
+                vocabulary,
+                initial,
+                search_kwargs,
+                use_datalog_precheck,
+                guard_verdicts=guard_verdicts,
             )
             for restriction in restrictions
         )
@@ -1470,19 +1635,7 @@ def prune_unsatisfiable_guards(
     automaton: AAutomaton, vocabulary: AccessVocabulary
 ) -> AAutomaton:
     """Remove transitions whose guards are provably unsatisfiable, then trim."""
-    kept = [
-        transition
-        for transition in automaton.transitions
-        if not guard_unsatisfiable_via_datalog(transition.guard, vocabulary)
-    ]
-    pruned = AAutomaton(
-        states=automaton.states,
-        initial=automaton.initial,
-        accepting=automaton.accepting,
-        transitions=kept,
-        name=automaton.name,
-    )
-    return pruned.trim()
+    return _prune_guards(automaton, vocabulary, {})
 
 
 def datalog_emptiness_precheck(
@@ -1493,9 +1646,42 @@ def datalog_emptiness_precheck(
     After removing transitions with Datalog-provably unsatisfiable guards,
     an automaton with no reachable accepting state has an empty language.
     The check never claims non-emptiness (the caller's witness search is
-    responsible for that).
+    responsible for that).  Each distinct guard object is checked once,
+    however many transitions share it; :func:`check_restriction` goes
+    further and shares those verdicts across every chain of one
+    :func:`automaton_emptiness` call (the chains share their transitions).
     """
-    pruned = prune_unsatisfiable_guards(automaton, vocabulary)
+    return _precheck_empty(automaton, vocabulary, {})
+
+
+def _prune_guards(
+    automaton: AAutomaton, vocabulary: AccessVocabulary, verdicts: GuardVerdicts
+) -> AAutomaton:
+    kept = []
+    for transition in automaton.transitions:
+        guard = transition.guard
+        entry = verdicts.get(id(guard))
+        if entry is None:
+            entry = verdicts[id(guard)] = (
+                guard,
+                guard_unsatisfiable_via_datalog(guard, vocabulary),
+            )
+        if not entry[1]:
+            kept.append(transition)
+    pruned = AAutomaton(
+        states=automaton.states,
+        initial=automaton.initial,
+        accepting=automaton.accepting,
+        transitions=kept,
+        name=automaton.name,
+    )
+    return pruned.trim()
+
+
+def _precheck_empty(
+    automaton: AAutomaton, vocabulary: AccessVocabulary, verdicts: GuardVerdicts
+) -> Optional[bool]:
+    pruned = _prune_guards(automaton, vocabulary, verdicts)
     if not pruned.accepting or not (pruned.reachable_states() & pruned.accepting):
         return True
     return None

@@ -488,6 +488,8 @@ def _bounded_satisfiability_impl(
     candidate_meta = validated_candidate_facts(
         vocabulary, structure_names, candidates
     )
+    # One validated path step per candidate, shared by every expansion.
+    candidate_steps = [PathStep(access, response) for access, response in candidates]
 
     config = SnapshotInstance.from_instance(initial)
     initial_config_snap = config.snapshot()
@@ -562,7 +564,7 @@ def _bounded_satisfiability_impl(
                         paths_explored=explored,
                         exhausted=False,
                     )
-                step = PathStep(access, response)
+                step = candidate_steps[candidate_index]
                 if steps and not response and steps[-1] == step:
                     # Repeating an identical information-free step cannot help.
                     continue

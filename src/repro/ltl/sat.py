@@ -122,6 +122,7 @@ class _Tableau:
             self.letters: Optional[List[Letter]] = None
         else:
             self.letters = [frozenset(letter) for letter in letters]
+        self._profiles: Dict[FrozenSet[LTLFormula], Tuple[Tuple[bool, ...], ...]] = {}
 
     # ------------------------------------------------------------------
     def states(self) -> Iterable[Tuple[FrozenSet[LTLFormula], Letter]]:
@@ -191,26 +192,51 @@ class _Tableau:
                 return False
         return True
 
+    def _profile(self, state: FrozenSet[LTLFormula]) -> Tuple[Tuple[bool, ...], ...]:
+        """What :meth:`transition_allowed` reads of *state*, computed once.
+
+        ``(X values, X operand values, U values, U pending, U blocked)``:
+        per ``X``-subformula whether the state asserts it and whether its
+        operand holds locally; per ``U``-subformula whether the state
+        asserts it, whether it is asserted but not yet fulfilled (the
+        successor must carry it) and whether it is denied while its left
+        side holds (the successor must not assert it).
+        """
+        profile = self._profiles.get(state)
+        if profile is None:
+            assignment = self._assignment_of(state)
+            untils = self.untils
+            profile = self._profiles[state] = (
+                tuple(assignment[f] for f in self.nexts),
+                tuple(_local_eval(f.operand, assignment) for f in self.nexts),
+                tuple(assignment[u] for u in untils),
+                tuple(
+                    assignment[u] and not _local_eval(u.right, assignment)
+                    for u in untils
+                ),
+                tuple(
+                    not assignment[u] and _local_eval(u.left, assignment)
+                    for u in untils
+                ),
+            )
+        return profile
+
     def transition_allowed(
         self, source: FrozenSet[LTLFormula], target: FrozenSet[LTLFormula]
     ) -> bool:
         """Whether the tableau allows a step from *source* to *target*."""
-        source_assignment = self._assignment_of(source)
-        target_assignment = self._assignment_of(target)
-        for next_formula in self.nexts:
-            required = source_assignment[next_formula]
-            actual = _local_eval(next_formula.operand, target_assignment)
-            if required != actual:
+        source_profile = self._profile(source)
+        target_profile = self._profile(target)
+        if source_profile[0] != target_profile[1]:
+            return False
+        for pending, blocked, value in zip(
+            source_profile[3], source_profile[4], target_profile[2]
+        ):
+            if value:
+                if blocked:
+                    return False
+            elif pending:
                 return False
-        for until in self.untils:
-            right_now = _local_eval(until.right, source_assignment)
-            left_now = _local_eval(until.left, source_assignment)
-            if source_assignment[until] and not right_now:
-                if not target_assignment[until]:
-                    return False
-            if not source_assignment[until] and left_now:
-                if target_assignment[until]:
-                    return False
         return True
 
 

@@ -1,0 +1,348 @@
+"""Candidate-independent guard work in the emptiness search.
+
+The witness search evaluates every transition guard of a node against
+each candidate step.  Sentences that read only the pre configuration
+(kind 0) are decided once per node, each sentence runs a plan bound when
+the search is built, and the Lemma 4.10 precheck runs once per distinct
+guard of an emptiness call.  None of that may change a verdict or a work
+count, which these tests pin three ways:
+
+* an oracle: at sampled nodes the search's set of following automaton
+  states equals the set computed from scratch, guard by guard, with
+  ``holds`` over a freshly built transition structure;
+* a committed fixture (``tests/data/emptiness_results.json``) holding the
+  ``EmptinessResult`` fields of a fixed list of inputs as computed before
+  the hoist, matched under the sequential, chain-pooled, subtree,
+  anytime-resumed and ``memoize=False`` runs;
+* a call count: an in-process multi-chain check builds the Datalog
+  program of each distinct guard at most once, and every chain's
+  precheck verdict equals the per-chain reference.
+
+Regenerate the fixture (only when a change is *meant* to alter results)
+with ``PYTHONPATH=src python tests/test_guard_hoist.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from repro.automata import emptiness as emptiness_module
+from repro.automata.emptiness import (
+    _WitnessSearch,
+    automaton_emptiness,
+    check_restriction,
+    datalog_emptiness_precheck,
+)
+from repro.automata.library import containment_automaton, ltr_automaton
+from repro.automata.operations import union_automaton
+from repro.automata.progressive import chain_restrictions
+from repro.core.budget import Budget
+from repro.core.solver import AccLTLSolver
+from repro.core.transition import transition_structure
+from repro.io.json_io import access_path_to_dict
+from repro.queries.evaluation import holds
+from repro.store.snapshot import SnapshotInstance
+from repro.workloads.directory import join_query, resident_names_query
+from repro.workloads.generators import WorkloadGenerator
+from repro.workloads.scenarios import standard_scenarios
+
+FIXTURE = Path(__file__).with_name("data") / "emptiness_results.json"
+
+#: Run modes recorded in the fixture; chain-pooled runs are compared with
+#: ``sequential`` and anytime-resumed runs with ``subtree``/``subtree_memo_off``.
+MODES = {
+    "sequential": dict(parallel=False, subtree_parallel=False),
+    "memo_off": dict(parallel=False, subtree_parallel=False, memoize=False),
+    "subtree": dict(parallel=False, subtree_parallel=True),
+    "subtree_memo_off": dict(parallel=False, subtree_parallel=True, memoize=False),
+}
+
+
+def _scenario(name):
+    return next(s for s in standard_scenarios() if s.name == name)
+
+
+def _scenario_ltr(name):
+    scenario = _scenario(name)
+    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+    automaton = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one)
+    return automaton, vocabulary, dict(max_paths=1500)
+
+
+def _directory_union(empty_language):
+    scenario = _scenario("directory")
+    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+    ltr = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one)
+    queries = (join_query(), resident_names_query())
+    if not empty_language:
+        queries = queries[::-1]
+    containment = containment_automaton(vocabulary, *queries, grounded=False)
+    return union_automaton(containment, ltr), vocabulary, dict(max_paths=1500)
+
+
+def _directory_containment():
+    scenario = _scenario("directory")
+    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+    automaton = containment_automaton(
+        vocabulary, join_query(), resident_names_query(), grounded=False
+    )
+    return automaton, vocabulary, dict(max_paths=1500, use_datalog_precheck=False)
+
+
+def _generated(seed):
+    generator = WorkloadGenerator(seed=seed)
+    access_schema = generator.access_schema(
+        num_relations=2, methods_per_relation=2, max_inputs=1
+    )
+    vocabulary = AccLTLSolver(access_schema).vocabulary
+    q1 = generator.conjunctive_query(access_schema.schema, num_atoms=2, num_variables=3)
+    q2 = generator.conjunctive_query(access_schema.schema, num_atoms=2, num_variables=3)
+    automaton = containment_automaton(vocabulary, q1, q2, grounded=False)
+    return automaton, vocabulary, dict(max_paths=250)
+
+
+INPUTS = {
+    "directory-ltr": lambda: _scenario_ltr("directory"),
+    "directory-jones-ltr": lambda: _scenario_ltr("directory-jones"),
+    "synthetic-2rel-ltr": lambda: _scenario_ltr("synthetic-2rel"),
+    "synthetic-3rel-ltr": lambda: _scenario_ltr("synthetic-3rel"),
+    "directory-union-empty": lambda: _directory_union(True),
+    "directory-union-nonempty": lambda: _directory_union(False),
+    "directory-containment": _directory_containment,
+    **{f"generated-{seed}": (lambda seed=seed: _generated(seed)) for seed in range(6)},
+}
+
+#: Inputs whose trimmed automaton splits into several Lemma 4.9 chains.
+MULTI_CHAIN = ("directory-union-empty", "directory-union-nonempty")
+
+
+def _fields(result):
+    return {
+        "empty": result.empty,
+        "witness": (
+            access_path_to_dict(result.witness) if result.witness is not None else None
+        ),
+        "exhausted": result.exhausted,
+        "paths_explored": result.paths_explored,
+        "chains_checked": result.chains_checked,
+    }
+
+
+def _run(name, **mode):
+    automaton, vocabulary, kwargs = INPUTS[name]()
+    return automaton_emptiness(automaton, vocabulary, **{**kwargs, **mode})
+
+
+def _record():
+    return {
+        name: {mode: _fields(_run(name, **MODES[mode])) for mode in MODES}
+        for name in INPUTS
+    }
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_input(recorded):
+    assert sorted(recorded) == sorted(INPUTS)
+    assert all(sorted(entry) == sorted(MODES) for entry in recorded.values())
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_results_match_fixture(recorded, name, mode):
+    assert _fields(_run(name, **MODES[mode])) == recorded[name][mode]
+
+
+@pytest.mark.parametrize("name", MULTI_CHAIN)
+def test_chain_pooled_matches_fixture(recorded, name):
+    # max_workers=2 forces a real process pool even on one-CPU hosts.
+    result = _run(name, parallel=True, subtree_parallel=False, max_workers=2)
+    assert _fields(result) == recorded[name]["sequential"]
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+@pytest.mark.parametrize(
+    "name", ["directory-ltr", "directory-union-nonempty", "generated-1"]
+)
+def test_anytime_resumed_matches_fixture(recorded, name, memoize):
+    automaton, vocabulary, kwargs = INPUTS[name]()
+    kwargs = dict(kwargs, memoize=memoize, parallel=False)
+    result = automaton_emptiness(
+        automaton, vocabulary, budget=Budget(node_cap=150), **kwargs
+    )
+    hops = 0
+    while result.unknown:
+        hops += 1
+        assert hops <= 1000
+        result = automaton_emptiness(
+            automaton,
+            vocabulary,
+            resume_from=result.frontier,
+            budget=Budget(node_cap=150),
+            **kwargs,
+        )
+    mode = "subtree" if memoize else "subtree_memo_off"
+    assert _fields(result) == recorded[name][mode]
+
+
+# ----------------------------------------------------------------------
+# Oracle: following states recomputed from scratch
+# ----------------------------------------------------------------------
+def _oracle_following(automaton, vocabulary, configuration, states, access, response):
+    structure = transition_structure(
+        vocabulary, configuration, access, response=response
+    ).structure
+    following = set()
+    for transition in automaton.transitions:
+        if transition.source not in states:
+            continue
+        guard = transition.guard
+        if all(holds(s.query, structure) for s in guard.positives) and not any(
+            holds(s.query, structure) for s in guard.negated
+        ):
+            following.add(transition.target)
+    return following
+
+
+def _successors(search, states):
+    """The search's own following states per candidate at its position."""
+    fingerprint = None
+    if search.memoize:
+        snapshot = search.config.snapshot()
+        fingerprint = search.interned_fingerprints.setdefault(snapshot, snapshot)
+    following_of = search.node_guards(states, fingerprint)
+    return {index: following_of(index) for index in range(len(search.candidates))}
+
+
+def _sampled_nodes(search, rng, count, depth):
+    """Random walks from the root: (states, configuration snapshot) pairs."""
+    nodes = []
+    for _ in range(count):
+        states = search.start_states
+        search._position(search.initial_snapshot)
+        for _ in range(rng.randint(0, depth)):
+            moves = [
+                (index, following)
+                for index, following in _successors(search, states).items()
+                if following
+            ]
+            if not moves:
+                break
+            index, following = rng.choice(moves)
+            access, response = search.candidates[index]
+            for tup in response:
+                search.config.add_unchecked(access.relation, tup)
+            search._position(search.config.snapshot())
+            states = frozenset(following)
+        nodes.append((states, search.config.snapshot()))
+    return nodes
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+@pytest.mark.parametrize(
+    "name",
+    ["directory-ltr", "directory-union-nonempty", "synthetic-2rel-ltr"]
+    + [f"generated-{seed}" for seed in range(6)],
+)
+def test_following_states_match_oracle(name, memoize):
+    automaton, vocabulary, _ = INPUTS[name]()
+    automaton = automaton.trim()
+    search = _WitnessSearch(
+        automaton,
+        vocabulary,
+        vocabulary.access_schema.empty_instance(),
+        max_length=3,
+        max_response_size=2,
+        max_paths=10**6,
+        memoize=memoize,
+    )
+    rng = random.Random(f"{name}-{memoize}")
+    for states, snapshot in _sampled_nodes(search, rng, count=6, depth=3):
+        search._position(snapshot)
+        configuration = SnapshotInstance.from_snapshot(snapshot)
+        # Twice: the second pass reads the verdicts cached by the first.
+        for _ in range(2):
+            observed = _successors(search, states)
+            for index, (access, response) in enumerate(search.candidates):
+                expected = _oracle_following(
+                    automaton, vocabulary, configuration, states, access, response
+                )
+                assert observed[index] == expected, (name, index)
+
+
+# ----------------------------------------------------------------------
+# One Datalog precheck per guard
+# ----------------------------------------------------------------------
+def test_precheck_builds_each_guard_program_once(monkeypatch):
+    automaton, vocabulary, _ = _directory_union(True)
+    restrictions = chain_restrictions(automaton.trim())
+    assert len(restrictions) > 1
+    reference = [
+        datalog_emptiness_precheck(restriction, vocabulary) is True
+        for restriction in restrictions
+    ]
+    guards = {
+        id(transition.guard): transition.guard
+        for restriction in restrictions
+        for transition in restriction.transitions
+    }
+    calls = []
+    original = emptiness_module.guard_to_datalog
+
+    def counted(guard, voc):
+        calls.append(id(guard))
+        return original(guard, voc)
+
+    monkeypatch.setattr(emptiness_module, "guard_to_datalog", counted)
+    outcomes = []
+    original_check = emptiness_module.check_restriction
+
+    def recording(*args, **kwargs):
+        outcome = original_check(*args, **kwargs)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(emptiness_module, "check_restriction", recording)
+    result = automaton_emptiness(
+        automaton, vocabulary, parallel=False, subtree_parallel=False, max_paths=4000
+    )
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(guards)
+    assert len(outcomes) == len(restrictions)
+    assert [outcome.prechecked_empty for outcome in outcomes] == reference
+    monkeypatch.undo()
+    # The same chains, each prechecked on its own (no shared verdicts).
+    fact_pool, _ = emptiness_module._guard_pools(automaton.trim(), vocabulary)
+    search_kwargs = {
+        "max_length": max(2, len(fact_pool) + 2),
+        "max_response_size": 2,
+        "max_paths": 4000,
+        "fact_pool": None,
+        "value_pool": None,
+        "grounded_only": False,
+        "memoize": True,
+        "subtree_mode": False,
+        "split_budget": None,
+    }
+    initial = vocabulary.access_schema.empty_instance()
+    unshared = emptiness_module._fold_chain_outcomes(
+        (
+            check_restriction(restriction, vocabulary, initial, search_kwargs, True)
+            for restriction in restrictions
+        ),
+        len(restrictions),
+    )
+    assert result == unshared
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")

@@ -162,3 +162,43 @@ class TestSatisfiability:
         word = find_satisfying_word(formula)
         assert word is not None
         assert word_satisfies(word, formula)
+
+
+def _reference_transition_allowed(tableau, source, target):
+    """The tableau step relation re-derived from the two assignments."""
+    from repro.ltl.sat import _local_eval
+
+    before = {f: (f in source) for f in tableau.elementary}
+    after = {f: (f in target) for f in tableau.elementary}
+    for next_formula in tableau.nexts:
+        if before[next_formula] != _local_eval(next_formula.operand, after):
+            return False
+    for until in tableau.untils:
+        if before[until] and not _local_eval(until.right, before) and not after[until]:
+            return False
+        if not before[until] and _local_eval(until.left, before) and after[until]:
+            return False
+    return True
+
+
+class TestTableauSteps:
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            Until(p, And(q, Next(r))),
+            Globally(Or(p, Next(q))),
+            And(Eventually(p), Until(Not(q), Next(Until(q, r)))),
+            Next(Next(Or(p, Until(q, Not(p))))),
+        ],
+    )
+    def test_cached_state_profiles_match_reference(self, formula):
+        from repro.ltl.sat import _Tableau
+
+        tableau = _Tableau(desugar(formula), letters=None)
+        states = [state for state, _ in tableau.states()]
+        for _ in range(2):  # the second pass reads the cached profiles
+            for source in states:
+                for target in states:
+                    assert tableau.transition_allowed(
+                        source, target
+                    ) == _reference_transition_allowed(tableau, source, target)
