@@ -18,7 +18,9 @@ This module provides two procedures:
   repository — the result records the flag).  Guard work that does not
   depend on the candidate step — sentences over the pre configuration,
   plan binding, path-step construction — is done once per node or once
-  per search, outside the candidate loop (see :class:`_WitnessSearch`).
+  per search, outside the candidate loop (see :class:`_WitnessSearch`),
+  and the chains of one call share the candidate tables of equal pools
+  (:class:`CallMemo`).
 
 * :func:`guard_to_datalog` / :func:`datalog_emptiness_precheck` — the
   Lemma 4.10 connection made concrete for the guards produced by
@@ -64,26 +66,19 @@ from repro.core.budget import Budget, BudgetClock
 from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.core.transition import (
+    SentenceRecord,
+    bind_sentence,
+    plans_hold,
     prepost_names,
     seed_structure_mirror,
     validated_candidate_facts,
 )
-from repro.core.vocabulary import (
-    AccessVocabulary,
-    base_relation_of,
-    is_isbind,
-    is_isbind0,
-    is_post,
-    is_pre,
-)
+from repro.core.vocabulary import AccessVocabulary, base_relation_of, is_pre
 from repro.datalog.containment import ContainmentResult, datalog_contained_in_ucq
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom
-from repro.queries.cq import ConjunctiveQuery
-from repro.queries.evaluation import naive_satisfying_assignments
-from repro.queries.plan_cache import QueryPlan, execute_plan, get_plan
 from repro.queries.terms import Constant, Variable
-from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema
 from repro.store.snapshot import Snapshot, SnapshotInstance
@@ -94,6 +89,27 @@ Fact = Tuple[str, Tuple[object, ...]]
 #: Holding the guard keeps its ``id`` from being reused while the entry
 #: lives; the verdict depends only on the guard and the vocabulary.
 GuardVerdicts = Dict[int, Tuple[object, bool]]
+
+#: Candidate tables of one emptiness call: ``(fact pool, value pool,
+#: max_response_size, nary) -> (candidates, candidate steps, candidate
+#: facts)`` — everything :class:`_WitnessSearch` derives from its pools.
+CandidateTables = Dict[Tuple, Tuple[List, List, List]]
+
+
+@dataclass
+class CallMemo:
+    """Memos scoped to one :func:`automaton_emptiness` call.
+
+    The in-process chain loops pass one memo to all their chains, which
+    share their transitions and mostly their pools: each distinct guard's
+    Lemma 4.10 verdict (``guard_verdicts``) and each distinct pool's
+    candidate tables (``candidate_tables``) are then computed once per
+    call.  Pooled chain items build their own.  The memo is call-scoped,
+    not process-wide, so it never outlives the call's automata.
+    """
+
+    guard_verdicts: GuardVerdicts = field(default_factory=dict)
+    candidate_tables: CandidateTables = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -305,48 +321,6 @@ class ResumeFrontier:
         return self.checkpoint.items
 
 
-def _bind_sentence(sentence, number: int) -> Tuple[int, int, Tuple]:
-    """A guard sentence as the record ``(number, kind, plans)`` of the search.
-
-    *number* identifies the canonical sentence in verdict-cache keys;
-    *plans* pairs the compiled plan of each disjunct's boolean version
-    with that query; *kind* is 0 when the sentence reads only ``R_pre``
-    relations, 1 when it also reads ``R_post``, 2 when it mentions a
-    binding predicate (see :class:`_WitnessSearch`).
-    """
-    mentions_bind = False
-    mentions_post = False
-    plans: List[Tuple[QueryPlan, ConjunctiveQuery]] = []
-    for disjunct in as_ucq(sentence.query).disjuncts:
-        for atom in disjunct.atoms:
-            if is_isbind(atom.relation) or is_isbind0(atom.relation):
-                mentions_bind = True
-            elif is_post(atom.relation):
-                mentions_post = True
-        boolean = disjunct if disjunct.is_boolean else disjunct.boolean_version()
-        plans.append((get_plan(boolean), boolean))
-    kind = 2 if mentions_bind else (1 if mentions_post else 0)
-    return number, kind, tuple(plans)
-
-
-def _plans_hold(plans: Tuple, instance: Instance) -> bool:
-    """Whether a sentence bound by :func:`_bind_sentence` holds in *instance*.
-
-    The same verdict as :func:`repro.queries.evaluation.holds`: the first
-    match of any disjunct decides, and plans the slot compiler cannot
-    cover run on the naive oracle.
-    """
-    for plan, query in plans:
-        matches = (
-            naive_satisfying_assignments(query, instance)
-            if plan.fallback
-            else execute_plan(plan, query, instance)
-        )
-        if next(matches, None) is not None:
-            return True
-    return False
-
-
 class _WitnessSearch:
     """The guided witness search, set up once and re-enterable anywhere.
 
@@ -418,7 +392,12 @@ class _WitnessSearch:
       and its relation, not on the method or binding.  Cache key
       ``(sentence, fingerprint, relation, response)``.
     * kind 2 mentions a binding predicate — fully candidate-dependent.
-      Cache key ``(sentence, fingerprint, candidate index)``.
+      Cache key ``(sentence, fingerprint, candidate index)``.  Only the
+      used method's binding predicates are non-empty in ``M(t)``, so a
+      kind-2 sentence whose ``methods`` (see
+      :func:`~repro.core.transition.bind_sentence`) exclude the
+      candidate's method is false without staging, evaluation or cache
+      lookup.
 
     Per candidate, only the residual kind-1/kind-2 sentences run: the
     response (and for kind 2 the binding facts) is staged over ``base``,
@@ -430,7 +409,9 @@ class _WitnessSearch:
     ``stats`` accumulates instrumentation: ``node_memo_hits`` /
     ``node_memo_expansions`` for the expansion memo,
     ``sentence_cache_hits`` / ``sentence_cache_misses`` for guard cache
-    lookups (kind-0 lookups count once per node, not once per candidate).
+    lookups (kind-0 lookups count once per node, not once per candidate,
+    and kind-2 sentences rejected by the method filter are not looked up
+    at all, so these counters are informational).
     The subtree executor adds ``subtree_items``, ``subtree_overflows``
     and ``subtree_pooled_items``.
     """
@@ -448,6 +429,7 @@ class _WitnessSearch:
         value_pool: Optional[Sequence[object]] = None,
         grounded_only: bool = False,
         memoize: bool = True,
+        candidate_tables: Optional[CandidateTables] = None,
     ) -> None:
         self.vocabulary = vocabulary
         self.max_length = max_length
@@ -457,7 +439,6 @@ class _WitnessSearch:
         # One switch for the expansion memo and the guard cache; the
         # memo's measured effect is in :func:`automaton_emptiness`.
         self.memoize = memoize
-        schema = vocabulary.access_schema
         if fact_pool is None or value_pool is None:
             derived_facts, derived_values = _guard_pools(automaton, vocabulary)
             fact_pool = derived_facts if fact_pool is None else fact_pool
@@ -466,50 +447,40 @@ class _WitnessSearch:
         # candidate enumeration below is reproduced verbatim elsewhere.
         self.fact_pool: List[Fact] = list(fact_pool)
         self.value_pool: List[object] = list(value_pool)
-        facts_by_relation: Dict[str, List[Tuple[object, ...]]] = {}
-        for relation, tup in self.fact_pool:
-            facts_by_relation.setdefault(relation, []).append(tup)
         nary = any(
             sentence.mentions_nary_binding()
             for sentence in automaton.guard_sentences()
         )
-        accesses = candidate_accesses_for_search(
-            schema, self.fact_pool, self.value_pool, nary_bindings=nary
+        self.structure_names = prepost_names(vocabulary.access_schema.schema)
+        # The candidate tables depend only on the pools, the response
+        # bound and the binding arity; the chains of one emptiness call
+        # share them through *candidate_tables*.
+        tables_key = (
+            tuple(self.fact_pool), tuple(self.value_pool), max_response_size, nary
         )
-
-        # Pre-compute the candidate (access, response) steps, preferring
-        # revealing responses over empty ones so the depth-first search
-        # reaches data-dependent guards quickly.
-        candidates: List[Tuple[Access, FrozenSet[Tuple[object, ...]]]] = []
-        for access in accesses:
-            for response in _candidate_responses(
-                access, facts_by_relation, max_response_size
-            ):
-                candidates.append((access, response))
-        candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
-        self.candidates = candidates
-
-        # One validated path step per candidate, shared by every witness.
-        self.candidate_steps = [
-            PathStep(access, response) for access, response in candidates
-        ]
+        tables = None if candidate_tables is None else candidate_tables.get(tables_key)
+        if tables is None:
+            tables = self._candidate_tables(nary)
+            if candidate_tables is not None:
+                candidate_tables[tables_key] = tables
+        self.candidates, self.candidate_steps, self.candidate_facts = tables
         self.accepting = automaton.accepting
 
         # Canonicalise guard sentences (different guards frequently embed
         # equal sentences) and bind each canonical sentence, once, to the
-        # compiled boolean plans of its disjuncts (:func:`_bind_sentence`),
-        # so evaluating a sentence is a direct plan execution — no per-call
+        # compiled boolean plans of its disjuncts (``bind_sentence``), so
+        # evaluating a sentence is a direct plan execution — no per-call
         # UCQ normalisation, boolean rewriting or plan-cache lookup.
-        records: Dict[object, Tuple[int, int, Tuple]] = {}
+        records: Dict[object, SentenceRecord] = {}
         numbers = itertools.count()
 
-        def _record(sentence) -> Tuple[int, int, Tuple]:
+        def _record(sentence) -> SentenceRecord:
             try:
                 record = records.get(sentence)
             except TypeError:  # pragma: no cover - unhashable constants
-                return _bind_sentence(sentence, next(numbers))
+                return bind_sentence(sentence, next(numbers))
             if record is None:
-                record = records[sentence] = _bind_sentence(sentence, next(numbers))
+                record = records[sentence] = bind_sentence(sentence, next(numbers))
             return record
 
         # Transitions per source state with their guards pre-split into
@@ -555,12 +526,6 @@ class _WitnessSearch:
         # them — their remaining budgets are strictly smaller).
         self._trunk_expanded: Dict[Tuple, int] = {}
 
-        self.structure_names = prepost_names(schema.schema)
-        # Pre-validated structure facts, one entry per candidate step.
-        self.candidate_facts = validated_candidate_facts(
-            vocabulary, self.structure_names, candidates
-        )
-
         self.initial_snapshot = SnapshotInstance.from_instance(initial).snapshot()
         self.initial_known = frozenset(initial.active_domain())
         self.start_states = frozenset({automaton.initial})
@@ -580,6 +545,35 @@ class _WitnessSearch:
         # runs out.  Coordinator-local state — deliberately not part of
         # :meth:`params`, so shipped subtree workers never inherit it.
         self.interrupt: Optional[Callable[[], None]] = None
+
+    def _candidate_tables(self, nary: bool) -> Tuple[List, List, List]:
+        """Candidate steps with their path steps and structure facts."""
+        facts_by_relation: Dict[str, List[Tuple[object, ...]]] = {}
+        for relation, tup in self.fact_pool:
+            facts_by_relation.setdefault(relation, []).append(tup)
+        accesses = candidate_accesses_for_search(
+            self.vocabulary.access_schema,
+            self.fact_pool,
+            self.value_pool,
+            nary_bindings=nary,
+        )
+        # Pre-compute the candidate (access, response) steps, preferring
+        # revealing responses over empty ones so the depth-first search
+        # reaches data-dependent guards quickly.
+        candidates: List[Tuple[Access, FrozenSet[Tuple[object, ...]]]] = []
+        for access in accesses:
+            for response in _candidate_responses(
+                access, facts_by_relation, self.max_response_size
+            ):
+                candidates.append((access, response))
+        candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
+        # One validated path step per candidate, shared by every witness,
+        # and its pre-validated structure facts.
+        steps = [PathStep(access, response) for access, response in candidates]
+        facts = validated_candidate_facts(
+            self.vocabulary, self.structure_names, candidates
+        )
+        return candidates, steps, facts
 
     # ------------------------------------------------------------------
     # Worker shipping
@@ -663,7 +657,7 @@ class _WitnessSearch:
                 verdict = node_verdicts.get(sentence_id)
             if verdict is None:
                 tally[1] += 1
-                verdict = _plans_hold(record[2], base)
+                verdict = plans_hold(record[2], base)
                 if memoize:
                     sentence_verdicts[key] = verdict
                 else:
@@ -703,7 +697,10 @@ class _WitnessSearch:
 
         def candidate_holds(record) -> bool:
             nonlocal stage
-            sentence_id, kind, plans = record
+            sentence_id, kind, plans, methods = record
+            if methods is not None and access.method.name not in methods:
+                # Every disjunct names another method's binding predicate.
+                return False
             if memoize:
                 if kind == 1:
                     key = (
@@ -740,7 +737,7 @@ class _WitnessSearch:
                     if base.add_unchecked(isbind0_rel, ()):
                         applied.append((isbind0_rel, ()))
                     stage = 2
-            verdict = _plans_hold(plans, base)
+            verdict = plans_hold(plans, base)
             if memoize:
                 sentence_verdicts[key] = verdict
             else:
@@ -1071,6 +1068,7 @@ def _search_accepted_path(
     executor=None,
     clock: Optional[BudgetClock] = None,
     checkpoint: Optional[ChainCheckpoint] = None,
+    candidate_tables: Optional[CandidateTables] = None,
 ) -> Tuple[
     Optional[AccessPath], int, bool, Dict[str, int], Optional[ChainCheckpoint]
 ]:
@@ -1088,6 +1086,7 @@ def _search_accepted_path(
     boundary — see :class:`_WitnessSearch` for the exact statement.  A
     non-``None`` *checkpoint* in the result means the clock ran out
     first; passing it back resumes the search where it stopped.
+    *candidate_tables* is the call's shared :class:`CallMemo` table.
     """
     search = _WitnessSearch(
         automaton,
@@ -1100,6 +1099,7 @@ def _search_accepted_path(
         value_pool=value_pool,
         grounded_only=grounded_only,
         memoize=memoize,
+        candidate_tables=candidate_tables,
     )
     if not subtree_mode and clock is None:
         return search.run() + (None,)
@@ -1147,7 +1147,7 @@ def check_restriction(
     executor=None,
     clock: Optional[BudgetClock] = None,
     checkpoint: Optional[ChainCheckpoint] = None,
-    guard_verdicts: Optional[GuardVerdicts] = None,
+    memo: Optional[CallMemo] = None,
 ) -> ChainOutcome:
     """Precheck + witness search for a single chain restriction.
 
@@ -1167,12 +1167,16 @@ def check_restriction(
     deadline can overshoot by at most one guard's containment checks.
 
     The precheck decides each distinct guard once (Lemma 4.10 depends on
-    the guard alone).  *guard_verdicts* is the memo of those verdicts:
-    the in-process chain loops of one :func:`automaton_emptiness` call
-    pass one dict to all their chains, which share their transitions, so
-    each guard's Datalog program is built and checked once per call.
-    Without it (pooled chain items) the chain keeps its own.
+    the guard alone), and the search derives its candidate tables from
+    its pools alone.  *memo* holds both (:class:`CallMemo`): the
+    in-process chain loops of one :func:`automaton_emptiness` call pass
+    one memo to all their chains, so each guard's Datalog program is
+    built and checked, and each distinct pool's candidates are built,
+    once per call.  Without it (pooled chain items) the chain keeps its
+    own.
     """
+    if memo is None:
+        memo = CallMemo()
     with trace.trace_span(
         "emptiness.chain",
         states=len(restriction.states),
@@ -1182,9 +1186,7 @@ def check_restriction(
         if checkpoint is None and use_datalog_precheck:
             with trace.trace_span("emptiness.precheck"):
                 prechecked = _precheck_empty(
-                    restriction,
-                    vocabulary,
-                    {} if guard_verdicts is None else guard_verdicts,
+                    restriction, vocabulary, memo.guard_verdicts
                 )
             if prechecked is True:
                 trace.annotate(outcome="prechecked_empty")
@@ -1198,6 +1200,7 @@ def check_restriction(
             executor=executor,
             clock=clock,
             checkpoint=checkpoint,
+            candidate_tables=memo.candidate_tables,
             **search_kwargs,
         )
         trace.annotate(
@@ -1294,7 +1297,7 @@ def _anytime_emptiness(
     start_chain = resume_from.chain_index if resume_from is not None else 0
     checkpoint = resume_from.checkpoint if resume_from is not None else None
     num_chains = len(restrictions)
-    guard_verdicts: GuardVerdicts = {}
+    memo = CallMemo()
 
     workers = 1
     if use_executor:
@@ -1320,7 +1323,7 @@ def _anytime_emptiness(
             executor=SubtreeExecutor(workers) if workers > 1 else None,
             clock=clock,
             checkpoint=checkpoint,
-            guard_verdicts=guard_verdicts,
+            memo=memo,
         )
         checkpoint = None
         if outcome.checkpoint is not None:
@@ -1427,8 +1430,10 @@ def automaton_emptiness(
     caches (``node_memo_hits``/``node_memo_expansions`` and
     ``sentence_cache_hits``/``sentence_cache_misses``).  The guard-cache
     counters are informational: sentences over the pre configuration are
-    looked up once per node rather than once per candidate, so their
-    totals and hit ratio are lower than when every candidate re-asked.
+    looked up once per node rather than once per candidate, and binding
+    sentences naming another method than the candidate's are rejected
+    without a lookup, so their totals and hit ratio move with those
+    filters, not with the work a verdict needs.
 
     ``parallel`` fans independent work out across worker processes
     (:mod:`repro.store.parallel`) — the per-search caches are
@@ -1554,7 +1559,7 @@ def automaton_emptiness(
             pool_size=len(derived_fact_pool),
         )
     if outcomes is None:
-        guard_verdicts: GuardVerdicts = {}
+        memo = CallMemo()
         outcomes = (
             check_restriction(
                 restriction,
@@ -1562,7 +1567,7 @@ def automaton_emptiness(
                 initial,
                 search_kwargs,
                 use_datalog_precheck,
-                guard_verdicts=guard_verdicts,
+                memo=memo,
             )
             for restriction in restrictions
         )

@@ -20,6 +20,14 @@ A negative verdict means "no witness within the bounds"; whether that is a
 proof of unsatisfiability depends on the fragment (for the 0-ary and X-only
 languages the Lemma 4.13 bounds make it one — see
 :mod:`repro.core.sat_zeroary` and :mod:`repro.core.sat_xonly`).
+
+The search checks each candidate extension of a path by formula
+progression (:class:`repro.core.semantics.Progression`): a path carries
+the obligation its continuations must meet, so a candidate is checked
+against its own transition only, never by re-walking the path.  Atom
+verdicts that depend on the configuration alone are decided once per
+search node, and binding sentences that name another access method are
+false without evaluation.
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ from repro.access.methods import Access, AccessSchema
 from repro.access.path import AccessPath, PathStep, is_grounded, satisfies_sanity_conditions
 from repro.core.budget import Budget
 from repro.core.formulas import AccFormula
-from repro.core.semantics import AtomCache, structures_satisfy
+from repro.core.semantics import Progression
 from repro.core.transition import (
-    TransitionStructure,
+    bind_sentence,
+    plans_hold,
     prepost_names,
     seed_structure_mirror,
     validated_candidate_facts,
@@ -55,6 +64,17 @@ from repro.relational.schema import SchemaError
 from repro.store.snapshot import Snapshot, SnapshotInstance
 
 Fact = Tuple[str, Tuple[object, ...]]
+
+#: A node of the checker's search stack: ``(path, configuration, known
+#: values, formula obligation, structure mirror)``.  Nodes at the depth
+#: limit are never expanded and carry their path only.
+_StackNode = Tuple[
+    Tuple[PathStep, ...],
+    Optional[Snapshot],
+    Optional[Set[object]],
+    Optional[int],
+    Optional[Snapshot],
+]
 
 
 @dataclass(frozen=True)
@@ -460,21 +480,78 @@ def _bounded_satisfiability_impl(
     need_sanity = enforce_schema_sanity and bool(
         schema.exact_methods() or schema.idempotent_methods() or grounded_only
     )
-    # Atomic-formula verdicts are cached by (atom, structure content) across
-    # the whole search: candidate extensions share their prefix structures,
-    # so without the cache every prefix atom is re-evaluated once per
-    # extension.  Structures live in the persistent store, so the content
-    # keys are O(1) snapshots rather than O(n) frozen sets.
-    atom_cache: AtomCache = {}
+
+    # The formula is evaluated by progression (:class:`Progression`):
+    # every stack node carries the obligation its continuations must
+    # meet, a candidate is a witness iff the obligation holds with the
+    # candidate as the last transition, and a child's obligation is the
+    # progressed one.  Each candidate thus reads atoms of its own
+    # transition only, never the path prefix.  Atoms are bound once to
+    # the compiled plans of their disjuncts (:func:`bind_sentence`), and
+    # read by kind:
+    #
+    # * kind 0 (``R_pre`` only) — one verdict per configuration, decided
+    #   at most once per stack node against the node's structure mirror
+    #   and kept across iterative-deepening rounds;
+    # * kind 1 (``R_post`` too) — per candidate, on the candidate's
+    #   structure;
+    # * kind 2 (binding predicates) — per candidate, unless the sentence's
+    #   ``methods`` exclude the candidate's method: only the used method's
+    #   binding predicates are non-empty in ``M(t)``, so it is false.
+    progression = Progression(formula)
+    last = progression.last
+    progress = progression.progress
+    records = [
+        bind_sentence(sentence, number)
+        for number, sentence in enumerate(progression.atoms)
+    ]
+    # Kind-0 verdicts per configuration snapshot: atom number -> verdict.
+    node_verdicts_of: Dict[Snapshot, Dict[int, bool]] = {}
+    # ``atom_holds`` reads the node being expanded (``base_snap``, its
+    # verdicts and lazily built structure) and the candidate being checked
+    # (``index``, ``access``, ``response``, its verdicts and lazily built
+    # structure) from the search loop below.
+    node_verdicts: Dict[int, bool] = {}
+    node_structure: Optional[SnapshotInstance] = None
+    step_verdicts: Dict[int, bool] = {}
+    struct_store: Optional[SnapshotInstance] = None
+
+    def atom_holds(number: int) -> bool:
+        nonlocal node_structure, struct_store
+        _, kind, plans, methods = records[number]
+        if kind == 0:
+            verdict = node_verdicts.get(number)
+            if verdict is None:
+                if node_structure is None:
+                    node_structure = SnapshotInstance.from_snapshot(base_snap)
+                verdict = node_verdicts[number] = plans_hold(plans, node_structure)
+            return verdict
+        if methods is not None and access.method.name not in methods:
+            return False
+        verdict = step_verdicts.get(number)
+        if verdict is None:
+            if struct_store is None:
+                # Branch the candidate's structure off the node's base
+                # snapshot and lay the delta on top.
+                _pre, post_rel, isbind_rel, binding_tup, isbind0_rel = (
+                    candidate_meta[index]
+                )
+                struct_store = SnapshotInstance.from_snapshot(base_snap)
+                for tup in response:
+                    struct_store.add_unchecked(post_rel, tup)
+                struct_store.add_unchecked(isbind_rel, binding_tup)
+                struct_store.add_unchecked(isbind0_rel, ())
+            verdict = step_verdicts[number] = plans_hold(plans, struct_store)
+        return verdict
 
     # Search state lives in the persistent fact store: stack nodes hold
     # O(1) snapshots of the configuration and of its ``R_pre``/``R_post``
-    # mirror (``base``) instead of O(n) ``Instance.copy()`` clones.  Per
-    # candidate, the transition structure is branched off the node's base
-    # snapshot and only the response and binding facts are layered on
-    # top — O(|response|) instead of rebuilding an O(|configuration|)
-    # structure — and the branch shares its untouched shards (and their
-    # lazily built indexes) with every sibling candidate.
+    # mirror (``base``) instead of O(n) ``Instance.copy()`` clones.  A
+    # candidate's transition structure is branched off the node's base
+    # snapshot — only when one of its kind>=1 atoms is actually asked —
+    # with just the response and binding facts layered on top, sharing
+    # its untouched shards (and their lazily built indexes) with every
+    # sibling candidate.
     base_schema = schema.schema
     structure_names = prepost_names(base_schema)
     # Pre-validated per-candidate facts (the old code validated response
@@ -496,32 +573,23 @@ def _bounded_satisfiability_impl(
     base = SnapshotInstance(vocabulary.schema)
     seed_structure_mirror(base, structure_names, initial)
     initial_base_snap = base.snapshot()
-    # Iterative deepening rebuilds equal structures round after round;
-    # interning their snapshots makes every atom-cache lookup on a rebuilt
-    # structure resolve through the identity fast path (one structural
-    # comparison per candidate instead of one per cached atom).
-    interned_structures: Dict[Snapshot, Snapshot] = {}
 
     # Iterative-deepening depth-first search over paths: short witnesses are
     # found before the search commits to deep branches, and the final round
     # (depth = max_path_length) determines exhaustiveness.  Search states
     # carry the current path, the configuration snapshot, the set of known
-    # values (for groundedness) and the incrementally built transition
-    # structures of the path (so candidate extensions reuse the prefix's
-    # structures instead of replaying the whole path), plus the snapshot of
-    # the configuration's structure mirror.
+    # values (for groundedness), the formula obligation of the path's
+    # continuations and the snapshot of the configuration's structure
+    # mirror.  Children at the depth limit are never expanded: they keep
+    # only their path (the stack pops still run the budget checks) and
+    # get no obligation or configuration.
     for depth_limit in range(1, bounds.max_path_length + 1):
-        stack: List[
-            Tuple[
-                Tuple[PathStep, ...],
-                Snapshot,
-                Set[object],
-                Tuple[TransitionStructure, ...],
-                Snapshot,
-            ]
-        ] = [((), initial_config_snap, set(initial_known), (), initial_base_snap)]
+        stack: List[_StackNode] = [
+            ((), initial_config_snap, set(initial_known), progression.root,
+             initial_base_snap)
+        ]
         while stack:
-            steps, config_snap, known, structures, base_snap = stack.pop()
+            steps, config_snap, known, obligation, base_snap = stack.pop()
             if check_budget and clock.expired():
                 return _interrupted()
             if explored >= bounds.max_paths:
@@ -533,16 +601,11 @@ def _bounded_satisfiability_impl(
                 )
             if len(steps) >= depth_limit:
                 continue
-            children: List[
-                Tuple[
-                    Tuple[PathStep, ...],
-                    Snapshot,
-                    Set[object],
-                    Tuple[TransitionStructure, ...],
-                    Snapshot,
-                ]
-            ] = []
-            for candidate_index, (access, response) in enumerate(candidates):
+            expand_children = len(steps) + 1 < depth_limit
+            node_verdicts = node_verdicts_of.setdefault(config_snap, {})
+            node_structure = None
+            children: List[_StackNode] = []
+            for index, (access, response) in enumerate(candidates):
                 if grounded_only and not all(
                     value in known for value in access.binding
                 ):
@@ -564,7 +627,7 @@ def _bounded_satisfiability_impl(
                         paths_explored=explored,
                         exhausted=False,
                     )
-                step = candidate_steps[candidate_index]
+                step = candidate_steps[index]
                 if steps and not response and steps[-1] == step:
                     # Repeating an identical information-free step cannot help.
                     continue
@@ -576,32 +639,20 @@ def _bounded_satisfiability_impl(
                     require_grounded=grounded_only,
                 ):
                     continue
-                pre_rel, post_rel, isbind_rel, binding_tup, isbind0_rel = (
-                    candidate_meta[candidate_index]
-                )
-                # Branch the candidate's structure off the node's base
-                # snapshot and lay the delta on top.
-                struct_store = SnapshotInstance.from_snapshot(base_snap)
-                for tup in response:
-                    struct_store.add_unchecked(post_rel, tup)
-                struct_store.add_unchecked(isbind_rel, binding_tup)
-                struct_store.add_unchecked(isbind0_rel, ())
-                struct_snap = struct_store.snapshot()
-                canonical = interned_structures.setdefault(struct_snap, struct_snap)
-                if canonical is not struct_snap:
-                    struct_store.restore(canonical)
-                new_structures = structures + (
-                    TransitionStructure(
-                        vocabulary=vocabulary, access=access, structure=struct_store
-                    ),
-                )
-                if structures_satisfy(new_structures, formula, atom_cache):
+                if step_verdicts:
+                    step_verdicts = {}
+                struct_store = None
+                if last(obligation, atom_holds):
                     return BoundedCheckResult(
                         satisfiable=True,
                         witness=AccessPath(new_steps),
                         paths_explored=explored,
                         exhausted=False,
                     )
+                if not expand_children:
+                    children.append((new_steps, None, None, None, None))
+                    continue
+                child_obligation = progress(obligation, atom_holds)
                 # Child state: configuration plus the genuinely new
                 # response tuples, snapshotted in O(#relations).
                 config.restore(config_snap)
@@ -612,6 +663,7 @@ def _bounded_satisfiability_impl(
                 ]
                 new_config_snap = config.snapshot()
                 if new_tuples:
+                    pre_rel, post_rel = candidate_meta[index][:2]
                     base.restore(base_snap)
                     for tup in new_tuples:
                         base.add_unchecked(pre_rel, tup)
@@ -623,7 +675,7 @@ def _bounded_satisfiability_impl(
                     v for tup in response for v in tup
                 }
                 children.append(
-                    (new_steps, new_config_snap, new_known, new_structures,
+                    (new_steps, new_config_snap, new_known, child_obligation,
                      new_base_snap)
                 )
             stack.extend(reversed(children))

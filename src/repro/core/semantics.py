@@ -5,11 +5,27 @@ sequence of transitions) and a position ``1 ≤ i ≤ n`` (we use 0-based
 positions internally).  Atomic formulas are evaluated on the transition
 structure ``M(t_i)`` using ordinary first-order (here: UCQ) evaluation;
 temporal operators follow the usual finite-path LTL rules.
+
+Two evaluators implement it:
+
+* :func:`satisfies_at` evaluates a formula at a position of a whole,
+  materialised path.  It is the reference semantics behind
+  :func:`path_satisfies` and the oracle the second evaluator is tested
+  against.
+* :class:`Progression` evaluates a formula *along* a path that grows one
+  transition at a time, as the bounded checker builds its candidates.
+  The formula is compiled once into hash-consed integer nodes;
+  :meth:`Progression.last` gives its truth when the current transition is
+  the path's last, and :meth:`Progression.progress` the obligation the
+  rest of the path must meet (``Xφ → φ``, ``φUψ → ψ' ∨ (φ' ∧ φUψ)``,
+  ``Fφ → φ' ∨ Fφ``, ``Gφ → φ' ∧ Gφ``, where ``'`` marks a progressed
+  subformula).  Both read atoms of the current transition only, so an
+  extension of a path is checked without re-walking its prefix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.access.path import AccessPath
 from repro.core.formulas import (
@@ -23,6 +39,7 @@ from repro.core.formulas import (
     AccOr,
     AccTrue,
     AccUntil,
+    EmbeddedSentence,
 )
 from repro.core.transition import TransitionStructure, path_structures
 from repro.core.vocabulary import AccessVocabulary
@@ -30,37 +47,10 @@ from repro.queries.evaluation import holds
 from repro.relational.instance import Instance
 
 
-#: An optional memo for atomic-formula verdicts, shared across calls by
-#: callers that evaluate many paths over overlapping structure sequences
-#: (the bounded model checker re-checks every path prefix once per
-#: candidate extension).  Keys pair the atom's identity with the *content*
-#: fingerprint of the structure it is evaluated on — ``freeze()`` for a
-#: dict-backed ``Instance``, the O(1) store snapshot for a
-#: :class:`~repro.store.snapshot.SnapshotInstance`; both are exact.  Each
-#: entry stores the atom alongside its verdict, pinning the atom alive so
-#: the identity key cannot be recycled while the cache holds it.
-AtomCache = Dict[Tuple[int, object], Tuple["AccAtom", bool]]
-
-
-def _atom_holds(
-    formula: AccAtom, structure, cache: Optional[AtomCache]
-) -> bool:
-    if cache is None:
-        return holds(formula.sentence.query, structure.structure)
-    key = (id(formula), structure.structure.fingerprint())
-    entry = cache.get(key)
-    if entry is None:
-        verdict = holds(formula.sentence.query, structure.structure)
-        cache[key] = (formula, verdict)
-        return verdict
-    return entry[1]
-
-
 def satisfies_at(
     structures: Sequence[TransitionStructure],
     position: int,
     formula: AccFormula,
-    cache: Optional[AtomCache] = None,
 ) -> bool:
     """Whether ``(p, position) ⊨ formula`` given the path's transition structures."""
     if position < 0 or position >= len(structures):
@@ -68,38 +58,38 @@ def satisfies_at(
     if isinstance(formula, AccTrue):
         return True
     if isinstance(formula, AccAtom):
-        return _atom_holds(formula, structures[position], cache)
+        return holds(formula.sentence.query, structures[position].structure)
     if isinstance(formula, AccNot):
-        return not satisfies_at(structures, position, formula.operand, cache)
+        return not satisfies_at(structures, position, formula.operand)
     if isinstance(formula, AccAnd):
-        return satisfies_at(structures, position, formula.left, cache) and satisfies_at(
-            structures, position, formula.right, cache
+        return satisfies_at(structures, position, formula.left) and satisfies_at(
+            structures, position, formula.right
         )
     if isinstance(formula, AccOr):
-        return satisfies_at(structures, position, formula.left, cache) or satisfies_at(
-            structures, position, formula.right, cache
+        return satisfies_at(structures, position, formula.left) or satisfies_at(
+            structures, position, formula.right
         )
     if isinstance(formula, AccNext):
         return position + 1 < len(structures) and satisfies_at(
-            structures, position + 1, formula.operand, cache
+            structures, position + 1, formula.operand
         )
     if isinstance(formula, AccUntil):
         for j in range(position, len(structures)):
-            if satisfies_at(structures, j, formula.right, cache):
+            if satisfies_at(structures, j, formula.right):
                 if all(
-                    satisfies_at(structures, k, formula.left, cache)
+                    satisfies_at(structures, k, formula.left)
                     for k in range(position, j)
                 ):
                     return True
         return False
     if isinstance(formula, AccEventually):
         return any(
-            satisfies_at(structures, j, formula.operand, cache)
+            satisfies_at(structures, j, formula.operand)
             for j in range(position, len(structures))
         )
     if isinstance(formula, AccGlobally):
         return all(
-            satisfies_at(structures, j, formula.operand, cache)
+            satisfies_at(structures, j, formula.operand)
             for j in range(position, len(structures))
         )
     raise TypeError(f"unknown AccLTL node {formula!r}")
@@ -123,12 +113,196 @@ def path_satisfies(
     return satisfies_at(structures, 0, formula)
 
 
-def structures_satisfy(
-    structures: Sequence[TransitionStructure],
-    formula: AccFormula,
-    cache: Optional[AtomCache] = None,
-) -> bool:
-    """Whether a non-empty pre-computed structure sequence satisfies the formula."""
-    if not structures:
-        return False
-    return satisfies_at(structures, 0, formula, cache)
+# Node operators of a compiled formula.  Node 0 is false, node 1 true.
+_CONST, _ATOM, _NOT, _AND, _OR, _NEXT, _UNTIL, _EVENTUALLY, _GLOBALLY = range(9)
+
+#: The constant nodes of every :class:`Progression`.
+FALSE, TRUE = 0, 1
+
+#: Atom verdicts of the current transition: atom index -> truth.
+AtomHolds = Callable[[int], bool]
+
+
+class Progression:
+    """An AccLTL formula compiled for evaluation along a growing path.
+
+    Nodes are integers into a hash-consed table, so equal obligations are
+    equal integers and a progressed formula shares its subformulas with
+    its parent.  The constructors fold constants (``φ ∧ false = false``,
+    ``X false = false``, ``false U ψ = ψ`` …), which keeps progressed
+    obligations about the size of the formula.  Atoms are the formula's
+    distinct embedded sentences, numbered in :attr:`atoms` order; the
+    evaluators ask the caller for their verdicts on the current
+    transition through an :data:`AtomHolds` callback, only for atoms an
+    evaluation actually reaches.
+
+    Every table belongs to the instance: one compilation per checker call,
+    nothing kept at module level.
+    """
+
+    def __init__(self, formula: AccFormula) -> None:
+        self.atoms: List[EmbeddedSentence] = []
+        self._atom_numbers: Dict[EmbeddedSentence, int] = {}
+        self._nodes: List[Tuple[int, int, int]] = [(_CONST, 0, 0), (_CONST, 1, 0)]
+        self._table: Dict[Tuple[int, int, int], int] = {}
+        self.root = self._compile(formula)
+
+    # ------------------------------------------------------------------
+    # Hash-consed constructors with constant folding
+    # ------------------------------------------------------------------
+    def _node(self, op: int, a: int, b: int = 0) -> int:
+        key = (op, a, b)
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = len(self._nodes)
+            self._nodes.append(key)
+        return node
+
+    def _not(self, a: int) -> int:
+        if a <= TRUE:
+            return TRUE - a
+        op, operand, _ = self._nodes[a]
+        if op == _NOT:
+            return operand
+        return self._node(_NOT, a)
+
+    def _and(self, a: int, b: int) -> int:
+        if a == FALSE or b == FALSE:
+            return FALSE
+        if a == TRUE or a == b:
+            return b
+        if b == TRUE:
+            return a
+        return self._node(_AND, a, b)
+
+    def _or(self, a: int, b: int) -> int:
+        if a == TRUE or b == TRUE:
+            return TRUE
+        if a == FALSE or a == b:
+            return b
+        if b == FALSE:
+            return a
+        return self._node(_OR, a, b)
+
+    def _next(self, a: int) -> int:
+        # ``X true`` is not constant: it fails at the last position.
+        return FALSE if a == FALSE else self._node(_NEXT, a)
+
+    def _until(self, a: int, b: int) -> int:
+        if b <= TRUE:
+            return b
+        if a == FALSE:
+            return b
+        if a == TRUE:
+            return self._eventually(b)
+        return self._node(_UNTIL, a, b)
+
+    def _eventually(self, a: int) -> int:
+        return a if a <= TRUE else self._node(_EVENTUALLY, a)
+
+    def _globally(self, a: int) -> int:
+        return a if a <= TRUE else self._node(_GLOBALLY, a)
+
+    def _compile(self, formula: AccFormula) -> int:
+        if isinstance(formula, AccTrue):
+            return TRUE
+        if isinstance(formula, AccAtom):
+            sentence = formula.sentence
+            number = self._atom_numbers.get(sentence)
+            if number is None:
+                number = self._atom_numbers[sentence] = len(self.atoms)
+                self.atoms.append(sentence)
+            return self._node(_ATOM, number)
+        if isinstance(formula, AccNot):
+            return self._not(self._compile(formula.operand))
+        if isinstance(formula, AccAnd):
+            return self._and(self._compile(formula.left), self._compile(formula.right))
+        if isinstance(formula, AccOr):
+            return self._or(self._compile(formula.left), self._compile(formula.right))
+        if isinstance(formula, AccNext):
+            return self._next(self._compile(formula.operand))
+        if isinstance(formula, AccUntil):
+            return self._until(
+                self._compile(formula.left), self._compile(formula.right)
+            )
+        if isinstance(formula, AccEventually):
+            return self._eventually(self._compile(formula.operand))
+        if isinstance(formula, AccGlobally):
+            return self._globally(self._compile(formula.operand))
+        raise TypeError(f"unknown AccLTL node {formula!r}")
+
+    # ------------------------------------------------------------------
+    # Evaluation at the current transition
+    # ------------------------------------------------------------------
+    def last(self, node: int, atom_holds: AtomHolds) -> bool:
+        """Whether *node* holds when the current transition is the last one.
+
+        ``X`` fails (there is no next position), ``U`` needs its right
+        side now, ``F`` and ``G`` reduce to their operand.
+        """
+        nodes = self._nodes
+
+        def value(n: int) -> bool:
+            op, a, b = nodes[n]
+            if op == _ATOM:
+                return atom_holds(a)
+            if op == _AND:
+                return value(a) and value(b)
+            if op == _OR:
+                return value(a) or value(b)
+            if op == _NOT:
+                return not value(a)
+            if op == _CONST:
+                return bool(a)
+            if op == _NEXT:
+                return False
+            if op == _UNTIL:
+                return value(b)
+            return value(a)  # F and G
+
+        return value(node)
+
+    def progress(self, node: int, atom_holds: AtomHolds) -> int:
+        """The obligation *node* leaves for the path after the current transition.
+
+        For every continuation of at least one more transition, *node*
+        holds at the current position iff the returned node holds at the
+        next one.
+        """
+        nodes = self._nodes
+        done: Dict[int, int] = {}
+
+        def step(n: int) -> int:
+            result = done.get(n)
+            if result is not None:
+                return result
+            op, a, b = nodes[n]
+            if op == _CONST:
+                result = n
+            elif op == _ATOM:
+                result = TRUE if atom_holds(a) else FALSE
+            elif op == _AND:
+                left = step(a)
+                result = FALSE if left == FALSE else self._and(left, step(b))
+            elif op == _OR:
+                left = step(a)
+                result = TRUE if left == TRUE else self._or(left, step(b))
+            elif op == _NOT:
+                result = self._not(step(a))
+            elif op == _NEXT:
+                result = a
+            elif op == _UNTIL:
+                right = step(b)
+                result = (
+                    TRUE if right == TRUE else self._or(right, self._and(step(a), n))
+                )
+            elif op == _EVENTUALLY:
+                now = step(a)
+                result = TRUE if now == TRUE else self._or(now, n)
+            else:  # _GLOBALLY
+                now = step(a)
+                result = FALSE if now == FALSE else self._and(now, n)
+            done[n] = result
+            return result
+
+        return step(node)

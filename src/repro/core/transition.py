@@ -13,23 +13,41 @@ relational structure over the access vocabulary:
 We build one combined structure that interprets both the n-ary and the
 0-ary binding predicates, so the same structure can be queried by formulas
 of either vocabulary.
+
+Both witness searches (the emptiness search and the bounded checker)
+evaluate embedded sentences on such structures through one binder,
+:func:`bind_sentence`: it compiles a sentence once into the boolean plans
+of its disjuncts and records what part of a transition the sentence can
+read, and — because only the used method's binding predicates are
+non-empty in ``M(t)`` — for which access methods it can hold at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.access.methods import Access, AccessSchema
 from repro.access.path import AccessPath, configurations
 from repro.core.vocabulary import (
     AccessVocabulary,
+    is_isbind,
+    is_isbind0,
+    is_post,
     isbind0_name,
     isbind_name,
+    method_of_isbind,
     post_name,
     pre_name,
 )
+from repro.queries.evaluation import naive_satisfying_assignments
+from repro.queries.plan_cache import execute_plan, get_plan
+from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
+
+#: A sentence bound by :func:`bind_sentence`: ``(number, kind, plans,
+#: methods)``.
+SentenceRecord = Tuple[int, int, Tuple, Optional[FrozenSet[str]]]
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,69 @@ def validated_candidate_facts(vocabulary, names: dict, candidates):
         binding = vocabulary.schema.relation(isbind).validate_tuple(access.binding)
         entries.append((pre, post, isbind, binding, isbind0_name(access.method.name)))
     return entries
+
+
+def bind_sentence(sentence, number: int) -> SentenceRecord:
+    """A sentence as the record ``(number, kind, plans, methods)`` of a search.
+
+    *number* identifies the sentence in its search's verdict caches;
+    *plans* pairs the compiled plan of each disjunct's boolean version
+    with that query; *kind* is 0 when the sentence reads only ``R_pre``
+    relations, 1 when it also reads ``R_post``, 2 when it mentions a
+    binding predicate — what part of a transition its verdict can depend
+    on.
+
+    *methods* lists the access methods for which some disjunct can hold.
+    In ``M(t)`` only the used method's ``IsBind``/``IsBind0`` predicates
+    are non-empty, so a disjunct naming one method's binding predicates
+    can only hold on that method's transitions, and a disjunct naming two
+    methods never holds.  *methods* is ``None`` when some disjunct names
+    no binding predicate (the sentence can hold for any method).
+    """
+    mentions_bind = False
+    mentions_post = False
+    methods: Optional[Set[str]] = set()
+    plans = []
+    for disjunct in as_ucq(sentence.query).disjuncts:
+        named: Set[str] = set()
+        for atom in disjunct.atoms:
+            if is_isbind(atom.relation) or is_isbind0(atom.relation):
+                named.add(method_of_isbind(atom.relation))
+            elif is_post(atom.relation):
+                mentions_post = True
+        if not named:
+            methods = None
+        else:
+            mentions_bind = True
+            if methods is not None and len(named) == 1:
+                methods |= named
+        boolean = disjunct if disjunct.is_boolean else disjunct.boolean_version()
+        plans.append((get_plan(boolean), boolean))
+    kind = 2 if mentions_bind else (1 if mentions_post else 0)
+    return (
+        number,
+        kind,
+        tuple(plans),
+        frozenset(methods) if methods is not None else None,
+    )
+
+
+def plans_hold(plans: Tuple, instance: Instance) -> bool:
+    """Whether a sentence bound by :func:`bind_sentence` holds in *instance*.
+
+    The same verdict as :func:`repro.queries.evaluation.holds`: the first
+    match of any disjunct decides, and plans the slot compiler cannot
+    cover run on the naive oracle.
+    """
+    for plan, query in plans:
+        matches = (
+            naive_satisfying_assignments(query, instance)
+            if plan.fallback
+            else execute_plan(plan, query, instance)
+        )
+        if next(matches, None) is not None:
+            return True
+    return False
 
 
 def path_structures(

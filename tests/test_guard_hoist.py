@@ -18,6 +18,11 @@ count, which these tests pin three ways:
   program of each distinct guard at most once, and every chain's
   precheck verdict equals the per-chain reference.
 
+The static method filter of binding sentences (a kind-2 sentence whose
+``methods`` exclude a candidate's method is false without evaluation)
+has its own oracle: for every bound sentence and every candidate it
+rejects, ``holds`` over the freshly built transition structure is false.
+
 Regenerate the fixture (only when a change is *meant* to alter results)
 with ``PYTHONPATH=src python tests/test_guard_hoist.py``.
 """
@@ -40,15 +45,27 @@ from repro.automata.emptiness import (
 from repro.automata.library import containment_automaton, ltr_automaton
 from repro.automata.operations import union_automaton
 from repro.automata.progressive import chain_restrictions
+from repro.core import properties
+from repro.core.bounded_check import (
+    _candidate_responses,
+    candidate_accesses_for_search,
+    fact_pool_from_sentences,
+)
 from repro.core.budget import Budget
+from repro.core.formulas import EmbeddedSentence
 from repro.core.solver import AccLTLSolver
-from repro.core.transition import transition_structure
+from repro.core.transition import bind_sentence, transition_structure
+from repro.core.vocabulary import is_isbind, is_isbind0
 from repro.io.json_io import access_path_to_dict
+from repro.queries.atoms import Atom
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import holds
+from repro.queries.terms import Variable
+from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.store.snapshot import SnapshotInstance
 from repro.workloads.directory import join_query, resident_names_query
 from repro.workloads.generators import WorkloadGenerator
-from repro.workloads.scenarios import standard_scenarios
+from repro.workloads.scenarios import _synthetic_scenario, standard_scenarios
 
 FIXTURE = Path(__file__).with_name("data") / "emptiness_results.json"
 
@@ -278,6 +295,149 @@ def test_following_states_match_oracle(name, memoize):
 
 
 # ----------------------------------------------------------------------
+# Oracle: the static method filter of binding sentences
+# ----------------------------------------------------------------------
+def _mixed_sentences(vocabulary):
+    """Hand-built binding sentences: mixed, two-method and dead disjuncts."""
+    mobile = Atom("Mobile__post", tuple(Variable(f"m{i}") for i in range(4)))
+    address = Atom("Address__pre", tuple(Variable(f"a{i}") for i in range(4)))
+    bind1 = Atom("IsBind0__AcM1", ())
+    bind2 = Atom("IsBind0__AcM2", ())
+    nary2 = Atom("IsBind__AcM2", (Variable("b0"), Variable("b1")))
+
+    def sentence(*disjuncts):
+        return EmbeddedSentence(
+            UnionOfConjunctiveQueries(
+                tuple(ConjunctiveQuery(atoms=atoms, head=()) for atoms in disjuncts)
+            )
+        )
+
+    return {
+        "binding-free disjunct": sentence((bind1, mobile), (address,)),
+        "two-method disjunct": sentence((bind1, bind2), (nary2, mobile)),
+        "dead": sentence((bind1, bind2)),
+        "two methods": sentence((bind1, mobile), (bind2,)),
+    }
+
+
+def _filter_inputs():
+    """``(name, vocabulary, sentences)``: automaton guards and checker atoms.
+
+    The automata are the directory scenarios' and the seeded
+    ``WorkloadGenerator`` scenarios' relevance automata (whose guards
+    carry binding sentences); the checker atoms come from relevance and
+    access-order formulas over the same schemas.
+    """
+    for name in ["directory-ltr", "directory-jones-ltr", "directory-union-nonempty"]:
+        automaton, vocabulary, _ = INPUTS[name]()
+        yield name, vocabulary, automaton.guard_sentences()
+    scenarios = standard_scenarios() + [
+        _synthetic_scenario(
+            seed=seed, num_relations=2 + seed % 2, name=f"synthetic-{seed}"
+        )
+        for seed in (1, 4, 9)
+    ]
+    for scenario in scenarios[2:]:
+        vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+        automaton = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_two)
+        yield f"{scenario.name}-ltr-automaton", vocabulary, automaton.guard_sentences()
+    for scenario in scenarios:
+        vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+        probe = scenario.probe_access
+        formulas = [
+            properties.ltr_formula(vocabulary, probe, scenario.query_one),
+            properties.ltr_formula_zeroary(
+                vocabulary, probe.method.name, scenario.query_one
+            ),
+            properties.access_order_formula(
+                vocabulary,
+                probe.method.name,
+                sorted(scenario.access_schema.methods)[0],
+            ),
+        ]
+        sentences = [s for formula in formulas for s in formula.atoms()]
+        if scenario.name == "directory":
+            sentences += list(_mixed_sentences(vocabulary).values())
+        yield f"{scenario.name}-formulas", vocabulary, sentences
+
+
+def _names_binding(disjunct):
+    return any(
+        is_isbind(atom.relation) or is_isbind0(atom.relation)
+        for atom in disjunct.atoms
+    )
+
+
+def _filter_candidates(vocabulary, sentences):
+    """Every candidate step of the searches' pools over *sentences*."""
+    fact_pool = fact_pool_from_sentences(vocabulary, sentences)
+    values = sorted(
+        {value for _, tup in fact_pool for value in tup}
+        | {c.value for s in sentences for c in s.query.constants()},
+        key=repr,
+    ) + ["~fresh0"]
+    facts_by_relation = {}
+    for relation, tup in fact_pool:
+        facts_by_relation.setdefault(relation, []).append(tup)
+    accesses = candidate_accesses_for_search(
+        vocabulary.access_schema, fact_pool, values, nary_bindings=True
+    )
+    candidates = [
+        (access, response)
+        for access in accesses
+        for response in _candidate_responses(access, facts_by_relation, 2)
+    ]
+    full = vocabulary.access_schema.empty_instance()
+    for relation, tup in fact_pool:
+        full.add(relation, tup)
+    return candidates, (vocabulary.access_schema.empty_instance(), full)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _filter_inputs()])
+def test_method_filter_matches_oracle(name):
+    vocabulary, sentences = next(
+        (vocabulary, sentences)
+        for input_name, vocabulary, sentences in _filter_inputs()
+        if input_name == name
+    )
+    candidates, configurations = _filter_candidates(vocabulary, sentences)
+    rejected = 0
+    for sentence in sentences:
+        _, kind, _, methods = bind_sentence(sentence, 0)
+        binding_free = any(
+            not _names_binding(disjunct) for disjunct in sentence.query.disjuncts
+        )
+        assert (methods is None) == binding_free, str(sentence)
+        if methods is None:
+            continue
+        assert kind == 2
+        for access, response in candidates:
+            if access.method.name in methods:
+                continue
+            for configuration in configurations:
+                structure = transition_structure(
+                    vocabulary, configuration, access, response=response
+                ).structure
+                assert not holds(sentence.query, structure), (str(sentence), access)
+                rejected += 1
+    assert rejected > 0
+
+
+def test_method_filter_records():
+    vocabulary = AccLTLSolver(_scenario("directory").access_schema).vocabulary
+    methods = {
+        name: bind_sentence(sentence, 0)[3]
+        for name, sentence in _mixed_sentences(vocabulary).items()
+    }
+    assert methods == {
+        "binding-free disjunct": None,
+        "two-method disjunct": frozenset({"AcM2"}),
+        "dead": frozenset(),
+        "two methods": frozenset({"AcM1", "AcM2"}),
+    }
+
+
+# ----------------------------------------------------------------------
 # One Datalog precheck per guard
 # ----------------------------------------------------------------------
 def test_precheck_builds_each_guard_program_once(monkeypatch):
@@ -341,6 +501,42 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
     )
     assert result == unshared
 
+
+def test_chains_share_candidate_tables(monkeypatch):
+    """The chains of one call build each distinct pool's candidates once."""
+    automaton, vocabulary, _ = _directory_union(True)
+    restrictions = chain_restrictions(automaton.trim())
+    pools = {
+        tuple(map(tuple, emptiness_module._guard_pools(restriction, vocabulary)))
+        for restriction in restrictions
+    }
+    assert len(pools) < len(restrictions)
+    searches = []
+    built = []
+    original_init = _WitnessSearch.__init__
+    original_tables = _WitnessSearch._candidate_tables
+
+    def counted_init(self, *args, **kwargs):
+        searches.append(self)
+        original_init(self, *args, **kwargs)
+
+    def counted_tables(self, nary):
+        built.append((tuple(self.fact_pool), tuple(self.value_pool)))
+        return original_tables(self, nary)
+
+    monkeypatch.setattr(_WitnessSearch, "__init__", counted_init)
+    monkeypatch.setattr(_WitnessSearch, "_candidate_tables", counted_tables)
+    result = automaton_emptiness(
+        automaton,
+        vocabulary,
+        parallel=False,
+        subtree_parallel=False,
+        use_datalog_precheck=False,
+        max_paths=1500,
+    )
+    assert len(searches) == len(restrictions)
+    assert sorted(built) == sorted(pools)
+    assert result.empty
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)

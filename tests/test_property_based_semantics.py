@@ -10,7 +10,9 @@ straight from the paper's discussion:
   by accesses" (the remark after Theorem 3.1);
 * algebraic laws of the A-automata closure operations on sampled paths;
 * agreement of the Section 6 translation (0-ary → AccLTL+) on random
-  marker formulas.
+  marker formulas;
+* agreement of formula progression (the bounded checker's evaluator)
+  with the whole-path semantics on random formulas and atom valuations.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from repro.automata.operations import (
 )
 from repro.automata.run import accepts_path
 from repro.core.formulas import (
+    AccAnd,
     AccEventually,
     AccGlobally,
+    AccNext,
     AccNot,
+    AccOr,
     AccUntil,
     AccTrue,
     lnot,
@@ -40,10 +45,11 @@ from repro.core.properties import (
     relation_nonempty_pre,
     zeroary_binding_atom,
 )
-from repro.core.semantics import path_satisfies, satisfies_at
-from repro.core.transition import path_structures
+from repro.core.semantics import FALSE, TRUE, Progression, path_satisfies, satisfies_at
+from repro.core.transition import TransitionStructure, path_structures
 from repro.core.vocabulary import AccessVocabulary
 from repro.queries.evaluation import holds
+from repro.relational.instance import Instance
 from repro.workloads.directory import (
     directory_access_schema,
     directory_hidden_instance,
@@ -208,3 +214,107 @@ class TestTranslationAgreement:
         assert path_satisfies(VOCAB, path, formula) == path_satisfies(
             VOCAB, path, translated
         )
+
+
+# ----------------------------------------------------------------------
+# Formula progression against the whole-path oracle
+# ----------------------------------------------------------------------
+#: Atoms whose truth a valuation sets per transition, with the fact that
+#: makes each one hold.
+PROGRESSION_ATOMS = (
+    (zeroary_binding_atom("AcM1"), ("IsBind0__AcM1", ())),
+    (zeroary_binding_atom("AcM2"), ("IsBind0__AcM2", ())),
+    (
+        relation_nonempty_pre(VOCAB, "Mobile"),
+        ("Mobile__pre", ("Jones", "OX26NN", "Banbury Rd", 5553434)),
+    ),
+)
+
+progression_formulas = st.recursive(
+    st.sampled_from([AccTrue()] + [atom for atom, _ in PROGRESSION_ATOMS]),
+    lambda children: st.one_of(
+        st.builds(AccNot, children),
+        st.builds(AccAnd, children, children),
+        st.builds(AccOr, children, children),
+        st.builds(AccNext, children),
+        st.builds(AccUntil, children, children),
+        st.builds(AccEventually, children),
+        st.builds(AccGlobally, children),
+    ),
+    max_leaves=10,
+)
+
+valuations = st.lists(
+    st.tuples(*(st.booleans() for _ in PROGRESSION_ATOMS)), min_size=1, max_size=5
+)
+
+
+def _valuation_structures(path_valuations):
+    """One transition structure per valuation, holding exactly its true atoms."""
+    access = directory_access_schema().access("AcM1", ("Jones",))
+    structures = []
+    for valuation in path_valuations:
+        instance = Instance(VOCAB.schema)
+        for value, (_, (relation, tup)) in zip(valuation, PROGRESSION_ATOMS):
+            if value:
+                instance.add(relation, tup)
+        structures.append(
+            TransitionStructure(vocabulary=VOCAB, access=access, structure=instance)
+        )
+    return structures
+
+
+class TestProgression:
+    @given(formula=progression_formulas, path_valuations=valuations)
+    @settings(max_examples=300, deadline=None)
+    def test_progression_agrees_with_satisfies_at(self, formula, path_valuations):
+        structures = _valuation_structures(path_valuations)
+        progression = Progression(formula)
+        position_of = {
+            atom.sentence: index for index, (atom, _) in enumerate(PROGRESSION_ATOMS)
+        }
+        # The evaluator's atom numbers, mapped onto the valuation columns.
+        columns = [position_of[sentence] for sentence in progression.atoms]
+        asked = []
+
+        def holds_at(step):
+            def atom_holds(number):
+                asked.append((step, number))
+                return path_valuations[step][columns[number]]
+
+            return atom_holds
+
+        obligation = progression.root
+        for newest in range(len(path_valuations)):
+            asked.clear()
+            verdict = progression.last(obligation, holds_at(newest))
+            expected = satisfies_at(structures[: newest + 1], 0, formula)
+            assert verdict == expected, (str(formula), path_valuations, newest)
+            obligation = progression.progress(obligation, holds_at(newest))
+            # Only the newest transition's atoms are read, and a settled
+            # obligation reads none.
+            assert all(step == newest for step, _ in asked)
+            assert all(0 <= number < len(columns) for _, number in asked)
+            if obligation in (FALSE, TRUE):
+                asked.clear()
+                progression.last(obligation, holds_at(newest + 1))
+                progression.progress(obligation, holds_at(newest + 1))
+                assert asked == []
+
+    @given(formula=progression_formulas, path_valuations=valuations)
+    @settings(max_examples=100, deadline=None)
+    def test_progressed_obligations_are_hash_consed(self, formula, path_valuations):
+        """Progressing twice with the same atom verdicts gives the same node."""
+        progression = Progression(formula)
+        columns = {
+            atom.sentence: index for index, (atom, _) in enumerate(PROGRESSION_ATOMS)
+        }
+        obligation = progression.root
+        for valuation in path_valuations:
+
+            def atom_holds(number):
+                return valuation[columns[progression.atoms[number]]]
+
+            first = progression.progress(obligation, atom_holds)
+            assert progression.progress(obligation, atom_holds) == first
+            obligation = first
