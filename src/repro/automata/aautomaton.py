@@ -213,6 +213,102 @@ class AAutomaton:
             name=self.name,
         )
 
+    def minimise(self) -> "AAutomaton":
+        """The emptiness quotient: trim, accepting sinks, then bisimulation.
+
+        The result preserves *emptiness*, not the language: some non-empty
+        prefix of a path is accepted by the quotient iff one is accepted by
+        this automaton, and ``L(quotient) ⊆ L(self)``.  Three steps:
+
+        * **Accepting states become sinks.**  A run must read at least one
+          transition, and the shortest accepted prefix of a path visits no
+          accepting state between its first and its last step, so the
+          out-edges of every accepting state other than the initial one
+          can go; trimming then removes what only they reached.
+        * **Forward bisimulation** over the non-accepting states, by
+          partition refinement.  Labels are canonical guards (the sets of
+          positive and of negated sentences), states are merged when they
+          reach the same blocks under the same labels, and duplicate
+          edges collapse.  One ``Guard`` object is kept per ``(source
+          block, label, target block)`` — the first in transition order —
+          so caches keyed by guard identity stay valid.
+        * **Accepting sinks stay distinct.**  Each accepting state is its
+          own block and is never merged.  Merging them into one sink
+          would couple the branches of a union automaton: their exits
+          would meet in one Lemma 4.9 chain, whose candidate pool is the
+          union of all branches' pools, and a capped search over that
+          pool loses witnesses each branch finds on its own.
+
+        The initial state keeps its name; every other block is named by
+        its first member in state order.  Applying ``minimise`` twice
+        yields an automaton of the same size.
+        """
+        trimmed = self.trim()
+        if not trimmed.accepting:
+            return trimmed
+        sinks = AAutomaton(
+            states=trimmed.states,
+            initial=trimmed.initial,
+            accepting=trimmed.accepting,
+            transitions=[
+                t
+                for t in trimmed.transitions
+                if t.source == trimmed.initial or t.source not in trimmed.accepting
+            ],
+            name=trimmed.name,
+        ).trim()
+        states = sinks.states
+        labels: Dict[int, Tuple[FrozenSet[EmbeddedSentence], ...]] = {}
+        edges: Dict[str, List[Tuple[Tuple, str]]] = {state: [] for state in states}
+        for transition in sinks.transitions:
+            guard = transition.guard
+            label = labels.get(id(guard))
+            if label is None:
+                label = labels[id(guard)] = (
+                    frozenset(guard.positives),
+                    frozenset(guard.negated),
+                )
+            edges[transition.source].append((label, transition.target))
+        # Partition refinement: a state's signature is its block and the
+        # set of (label, target block) pairs it can move along.
+        block = {
+            state: (index if state in sinks.accepting else -1)
+            for index, state in enumerate(states)
+        }
+        count = len(set(block.values()))
+        while True:
+            numbering: Dict[Tuple, int] = {}
+            refined = {}
+            for state in states:
+                signature = (
+                    block[state],
+                    frozenset((label, block[target]) for label, target in edges[state]),
+                )
+                refined[state] = numbering.setdefault(signature, len(numbering))
+            block = refined
+            if len(numbering) == count:
+                break
+            count = len(numbering)
+        representative: Dict[int, str] = {block[sinks.initial]: sinks.initial}
+        for state in states:
+            representative.setdefault(block[state], state)
+        name_of = {state: representative[block[state]] for state in states}
+        seen: Set[Tuple] = set()
+        transitions: List[ATransition] = []
+        for transition in sinks.transitions:
+            source, target = name_of[transition.source], name_of[transition.target]
+            key = (source, labels[id(transition.guard)], target)
+            if key not in seen:
+                seen.add(key)
+                transitions.append(ATransition(source, transition.guard, target))
+        return AAutomaton(
+            states=[state for state in states if name_of[state] == state],
+            initial=sinks.initial,
+            accepting=sinks.accepting,
+            transitions=transitions,
+            name=sinks.name,
+        )
+
     def __str__(self) -> str:
         lines = [
             f"AAutomaton({self.name or 'A'}): {len(self.states)} states, "

@@ -7,8 +7,10 @@ Datalog program in a positive query (Lemma 4.10 + Proposition 4.11).
 This module provides two procedures:
 
 * :func:`automaton_emptiness` — the primary, certificate-producing
-  procedure.  It first trims the automaton and applies the Lemma 4.9
-  decomposition into SCC-chain restrictions; for each restriction it runs
+  procedure.  It first quotients the automaton for emptiness
+  (:meth:`~repro.automata.aautomaton.AAutomaton.minimise`) and applies
+  the Lemma 4.9 decomposition into SCC-chain restrictions, dropping
+  chains another chain subsumes; for each restriction it runs
   a guided witness search: candidate accesses and responses are drawn from
   the canonical databases of the guard sentences (the same small-witness
   pools used elsewhere), and the automaton is simulated alongside the path
@@ -1220,7 +1222,7 @@ def check_restriction(
 
 
 def _frontier_signature(
-    trimmed: AAutomaton, num_chains: int, search_kwargs: Dict[str, object]
+    quotient: AAutomaton, num_chains: int, search_kwargs: Dict[str, object]
 ) -> Tuple:
     """A structural fingerprint of one anytime emptiness call.
 
@@ -1232,8 +1234,8 @@ def _frontier_signature(
     (or no) budget is the point of the anytime mode.
     """
     return (
-        getattr(trimmed, "name", None),
-        trimmed.size(),
+        getattr(quotient, "name", None),
+        quotient.size(),
         num_chains,
         tuple(sorted((key, repr(value)) for key, value in search_kwargs.items())),
     )
@@ -1412,11 +1414,16 @@ def automaton_emptiness(
 ) -> EmptinessResult:
     """Decide (within bounds) whether ``L(A)`` is empty.
 
-    The pipeline follows the proof of Theorem 4.6: trim, decompose into
-    SCC-chain restrictions (Lemma 4.9), optionally prune chains whose
-    Datalog abstraction is contained in the negated-guard query
-    (Lemma 4.10 direction "containment ⇒ empty"), then search each
-    remaining chain for an accepted path.
+    The pipeline follows the proof of Theorem 4.6: trim, minimise
+    (:meth:`~repro.automata.aautomaton.AAutomaton.minimise`: accepting
+    states become sinks, a forward bisimulation merges the rest — the
+    quotient preserves emptiness, not the language), decompose into
+    SCC-chain restrictions (Lemma 4.9, subsumed chains dropped),
+    optionally prune chains whose Datalog abstraction is contained in the
+    negated-guard query (Lemma 4.10 direction "containment ⇒ empty"),
+    then search each remaining chain for an accepted path.  Every witness
+    is accepted by the quotient, hence by *automaton* itself; task
+    fingerprints stay keyed on the caller's automaton.
 
     ``memoize`` toggles the witness search's visited-node and guard-verdict
     caches together (see :class:`_WitnessSearch`); it exists so tests and
@@ -1424,8 +1431,9 @@ def automaton_emptiness(
     the work performed, never the verdict or the validity of the witness
     of a search that finishes under ``max_paths``.  At that cap the memo
     decides more: on the ``synthetic-1`` containment automaton capped at
-    300 paths, the memoised search finds its witness after 127 paths
-    while the unmemoised one stops undecided at 602.  Engine-run emptiness
+    120 paths, the memoised search finds its witness after 94 paths
+    while the unmemoised one stops undecided at 121 (it needs 149).
+    Engine-run emptiness
     tasks keep the default (on); ``EmptinessResult.stats`` reports both
     caches (``node_memo_hits``/``node_memo_expansions`` and
     ``sentence_cache_hits``/``sentence_cache_misses``).  The guard-cache
@@ -1476,19 +1484,19 @@ def automaton_emptiness(
     """
     if initial is None:
         initial = vocabulary.access_schema.empty_instance()
-    trimmed = automaton.trim()
-    if not trimmed.accepting:
+    quotient = automaton.minimise()
+    if not quotient.accepting:
         return EmptinessResult(
             empty=True, witness=None, exhausted=True, paths_explored=0, chains_checked=0
         )
     restrictions = (
-        chain_restrictions(trimmed) if use_chain_decomposition else [trimmed]
+        chain_restrictions(quotient) if use_chain_decomposition else [quotient]
     )
     if not restrictions:
-        restrictions = [trimmed]
+        restrictions = [quotient]
 
     if fact_pool is None:
-        derived_fact_pool, _ = _guard_pools(trimmed, vocabulary)
+        derived_fact_pool, _ = _guard_pools(quotient, vocabulary)
     else:
         derived_fact_pool = list(fact_pool)
     if max_length is None:
@@ -1520,7 +1528,7 @@ def automaton_emptiness(
     if budget is not None or resume_from is not None:
         anytime_kwargs = dict(search_kwargs)
         anytime_kwargs["subtree_mode"] = True
-        signature = _frontier_signature(trimmed, len(restrictions), anytime_kwargs)
+        signature = _frontier_signature(quotient, len(restrictions), anytime_kwargs)
         if resume_from is not None and resume_from.signature != signature:
             raise ValueError(
                 "resume_from frontier does not match this emptiness call "

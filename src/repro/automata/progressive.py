@@ -21,7 +21,14 @@ This module provides:
   the emptiness procedure: every accepting run visits a chain of SCCs of
   the condensation, so emptiness of the automaton reduces to emptiness of
   the (boundedly many) restrictions of the automaton to maximal
-  source-to-accepting chains in the condensation DAG.
+  source-to-accepting chains in the condensation DAG.  A chain whose
+  components are a proper subset of another chain's, ending at the same
+  component, is *subsumed*: its restriction is a sub-automaton of the
+  other's, so it is dropped.  On the emptiness quotient
+  (:meth:`~repro.automata.aautomaton.AAutomaton.minimise`), where every
+  accepting state but the initial one is a sink, this removes each
+  direct exit a longer chain through a loop also takes — a union
+  automaton keeps one chain per branch.
 """
 
 from __future__ import annotations
@@ -254,10 +261,13 @@ def chain_restrictions(automaton: AAutomaton, max_chains: int = 256) -> List[AAu
     from the initial state's component to an accepting component.  For each
     such chain we restrict the automaton to the states of the chain's
     components; the language of the original automaton is empty iff the
-    languages of all restrictions are empty.  The number of chains is at
+    languages of all restrictions are empty.  A restriction keeps every
+    transition between its states, so a chain whose components are a
+    proper subset of another chain's, ending at the same component,
+    accepts a sub-language of that chain's and is dropped (the kept
+    chains keep their enumeration order).  The number of chains is at
     most exponential in the automaton size (Lemma 4.9); *max_chains* caps
-    the enumeration and the caller is told when the cap is hit by the
-    length of the returned list being exactly the cap.
+    the enumeration (before subsumed chains are dropped).
     """
     condensation = scc_chain(automaton)
     component_index = {
@@ -285,6 +295,18 @@ def chain_restrictions(automaton: AAutomaton, max_chains: int = 256) -> List[AAu
                 extend(chain + (successor,))
 
     extend((start,))
+    # A chain whose components are a proper subset of another chain's,
+    # ending at the same component, restricts to a sub-automaton of that
+    # chain's restriction: its language is contained, so it is dropped.
+    component_sets = [frozenset(chain) for chain in chains]
+    chains = [
+        chain
+        for chain, components in zip(chains, component_sets)
+        if not any(
+            components < other and chain[-1] == longer[-1]
+            for longer, other in zip(chains, component_sets)
+        )
+    ]
 
     restrictions: List[AAutomaton] = []
     for chain in chains:

@@ -324,19 +324,19 @@ class TestNodeMemo:
         automaton = containment_automaton(
             vocabulary, scenario.query_one, scenario.query_two, grounded=False
         )
-        memoized = automaton_emptiness(automaton, vocabulary, max_paths=300)
+        memoized = automaton_emptiness(automaton, vocabulary, max_paths=120)
         assert not memoized.empty and memoized.witness is not None
-        assert memoized.paths_explored == 127
+        assert memoized.paths_explored == 94
         assert memoized.stats["node_memo_hits"] > 0
         plain = automaton_emptiness(
-            automaton, vocabulary, max_paths=300, memoize=False
+            automaton, vocabulary, max_paths=120, memoize=False
         )
         assert plain.empty and not plain.exhausted
-        assert plain.paths_explored == 602
+        assert plain.paths_explored == 121
         assert plain.stats["node_memo_expansions"] == 0
         # Engine-run emptiness tasks keep the memo: the same fields come back.
         served = DecisionEngine().run(
-            emptiness_task(automaton, vocabulary, max_paths=300)
+            emptiness_task(automaton, vocabulary, max_paths=120)
         ).value
         assert served == memoized
         assert served.stats == memoized.stats

@@ -11,9 +11,13 @@ count, which these tests pin three ways:
   states equals the set computed from scratch, guard by guard, with
   ``holds`` over a freshly built transition structure;
 * a committed fixture (``tests/data/emptiness_results.json``) holding the
-  ``EmptinessResult`` fields of a fixed list of inputs as computed before
-  the hoist, matched under the sequential, chain-pooled, subtree,
-  anytime-resumed and ``memoize=False`` runs;
+  ``EmptinessResult`` fields of a fixed list of inputs, matched under the
+  sequential, chain-pooled, subtree, anytime-resumed and
+  ``memoize=False`` runs.  Its work counts were re-recorded when the
+  search moved to the emptiness quotient (``AAutomaton.minimise``); its
+  verdicts and witnesses must still equal the ones recorded before
+  (``tests/data/emptiness_verdicts.json``), and every witness must replay
+  on the caller's own automaton;
 * a call count: an in-process multi-chain check builds the Datalog
   program of each distinct guard at most once, and every chain's
   precheck verdict equals the per-chain reference.
@@ -24,11 +28,13 @@ has its own oracle: for every bound sentence and every candidate it
 rejects, ``holds`` over the freshly built transition structure is false.
 
 Regenerate the fixture (only when a change is *meant* to alter results)
-with ``PYTHONPATH=src python tests/test_guard_hoist.py``.
+with ``PYTHONPATH=src python tests/test_guard_hoist.py``; the verdicts
+file is not regenerated.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -45,6 +51,7 @@ from repro.automata.emptiness import (
 from repro.automata.library import containment_automaton, ltr_automaton
 from repro.automata.operations import union_automaton
 from repro.automata.progressive import chain_restrictions
+from repro.automata.run import accepts_path
 from repro.core import properties
 from repro.core.bounded_check import (
     _candidate_responses,
@@ -56,7 +63,7 @@ from repro.core.formulas import EmbeddedSentence
 from repro.core.solver import AccLTLSolver
 from repro.core.transition import bind_sentence, transition_structure
 from repro.core.vocabulary import is_isbind, is_isbind0
-from repro.io.json_io import access_path_to_dict
+from repro.io.json_io import access_path_from_dict, access_path_to_dict
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import holds
@@ -68,6 +75,12 @@ from repro.workloads.generators import WorkloadGenerator
 from repro.workloads.scenarios import _synthetic_scenario, standard_scenarios
 
 FIXTURE = Path(__file__).with_name("data") / "emptiness_results.json"
+
+#: ``empty``, ``exhausted`` and a digest of the witness per input and mode,
+#: as recorded before the search ran on the emptiness quotient
+#: (``AAutomaton.minimise``).  Re-recording the fixture may move the work
+#: counts; it must not move these.
+VERDICTS = Path(__file__).with_name("data") / "emptiness_verdicts.json"
 
 #: Run modes recorded in the fixture; chain-pooled runs are compared with
 #: ``sequential`` and anytime-resumed runs with ``subtree``/``subtree_memo_off``.
@@ -175,6 +188,35 @@ def test_fixture_covers_every_input(recorded):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_results_match_fixture(recorded, name, mode):
     assert _fields(_run(name, **MODES[mode])) == recorded[name][mode]
+
+
+def _witness_digest(witness):
+    if witness is None:
+        return None
+    text = json.dumps(witness, sort_keys=True).encode()
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+def test_fixture_verdicts_match_pre_quotient_record(recorded):
+    verdicts = json.loads(VERDICTS.read_text())
+    assert sorted(verdicts) == sorted(recorded)
+    for name, modes in recorded.items():
+        for mode, fields in modes.items():
+            assert {
+                "empty": fields["empty"],
+                "exhausted": fields["exhausted"],
+                "witness": _witness_digest(fields["witness"]),
+            } == verdicts[name][mode], (name, mode)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_fixture_witnesses_replay_on_original_automaton(recorded, name):
+    """Every witness of the quotient's search is one of the caller's automaton."""
+    automaton, vocabulary, _ = INPUTS[name]()
+    for fields in recorded[name].values():
+        if fields["witness"] is not None:
+            witness = access_path_from_dict(fields["witness"], vocabulary.access_schema)
+            assert accepts_path(automaton, vocabulary, witness)
 
 
 @pytest.mark.parametrize("name", MULTI_CHAIN)
@@ -442,7 +484,7 @@ def test_method_filter_records():
 # ----------------------------------------------------------------------
 def test_precheck_builds_each_guard_program_once(monkeypatch):
     automaton, vocabulary, _ = _directory_union(True)
-    restrictions = chain_restrictions(automaton.trim())
+    restrictions = chain_restrictions(automaton.minimise())
     assert len(restrictions) > 1
     reference = [
         datalog_emptiness_precheck(restriction, vocabulary) is True
@@ -479,7 +521,7 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
     assert [outcome.prechecked_empty for outcome in outcomes] == reference
     monkeypatch.undo()
     # The same chains, each prechecked on its own (no shared verdicts).
-    fact_pool, _ = emptiness_module._guard_pools(automaton.trim(), vocabulary)
+    fact_pool, _ = emptiness_module._guard_pools(automaton.minimise(), vocabulary)
     search_kwargs = {
         "max_length": max(2, len(fact_pool) + 2),
         "max_response_size": 2,
@@ -504,8 +546,12 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
 
 def test_chains_share_candidate_tables(monkeypatch):
     """The chains of one call build each distinct pool's candidates once."""
-    automaton, vocabulary, _ = _directory_union(True)
-    restrictions = chain_restrictions(automaton.trim())
+    # A union of an automaton with a copy of itself: the quotient keeps
+    # one chain per branch (their accepting sinks stay apart) and both
+    # chains draw on the same pool.
+    containment, vocabulary, _ = _directory_containment()
+    automaton = union_automaton(containment, containment)
+    restrictions = chain_restrictions(automaton.minimise())
     pools = {
         tuple(map(tuple, emptiness_module._guard_pools(restriction, vocabulary)))
         for restriction in restrictions

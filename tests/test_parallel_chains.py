@@ -562,7 +562,12 @@ class TestCostGate:
     def test_large_workload_dispatches_on_multicore(self, vocabulary, monkeypatch):
         monkeypatch.setattr(parallel_module, "available_cpus", lambda: 8)
         calls = self._spy_pool(monkeypatch)
-        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+        # Two copies of the multi-chain union: four chains of the quotient,
+        # whose estimated cost clears the default dispatch floor.
+        branch = _multi_chain_automaton(vocabulary, empty_language=True)
+        automaton = union_automaton(branch, branch)
+        restrictions = chain_restrictions(automaton.minimise())
+        assert len(restrictions) == 4
         kwargs = dict(max_paths=2000, use_datalog_precheck=False)
         result = automaton_emptiness(automaton, vocabulary, parallel=True, **kwargs)
         # The gate opened (pool requested); the rigged pool failure then
