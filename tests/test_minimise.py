@@ -110,61 +110,55 @@ def _accepting_initial():
     return vocabulary, automaton
 
 
-def _operations():
-    """Every construction of ``automata/operations.py``, over automata with
-    short witnesses (the Jones relevance automaton has one of length 2)."""
-    vocabulary, ltr, containment = _scenario_automata(standard_scenarios()[1])
-    return {
-        "union": union_automaton(containment, ltr),
-        "intersection": intersection_automaton(ltr, length_modulo_automaton(2)),
-        "concatenation": concatenation_automaton(
-            method_sequence_automaton(vocabulary, ["AcM1"]), ltr
-        ),
-        "length-modulo": length_modulo_automaton(3, 1),
-        "length-modulo-concatenation": concatenation_automaton(
-            length_modulo_automaton(2, 1), ltr
-        ),
-        "method-sequence": intersection_automaton(
-            method_sequence_automaton(vocabulary, ["AcM2", "AcM1", "AcM2"]),
-            length_modulo_automaton(1),
-        ),
-    }
+def _jones():
+    return _scenario_automata(standard_scenarios()[1])
 
 
-def _input(name):
-    if name.startswith("generated-containment-"):
-        return _generated_containment(int(name.rsplit("-", 1)[1]))
-    if name.startswith("generated-ltr-"):
-        return _generated_ltr(int(name.rsplit("-", 1)[1]))
-    if name == "accepting-initial":
-        return _accepting_initial()
-    if name in ("directory-ltr", "directory-containment"):
-        vocabulary, ltr, containment = _directory()
-        return vocabulary, ltr if name == "directory-ltr" else containment
-    if name in ("directory-jones-ltr", "directory-jones-containment"):
-        vocabulary, ltr, containment = _scenario_automata(standard_scenarios()[1])
-        return vocabulary, ltr if name.endswith("-ltr") else containment
-    vocabulary = _scenario_automata(standard_scenarios()[1])[0]
-    return vocabulary, _operations()[name]
+#: Every construction of ``automata/operations.py``, over automata with
+#: short witnesses (the Jones relevance automaton has one of length 2).
+OPERATIONS = {
+    "union": lambda v, ltr, cont: union_automaton(cont, ltr),
+    "intersection": lambda v, ltr, cont: intersection_automaton(
+        ltr, length_modulo_automaton(2)
+    ),
+    "concatenation": lambda v, ltr, cont: concatenation_automaton(
+        method_sequence_automaton(v, ["AcM1"]), ltr
+    ),
+    "length-modulo": lambda v, ltr, cont: length_modulo_automaton(3, 1),
+    "length-modulo-concatenation": lambda v, ltr, cont: concatenation_automaton(
+        length_modulo_automaton(2, 1), ltr
+    ),
+    "method-sequence": lambda v, ltr, cont: intersection_automaton(
+        method_sequence_automaton(v, ["AcM2", "AcM1", "AcM2"]),
+        length_modulo_automaton(1),
+    ),
+}
+
+def _operation(build):
+    vocabulary, ltr, containment = _jones()
+    return vocabulary, build(vocabulary, ltr, containment)
 
 
-INPUTS = (
-    [f"generated-containment-{seed}" for seed in range(3)]
-    + [f"generated-ltr-{seed}" for seed in (1, 4, 9)]
-    + [
-        "directory-ltr",
-        "directory-containment",
-        "directory-jones-ltr",
-        "directory-jones-containment",
-        "union",
-        "intersection",
-        "concatenation",
-        "length-modulo",
-        "length-modulo-concatenation",
-        "method-sequence",
-        "accepting-initial",
-    ]
-)
+#: ``name -> () -> (vocabulary, automaton)``.
+INPUTS = {
+    **{
+        f"generated-containment-{seed}": (lambda seed=seed: _generated_containment(seed))
+        for seed in range(3)
+    },
+    **{
+        f"generated-ltr-{seed}": (lambda seed=seed: _generated_ltr(seed))
+        for seed in (1, 4, 9)
+    },
+    "directory-ltr": lambda: _directory()[:2],
+    "directory-containment": lambda: _directory()[::2],
+    "directory-jones-ltr": lambda: _jones()[:2],
+    "directory-jones-containment": lambda: _jones()[::2],
+    **{
+        name: (lambda build=build: _operation(build))
+        for name, build in OPERATIONS.items()
+    },
+    "accepting-initial": _accepting_initial,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +168,7 @@ def _prepared(name):
     The search runs over the caller's (trimmed) automaton, not over the
     quotient: its candidate table is where the random paths come from.
     """
-    vocabulary, automaton = _input(name)
+    vocabulary, automaton = INPUTS[name]()
     search = _WitnessSearch(
         automaton.trim(),
         vocabulary,
@@ -217,7 +211,9 @@ def _draw_path(data, search):
                 moves[index] = frozenset(following)
         if not moves:
             break
-        accepting = sorted(i for i, following in moves.items() if following & search.accepting)
+        accepting = sorted(
+            index for index, following in moves.items() if following & search.accepting
+        )
         if accepting and data.draw(st.booleans()):
             moves = {i: moves[i] for i in accepting}
         index = data.draw(st.sampled_from(sorted(moves)))

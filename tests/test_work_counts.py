@@ -1,0 +1,134 @@
+"""Deterministic work counts of a ``decide_cold`` prefix.
+
+Wall-clock guards on this code are too noisy to catch a search that
+quietly does more work, so this test pins the work itself.  In a
+subprocess with ``PYTHONHASHSEED=0`` it runs the first
+:data:`REQUESTS` requests of the benchmark's seed-1 ``decide_cold``
+stream (``perfbench/decide_cold.py``) through its
+:class:`~repro.engine.DecisionEngine`, under the benchmark's tracer, and
+compares the summed emptiness and bounded-checker counts —
+``automata.paths_explored``, ``automata.chains_checked`` and
+``core.paths_explored`` — and the store work they cause —
+``relational.mutations``, ``store.snapshot.ops`` and
+``store.snapshot.mutations`` — with ``tests/data/work_counts.json``.
+
+The ``decide_cold`` automata are single compiled automata, whose
+quotient has no subsumed chain.  So the guard also searches
+:data:`UNIONS` union automata built the way ``perfbench/chains_pooled.py``
+builds its requests (relabelled relevance automata of its probe grid),
+sequentially and with that workload's path cap, and pins their summed
+``paths_explored`` and ``chains_checked`` (``unions.*``): a union keeps a
+direct exit chain per branch only when chain subsumption is lost.
+
+The counts are exact: a change that is not meant to alter the searches
+must reproduce them.  A change that is meant to re-records them with
+``PYTHONPATH=src python tests/test_work_counts.py`` and says why.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = Path(__file__).with_name("data") / "work_counts.json"
+
+#: Seed, synthetic-scenario count and prefix length of the stream.
+SEED = 1
+SYNTHETIC = 30
+REQUESTS = 20
+
+KEYS = (
+    "automata.paths_explored",
+    "automata.chains_checked",
+    "core.paths_explored",
+    "relational.mutations",
+    "store.snapshot.ops",
+    "store.snapshot.mutations",
+)
+
+#: Slices of ``chains_pooled.ltr_candidates()`` (capped, witnessed) whose
+#: union is searched: three capped branches, then two capped and one
+#: witnessed.
+UNIONS = (((0, 3), (0, 0)), ((3, 5), (0, 1)))
+
+_SCRIPT = f"""
+import json
+from decide_cold import DecideCold
+from harness import Recorder
+from tracer import Tracer
+
+workload = DecideCold(seed={SEED}, workdir="", synthetic={SYNTHETIC})
+workload.setup()
+recorder = Recorder()
+tracer = Tracer()
+tracer.install()
+try:
+    workload.run_round(recorder, limit={REQUESTS})
+finally:
+    tracer.uninstall()
+    workload.teardown()
+counts = {{key: tracer.counts[key] for key in {KEYS!r}}}
+counts["requests"] = recorder.attempted
+counts["failed"] = recorder.failed
+
+from chains_pooled import (
+    MAX_PATHS, ChainsPooled, Request, directory_probe_schema, ltr_candidates,
+)
+from repro.automata.emptiness import automaton_emptiness
+from repro.core.solver import AccLTLSolver
+
+pooled = ChainsPooled(seed={SEED}, workdir="")
+pooled.schema = directory_probe_schema()
+pooled.vocabulary = AccLTLSolver(pooled.schema).vocabulary
+capped, witnessed = ltr_candidates()
+counts["unions.paths_explored"] = counts["unions.chains_checked"] = 0
+for (c0, c1), (w0, w1) in {UNIONS!r}:
+    parts = tuple(capped[c0:c1] + witnessed[w0:w1])
+    result = automaton_emptiness(
+        pooled.automaton(Request("fanout", parts, w1 > w0)),
+        pooled.vocabulary,
+        max_paths=MAX_PATHS,
+        use_datalog_precheck=False,
+        parallel=False,
+        subtree_parallel=False,
+    )
+    counts["unions.paths_explored"] += result.paths_explored
+    counts["unions.chains_checked"] += result.chains_checked
+print(json.dumps(counts, sort_keys=True))
+"""
+
+
+def measure() -> dict:
+    """The work counts of the stream prefix, from a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "0"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _SCRIPT],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_work_counts_match_record():
+    counts = measure()
+    assert counts["requests"] == REQUESTS
+    assert counts["failed"] == 0
+    assert counts == json.loads(FIXTURE.read_text())
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(measure(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")
