@@ -1433,9 +1433,9 @@ def automaton_emptiness(
     decides more: on the ``synthetic-1`` containment automaton capped at
     120 paths, the memoised search finds its witness after 94 paths
     while the unmemoised one stops undecided at 121 (it needs 149).
-    Engine-run emptiness
-    tasks keep the default (on); ``EmptinessResult.stats`` reports both
-    caches (``node_memo_hits``/``node_memo_expansions`` and
+    Engine-run emptiness tasks keep the default (on);
+    ``EmptinessResult.stats`` reports both caches
+    (``node_memo_hits``/``node_memo_expansions`` and
     ``sentence_cache_hits``/``sentence_cache_misses``).  The guard-cache
     counters are informational: sentences over the pre configuration are
     looked up once per node rather than once per candidate, and binding

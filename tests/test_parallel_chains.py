@@ -566,8 +566,7 @@ class TestCostGate:
         # whose estimated cost clears the default dispatch floor.
         branch = _multi_chain_automaton(vocabulary, empty_language=True)
         automaton = union_automaton(branch, branch)
-        restrictions = chain_restrictions(automaton.minimise())
-        assert len(restrictions) == 4
+        assert len(chain_restrictions(automaton.minimise())) == 4
         kwargs = dict(max_paths=2000, use_datalog_precheck=False)
         result = automaton_emptiness(automaton, vocabulary, parallel=True, **kwargs)
         # The gate opened (pool requested); the rigged pool failure then
