@@ -29,6 +29,20 @@ objects.  Readers verify the per-record checksum and compare the full
 key bytes on every hit, so a hash collision or flipped bit can only ever
 produce a *miss*.
 
+The engine's fingerprints are ``(kind, key)`` tuples whose parts —
+schema key, query keys, relevance shared key, snapshot — are the same
+objects across every task of a matrix batch.  So :meth:`VerdictCache.
+_key_bytes` writes ``encode_key``'s tuple framing itself and joins the
+parts' encodings from a per-batch memo keyed by identity, ``id(part) →
+(part, bytes)``: holding the part keeps its id from being reused, and
+:meth:`VerdictCache.flush` (called at the end of every engine batch,
+abandoned or failed ones included) empties the memo.  Identity is safe
+because the engine's keys are hashable (``try_key``), so no list, dict
+or set can change inside a part, and a hit returns bytes computed from
+that very object; equal parts of other types (``True`` and ``1``) are
+never conflated.  The bytes are exactly ``encode_key(fingerprint)``, so
+stores written before the memo still hit.
+
 ## Writing and locking
 
 Segments are written only through :func:`atomic_write_bytes` (unique tmp
@@ -121,6 +135,9 @@ FORMAT_VERSION = 1
 
 _HEADER = MAGIC + bytes([FORMAT_VERSION])
 _RECORD = struct.Struct("<III")  # klen, vlen, crc32(key + value)
+#: ``encode_key``'s framing of a 2-tuple (tag + length), the head of
+#: every engine fingerprint ``(kind, key)``.
+_PAIR_FRAME = b"\x07" + struct.pack("<I", 2)
 
 _SEGMENT_SUFFIX = ".seg"
 _LOCK_NAME = "lock"
@@ -422,6 +439,9 @@ class VerdictCache:
         self.compact_segments = compact_segments
         self.counters: Dict[str, int] = {name: 0 for name in _COUNTERS}
         self._pending: List[Tuple[bytes, bytes]] = []
+        # id(part) -> (part, encode_key(part)) for this batch's key parts;
+        # holding the part pins its id until flush() empties the memo.
+        self._part_bytes: Dict[int, Tuple[object, bytes]] = {}
         # digest -> (segment path, record payload offset, klen, vlen, crc)
         self._index: Dict[bytes, Tuple[str, int, int, int, int]] = {}
         self._bloom = BloomFilter(0)
@@ -464,7 +484,7 @@ class VerdictCache:
         if self.persist_path is None or self._disabled or self._write_disabled:
             return
         try:
-            key_bytes = encode_key(fingerprint)
+            key_bytes = self._key_bytes(fingerprint)
             value_bytes = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             # Unpicklable payloads opt out of the disk tier, like
@@ -500,6 +520,29 @@ class VerdictCache:
             self.persist_path and not self._disabled and not self._write_disabled
         )
         return out
+
+    def _key_bytes(self, fingerprint: object) -> bytes:
+        """``encode_key(fingerprint)``, each key part encoded once per batch.
+
+        An engine fingerprint is ``(kind, key)`` with a tuple *key* whose
+        parts — schema key, query keys, snapshot — are the same objects
+        across a matrix batch.  This writes the tuple framing
+        :func:`encode_key` writes and joins the parts' encodings from the
+        identity memo; any other shape is encoded directly.
+        """
+        if type(fingerprint) is not tuple or len(fingerprint) != 2:
+            return encode_key(fingerprint)
+        kind, key = fingerprint
+        if type(key) is not tuple:
+            return encode_key(fingerprint)
+        memo = self._part_bytes
+        chunks = [_PAIR_FRAME, encode_key(kind), b"\x07" + struct.pack("<I", len(key))]
+        for part in key:
+            entry = memo.get(id(part))
+            if entry is None:
+                entry = memo[id(part)] = (part, encode_key(part))
+            chunks.append(entry[1])
+        return b"".join(chunks)
 
     # -- tier 2: disk --------------------------------------------------
     def _segment_paths(self) -> List[str]:
@@ -617,7 +660,7 @@ class VerdictCache:
 
     def _disk_lookup(self, fingerprint: object) -> object:
         try:
-            key_bytes = encode_key(fingerprint)
+            key_bytes = self._key_bytes(fingerprint)
         except Exception:
             self._bump("encode_errors")
             return _MISS
@@ -659,6 +702,7 @@ class VerdictCache:
     # -- persistence ---------------------------------------------------
     def flush(self) -> None:
         """Spill buffered verdicts as one new segment (batch boundary)."""
+        self._part_bytes.clear()
         if not self._pending:
             return
         if (
@@ -702,12 +746,18 @@ class VerdictCache:
             self._pending.clear()
             return
         try:
+            # Another writer may have added segments since this cache last
+            # looked: only an index that was current before this write may
+            # adopt the signature after it, or those segments stay hidden.
+            current = self._dir_signature() == self._dir_sig
             # Writers are serialised by the lock, so any leftover tmp
             # file belongs to a crashed writer and is dead.
             self._cleanup_tmp()
             self._write_segment()
-            self._maybe_compact()
-            self._dir_sig = self._dir_signature()
+            rescanned = self._maybe_compact()
+            self._dir_sig = (
+                self._dir_signature() if current or rescanned else None
+            )
         finally:
             self._release_lock(lock_fd)
 
@@ -773,17 +823,18 @@ class VerdictCache:
                 continue
         return highest + 1
 
-    def _maybe_compact(self) -> None:
+    def _maybe_compact(self) -> bool:
         """Merge the append log into one segment (later-wins), under lock.
 
         Crash-safe by construction: the merged segment lands atomically
         with the highest sequence number before any old segment is
         unlinked, so a crash at any point leaves duplicates that the
-        normal later-wins scan resolves to the same verdicts.
+        normal later-wins scan resolves to the same verdicts.  Returns
+        whether it compacted, and so rescanned the directory.
         """
         paths = self._segment_paths()
         if len(paths) <= self.compact_segments:
-            return
+            return False
         merged: "OrderedDict[bytes, Tuple[int, bytes]]" = OrderedDict()
         for path in paths:
             try:
@@ -796,7 +847,7 @@ class VerdictCache:
             if data[4] != FORMAT_VERSION:
                 if data[4] > FORMAT_VERSION:
                     self._disabled = True
-                    return
+                    return False
                 continue
             for digest, (_, start, klen, vlen, _) in self._parse_records(
                 path, data
@@ -818,7 +869,7 @@ class VerdictCache:
             atomic_write_bytes(target, payload)
         except OSError as exc:
             self._degrade("write_errors", f"compaction write failed: {exc}")
-            return
+            return False
         for path in paths:
             try:
                 os.unlink(path)
@@ -826,6 +877,7 @@ class VerdictCache:
                 pass
         self._bump("compactions")
         self._scan()
+        return True
 
     # -- locking -------------------------------------------------------
     def _acquire_lock(self) -> Optional[int]:

@@ -13,13 +13,20 @@ store lock.
 
 from __future__ import annotations
 
+import enum
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
+import zlib
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.budget import Budget
 from repro.engine import CachePolicy, DecisionEngine, emptiness_task
@@ -269,6 +276,24 @@ class TestDiskTier:
         second.flush()
         assert reader.lookup(("fp", 2))[0] == "two"
 
+    def test_own_flush_keeps_another_writers_segment_visible(self, tmp_path):
+        """A flush after another writer's must not adopt its directory state."""
+        store = str(tmp_path / "store")
+        seed = VerdictCache(capacity=0, persist_path=store)
+        seed.put(("fp", 0), "zero")
+        seed.flush()
+        first = VerdictCache(capacity=0, persist_path=store)
+        assert first.lookup(("fp", 0))[1] == "disk"  # first has scanned
+        second = VerdictCache(capacity=0, persist_path=store)
+        second.put(("fp", 2), "two")
+        second.flush()
+        first.put(("fp", 1), "one")
+        first.flush()
+        assert first.lookup(("fp", 2)) == ("two", "disk")
+        fresh = VerdictCache(capacity=0, persist_path=store)
+        assert fresh.lookup(("fp", 2)) == ("two", "disk")
+        assert fresh.lookup(("fp", 1)) == ("one", "disk")
+
 
 # ----------------------------------------------------------------------
 # Corruption, truncation and format skew
@@ -404,6 +429,290 @@ class TestEngineIntegration:
         assert result.value.unknown
         assert not _segments(store)
         assert store_stats(store)["records"] == 0 if os.path.isdir(store) else True
+
+
+# ----------------------------------------------------------------------
+# Per-batch key-part memo
+# ----------------------------------------------------------------------
+class Colour(enum.Enum):
+    RED = 1
+    BLUE = 2
+
+
+@dataclass(frozen=True)
+class Pair:
+    left: object
+    right: object
+
+
+#: Fact sets of the snapshot parts; each is built three times (two memory
+#: snapshots, one SQL snapshot), giving equal but distinct objects.
+_FACT_SETS = (
+    (),
+    (("R", ("a", 1)), ("S", ("b",))),
+    (("R", ("a", 1)), ("R", ("c", -5)), ("S", (None,))),
+)
+
+
+@pytest.fixture(scope="module")
+def snapshot_twins():
+    from repro.relational.schema import Relation, Schema
+    from repro.store.snapshot import SnapshotInstance
+    from repro.store.sqlstore import SQLStoreInstance
+
+    schema = Schema([Relation("R", 2), Relation("S", 1)])
+    sql_stores = []
+    groups = []
+    for facts in _FACT_SETS:
+        stores = [SnapshotInstance(schema), SnapshotInstance(schema)]
+        stores.append(SQLStoreInstance(schema))
+        sql_stores.append(stores[-1])
+        for store in stores:
+            for name, tup in facts:
+                store.add_unchecked(name, tup)
+        groups.append(tuple(store.snapshot() for store in stores))
+    yield groups
+    for store in sql_stores:
+        store.close()
+
+
+def _rebuild(obj, twin):
+    """An equal object that is not *obj* (where Python allows one).
+
+    Numbers change type (``True`` → ``1`` → ``1.0``), so the copy can be
+    equal yet encode to other key bytes: a memo keyed on equality would
+    serve it the original's bytes.
+    """
+    if type(obj) is bool:
+        return int(obj)
+    if type(obj) is int:
+        return float(obj)
+    if type(obj) is tuple:
+        return tuple([_rebuild(item, twin) for item in obj])
+    if type(obj) is frozenset:
+        return frozenset([_rebuild(item, twin) for item in obj])
+    if type(obj) is Pair:
+        return Pair(_rebuild(obj.left, twin), _rebuild(obj.right, twin))
+    return twin.get(id(obj), obj)
+
+
+def _write_plain_segment(store, records):
+    """One segment of ``(key bytes, value)`` records, keys from ``encode_key``."""
+    os.makedirs(store, exist_ok=True)
+    chunks = [MAGIC + bytes([FORMAT_VERSION])]
+    for key_bytes, value in records:
+        value_bytes = pickle.dumps(value)
+        blob = key_bytes + value_bytes
+        chunks.append(
+            vc._RECORD.pack(len(key_bytes), len(value_bytes), zlib.crc32(blob))
+        )
+        chunks.append(blob)
+    atomic_write_bytes(os.path.join(store, "verdicts-00000001-0.seg"), b"".join(chunks))
+
+
+def _relevance_matrix_inputs():
+    """A 16-access relevance matrix: schema, initial instance, query, accesses."""
+    from repro.workloads.generators import WorkloadGenerator
+    from repro.workloads.matrices import probe_accesses
+
+    generator = WorkloadGenerator(seed=5)
+    schema = generator.access_schema(
+        num_relations=3, methods_per_relation=2, max_inputs=1
+    )
+    hidden = generator.instance(schema.schema, tuples_per_relation=6, domain_size=6)
+    initial = generator.instance(schema.schema, tuples_per_relation=2, domain_size=6)
+    query = generator.ucq(
+        schema.schema, num_disjuncts=2, num_atoms=2, num_variables=3
+    )
+    probes = probe_accesses(schema, hidden, limit=16)
+    assert len(probes) == 16
+    return schema, initial, query, probes
+
+
+class TestKeyPartMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_memoised_key_bytes_equal_encode_key(self, snapshot_twins, data):
+        twin = {
+            id(snap): group[(position + 1) % len(group)]
+            for group in snapshot_twins
+            for position, snap in enumerate(group)
+        }
+        leaves = st.one_of(
+            st.integers(-3, 300),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.text(max_size=3),
+            st.none(),
+            st.sampled_from(list(Colour)),
+            st.sampled_from([snap for group in snapshot_twins for snap in group]),
+        )
+        parts = st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=3).map(tuple),
+                st.frozensets(inner, max_size=3),
+                st.builds(Pair, inner, inner),
+            ),
+            max_leaves=6,
+        )
+        pool = data.draw(st.lists(parts, min_size=1, max_size=5), label="pool")
+        slot = st.integers(0, len(pool) - 1)
+        # (kind, [(pool slot, equal-but-distinct copy?)]) or a bare part.
+        specs = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(
+                        st.sampled_from(["relevance", "containment_ap"]),
+                        st.lists(st.tuples(slot, st.booleans()), max_size=5),
+                    ),
+                    slot,
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            label="fingerprints",
+        )
+        fingerprints = [
+            pool[spec]
+            if isinstance(spec, int)
+            else (
+                spec[0],
+                tuple(
+                    _rebuild(pool[index], twin) if copy else pool[index]
+                    for index, copy in spec[1]
+                ),
+            )
+            for spec in specs
+        ]
+        encoded = [encode_key(fingerprint) for fingerprint in fingerprints]
+        index = st.integers(0, len(fingerprints) - 1)
+        plain = data.draw(st.sets(index), label="plain records")
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.sampled_from(["lookup", "put"]), index),
+                    st.just(("flush", 0)),
+                ),
+                max_size=25,
+            ),
+            label="ops",
+        )
+        with tempfile.TemporaryDirectory() as root:
+            store = os.path.join(root, "store")
+            plain_keys = {encoded[i] for i in plain}
+            _write_plain_segment(store, [(key, key) for key in plain_keys])
+            cache = VerdictCache(capacity=0, persist_path=store)
+            # The memory tier's dict semantics: True == 1 == 1.0 share an
+            # entry there while their key bytes differ.
+            memory = {}
+            for op, i in ops:
+                fingerprint, key = fingerprints[i], encoded[i]
+                if op == "flush":
+                    cache.flush()
+                    assert not cache._part_bytes
+                    continue
+                assert cache._key_bytes(fingerprint) == key
+                if op == "put":
+                    cache.put(fingerprint, key)
+                    assert cache._pending[-1][0] == key
+                    memory[fingerprint] = key
+                    continue
+                value, tier = cache.lookup(fingerprint)
+                if fingerprint in memory:
+                    assert (value, tier) == (memory[fingerprint], "memory")
+                elif key in plain_keys:
+                    assert (value, tier) == (key, "disk")
+                    memory[fingerprint] = key
+                else:
+                    assert tier is None
+            cache.flush()
+            assert not cache._part_bytes
+            # Plain and memoised records are both served from disk.
+            written = {encoded[i] for op, i in ops if op == "put"}
+            for key in written | plain_keys:
+                fingerprint = fingerprints[encoded.index(key)]
+                reader = VerdictCache(capacity=0, persist_path=store)
+                assert reader.lookup(fingerprint) == (key, "disk")
+
+    def test_shared_parts_encoded_once_per_batch(self, tmp_path, monkeypatch):
+        from repro.engine import instance_key, query_key, schema_key
+
+        schema, initial, query, accesses = _relevance_matrix_inputs()
+        shared = (schema_key(schema), query_key(query), instance_key(initial))
+        encoded = []
+        plain = vc.encode_key
+
+        def counting(obj):
+            encoded.append(obj)
+            return plain(obj)
+
+        monkeypatch.setattr(vc, "encode_key", counting)
+        store = str(tmp_path / "store")
+        values = None
+        # A cold matrix (disk misses, then puts) and a warm one on a second
+        # engine over the same store (disk hits): one encoding per part each.
+        for counter in ("computed", "memo_disk_hits"):
+            engine = DecisionEngine(cache_policy=CachePolicy(persist_path=store))
+            encoded.clear()
+            matrix = engine.relevance_matrix(
+                schema, accesses, query, initial=initial, require_boolean_access=False
+            )
+            assert engine.stats()[counter] > 0
+            for part in shared:
+                assert sum(
+                    1 for obj in encoded if type(obj) is type(part) and obj == part
+                ) == 1
+            assert not engine._memo._part_bytes
+            assert values is None or matrix == values
+            values = matrix
+
+    def test_memo_empty_after_abandoned_or_failed_batch(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import engine as engine_module
+        from repro.engine import instance_key, relevance_task
+        from repro.engine.engine import relevance_shared_key
+        from repro.engine.reduction import ReductionTask
+
+        schema, initial, query, accesses = _relevance_matrix_inputs()
+        snap = instance_key(initial)
+        shared = relevance_shared_key(schema, query, snap, False, False)
+        tasks = [
+            relevance_task(
+                schema,
+                access,
+                query,
+                initial=snap,
+                require_boolean_access=False,
+                shared_key=shared,
+            )
+            for access in accesses
+        ]
+        engine = DecisionEngine(
+            cache_policy=CachePolicy(persist_path=str(tmp_path / "store"))
+        )
+        memo = engine._memo._part_bytes
+        results = engine.iter_results(tasks)
+        next(results)
+        assert memo  # the batch's parts are memoised while it runs
+        results.close()
+        assert not memo
+
+        memoised_at_failure = []
+
+        def failing(args):
+            memoised_at_failure.append(len(memo))
+            raise RuntimeError("task failed")
+
+        monkeypatch.setitem(engine_module._EXECUTORS, "failing", failing)
+        task = ReductionTask(
+            kind="failing", backend="none", args=(), key=tasks[0].key
+        )
+        with pytest.raises(RuntimeError, match="task failed"):
+            engine.run_batch([task])
+        assert memoised_at_failure and memoised_at_failure[0] > 0
+        assert not memo
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,14 @@ sequentially and with that workload's path cap, and pins their summed
 ``paths_explored`` and ``chains_checked`` (``unions.*``): a union keeps a
 direct exit chain per branch only when chain subsumption is lost.
 
+The ``serve_warm`` guard runs the first :data:`WARM_ROUNDS` rounds of
+that workload's seed-1 session (``perfbench/serve_warm.py``: new and
+repeated batches on one persistent engine, then the replay on a second
+engine over the same store) under a second tracer, and pins the verdict
+cache's ``lookups``, ``hits``, ``disk_hits`` and ``bytes_written`` plus
+``engine.computed`` (``serve_warm.*``).  Equal ``bytes_written`` means
+the cache wrote byte-identical keys and records.
+
 The counts are exact: a change that is not meant to alter the searches
 must reproduce them.  A change that is meant to re-records them with
 ``PYTHONPATH=src python tests/test_work_counts.py`` and says why.
@@ -48,6 +56,16 @@ KEYS = (
     "relational.mutations",
     "store.snapshot.ops",
     "store.snapshot.mutations",
+)
+
+#: Rounds of the ``serve_warm`` session and the counts pinned for them.
+WARM_ROUNDS = 4
+WARM_KEYS = (
+    "verdict_cache.lookups",
+    "verdict_cache.hits",
+    "verdict_cache.disk_hits",
+    "verdict_cache.bytes_written",
+    "engine.computed",
 )
 
 #: Slices of ``chains_pooled.ltr_candidates()`` (capped, witnessed) whose
@@ -98,6 +116,27 @@ for (c0, c1), (w0, w1) in {UNIONS!r}:
     )
     counts["unions.paths_explored"] += result.paths_explored
     counts["unions.chains_checked"] += result.chains_checked
+
+import shutil
+import tempfile
+from serve_warm import ServeWarm
+
+workdir = tempfile.mkdtemp(prefix="work-counts-")
+warm = ServeWarm(seed={SEED}, workdir=workdir)
+warm.setup()
+recorder = Recorder()
+tracer = Tracer()
+tracer.install()
+try:
+    warm.run_round(recorder, limit={WARM_ROUNDS})
+finally:
+    tracer.uninstall()
+    warm.teardown()
+    shutil.rmtree(workdir, ignore_errors=True)
+for key in {WARM_KEYS!r}:
+    counts["serve_warm." + key] = tracer.counts[key]
+counts["serve_warm.requests"] = recorder.attempted
+counts["serve_warm.failed"] = recorder.failed + recorder.wrong
 print(json.dumps(counts, sort_keys=True))
 """
 
@@ -125,6 +164,7 @@ def test_work_counts_match_record():
     counts = measure()
     assert counts["requests"] == REQUESTS
     assert counts["failed"] == 0
+    assert counts["serve_warm.failed"] == 0
     assert counts == json.loads(FIXTURE.read_text())
 
 
