@@ -119,17 +119,23 @@ SCRATCH_PRAGMAS = (
 def create_relation_table_sql(relation: str, arity: int) -> List[str]:
     """Statements creating one relation's table and its indexes.
 
-    Layout: value columns ``c0..c{arity-1}`` (encoded TEXT, see
-    ``sqlstore.encode_value``), ``g`` — the generation the row became
-    visible, ``d`` — the generation it stopped being visible (``NULL`` =
-    still live).  Indexes: one per value position (the plan executor's
-    index probes), plus a partial UNIQUE index over the value columns of
-    *live* rows — the O(log n) membership/dedup probe, and the invariant
-    that a fact has at most one live row.
+    Layout: value columns ``c0..c{arity-1}`` declared ``BLOB NOT NULL``
+    (values in SQLite's storage classes — TEXT, INTEGER, REAL, plus the
+    BLOB tags ``b"n"`` for ``None`` and ``b"i<digits>"`` for integers
+    outside int64, see ``sqlstore.encode_value``), ``g`` — the
+    generation the row became visible, ``d`` — the generation it
+    stopped being visible (``NULL`` = still live).  BLOB affinity keeps
+    every value exactly as bound: TEXT affinity would store ``1`` as
+    ``'1'``, and the NUMERIC affinity an ``ANY`` column gets outside a
+    STRICT table would store ``'1'`` as ``1``.  Indexes: one per value
+    position (the plan executor's index probes), plus a partial UNIQUE
+    index over the value columns of *live* rows — the O(log n)
+    membership/dedup probe, and the invariant that a fact has at most
+    one live row.
     """
     table = table_for(relation)
     cols = _columns(arity)
-    decls = [" ".join([name, "TEXT", "NOT", "NULL"]) for name in cols]
+    decls = [" ".join([name, "BLOB", "NOT", "NULL"]) for name in cols]
     decls.append("g INTEGER NOT NULL")
     decls.append("d INTEGER")
     statements = [
@@ -205,10 +211,12 @@ def meta_select_sql() -> str:
 def create_delta_table_sql(relation: str, arity: int) -> str:
     """A per-round delta temp table (connection-local, no MVCC columns).
 
-    A nullary delta gets one constant dummy column (tables need at least
+    Value columns are ``BLOB NOT NULL`` like the relation tables', so a
+    delta row compares with a stored row exactly as the facts do.  A
+    nullary delta gets one constant dummy column (tables need at least
     one); each row still means one occurrence of the empty tuple.
     """
-    decls = [" ".join([name, "TEXT", "NOT", "NULL"]) for name in _columns(arity)]
+    decls = [" ".join([name, "BLOB", "NOT", "NULL"]) for name in _columns(arity)]
     if not decls:
         decls = ["z INTEGER NOT NULL"]
     return " ".join(
@@ -485,9 +493,12 @@ def compile_join_sql(
     atoms are always pinned (``old_gen`` params) and ``SRC_DELTA`` atoms
     read their relation's delta temp table with no visibility predicate.
 
-    *encode_value* maps a Python constant to its stored TEXT encoding;
-    it raises ``TypeError`` for values no stored fact can equal, which
-    callers surface as a compile-time empty result.
+    *encode_value* maps a Python constant to its stored SQLite value
+    (its storage class, or a tagged BLOB); it raises ``TypeError`` for
+    values no stored fact can equal, which callers surface as a
+    compile-time empty result.  The selected columns come back as the
+    stored values, so a result row needs decoding only if it holds a
+    BLOB.
     """
     binding_site: Dict[int, str] = {}
     from_items: List[str] = []

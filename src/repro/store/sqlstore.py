@@ -36,13 +36,26 @@ verdict cache (byte-identical ``encode_key`` via
 
 ## Value encoding
 
-Fact values are stored as tagged TEXT (:func:`encode_value`): strings,
-ints, floats, bools and ``None``.  Numeric values collapse to their
-canonical equal (``True``/``1``/``1.0`` share one encoding and decode as
-``1``) so SQL row equality coincides with Python equality — the same
-equivalence the in-memory ``set`` semantics already impose.  Values
-outside the scalar vocabulary raise ``TypeError`` on write; on the read
-side an un-encodable probe value simply matches nothing.
+Fact values are stored in SQLite's own storage classes
+(:func:`encode_value`): ``str`` as TEXT; ``int``, ``bool`` and integral
+``float`` within int64 as INTEGER; non-integral finite ``float`` and
+``±inf`` as REAL.  Two BLOB tags cover what SQLite cannot hold natively:
+``None`` is ``b"n"`` and an integer outside int64 (an integral float such
+as ``1e300`` included) is ``b"i<digits>"``.  Numeric values collapse to
+their canonical equal (``True``/``1``/``1.0`` all store as INTEGER ``1``
+and read back as ``1``), the same equivalence the in-memory ``set``
+semantics already impose.  Canonical values of different storage
+classes never compare equal in SQL, so ``=``/``<>`` over stored values
+agree with Python ``==``/``!=``.  The value columns are declared
+``BLOB``: BLOB affinity means SQLite never converts a value (TEXT or
+NUMERIC affinity would turn ``1`` into ``'1'`` or ``'1'`` into ``1``).
+``None`` is a tag, not SQL ``NULL``: ``NULL = NULL`` is not true, and
+the partial UNIQUE index would admit duplicate live rows.  Only a row
+holding a BLOB needs decoding; every other row is already the Python
+tuple.  Values outside the scalar vocabulary raise ``TypeError`` on
+write; on the read side an un-encodable probe value simply matches
+nothing.  The on-disk layout is format 2 (:data:`_META_FORMAT`); a store
+written in another format is refused on open.
 
 ## Durability
 
@@ -88,7 +101,9 @@ DEFAULT_SQL_PUSHDOWN_MIN_ROWS = _env.DEFAULT_SQL_PUSHDOWN_MIN_ROWS
 #: Batch size of bulk cursor fetches (pushdown results, bulk copies).
 _FETCH_BATCH = 1024
 
-_META_FORMAT = 1
+#: On-disk layout version, checked on open.  Format 1 stored values as
+#: tagged TEXT; format 2 stores them in SQLite's storage classes.
+_META_FORMAT = 2
 
 
 def _pushdown_threshold() -> int:
@@ -98,60 +113,73 @@ def _pushdown_threshold() -> int:
 
 
 # ----------------------------------------------------------------------
-# Value encoding (tagged TEXT; equality-faithful for the scalar types)
+# Value encoding (SQLite storage classes; equality-faithful for scalars)
 # ----------------------------------------------------------------------
-def encode_value(value: object) -> str:
-    """The stored TEXT encoding of one fact value.
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+#: The BLOB tag of ``None`` (SQL ``NULL`` never equals itself).
+_NONE_BLOB = b"n"
+
+
+def _encode_int(value: int) -> object:
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return value
+    return b"i" + str(value).encode("ascii")
+
+
+def encode_value(value: object) -> object:
+    """The stored SQLite value of one fact value.
 
     Injective on Python equality classes: equal values (including
     ``True == 1 == 1.0``) share one encoding, unequal values never do —
     so SQL ``=``/``<>`` over encodings agrees with Python ``==``/``!=``.
-    Raises ``TypeError`` outside the scalar vocabulary (str/int/float/
-    bool/None; NaN is rejected because it is not equal to itself).
+    ``str`` stays TEXT, integers within int64 are INTEGER, non-integral
+    floats and ``±inf`` are REAL; ``None`` and integers outside int64
+    are tagged BLOBs.  Raises ``TypeError`` outside the scalar
+    vocabulary (str/int/float/bool/None; NaN is rejected because it is
+    not equal to itself).
     """
     kind = type(value)
     if kind is str:
-        return "s" + value
-    if kind is bool:
-        return "i" + str(int(value))
-    if kind is int:
-        return "i" + str(value)
+        return value
+    if kind is int or kind is bool:
+        return _encode_int(int(value))
     if kind is float:
         if value != value:
             raise TypeError("NaN fact values are not supported by the SQL backend")
         try:
             integral = value == int(value)
         except OverflowError:
-            integral = False  # +/-inf: finite canonical form does not exist
+            return value  # +/-inf: no integer equals it, so REAL is canonical
         if integral:
-            return "i" + str(int(value))
-        return "f" + repr(value)
+            return _encode_int(int(value))
+        return value
     if value is None:
-        return "n"
+        return _NONE_BLOB
     raise TypeError(
         "the SQL store backend supports scalar fact values "
         f"(str/int/float/bool/None), got {kind.__name__}"
     )
 
 
-def decode_value(text: str) -> object:
-    """The canonical Python value of one stored TEXT encoding."""
-    tag = text[0]
-    if tag == "s":
-        return text[1:]
-    if tag == "i":
-        return int(text[1:])
-    if tag == "f":
-        return float(text[1:])
-    return None
+def decode_value(stored: object) -> object:
+    """The canonical Python value of one stored SQLite value."""
+    if type(stored) is not bytes:
+        return stored
+    if stored == _NONE_BLOB:
+        return None
+    return int(stored[1:])
 
 
-def _encode_tuple(tup: Sequence[object]) -> Tuple[str, ...]:
-    return tuple(encode_value(value) for value in tup)
+def _encode_tuple(tup: Sequence[object]) -> Tuple[object, ...]:
+    return tuple(map(encode_value, tup))
 
 
-def _decode_row(row: Sequence[str]) -> Tuple[object, ...]:
-    return tuple(decode_value(text) for text in row)
+def _decode_row(row: Tuple[object, ...]) -> Tuple[object, ...]:
+    """A fetched row as a fact tuple: only a row holding a BLOB changes."""
+    if bytes in map(type, row):
+        return tuple(map(decode_value, row))
+    return row
 
 
 def _decode_rows(arity: int, rows) -> Iterator[Tuple[object, ...]]:
@@ -325,14 +353,15 @@ class SQLSnapshot:
     def _contains(self, name: str, tup: Tuple[object, ...]) -> bool:
         if not self._counts.get(name):
             return False
+        arity = self.schema.arity(name)
+        if len(tup) != arity:
+            return False  # no stored fact has another arity
         try:
             encoded = _encode_tuple(tup)
         except TypeError:
             return False  # un-encodable values are never stored
-        store = self._store
-        cursor = store._conn.execute(
-            _sql.at_exists_sql(name, store.schema.arity(name)),
-            encoded + (self.gen, self.gen),
+        cursor = self._store._conn.execute(
+            _sql.at_exists_sql(name, arity), encoded + (self.gen, self.gen)
         )
         return cursor.fetchone() is not None
 
@@ -599,7 +628,11 @@ class SQLStoreInstance:
         self._data = _SQLDataMap(self, None)
         self._delta_key: Optional[object] = None
         self._delta_relations: Set[str] = set()
-        self._load_or_init_meta()
+        try:
+            self._load_or_init_meta()
+        except SchemaError:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Metadata (reopenability + the committed-counter source of truth)
@@ -607,6 +640,16 @@ class SQLStoreInstance:
     def _load_or_init_meta(self) -> None:
         meta = dict(self._conn.execute(_sql.meta_select_sql()).fetchall())
         if "schema" in meta:
+            found = meta.get("format")
+            if found != str(_META_FORMAT):
+                raise SchemaError(
+                    "SQL store "
+                    + repr(self._path)
+                    + " has format "
+                    + repr(found)
+                    + ", expected format "
+                    + repr(str(_META_FORMAT))
+                )
             stored = json.loads(meta["schema"])
             declared = [[name, self.schema.arity(name)] for name in self.schema.names()]
             if stored != declared:
@@ -891,11 +934,13 @@ class SQLStoreInstance:
     def discard(self, relation_name: str, tup: Tuple[object, ...]) -> bool:
         if relation_name not in self.schema:
             return False
+        arity = self.schema.arity(relation_name)
+        if len(tup) != arity:
+            return False  # no stored fact has another arity
         try:
             encoded = _encode_tuple(tup)
         except TypeError:
             return False  # un-encodable values are never stored
-        arity = self.schema.arity(relation_name)
         self._begin()
         cursor = self._conn.execute(
             _sql.delete_unfrozen_fact_sql(relation_name, arity),
@@ -983,13 +1028,16 @@ class SQLStoreInstance:
     def contains(self, relation_name: str, values: Sequence[object]) -> bool:
         if relation_name not in self.schema:
             return False
+        tup = tuple(values)
+        arity = self.schema.arity(relation_name)
+        if len(tup) != arity:
+            return False  # no stored fact has another arity
         try:
-            encoded = _encode_tuple(tuple(values))
+            encoded = _encode_tuple(tup)
         except TypeError:
             return False  # un-encodable values are never stored
         cursor = self._conn.execute(
-            _sql.live_exists_sql(relation_name, self.schema.arity(relation_name)),
-            encoded,
+            _sql.live_exists_sql(relation_name, arity), encoded
         )
         return cursor.fetchone() is not None
 
@@ -1313,7 +1361,9 @@ def _maybe_pushdown(
         batch = first
         while batch:
             for row in batch:
-                yield dict(zip(slot_variables, map(decode_value, row)))
+                if bytes in map(type, row):
+                    row = tuple(map(decode_value, row))
+                yield dict(zip(slot_variables, row))
             batch = cursor.fetchmany(_FETCH_BATCH)
 
     return rows()

@@ -17,11 +17,16 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import sqlite3
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.datalog.evaluation import evaluate_program
 from repro.engine.reduction import instance_key
@@ -31,7 +36,7 @@ from repro.queries.evaluation import (
     satisfying_assignments,
 )
 from repro.relational.instance import Instance
-from repro.relational.schema import Relation, Schema, make_schema
+from repro.relational.schema import Relation, Schema, SchemaError, make_schema
 from repro.store import faults
 from repro.store.backend import (
     MEMORY_BACKEND,
@@ -108,6 +113,23 @@ class TestValueEncoding:
             encode_value(float("nan"))
         with pytest.raises(TypeError):
             encode_value(object())
+
+    def test_storage_classes(self):
+        # SQLite holds str/int64/float natively; None and integers
+        # outside int64 are the two tagged BLOBs.
+        assert encode_value("i1") == "i1"
+        assert encode_value(2**63 - 1) == 2**63 - 1
+        assert encode_value(-(2**63)) == -(2**63)
+        assert encode_value(2**63) == b"i9223372036854775808"
+        assert encode_value(-(2**63) - 1) == b"i-9223372036854775809"
+        assert encode_value(1e300) == b"i" + str(int(1e300)).encode()
+        assert encode_value(-0.0) == 0 and type(encode_value(-0.0)) is int
+        assert encode_value(2.0) == 2 and type(encode_value(2.0)) is int
+        assert encode_value(1.5) == 1.5
+        assert encode_value(float("-inf")) == float("-inf")
+        assert encode_value(None) == b"n"
+        assert decode_value(b"n") is None
+        assert decode_value(b"i-9223372036854775809") == -(2**63) - 1
 
 
 # ----------------------------------------------------------------------
@@ -576,6 +598,233 @@ class TestPersistence:
         assert reopened.tuples("R") == frozenset({("one",)})
         assert reopened.verify()["ok"]
         reopened.close()
+
+
+    def test_format_one_store_is_refused(self, tmp_path, capsys):
+        # A format-1 file holds tagged TEXT ("s<str>", "i<digits>"); read
+        # as format 2 it would answer the tags as strings.
+        path = str(tmp_path / "old.db")
+        conn = sqlite3.connect(path)
+        conn.execute(
+            'CREATE TABLE "repro_store_meta" ( k TEXT PRIMARY KEY, v TEXT NOT NULL )'
+        )
+        conn.executemany(
+            'INSERT INTO "repro_store_meta" ( k, v ) VALUES ( ?, ? )',
+            [
+                ("format", "1"),
+                ("schema", '[["R", 2]]'),
+                ("count", "1"),
+                ("hash_sum", "0"),
+                ("hash_xor", "0"),
+                ("max_frozen", "1"),
+                ("counts", '{"R": 1}'),
+            ],
+        )
+        conn.execute(
+            'CREATE TABLE "rel R" ( c0 TEXT NOT NULL, c1 TEXT NOT NULL, '
+            "g INTEGER NOT NULL, d INTEGER )"
+        )
+        conn.execute(
+            'INSERT INTO "rel R" VALUES ( ?, ?, 1, NULL )', ("sabc", "i1380")
+        )
+        conn.commit()
+        conn.close()
+        for opener in (
+            lambda: SQLStoreInstance(make_schema({"R": 2}), path),
+            lambda: SQLStoreInstance.open(path),
+        ):
+            with pytest.raises(SchemaError, match="format '1'.*format '2'"):
+                opener()
+        from repro.cli import main
+
+        assert main(["store", "info", "--path", path]) == 2
+        assert "format '1'" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# Probes of the wrong arity (parity across the three backends)
+# ----------------------------------------------------------------------
+class TestWrongArityProbes:
+    def test_every_backend_answers_false(self):
+        schema = make_schema({"R": 2})
+        stores = [Instance(schema), SnapshotInstance(schema), SQLStoreInstance(schema)]
+        for store in stores:
+            store.add("R", (1, 2))
+            readers = [store]
+            if not isinstance(store, Instance):
+                readers.append(store.snapshot().view())
+            for reader in readers:
+                for probe in ((1,), (1, 2, 3), ()):
+                    assert ("R", probe) not in reader
+                    assert not reader.contains("R", probe)
+            assert not store.discard("R", (1,))
+            assert not store.discard("R", (1, 2, 3))
+            assert store.contains("R", (1, 2))
+        stores[2].close()
+
+
+# ----------------------------------------------------------------------
+# Edge values: the SQL store against the memory oracle (hypothesis)
+# ----------------------------------------------------------------------
+#: Values at the edges of the encoding: the int64 bounds and one past
+#: them, integers and integral floats beyond int64, infinities, the
+#: numeric collapses, ``None``, and strings that look like numbers or
+#: like the tags of the old tagged-TEXT format.
+_EDGE_POOL = [
+    2**63 - 1,
+    2**63,
+    -(2**63),
+    -(2**63) - 1,
+    10**300,
+    1e300,
+    float("inf"),
+    float("-inf"),
+    -0.0,
+    0,
+    True,
+    1,
+    1.0,
+    2.0,
+    1.5,
+    None,
+    "",
+    "n",
+    "i1",
+    "s",
+    "1",
+    "x\x00y",
+]
+_EDGE_VALUE = st.sampled_from(_EDGE_POOL)
+_EDGE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "discard", "snapshot"]),
+        st.sampled_from(["Init", "Edge"]),
+        st.tuples(_EDGE_VALUE, _EDGE_VALUE),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _canonical(value):
+    """The one representative of *value*'s Python equality class."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is float and value == value and abs(value) != float("inf"):
+        if value == int(value):
+            return int(value)
+    return value
+
+
+class TestEdgeValuesAgreeWithOracle:
+    @pytest.mark.parametrize("threshold", ["1", "1000000000"], ids=["push", "facade"])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=_EDGE_OPS, constant=_EDGE_VALUE)
+    @example(
+        ops=[
+            ("add", "Init", (1, 0)),
+            ("add", "Init", ("1", 0)),
+            ("add", "Edge", (None, "n")),
+            ("snapshot", "Init", (0, 0)),
+            ("add", "Edge", (None, "n")),
+            ("add", "Edge", ("n", 1.5)),
+            ("discard", "Edge", (None, "n")),
+            ("add", "Edge", (None, "i1")),
+        ],
+        constant=None,
+    )
+    @example(
+        ops=[
+            ("add", "Init", ("1", 0)),
+            ("add", "Edge", ("1", 1)),
+            ("add", "Edge", (1, 2**63)),
+            ("add", "Edge", (2**63, 1e300)),
+        ],
+        constant="1",
+    )
+    def test_store_matches_oracle(self, threshold, ops, constant):
+        """Probes, joins, a fixedpoint and a reopen agree with the oracle.
+
+        The explicit examples pin the collisions a wrong column affinity
+        or a ``NULL`` for ``None`` would cause: ``1`` next to ``'1'``
+        (TEXT or ``ANY`` affinity merges them) and ``None`` stored twice
+        across a snapshot (``NULL`` is never equal to itself).
+        """
+        from repro.queries.atoms import Atom
+        from repro.queries.cq import ConjunctiveQuery
+        from repro.queries.terms import Constant, Variable
+
+        program = scaling.grid_reach_program()
+        arity = {"Init": 1, "Edge": 2}
+        with mock.patch.dict(
+            os.environ, {"REPRO_SQL_PUSHDOWN_MIN_ROWS": threshold}
+        ), tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "edge.db")
+            sql = SQLStoreInstance(program.combined_schema(), path)
+            oracle = Instance(program.edb_schema)
+            twin = SnapshotInstance(program.combined_schema())  # canonical values
+            for op, name, values in ops:
+                tup = values[: arity[name]]
+                if op == "snapshot":
+                    sql.snapshot()
+                elif op == "add":
+                    assert sql.add_unchecked(name, tup) == oracle.add_unchecked(
+                        name, tup
+                    )
+                    twin.add_unchecked(name, tuple(map(_canonical, tup)))
+                else:
+                    assert sql.discard(name, tup) == oracle.discard(name, tup)
+                    twin.discard(name, tuple(map(_canonical, tup)))
+                assert sql.contains(name, tup) == oracle.contains(name, tup)
+
+            for name in ("Init", "Edge"):
+                assert sql.tuples(name) == oracle.tuples(name)
+                for position in range(arity[name]):
+                    for value in _EDGE_POOL:
+                        assert set(sql.index(name, position, value)) == set(
+                            oracle.index(name, position, value)
+                        )
+                for value in _EDGE_POOL:
+                    probe = (value, constant)[: arity[name]]
+                    assert sql.contains(name, probe) == oracle.contains(name, probe)
+            assert sql.snapshot() == twin.snapshot()
+            assert encode_key(sql.snapshot()) == encode_key(twin.snapshot())
+
+            x, y, z = Variable("x"), Variable("y"), Variable("z")
+            queries = (
+                ConjunctiveQuery(atoms=(Atom("Edge", (x, y)), Atom("Edge", (y, z)))),
+                ConjunctiveQuery(atoms=(Atom("Init", (x,)), Atom("Edge", (x, y)))),
+                ConjunctiveQuery(atoms=(Atom("Edge", (Constant(constant), y)),)),
+            )
+            base = REGISTRY.counters_snapshot()
+            for query in queries:
+                assert _multiset(satisfying_assignments(query, sql)) == _multiset(
+                    naive_satisfying_assignments(query, oracle)
+                ), str(query)
+            pushed = _pushdown_delta(base).get("store.pushdown", 0)
+            assert pushed >= 1 if threshold == "1" and sql.size() else pushed == 0
+
+            # The dict oracle's validated Datalog path rejects bools, so
+            # it runs on the canonical twin's facts.
+            expected = evaluate_program(
+                program, twin.to_instance(), store_backed=False
+            )
+            assert evaluate_program(program, sql, backend="sqlite") is sql
+            for name in ("Init", "Edge", "Reach"):
+                assert sql.tuples(name) == expected.tuples(name)
+            sql.snapshot()
+            sql.close()
+
+            reopened = SQLStoreInstance.open(path)
+            for name in ("Init", "Edge", "Reach"):
+                assert reopened.tuples(name) == expected.tuples(name)
+            assert reopened.verify()["ok"]
+            reopened.close()
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,13 @@ cache's ``lookups``, ``hits``, ``disk_hits`` and ``bytes_written`` plus
 ``engine.computed`` (``serve_warm.*``).  Equal ``bytes_written`` means
 the cache wrote byte-identical keys and records.
 
+The ``store_scale`` guard builds that workload (``perfbench/store_scale.py``)
+at seed 1 on a :data:`STORE_BASE_FACTS`-fact base store and runs its first
+:data:`STORE_OPERATIONS` operations (writes, lookups, the chain join and a
+fixedpoint) under a third tracer.  It pins ``sql.pushdowns`` and
+``sql.facts_ingested`` (``store_scale.*``): a change to the SQL backend's
+storage must neither lose a pushdown nor drop or duplicate a fact.
+
 The counts are exact: a change that is not meant to alter the searches
 must reproduce them.  A change that is meant to re-records them with
 ``PYTHONPATH=src python tests/test_work_counts.py`` and says why.
@@ -72,6 +79,11 @@ WARM_KEYS = (
 #: union is searched: three capped branches, then two capped and one
 #: witnessed.
 UNIONS = (((0, 3), (0, 0)), ((3, 5), (0, 1)))
+
+#: Base-store size and operation count of the ``store_scale`` slice.
+STORE_BASE_FACTS = 10_000
+STORE_OPERATIONS = 6
+STORE_KEYS = ("sql.pushdowns", "sql.facts_ingested")
 
 _SCRIPT = f"""
 import json
@@ -137,6 +149,25 @@ for key in {WARM_KEYS!r}:
     counts["serve_warm." + key] = tracer.counts[key]
 counts["serve_warm.requests"] = recorder.attempted
 counts["serve_warm.failed"] = recorder.failed + recorder.wrong
+
+from store_scale import StoreScale
+
+workdir = tempfile.mkdtemp(prefix="work-counts-")
+scale = StoreScale(seed={SEED}, workdir=workdir, base_facts={STORE_BASE_FACTS})
+scale.setup()
+recorder = Recorder()
+tracer = Tracer()
+tracer.install()
+try:
+    scale.run_round(recorder, limit={STORE_OPERATIONS})
+finally:
+    tracer.uninstall()
+    scale.teardown()
+    shutil.rmtree(workdir, ignore_errors=True)
+for key in {STORE_KEYS!r}:
+    counts["store_scale." + key] = tracer.counts[key]
+counts["store_scale.requests"] = recorder.attempted
+counts["store_scale.failed"] = recorder.failed
 print(json.dumps(counts, sort_keys=True))
 """
 
@@ -165,6 +196,8 @@ def test_work_counts_match_record():
     assert counts["requests"] == REQUESTS
     assert counts["failed"] == 0
     assert counts["serve_warm.failed"] == 0
+    assert counts["store_scale.requests"] == STORE_OPERATIONS
+    assert counts["store_scale.failed"] == 0
     assert counts == json.loads(FIXTURE.read_text())
 
 
