@@ -14,14 +14,20 @@ fixedpoint ``P(D)`` of the program on a database ``D`` (the notation of
 the paper, Section 4.1), round by identical round.
 
 The fixedpoint state lives on the persistent fact store by default
-(:class:`~repro.store.snapshot.SnapshotInstance`): per-round snapshots
-are O(#relations), the previous-generation side of the delta plans is a
-shared :meth:`~repro.store.snapshot.Snapshot.view` of the round's
-snapshot (warm indexes included), and ``generation_log`` provenance is a
-by-product rather than a separate mode.  ``store_backed=False`` keeps the
-dict-backed :class:`~repro.relational.instance.Instance` as the oracle
-backend (the old-generation side then lags one round behind in a second
-plain instance).
+(:class:`~repro.store.snapshot.SnapshotInstance`).  Each round is
+set-based: its derivations are collected per head relation, one
+``missing`` call per relation finds the new ones, and one ``add_all``
+per relation adds them (on SQLite: one staged anti-join and one
+``executemany``).  The previous-generation side of the delta plans is the
+store's ``pin()`` of the pre-round state — a shared
+:meth:`~repro.store.snapshot.Snapshot.view` on the memory backend (warm
+indexes included), an uncommitted generation on SQLite, so an in-place
+SQLite fixedpoint runs as one open transaction.  ``generation_log``
+provenance is a by-product (committed ``snapshot()`` tokens) rather than
+a separate mode.  ``store_backed=False`` keeps the dict-backed
+:class:`~repro.relational.instance.Instance` as the oracle backend (the
+old-generation side then lags one round behind in a second plain
+instance).
 
 Rule bodies are evaluated through the compiled join engine
 (:mod:`repro.queries.plan_cache`); the body query of each rule is built
@@ -48,9 +54,6 @@ from repro.relational.instance import Instance
 from repro.store import backend as _backend
 from repro.store.snapshot import Snapshot, SnapshotInstance
 from repro.store.sqlstore import SQLStoreInstance
-
-Fact = Tuple[str, Tuple[object, ...]]
-
 
 class FixedpointTruncated(RuntimeError):
     """``evaluate_program(max_rounds=...)`` ran out of rounds unconverged.
@@ -101,23 +104,21 @@ def _body_query(rule: Rule) -> ConjunctiveQuery:
     return query
 
 
-def _head_fact(rule: Rule, assignment: Dict[Variable, object]) -> Fact:
+def _head_tuple(rule: Rule, assignment: Dict[Variable, object]) -> Tuple[object, ...]:
     head_values = []
     for term in rule.head.terms:
         if isinstance(term, Constant):
             head_values.append(term.value)
         else:
             head_values.append(assignment[term])
-    return (rule.head.relation, tuple(head_values))
+    return tuple(head_values)
 
 
-def _rule_derivations(rule: Rule, instance) -> Set[Fact]:
-    """Head facts derivable by *rule* from *instance* (the full join)."""
-    derived: Set[Fact] = set()
+def _rule_derivations(rule: Rule, instance, derived: Set[Tuple[object, ...]]) -> None:
+    """Add the head tuples *rule* derives from *instance* (the full join)."""
     body_query = _body_query(rule)
     for assignment in satisfying_assignments(body_query, instance):
-        derived.add(_head_fact(rule, assignment))
-    return derived
+        derived.add(_head_tuple(rule, assignment))
 
 
 def _rule_delta_derivations(
@@ -125,8 +126,9 @@ def _rule_delta_derivations(
     state,
     old,
     delta: Dict[str, Set[Tuple[object, ...]]],
-) -> Set[Fact]:
-    """Head facts of *rule* whose body uses at least one delta fact.
+    derived: Set[Tuple[object, ...]],
+) -> None:
+    """Add the head tuples of *rule* whose body uses at least one delta fact.
 
     One compiled delta-variant plan per body position whose relation has
     delta facts this round; positions over delta-free relations are
@@ -135,7 +137,6 @@ def _rule_delta_derivations(
     position, so together they derive exactly the facts the semi-naive
     restriction asks for — no full re-join, no post-hoc filtering.
     """
-    derived: Set[Fact] = set()
     body_query = _body_query(rule)
     for position, atom in enumerate(rule.body):
         if not delta.get(atom.relation):
@@ -143,8 +144,7 @@ def _rule_delta_derivations(
         for assignment in satisfying_assignments_delta(
             body_query, state, old, delta, position
         ):
-            derived.add(_head_fact(rule, assignment))
-    return derived
+            derived.add(_head_tuple(rule, assignment))
 
 
 def _rule_supports_delta(rule: Rule) -> bool:
@@ -179,13 +179,16 @@ def evaluate_program(
 
     *backend* picks the store backend for the fixedpoint state
     (``"memory"``/``"sqlite"``; ``None`` defers to the
-    ``REPRO_STORE_BACKEND`` knob).  On the ``sqlite`` backend, per-round
-    snapshots are MVCC generation tokens and large rule joins push down
-    as SQL (see :mod:`repro.store.sqlstore`) — the bigger-than-RAM path.
-    As a special case, when *database* is itself an SQLite-backed store
-    over the combined schema, the fixedpoint is computed **in place**
-    (IDB facts are added to the given store and the same object is
-    returned) instead of re-ingesting millions of facts into a copy.
+    ``REPRO_STORE_BACKEND`` knob).  On the ``sqlite`` backend, the
+    rounds pin MVCC generations inside one open transaction and large
+    rule joins push down as SQL (see :mod:`repro.store.sqlstore`) — the
+    bigger-than-RAM path.  As a special case, when *database* is itself
+    an SQLite-backed store over the combined schema, the fixedpoint is
+    computed **in place** (IDB facts are added to the given store and the
+    same object is returned) instead of re-ingesting millions of facts
+    into a copy.  Without *generation_log* nothing is committed: the
+    caller's next ``snapshot()`` makes the result durable, and
+    ``restore()`` of the pre-fixedpoint snapshot rolls it back.
 
     When *generation_log* is given, one O(1)
     :class:`~repro.store.snapshot.Snapshot` per generation (the seeded
@@ -224,12 +227,12 @@ def evaluate_program(
         else:
             state = SnapshotInstance(combined)
     # ``old`` is the previous-generation side of the delta plans: on the
-    # store it is a shared view of the last pre-round snapshot; on the
-    # dict backend it is a second instance lagging exactly one delta
-    # behind (each fact is added to it once, O(n) over the whole run).
+    # store it is a pinned view of the pre-round state; on the dict
+    # backend it is a second instance lagging exactly one delta behind
+    # (each fact is added to it once, O(n) over the whole run).
     old: Union[Instance, SnapshotInstance]
     if store_backed:
-        old = state.snapshot().view()  # the empty pre-seed generation
+        old = state.pin()  # the pre-seed generation
     else:
         old = Instance(combined)
     delta: Dict[str, Set[Tuple[object, ...]]] = {}
@@ -272,16 +275,23 @@ def evaluate_program(
             if max_rounds is not None and rounds >= max_rounds:
                 break
             rounds += 1
-            new_facts: Set[Fact] = set()
+            derived: Dict[str, Set[Tuple[object, ...]]] = {}
             for rule in program.rules:
+                bucket = derived.setdefault(rule.head.relation, set())
                 if semi_naive and _rule_supports_delta(rule):
-                    derivations = _rule_delta_derivations(rule, state, old, delta)
+                    _rule_delta_derivations(rule, state, old, delta, bucket)
                 else:
-                    derivations = _rule_derivations(rule, state)
-                for fact in derivations:
-                    if fact not in state:
-                        new_facts.add(fact)
-            _trace.event("datalog.round", round=rounds, new_facts=len(new_facts))
+                    _rule_derivations(rule, state, bucket)
+            new_facts: Dict[str, Set[Tuple[object, ...]]] = {}
+            for name, bucket in derived.items():
+                missing = state.missing(name, bucket)
+                if missing:
+                    new_facts[name] = missing
+            _trace.event(
+                "datalog.round",
+                round=rounds,
+                new_facts=sum(map(len, new_facts.values())),
+            )
             if not new_facts:
                 converged = True
                 break
@@ -289,19 +299,16 @@ def evaluate_program(
                 # Advance the previous-generation side before mutating the
                 # state (naive mode reads neither ``old`` nor ``delta``).
                 if store_backed:
-                    old = state.snapshot().view()
+                    old = state.pin()
                 else:
                     for name, bucket in delta.items():
                         for tup in bucket:
                             old.add_unchecked(name, tup)
-            for fact in new_facts:
-                state.add_fact(fact)
+            for name, bucket in new_facts.items():
+                state.add_all(name, bucket)
             if generation_log is not None:
                 generation_log.append(state.snapshot())
-            if semi_naive:
-                delta = {}
-                for name, tup in new_facts:
-                    delta.setdefault(name, set()).add(tup)
+            delta = new_facts
     finally:
         _trace.end(fixedpoint_span, rounds=rounds, converged=converged)
     _metrics.counter("datalog.fixedpoint_runs")

@@ -237,6 +237,13 @@ class Instance:
         """Whether the given tuple is present in *relation_name*."""
         return (relation_name, tuple(values)) in self
 
+    def missing(
+        self, relation_name: str, tuples: Iterable[Tuple[object, ...]]
+    ) -> Set[Tuple[object, ...]]:
+        """The tuples of *tuples* that *relation_name* does not hold."""
+        present = self._data.get(relation_name, _EMPTY_FROZENSET)
+        return {tup for tup in tuples if tup not in present}
+
     def _sorted_tuples(self, relation_name: str) -> List[Tuple[object, ...]]:
         cached = self._sorted_cache.get(relation_name)
         if cached is None:

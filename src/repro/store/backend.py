@@ -51,8 +51,10 @@ class StoreBackend(ABC):
     :class:`~repro.store.snapshot.SnapshotInstance` API — reads
     (``tuples``/``tuples_view``/``index``/``contains``/``size``/
     ``facts``/``freeze``), mutations (``add``/``add_unchecked``/
-    ``discard``), and O(cheap) state tokens (``snapshot``/``restore``/
-    ``fingerprint``) whose hashes agree across backends on equal facts.
+    ``discard``), set-based membership (``missing``), O(cheap) state
+    tokens (``snapshot``/``restore``/``fingerprint``) whose hashes agree
+    across backends on equal facts, and ``pin``, the uncommitted read view
+    a fixedpoint round joins against.
     """
 
     @abstractmethod
@@ -62,6 +64,19 @@ class StoreBackend(ABC):
     @abstractmethod
     def restore(self, snap) -> None:
         """Return to a previously taken snapshot of this store."""
+
+    @abstractmethod
+    def pin(self):
+        """A read view frozen at the current state (not a durability point).
+
+        The previous-generation side of a semi-naive fixedpoint round.  On
+        the memory backend it is ``snapshot().view()``; the SQLite backend
+        pins a generation inside its open transaction without committing.
+        """
+
+    @abstractmethod
+    def missing(self, relation_name, tuples):
+        """The set of *tuples* the relation does not hold (one call per batch)."""
 
     @abstractmethod
     def fingerprint(self):

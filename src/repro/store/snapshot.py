@@ -524,6 +524,14 @@ class SnapshotInstance:
         """
         return self.snapshot()
 
+    def pin(self) -> "SnapshotInstance":
+        """A read view frozen at the current state: :meth:`snapshot`'s view.
+
+        The store backends' common name for a fixedpoint's
+        previous-generation side (the SQL store pins without committing).
+        """
+        return self.snapshot().view()
+
     def restore(self, snap: Snapshot) -> None:
         """Roll this facade back to *snap* (O(#relations))."""
         self._shards = dict(snap.shards)
@@ -658,6 +666,16 @@ class SnapshotInstance:
     def contains(self, relation_name: str, values: Sequence[object]) -> bool:
         """Whether the given tuple is present in *relation_name*."""
         return (relation_name, tuple(values)) in self
+
+    def missing(
+        self, relation_name: str, tuples: Iterable[Tuple[object, ...]]
+    ) -> Set[Tuple[object, ...]]:
+        """The tuples of *tuples* that *relation_name* does not hold."""
+        shard = self._shards.get(relation_name)
+        if shard is None:
+            return set(tuples)
+        present = shard.tuples
+        return {tup for tup in tuples if tup not in present}
 
     def facts(self) -> Iterator[Fact]:
         """All facts as ``(relation, tuple)`` pairs, repr-sorted per relation."""

@@ -33,6 +33,7 @@ assignment multiplicity.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.queries import plan_cache as _pc
@@ -44,8 +45,15 @@ from repro.queries import plan_cache as _pc
 _TABLE_PREFIX = "rel "
 #: Prefix of per-round delta temp tables.
 _DELTA_PREFIX = "delta "
+#: Prefix of the staging temp tables of :func:`select_missing_sql`.
+_STAGE_PREFIX = "stage "
 #: Name of the store metadata table.
 META_TABLE = "repro_store_meta"
+
+#: Entries per cached point-probe builder.  A probe's text depends only
+#: on its (relation, arity[, position]) key, so a hot loop of probes
+#: builds each statement once (and hits SQLite's statement cache).
+_PROBE_CACHE_SIZE = 1024
 
 
 def quote_ident(name: str) -> str:
@@ -63,6 +71,11 @@ def table_for(relation: str) -> str:
 def delta_table_for(relation: str) -> str:
     """The quoted per-round delta temp-table identifier of *relation*."""
     return quote_ident(_DELTA_PREFIX + relation)
+
+
+def stage_table_for(relation: str) -> str:
+    """The quoted staging temp-table identifier of *relation*."""
+    return quote_ident(_STAGE_PREFIX + relation)
 
 
 def column(position: int) -> str:
@@ -253,6 +266,75 @@ def insert_delta_sql(relation: str, arity: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def create_stage_table_sql(relation: str, arity: int) -> str:
+    """The staging temp table of :func:`select_missing_sql` (connection-local).
+
+    Column ``i`` holds each staged tuple's position in the caller's
+    batch, so the missing tuples come back as positions rather than as
+    re-decoded values.  Value columns are ``BLOB NOT NULL`` like the
+    relation tables'.
+    """
+    decls = ["i INTEGER NOT NULL"]
+    decls += [" ".join([name, "BLOB", "NOT", "NULL"]) for name in _columns(arity)]
+    return " ".join(
+        [
+            "CREATE TEMP TABLE IF NOT EXISTS",
+            stage_table_for(relation),
+            "(",
+            ", ".join(decls),
+            ")",
+        ]
+    )
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def clear_stage_sql(relation: str) -> str:
+    return " ".join(["DELETE FROM", stage_table_for(relation)])
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def insert_stage_sql(relation: str, arity: int) -> str:
+    """Stage one tuple (params: batch position, then the values)."""
+    cols = ["i"] + _columns(arity)
+    return " ".join(
+        [
+            "INSERT INTO",
+            stage_table_for(relation),
+            "(",
+            ", ".join(cols),
+            ") VALUES (",
+            ", ".join(["?"] * len(cols)),
+            ")",
+        ]
+    )
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def select_missing_sql(relation: str, arity: int) -> str:
+    """Batch positions of the staged tuples that have no live row.
+
+    One anti-join against the partial UNIQUE index over live rows: the
+    set-based form of one membership probe per tuple.
+    """
+    conditions = [
+        " ".join([".".join(["t", column(p)]), "=", ".".join(["s", column(p)])])
+        for p in range(arity)
+    ]
+    conditions.append("t.d IS NULL")
+    return " ".join(
+        [
+            "SELECT s.i FROM",
+            stage_table_for(relation),
+            "s WHERE NOT EXISTS ( SELECT 1 FROM",
+            table_for(relation),
+            "t WHERE",
+            " AND ".join(conditions),
+            ")",
+        ]
+    )
+
+
 # ----------------------------------------------------------------------
 # DML / point queries
 # ----------------------------------------------------------------------
@@ -295,6 +377,7 @@ def insert_live_sql(relation: str, arity: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def delete_unfrozen_fact_sql(relation: str, arity: int) -> str:
     """Delete the live row of a fact *iff* it was added after the last freeze."""
     return " ".join(
@@ -308,6 +391,7 @@ def delete_unfrozen_fact_sql(relation: str, arity: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def kill_live_fact_sql(relation: str, arity: int) -> str:
     """Tombstone a frozen live row at the working generation ``?``."""
     return " ".join(
@@ -321,6 +405,7 @@ def kill_live_fact_sql(relation: str, arity: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def live_exists_sql(relation: str, arity: int) -> str:
     return " ".join(
         [
@@ -333,6 +418,7 @@ def live_exists_sql(relation: str, arity: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def at_exists_sql(relation: str, arity: int) -> str:
     """Membership at a pinned generation (params: values..., g, g)."""
     return " ".join(
@@ -370,6 +456,7 @@ def select_at_sql(relation: str, arity: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def select_live_index_sql(relation: str, arity: int, position: int) -> str:
     """Live tuples whose *position*-th value equals ``?`` (index probe)."""
     return " ".join(
@@ -383,6 +470,7 @@ def select_live_index_sql(relation: str, arity: int, position: int) -> str:
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def select_at_index_sql(relation: str, arity: int, position: int) -> str:
     return " ".join(
         [
@@ -402,20 +490,9 @@ def count_live_sql(relation: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Restore (rolling the head back to a snapshot generation)
+# Restore (rolling the head back to an older snapshot generation; the
+# last committed one is a plain ROLLBACK)
 # ----------------------------------------------------------------------
-def drop_unfrozen_sql(relation: str) -> str:
-    """Delete every row created after the last frozen generation ``?``."""
-    return " ".join(["DELETE FROM", table_for(relation), "WHERE g > ?"])
-
-
-def revive_tombstones_sql(relation: str) -> str:
-    """Clear tombstones written after the last frozen generation ``?``."""
-    return " ".join(
-        ["UPDATE", table_for(relation), "SET d = NULL WHERE d > ?"]
-    )
-
-
 def kill_after_sql(relation: str) -> str:
     """Tombstone (at working gen ``?``) live rows born after generation ``?``."""
     return " ".join(

@@ -17,11 +17,15 @@ generation columns: ``g`` — the generation a row became visible — and
 head (current mutable state) reads ``d IS NULL``; snapshot generation
 ``S`` reads ``g <= S AND (d IS NULL OR d > S)``.  A snapshot is therefore
 one committed transaction plus five Python integers — no data is copied.
-Mutations after a snapshot only ever touch *unfrozen* rows (``g`` or
-``d`` above the last frozen generation), so every frozen generation's
-visible set is immutable; :meth:`SQLStoreInstance.restore` rolls the head
-back by deleting/reviving unfrozen rows and, for older targets, by
-tombstoning and re-opening rows at the working generation — a fact's
+A *pin* (:meth:`SQLStoreInstance.pin`) freezes a generation the same way
+but inside the open transaction, with no metadata write and no commit:
+the Datalog fixedpoint's per-round previous-generation side.  Mutations
+after a snapshot or pin only ever touch *unfrozen* rows (``g`` or ``d``
+above the last frozen generation), so every frozen generation's visible
+set is immutable.  :meth:`SQLStoreInstance.restore` first rolls back the
+open transaction, which returns the head to the last committed snapshot
+exactly and leaves nothing of the transaction behind; an older target
+then tombstones and re-opens rows at the working generation.  A fact's
 validity intervals stay pairwise disjoint, which is what lets the SQL
 join pushdown (:mod:`repro.store.sqlcodegen`) run without ``DISTINCT``.
 
@@ -60,12 +64,17 @@ written in another format is refused on open.
 ## Durability
 
 The connection runs one explicit transaction per snapshot interval:
-mutations open it lazily, :meth:`SQLStoreInstance.snapshot` writes the
-counter metadata and commits — snapshots are the durability points, and
-SQLite's journal makes each checkpoint atomic (a crashed writer rolls
-back to the previous snapshot, never a torn state).  The scripted
-``sql_commit``/``sql_pushdown`` fault points (:mod:`repro.store.faults`)
-let the tests prove both degradations.
+mutations and pins open it lazily, :meth:`SQLStoreInstance.snapshot`
+writes the counter metadata and commits — snapshots are the only
+durability points, and SQLite's journal makes each checkpoint atomic (a
+crashed writer rolls back to the previous snapshot, never a torn state).
+An in-place fixedpoint without a generation log commits nothing, so it
+is atomic too: a crash or fault mid-fixedpoint leaves the pre-fixedpoint
+state on disk.  A rollback drops the temp tables created inside the
+transaction, so the store forgets its delta tables then and re-creates
+them on next use.  The scripted ``sql_commit``/
+``sql_pushdown`` fault points (:mod:`repro.store.faults`) let the tests
+prove both degradations.
 """
 
 from __future__ import annotations
@@ -582,6 +591,7 @@ class SQLStoreInstance:
         "_hash_xor",
         "_gen",
         "_max_frozen",
+        "_committed_gen",
         "_in_txn",
         "_snap_cache",
         "_freeze_cache",
@@ -620,6 +630,7 @@ class SQLStoreInstance:
         self._hash_sum = 0
         self._hash_xor = 0
         self._max_frozen = 0
+        self._committed_gen = 0
         self._gen = 1
         self._in_txn = False
         self._snap_cache: Optional[SQLSnapshot] = None
@@ -659,7 +670,7 @@ class SQLStoreInstance:
                     + " does not match the declared schema "
                     + repr(declared)
                 )
-            self._max_frozen = int(meta.get("max_frozen", "0"))
+            self._max_frozen = self._committed_gen = int(meta.get("max_frozen", "0"))
             self._gen = self._max_frozen + 1
             # The persisted hash_sum/hash_xor were computed under the
             # *writing* process's string-hash seed; fingerprint parity
@@ -702,16 +713,6 @@ class SQLStoreInstance:
         self._count = count
         self._hash_sum = hash_sum
         self._hash_xor = hash_xor
-
-    def _apply_meta(self, meta: Dict[str, str]) -> None:
-        self._count = int(meta.get("count", "0"))
-        self._hash_sum = int(meta.get("hash_sum", "0"))
-        self._hash_xor = int(meta.get("hash_xor", "0"))
-        self._max_frozen = int(meta.get("max_frozen", "0"))
-        self._gen = self._max_frozen + 1
-        counts = json.loads(meta.get("counts", "{}"))
-        self._counts = {name: 0 for name in self.schema.names()}
-        self._counts.update({name: int(n) for name, n in counts.items()})
 
     def _write_meta(self, frozen_gen: int) -> None:
         rows = (
@@ -805,12 +806,32 @@ class SQLStoreInstance:
         if self._tuples_cache:
             self._tuples_cache.clear()
 
-    def _resync_to_committed(self) -> None:
-        """Re-adopt the last committed checkpoint after a rolled-back txn."""
-        meta = dict(self._conn.execute(_sql.meta_select_sql()).fetchall())
-        self._apply_meta(meta)
+    def _rollback(self) -> None:
+        """Roll back the open transaction to the last committed snapshot.
+
+        Pinned generations die with it, and so do the temp tables created
+        inside it: the delta bookkeeping forgets every table, so the next
+        use re-creates (and clears) it.  Counters are the caller's to
+        re-adopt.
+        """
+        self._conn.execute(_sql.SQL_ROLLBACK)
+        self._in_txn = False
+        self._max_frozen = self._committed_gen
+        self._gen = self._committed_gen + 1
         self._delta_key = None
+        self._delta_relations.clear()
         self._touched()
+
+    def _resync_to_committed(self) -> None:
+        """Roll back and re-adopt the committed counters from the metadata."""
+        self._rollback()
+        meta = dict(self._conn.execute(_sql.meta_select_sql()).fetchall())
+        self._count = int(meta.get("count", "0"))
+        self._hash_sum = int(meta.get("hash_sum", "0"))
+        self._hash_xor = int(meta.get("hash_xor", "0"))
+        counts = json.loads(meta.get("counts", "{}"))
+        self._counts = {name: 0 for name in self.schema.names()}
+        self._counts.update({name: int(n) for name, n in counts.items()})
 
     def _checkpoint(self, frozen_gen: int) -> None:
         self._begin()
@@ -822,8 +843,6 @@ class SQLStoreInstance:
             # Scripted torn transaction: everything since the previous
             # snapshot rolls back atomically; the store resynchronises to
             # the last committed state and surfaces the failure.
-            self._conn.execute(_sql.SQL_ROLLBACK)
-            self._in_txn = False
             self._resync_to_committed()
             raise OSError(
                 faults.FAULT_INJECT_ENV
@@ -832,6 +851,7 @@ class SQLStoreInstance:
             )
         self._conn.execute(_sql.SQL_COMMIT)
         self._in_txn = False
+        self._committed_gen = frozen_gen
 
     def snapshot(self) -> SQLSnapshot:
         """The current state as an immutable token (commits the interval).
@@ -861,11 +881,39 @@ class SQLStoreInstance:
         """Alias of :meth:`snapshot`: an exact O(1)-hashable content key."""
         return self.snapshot()
 
+    def pin(self) -> "SQLStoreView":
+        """A read view frozen at the current state, with no commit.
+
+        The fixedpoint's previous-generation side: it advances the
+        working generation inside the open transaction (no metadata
+        write, no ``COMMIT``) and raises the frozen mark, so a later
+        :meth:`discard` tombstones the rows the pin can see instead of
+        deleting them.  A pin is not a snapshot: it dies with the
+        transaction, and :meth:`restore` of the last committed snapshot
+        rolls it back with everything else.
+        """
+        self._begin()
+        frozen = self._gen
+        pinned = SQLSnapshot(
+            self,
+            frozen,
+            self._count,
+            self._hash_sum,
+            self._hash_xor,
+            dict(self._counts),
+        )
+        self._max_frozen = frozen
+        self._gen = frozen + 1
+        return pinned.view()
+
     def restore(self, snap: SQLSnapshot) -> None:
         """Roll the head back to *snap* without disturbing frozen generations.
 
-        Unfrozen rows are deleted/revived outright; restoring past older
-        snapshots tombstones and re-opens rows at the working generation,
+        An open transaction is rolled back first: the head is then the
+        last committed snapshot, exactly, and whatever the transaction
+        wrote (pinned generations included) leaves no row behind.  If
+        *snap* is that snapshot, restore is done.  Restoring an older
+        snapshot tombstones and re-opens rows at the working generation,
         keeping every fact's validity intervals disjoint.  Only snapshots
         of this store can be restored (a foreign snapshot has no rows
         here to roll back to).
@@ -875,19 +923,10 @@ class SQLStoreInstance:
                 "an SQL store can only restore its own snapshots; "
                 "branch with from_snapshot() instead"
             )
-        if not self._in_txn and snap.gen == self._max_frozen:
-            # Nothing has changed since that snapshot was frozen.
-            self._adopt_counters(snap)
-            self._snap_cache = snap
-            self._freeze_cache = None
-            self._tuples_cache.clear()
-            return
-        self._begin()
-        max_frozen = self._max_frozen
-        for name in self.schema.names():
-            self._conn.execute(_sql.drop_unfrozen_sql(name), (max_frozen,))
-            self._conn.execute(_sql.revive_tombstones_sql(name), (max_frozen,))
-        if snap.gen < max_frozen:
+        if self._in_txn:
+            self._rollback()
+        if snap.gen < self._max_frozen:
+            self._begin()
             working = self._gen
             for name in self.schema.names():
                 self._conn.execute(
@@ -895,11 +934,12 @@ class SQLStoreInstance:
                 )
                 self._conn.execute(
                     _sql.reinsert_interval_sql(name, self.schema.arity(name)),
-                    (working, snap.gen, snap.gen, max_frozen),
+                    (working, snap.gen, snap.gen, self._max_frozen),
                 )
         self._adopt_counters(snap)
-        self._delta_key = None
         self._touched()
+        if not self._in_txn:
+            self._snap_cache = snap  # the head is the committed snapshot
 
     def _adopt_counters(self, snap: SQLSnapshot) -> None:
         self._count = snap.count
@@ -962,8 +1002,34 @@ class SQLStoreInstance:
         return True
 
     def add_all(self, relation_name: str, tuples: Iterable[Sequence[object]]) -> None:
-        for values in tuples:
-            self.add(relation_name, values)
+        """Validate and add several tuples with one ``executemany``.
+
+        Priced for tuples the store does not hold, which is what a
+        fixedpoint round adds (the ones :meth:`missing` reported): one
+        statement batch plus the Python counter updates.  A batch with
+        live or repeated facts is still exact — the insert skips them and
+        the counters are recounted from the rows.
+        """
+        relation = self.schema.relation(relation_name)
+        batch = [relation.validate_tuple(values) for values in tuples]
+        if not batch:
+            return
+        gen = (self._gen,)
+        rows = [_encode_tuple(tup) + gen for tup in batch]
+        self._begin()
+        cursor = self._conn.executemany(self._insert_sql[relation_name], rows)
+        if cursor.rowcount == len(rows):
+            hash_sum, hash_xor = self._hash_sum, self._hash_xor
+            for tup in batch:
+                fh = _fact_hash(relation_name, tup)
+                hash_sum = (hash_sum + fh) & _M64
+                hash_xor ^= fh
+            self._hash_sum, self._hash_xor = hash_sum, hash_xor
+            self._count += len(rows)
+            self._counts[relation_name] += len(rows)
+        else:
+            self._recount_from_rows()
+        self._touched()
 
     def add_fact(self, fact: Fact) -> None:
         self.add(fact[0], fact[1])
@@ -1024,6 +1090,39 @@ class SQLStoreInstance:
     def __contains__(self, fact: Fact) -> bool:
         name, tup = fact
         return self.contains(name, tuple(tup))
+
+    def missing(
+        self, relation_name: str, tuples: Iterable[Tuple[object, ...]]
+    ) -> Set[Tuple[object, ...]]:
+        """The tuples of *tuples* that *relation_name* does not hold.
+
+        Set-based: the batch is staged into a temp table with one
+        ``executemany`` and one anti-join returns the positions of the
+        missing tuples, so the result holds the caller's own objects.
+        Tuples no stored fact can equal (wrong arity, un-encodable
+        values) are missing without a probe.
+        """
+        batch = list(tuples)
+        if not batch or not self._counts.get(relation_name):
+            return set(batch)
+        arity = self.schema.arity(relation_name)
+        absent: Set[Tuple[object, ...]] = set()
+        staged = []
+        for position, tup in enumerate(batch):
+            if len(tup) == arity:
+                try:
+                    staged.append((position,) + _encode_tuple(tup))
+                    continue
+                except TypeError:
+                    pass  # un-encodable values are never stored
+            absent.add(tup)
+        # Created on every call: a rollback drops a table created inside it.
+        self._conn.execute(_sql.create_stage_table_sql(relation_name, arity))
+        self._conn.execute(_sql.clear_stage_sql(relation_name))
+        self._conn.executemany(_sql.insert_stage_sql(relation_name, arity), staged)
+        cursor = self._conn.execute(_sql.select_missing_sql(relation_name, arity))
+        absent.update(batch[position] for (position,) in cursor.fetchall())
+        return absent
 
     def contains(self, relation_name: str, values: Sequence[object]) -> bool:
         if relation_name not in self.schema:
@@ -1229,10 +1328,11 @@ class SQLStoreInstance:
             if name not in self.schema:
                 continue
             arity = self.schema.arity(name)
-            self._conn.execute(_sql.create_delta_table_sql(name, arity))
-            if name in self._delta_relations:
-                pass  # already cleared above
-            else:
+            if name not in self._delta_relations:
+                # A table that outlived a rollback still holds the rows
+                # of its last committed use.
+                self._conn.execute(_sql.create_delta_table_sql(name, arity))
+                self._conn.execute(_sql.clear_delta_sql(name))
                 self._delta_relations.add(name)
             self._conn.executemany(
                 _sql.insert_delta_sql(name, arity),

@@ -37,7 +37,7 @@ from repro.queries.evaluation import (
 )
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema, SchemaError, make_schema
-from repro.store import faults
+from repro.store import faults, sqlcodegen
 from repro.store.backend import (
     MEMORY_BACKEND,
     SQLITE_BACKEND,
@@ -86,6 +86,11 @@ def pushdown_never(monkeypatch):
 
 def _pushdown_delta(base):
     return REGISTRY.counters_delta(base)
+
+
+def _raw_rows(store, table):
+    """Every row of *table*, live or dead (the MVCC garbage included)."""
+    return store._conn.execute("SELECT COUNT(*) FROM " + table).fetchone()[0]
 
 
 # ----------------------------------------------------------------------
@@ -157,10 +162,24 @@ class TestSqlStoreAgreesWithOracle:
         for step in range(500):
             name = rng.choice(["R", "S", "Z"])
             tup = _random_tuple(rng, arities[name])
-            if rng.random() < 0.6:
+            roll = rng.random()
+            if roll < 0.5:
                 assert store.add_unchecked(name, tup) == oracle.add_unchecked(
                     name, tup
                 )
+            elif roll < 0.6:
+                # A batch: new tuples, sometimes a live or a repeated one.
+                batch = [tup, _random_tuple(rng, arities[name])]
+                live = sorted(oracle.tuples(name), key=repr)
+                if live and rng.random() < 0.5:
+                    batch.append(rng.choice(live))
+                if rng.random() < 0.5:
+                    batch.append(rng.choice(batch))
+                assert store.missing(name, batch) == oracle.missing(name, batch)
+                # add_all validates, and an untyped position rejects True.
+                batch = [tuple(map(_canonical, values)) for values in batch]
+                store.add_all(name, batch)
+                oracle.add_all(name, batch)
             else:
                 assert store.discard(name, tup) == oracle.discard(name, tup)
             if rng.random() < 0.08:
@@ -460,6 +479,32 @@ class TestDatalogOnSqlBackend:
         assert store.freeze() == oracle.freeze()
         store.close()
 
+    def test_in_place_fixedpoint_is_one_transaction(self, pushdown_always):
+        # The fixedpoint commits nothing: its rounds pin generations inside
+        # one open transaction, and restoring the base rolls it back, so
+        # repeated fixedpoints leave no dead rows behind.
+        program, database = self._workload(300)
+        oracle = evaluate_program(program, database, store_backed=False)
+        store = SQLStoreInstance(program.combined_schema())
+        for fact in database.facts():
+            store.add_fact(fact)
+        base = store.snapshot()
+        reach = sqlcodegen.table_for("Reach")
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        for _ in range(3):
+            store.restore(base)
+            assert evaluate_program(program, store, backend="sqlite") is store
+            assert store.freeze() == oracle.freeze()
+            assert _raw_rows(store, reach) == store.relation_count("Reach")
+        store.restore(base)
+        store._conn.set_trace_callback(None)
+        assert [s for s in statements if s.split()[0].upper() == "COMMIT"] == []
+        assert _raw_rows(store, reach) == store.relation_count("Reach") == 0
+        assert store.freeze() == database.freeze()
+        assert store.verify()["ok"]
+        store.close()
+
     def test_chain_join_query_matches(self, pushdown_always):
         schema = scaling.chain_join_schema()
         database = Instance(schema)
@@ -521,6 +566,32 @@ class TestFaultInjection:
         answers = _multiset(satisfying_assignments(query, store))
         assert answers == _multiset(naive_satisfying_assignments(query, oracle))
         assert _pushdown_delta(base).get("store.pushdown_fault", 0) >= 1
+        store.close()
+
+    def test_fixedpoint_reruns_after_a_tripped_commit(self, pushdown_always):
+        # The fixedpoint creates the Reach delta temp table inside the
+        # transaction the tripped commit rolls back; the store must forget
+        # that table rather than clear a table that no longer exists.
+        program = scaling.grid_reach_program()
+        database = Instance(scaling.grid_reach_schema())
+        for fact in scaling.grid_reach_facts(300):
+            database.add_fact(fact)
+        oracle = evaluate_program(program, database, store_backed=False)
+        store = SQLStoreInstance(program.combined_schema())
+        for fact in database.facts():
+            store.add_fact(fact)
+        base = store.snapshot()
+        faults.install("trip@sql_commit:0")
+        with pytest.raises(OSError):
+            evaluate_program(program, store, backend="sqlite")
+            store.snapshot()
+        faults.clear()
+        assert store.freeze() == database.freeze()
+        store.restore(base)
+        assert evaluate_program(program, store, backend="sqlite") is store
+        assert store.freeze() == oracle.freeze()
+        store.snapshot()
+        assert store.verify()["ok"]
         store.close()
 
     def test_mid_commit_kill_recovers_to_last_snapshot(self, tmp_path):
@@ -825,6 +896,164 @@ class TestEdgeValuesAgreeWithOracle:
                 assert reopened.tuples(name) == expected.tuples(name)
             assert reopened.verify()["ok"]
             reopened.close()
+
+
+# ----------------------------------------------------------------------
+# Fixedpoints: random programs, SQL in place and as a copy, the oracle
+# ----------------------------------------------------------------------
+#: Fact values and rule constants: numeric collapses, ``None``, integers
+#: beyond int64 and strings that look like numbers or tags.
+_FIXPOINT_POOL = [0, 1, True, 1.0, 2.0, 1.5, None, 10**300, 2**63, "1", "n"]
+
+
+def _fixpoint_rules(templates, constants):
+    """Rules over ``E/2``, ``I/1`` (EDB) and ``R/2``, ``S/1`` (IDB).
+
+    The two base rules always fire; *templates* picks extra rules, many
+    deriving the same head, each with its own constant.  Head constants
+    are canonical: the validated Datalog path rejects ``True`` as a
+    value of an untyped position on every backend.
+    """
+    from repro.datalog.program import Rule
+    from repro.queries.atoms import Atom
+    from repro.queries.terms import Constant, Variable
+
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+
+    def make(template, value):
+        c, head_c = Constant(value), Constant(_canonical(value))
+        return [
+            Rule(Atom("R", (x, z)), (Atom("R", (x, y)), Atom("E", (y, z)))),
+            Rule(Atom("R", (x, z)), (Atom("E", (x, y)), Atom("R", (y, z)))),
+            Rule(Atom("R", (x, head_c)), (Atom("I", (x,)),)),
+            Rule(Atom("R", (x, y)), (Atom("E", (x, y)), Atom("I", (y,)))),
+            Rule(Atom("R", (x, y)), (Atom("S", (x,)), Atom("S", (y,)))),
+            Rule(Atom("S", (y,)), (Atom("S", (x,)), Atom("E", (x, y)))),
+            Rule(Atom("S", (y,)), (Atom("R", (c, y)),)),
+            Rule(Atom("S", (head_c,)), (Atom("R", (x, x)),)),
+            Rule(Atom("S", (x,)), (Atom("E", (x, c)),)),
+        ][template]
+
+    rules = [
+        Rule(Atom("R", (x, y)), (Atom("E", (x, y)),)),
+        Rule(Atom("S", (x,)), (Atom("I", (x,)),)),
+    ]
+    rules.extend(make(t, c) for t, c in zip(templates, constants))
+    return rules
+
+
+_FIXPOINT_VALUE = st.sampled_from(_FIXPOINT_POOL)
+
+
+class TestFixedpointAgreesWithOracle:
+    @pytest.mark.parametrize("threshold", ["1", "1000000000"], ids=["push", "facade"])
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        templates=st.lists(st.integers(0, 8), min_size=1, max_size=5),
+        constants=st.lists(_FIXPOINT_VALUE, min_size=5, max_size=5),
+        edges=st.lists(st.tuples(_FIXPOINT_VALUE, _FIXPOINT_VALUE), max_size=10),
+        seeds=st.lists(_FIXPOINT_VALUE, max_size=4),
+    )
+    def test_sql_fixedpoint_matches_oracle(
+        self, threshold, templates, constants, edges, seeds
+    ):
+        """In place and as a copy, the SQL fixedpoint is the oracle's.
+
+        Same facts, same round count, same fingerprint; a generation log
+        holds committed snapshots that restore exactly; and a discard
+        after a pin leaves what the pinned view reads unchanged.
+        """
+        from repro.datalog.program import DatalogProgram
+
+        program = DatalogProgram(
+            rules=_fixpoint_rules(templates, constants),
+            edb_schema=make_schema({"E": 2, "I": 1}),
+            goal="S",
+        )
+        combined = program.combined_schema()
+        raw = [("E", tup) for tup in edges] + [("I", (v,)) for v in seeds]
+        # The oracle and the copy run on canonical values; the in-place
+        # store ingests the raw ones, collapsing True/1/1.0 on write.
+        database = Instance(program.edb_schema)
+        for name, tup in raw:
+            database.add_unchecked(name, tuple(map(_canonical, tup)))
+
+        def rounds_of(run):
+            base = REGISTRY.counters_snapshot()
+            result = run()
+            rounds = REGISTRY.counters_delta(base).get("datalog.fixedpoint_rounds")
+            return result, rounds
+
+        with mock.patch.dict(
+            os.environ, {"REPRO_SQL_PUSHDOWN_MIN_ROWS": threshold}
+        ), tempfile.TemporaryDirectory() as directory:
+            oracle, oracle_rounds = rounds_of(
+                lambda: evaluate_program(program, database, store_backed=False)
+            )
+            expected = SnapshotInstance.from_instance(oracle).snapshot()
+
+            store = SQLStoreInstance(combined)
+            for name, tup in raw:
+                store.add_unchecked(name, tup)
+            base = store.snapshot()
+            in_place, in_place_rounds = rounds_of(
+                lambda: evaluate_program(program, store, backend="sqlite")
+            )
+            copy, copy_rounds = rounds_of(
+                lambda: evaluate_program(program, database, backend="sqlite")
+            )
+            assert in_place is store and copy is not store
+            assert in_place_rounds == copy_rounds == oracle_rounds
+            for result in (in_place, copy):
+                for name in combined.names():
+                    assert result.tuples(name) == oracle.tuples(name), name
+                fingerprint = result.fingerprint()
+                assert fingerprint == expected
+                assert hash(fingerprint) == hash(expected)
+                assert result.verify()["ok"]
+
+            # A pin frozen over uncommitted rows keeps reading them after
+            # the head discards them and adds another fact.
+            store.restore(base)
+            evaluate_program(program, store, backend="sqlite")
+            pinned = store.pin()
+            seen = set(pinned.facts())
+            derived = sorted((f for f in seen if f[0] in ("R", "S")), key=repr)
+            for fact in derived[:3]:
+                assert store.discard(*fact)
+                assert pinned.contains(*fact)
+            store.add_unchecked("I", ("late",))
+            assert set(pinned.facts()) == seen
+            assert not pinned.contains("I", ("late",))
+            store.close()
+            copy.close()
+
+            # A generation log holds committed snapshots that restore exactly.
+            path = os.path.join(directory, "log.db")
+            logged = SQLStoreInstance(combined, path)
+            for name, tup in raw:
+                logged.add_unchecked(name, tup)
+            sql_log, mem_log = [], []
+            evaluate_program(
+                program, logged, backend="sqlite", generation_log=sql_log
+            )
+            evaluate_program(program, database, generation_log=mem_log)
+            assert sql_log == mem_log and len(sql_log) == oracle_rounds
+            committed = sqlite3.connect(path)
+            for name in combined.names():
+                live = committed.execute(sqlcodegen.count_live_sql(name))
+                assert live.fetchone()[0] == sql_log[-1].relation_counts().get(name, 0)
+            committed.close()
+            for snap, twin in reversed(list(zip(sql_log, mem_log))):
+                logged.restore(snap)
+                assert logged.snapshot() == twin
+                assert logged.verify()["ok"]
+            logged.close()
 
 
 # ----------------------------------------------------------------------
