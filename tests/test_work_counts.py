@@ -10,7 +10,16 @@ compares the summed emptiness and bounded-checker counts —
 ``automata.paths_explored``, ``automata.chains_checked`` and
 ``core.paths_explored`` — and the store work they cause —
 ``relational.mutations``, ``store.snapshot.ops`` and
-``store.snapshot.mutations`` — with ``tests/data/work_counts.json``.
+``store.snapshot.mutations`` — and the plan executions of guard and
+query evaluation (:data:`PLAN_KEYS`) with ``tests/data/work_counts.json``.
+The plan executions are calls to ``execute_plan`` and
+``execute_delta_plan`` (wherever imported by name; the delta count
+includes the executions ``execute_plan`` delegates to) and to the naive
+oracle that ``plans_hold`` falls back to for plans the slot compiler
+cannot cover.  The tracer has no counter for them, so the guard adds
+three with ``Tracer.patch_function``/``Tracer.patch_attr``; one extra
+plan execution per guard check moves them while every search count
+stays put (:func:`test_extra_plan_execution_fails_the_guard`).
 
 The ``decide_cold`` automata are single compiled automata, whose
 quotient has no subsumed chain.  So the guard also searches
@@ -65,6 +74,14 @@ KEYS = (
     "store.snapshot.mutations",
 )
 
+#: Plan executions of the ``decide_cold`` prefix, counted by the
+#: wrappers of :data:`_COUNT_PLANS`.
+PLAN_KEYS = (
+    "queries.execute_plan",
+    "queries.execute_delta_plan",
+    "queries.naive_fallback",
+)
+
 #: Rounds of the ``serve_warm`` session and the counts pinned for them.
 WARM_ROUNDS = 4
 WARM_KEYS = (
@@ -85,7 +102,26 @@ STORE_BASE_FACTS = 10_000
 STORE_OPERATIONS = 6
 STORE_KEYS = ("sql.pushdowns", "sql.facts_ingested")
 
-_SCRIPT = f"""
+#: Counts every plan execution on *tracer* (installed): ``execute_plan``
+#: and ``execute_delta_plan`` in every module that imported them, and the
+#: naive fallback in ``plans_hold``'s module only.
+_COUNT_PLANS = """
+import repro.core.transition
+
+for name in ("execute_plan", "execute_delta_plan"):
+    tracer.patch_function(
+        "repro.queries.plan_cache",
+        name,
+        lambda fn, name=name: tracer.counted("queries." + name, fn),
+    )
+tracer.patch_attr(
+    repro.core.transition,
+    "naive_satisfying_assignments",
+    lambda fn: tracer.counted("queries.naive_fallback", fn),
+)
+"""
+
+_DECIDE_COLD = f"""
 import json
 from decide_cold import DecideCold
 from harness import Recorder
@@ -96,15 +132,41 @@ workload.setup()
 recorder = Recorder()
 tracer = Tracer()
 tracer.install()
+{_COUNT_PLANS}
 try:
     workload.run_round(recorder, limit={REQUESTS})
 finally:
     tracer.uninstall()
     workload.teardown()
-counts = {{key: tracer.counts[key] for key in {KEYS!r}}}
+counts = {{key: tracer.counts[key] for key in {KEYS + PLAN_KEYS!r}}}
 counts["requests"] = recorder.attempted
 counts["failed"] = recorder.failed
+"""
 
+_PRINT = """
+print(json.dumps(counts, sort_keys=True))
+"""
+
+#: Runs one extra plan execution per guard check: every ``plans_hold``
+#: call first evaluates the sentence's first disjunct on its own.
+_INJECT_EXTRA_EXECUTION = """
+import repro.core.transition
+from tracer import Tracer
+
+_plans_hold = repro.core.transition.plans_hold
+
+
+def _plans_hold_twice(plans, instance):
+    _plans_hold(plans[:1], instance)
+    return _plans_hold(plans, instance)
+
+
+Tracer().patch_function(
+    "repro.core.transition", "plans_hold", lambda fn: _plans_hold_twice
+)
+"""
+
+_SCRIPT = _DECIDE_COLD + f"""
 from chains_pooled import (
     MAX_PATHS, ChainsPooled, Request, directory_probe_schema, ltr_candidates,
 )
@@ -168,19 +230,19 @@ for key in {STORE_KEYS!r}:
     counts["store_scale." + key] = tracer.counts[key]
 counts["store_scale.requests"] = recorder.attempted
 counts["store_scale.failed"] = recorder.failed
-print(json.dumps(counts, sort_keys=True))
-"""
+""" + _PRINT
 
 
-def measure() -> dict:
-    """The work counts of the stream prefix, from a fresh interpreter."""
+def measure(script: str = _SCRIPT) -> dict:
+    """The work counts of *script* (by default every slice), from a fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
     )
     completed = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -199,6 +261,21 @@ def test_work_counts_match_record():
     assert counts["store_scale.requests"] == STORE_OPERATIONS
     assert counts["store_scale.failed"] == 0
     assert counts == json.loads(FIXTURE.read_text())
+
+
+def test_extra_plan_execution_fails_the_guard():
+    """One extra plan execution per guard check shows in the plan counts
+    alone: the searches, their store work and their verdicts are those
+    of the recorded run."""
+    recorded = json.loads(FIXTURE.read_text())
+    counts = measure(_INJECT_EXTRA_EXECUTION + _DECIDE_COLD + _PRINT)
+    assert counts["requests"] == REQUESTS
+    assert counts["failed"] == 0
+    for key in KEYS:
+        assert counts[key] == recorded[key], key
+    assert counts != {key: recorded[key] for key in counts}
+    extra = sum(counts[key] - recorded[key] for key in PLAN_KEYS)
+    assert extra > 0
 
 
 if __name__ == "__main__":
