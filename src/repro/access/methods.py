@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.immutable import cached_hash
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema, SchemaError
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccessMethod:
     """An access method on a relation.
@@ -77,6 +79,7 @@ class AccessMethod:
         return f"{self.name}[{self.relation}; in={{{inputs}}}]"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Access:
     """An access: a method plus a binding for its input positions.

@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.core.formulas import EmbeddedSentence
 from repro.core.transition import TransitionStructure
 from repro.core.vocabulary import AccessVocabulary
+from repro.immutable import cached_hash
 from repro.queries.evaluation import holds
 from repro.queries.ucq import as_ucq, true_query
 
@@ -30,6 +31,7 @@ class AutomatonError(ValueError):
     """Raised for malformed A-automata."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Guard:
     """A transition guard ``ψ⁻ ∧ ψ⁺``.
@@ -92,6 +94,7 @@ class Guard:
         return " ∧ ".join(parts) if parts else "true"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ATransition:
     """A transition ``(source, guard, target)`` of an A-automaton."""

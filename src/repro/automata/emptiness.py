@@ -60,6 +60,7 @@ from repro.access.path import AccessPath, PathStep
 from repro.automata.aautomaton import AAutomaton
 from repro.automata.progressive import chain_restrictions
 from repro.core.bounded_check import (
+    ResponseIndex,
     _candidate_responses,
     candidate_accesses_for_search,
     fact_pool_from_sentences,
@@ -550,9 +551,7 @@ class _WitnessSearch:
 
     def _candidate_tables(self, nary: bool) -> Tuple[List, List, List]:
         """Candidate steps with their path steps and structure facts."""
-        facts_by_relation: Dict[str, List[Tuple[object, ...]]] = {}
-        for relation, tup in self.fact_pool:
-            facts_by_relation.setdefault(relation, []).append(tup)
+        index = ResponseIndex(self.fact_pool)
         accesses = candidate_accesses_for_search(
             self.vocabulary.access_schema,
             self.fact_pool,
@@ -565,7 +564,7 @@ class _WitnessSearch:
         candidates: List[Tuple[Access, FrozenSet[Tuple[object, ...]]]] = []
         for access in accesses:
             for response in _candidate_responses(
-                access, facts_by_relation, self.max_response_size
+                access, index, self.max_response_size
             ):
                 candidates.append((access, response))
         candidates.sort(key=lambda pair: len(pair[1]), reverse=True)

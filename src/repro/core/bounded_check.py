@@ -164,14 +164,17 @@ def fact_pool_from_sentences(
         base_facts = list(facts)
 
         def add_variant(relation_name: str, values: List[object]) -> None:
-            relation = base_schema.relation(relation_name)
+            # ``validate_tuple`` returns ``tuple(values)`` unchanged, so a
+            # variant seen before (pooled or rejected) needs no validation.
+            variant = (relation_name, tuple(values))
+            if variant in seen:
+                return
+            seen.add(variant)
             try:
-                variant = (relation_name, relation.validate_tuple(tuple(values)))
+                base_schema.relation(relation_name).validate_tuple(variant[1])
             except SchemaError:
                 return  # ill-typed for the relation: not a possible fact
-            if variant not in seen:
-                seen.add(variant)
-                facts.append(variant)
+            facts.append(variant)
 
         # Variants matching a concrete binding mentioned by the formula: for
         # every all-constant IsBind atom, substitute its binding values at
@@ -314,16 +317,46 @@ def candidate_accesses_for_search(
     return accesses
 
 
+class ResponseIndex:
+    """The pool facts each candidate access can return, found by binding.
+
+    For each method shape ``(relation, input positions)`` it keeps a table
+    from binding to the facts whose projection onto those positions is
+    that binding, in pool order.  A table is built on the first access of
+    its shape, so one index per candidate enumeration (the emptiness
+    search's ``_candidate_tables`` and the bounded checker each build
+    one) replaces a scan of the relation's facts per access by one scan
+    per shape.  :meth:`matching` still confirms every fact the table
+    returns with :meth:`Access.matches`, so it returns exactly what that
+    scan did, order included (the table merges bindings that compare
+    equal, such as ``1``, ``1.0`` and ``True``, as the scan does).
+    """
+
+    __slots__ = ("_facts", "_tables")
+
+    def __init__(self, fact_pool: Sequence[Fact]) -> None:
+        self._facts = _facts_by_relation(fact_pool)
+        self._tables: Dict[Tuple[str, Tuple[int, ...]], Dict[Tuple, List]] = {}
+
+    def matching(self, access: Access) -> List[Tuple[object, ...]]:
+        """The pool facts of the access's relation that it matches."""
+        method = access.method
+        shape = (method.relation, method.input_positions)
+        table = self._tables.get(shape)
+        if table is None:
+            table = self._tables[shape] = {}
+            positions = method.input_positions
+            for tup in self._facts.get(method.relation, ()):
+                table.setdefault(tuple(tup[i] for i in positions), []).append(tup)
+        return [tup for tup in table.get(access.binding, ()) if access.matches(tup)]
+
+
 def _candidate_responses(
     access: Access,
-    facts_by_relation: Dict[str, List[Tuple[object, ...]]],
+    index: ResponseIndex,
     max_response_size: int,
 ) -> Iterator[FrozenSet[Tuple[object, ...]]]:
-    matching = [
-        tup
-        for tup in facts_by_relation.get(access.relation, [])
-        if access.matches(tup)
-    ]
+    matching = index.matching(access)
     yield frozenset()
     for size in range(1, min(len(matching), max_response_size) + 1):
         for subset in itertools.combinations(matching, size):
@@ -433,7 +466,7 @@ def _bounded_satisfiability_impl(
         value_pool = default_value_pool(
             vocabulary, formula, fact_pool, initial, bounds.fresh_values
         )
-    facts_by_relation = _facts_by_relation(fact_pool)
+    index = ResponseIndex(fact_pool)
 
     # Candidate (access, response) steps, computed once; revealing steps are
     # explored before empty-response steps.
@@ -447,7 +480,7 @@ def _bounded_satisfiability_impl(
     empty_response_methods: Set[str] = set()
     for access in accesses:
         for response in _candidate_responses(
-            access, facts_by_relation, bounds.max_response_size
+            access, index, bounds.max_response_size
         ):
             if not response and not nary and not grounded_only:
                 # For 0-ary formulas the binding values of an information-free

@@ -24,10 +24,12 @@ from repro.core.vocabulary import (
     is_post,
     is_pre,
 )
+from repro.immutable import cached_hash
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 
 
+@cached_hash
 @dataclass(frozen=True)
 class EmbeddedSentence:
     """A sentence of the embedded relational language.
@@ -146,6 +148,7 @@ class AccFormula:
         return AccOr(AccNot(self), other)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccTrue(AccFormula):
     """The constant true."""
@@ -154,6 +157,7 @@ class AccTrue(AccFormula):
         return "true"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccAtom(AccFormula):
     """An atomic formula: an embedded sentence of the relational language."""
@@ -164,6 +168,7 @@ class AccAtom(AccFormula):
         return str(self.sentence)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccNot(AccFormula):
     """Negation."""
@@ -177,6 +182,7 @@ class AccNot(AccFormula):
         return f"¬({self.operand})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccAnd(AccFormula):
     """Conjunction."""
@@ -191,6 +197,7 @@ class AccAnd(AccFormula):
         return f"({self.left} ∧ {self.right})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccOr(AccFormula):
     """Disjunction."""
@@ -205,6 +212,7 @@ class AccOr(AccFormula):
         return f"({self.left} ∨ {self.right})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccNext(AccFormula):
     """``X φ`` — φ holds at the next transition."""
@@ -218,6 +226,7 @@ class AccNext(AccFormula):
         return f"X({self.operand})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccUntil(AccFormula):
     """``φ U ψ`` — ψ eventually holds and φ holds until then."""
@@ -232,6 +241,7 @@ class AccUntil(AccFormula):
         return f"({self.left} U {self.right})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccEventually(AccFormula):
     """``F φ`` ≡ ``true U φ``."""
@@ -245,6 +255,7 @@ class AccEventually(AccFormula):
         return f"F({self.operand})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AccGlobally(AccFormula):
     """``G φ`` ≡ ``¬F¬φ``."""

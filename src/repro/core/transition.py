@@ -25,7 +25,7 @@ non-empty in ``M(t)`` — for which access methods it can hold at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.access.methods import Access, AccessSchema
 from repro.access.path import AccessPath, configurations
@@ -140,14 +140,22 @@ def validated_candidate_facts(vocabulary, names: dict, candidates):
     the candidate's access: the relation names its delta touches and the
     binding tuple validated once against the vocabulary (the searches
     then use the unchecked bulk path per node instead of re-validating
-    per expansion).
+    per expansion).  An access with several responses is validated once
+    and its candidates share one entry.
     """
     entries = []
+    # ``id(access) -> entry``; *candidates* keeps every access alive.
+    by_access: Dict[int, Tuple] = {}
     for access, _response in candidates:
-        pre, post = names[access.relation]
-        isbind = isbind_name(access.method.name)
-        binding = vocabulary.schema.relation(isbind).validate_tuple(access.binding)
-        entries.append((pre, post, isbind, binding, isbind0_name(access.method.name)))
+        entry = by_access.get(id(access))
+        if entry is None:
+            pre, post = names[access.relation]
+            isbind = isbind_name(access.method.name)
+            binding = vocabulary.schema.relation(isbind).validate_tuple(access.binding)
+            entry = by_access[id(access)] = (
+                pre, post, isbind, binding, isbind0_name(access.method.name)
+            )
+        entries.append(entry)
     return entries
 
 

@@ -143,7 +143,8 @@ class Deduper:
     candidate instance, which previously re-solved).  ``register`` returns
     the value stored by the first holder of the key, or ``None`` for a
     first sighting; unkeyable entries (``key is None``) are never
-    deduplicated.
+    deduplicated.  Values must not be ``None``.  One ``setdefault``
+    hashes the key once per registration.
     """
 
     __slots__ = ("_seen", "hits", "misses")
@@ -157,11 +158,12 @@ class Deduper:
         if key is None:
             self.misses += 1
             return None
-        existing = self._seen.get(key)
-        if existing is not None:
+        seen = self._seen
+        size = len(seen)
+        existing = seen.setdefault(key, value)
+        if len(seen) == size:
             self.hits += 1
             return existing
-        self._seen[key] = value
         self.misses += 1
         return None
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Tuple
 
+from repro.immutable import cached_hash
+
 
 class LTLFormula:
     """Base class of LTL formulas."""
@@ -68,6 +70,7 @@ class LTLFormula:
         return Or(Not(self), other)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TrueFormula(LTLFormula):
     """The constant true."""
@@ -76,6 +79,7 @@ class TrueFormula(LTLFormula):
         return "true"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class FalseFormula(LTLFormula):
     """The constant false."""
@@ -84,6 +88,7 @@ class FalseFormula(LTLFormula):
         return "false"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Prop(LTLFormula):
     """An atomic proposition."""
@@ -94,6 +99,7 @@ class Prop(LTLFormula):
         return self.name
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Not(LTLFormula):
     """Negation."""
@@ -107,6 +113,7 @@ class Not(LTLFormula):
         return f"¬({self.operand})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class And(LTLFormula):
     """Conjunction."""
@@ -121,6 +128,7 @@ class And(LTLFormula):
         return f"({self.left} ∧ {self.right})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Or(LTLFormula):
     """Disjunction."""
@@ -135,6 +143,7 @@ class Or(LTLFormula):
         return f"({self.left} ∨ {self.right})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Next(LTLFormula):
     """``X φ`` — φ holds at the next position (strict: requires a next position)."""
@@ -148,6 +157,7 @@ class Next(LTLFormula):
         return f"X({self.operand})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Until(LTLFormula):
     """``φ U ψ`` — ψ eventually holds and φ holds until then."""
@@ -162,6 +172,7 @@ class Until(LTLFormula):
         return f"({self.left} U {self.right})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Eventually(LTLFormula):
     """``F φ`` ≡ ``true U φ``."""
@@ -175,6 +186,7 @@ class Eventually(LTLFormula):
         return f"F({self.operand})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Globally(LTLFormula):
     """``G φ`` ≡ ``¬F¬φ``."""

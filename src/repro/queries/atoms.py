@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
+from repro.immutable import cached_hash
 from repro.queries.terms import Constant, Term, Variable
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Atom:
     """A relational atom ``R(t1, ..., tn)``."""
@@ -54,6 +56,7 @@ class Atom:
         return f"{self.relation}({', '.join(str(t) for t in self.terms)})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Equality:
     """An equality atom ``t1 = t2``."""
@@ -75,6 +78,7 @@ class Equality:
         return f"{self.left} = {self.right}"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Inequality:
     """An inequality atom ``t1 != t2``.

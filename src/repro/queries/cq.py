@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
+from repro.immutable import cached_hash
 from repro.queries.atoms import Atom, Equality, Inequality
 from repro.queries.terms import Constant, Term, Variable
 
@@ -20,6 +21,7 @@ class QueryError(ValueError):
     """Raised for malformed queries."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """A conjunctive query ``ans(x̄) :- atoms, equalities, inequalities``.

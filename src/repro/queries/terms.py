@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from repro.immutable import cached_hash
 
+
+@cached_hash
 @dataclass(frozen=True)
 class Variable:
     """A first-order variable, identified by its name."""
@@ -16,6 +19,7 @@ class Variable:
         return self.name
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Constant:
     """A constant value.

@@ -18,10 +18,12 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from repro.immutable import cached_hash
 from repro.queries.cq import ConjunctiveQuery, QueryError
 from repro.queries.terms import Constant, Variable
 
 
+@cached_hash
 @dataclass(frozen=True)
 class UnionOfConjunctiveQueries:
     """A union of conjunctive queries with a common head arity."""

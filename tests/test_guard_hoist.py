@@ -54,6 +54,7 @@ from repro.automata.progressive import chain_restrictions
 from repro.automata.run import accepts_path
 from repro.core import properties
 from repro.core.bounded_check import (
+    ResponseIndex,
     _candidate_responses,
     candidate_accesses_for_search,
     fact_pool_from_sentences,
@@ -418,16 +419,14 @@ def _filter_candidates(vocabulary, sentences):
         | {c.value for s in sentences for c in s.query.constants()},
         key=repr,
     ) + ["~fresh0"]
-    facts_by_relation = {}
-    for relation, tup in fact_pool:
-        facts_by_relation.setdefault(relation, []).append(tup)
+    index = ResponseIndex(fact_pool)
     accesses = candidate_accesses_for_search(
         vocabulary.access_schema, fact_pool, values, nary_bindings=True
     )
     candidates = [
         (access, response)
         for access in accesses
-        for response in _candidate_responses(access, facts_by_relation, 2)
+        for response in _candidate_responses(access, index, 2)
     ]
     full = vocabulary.access_schema.empty_instance()
     for relation, tup in fact_pool:
