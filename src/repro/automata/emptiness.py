@@ -550,7 +550,11 @@ class _WitnessSearch:
         self.interrupt: Optional[Callable[[], None]] = None
 
     def _candidate_tables(self, nary: bool) -> Tuple[List, List, List]:
-        """Candidate steps with their path steps and structure facts."""
+        """Candidate steps with their path steps and structure facts.
+
+        Each access's responses come from one :class:`ResponseIndex` of
+        the fact pool, built for this enumeration.
+        """
         index = ResponseIndex(self.fact_pool)
         accesses = candidate_accesses_for_search(
             self.vocabulary.access_schema,
