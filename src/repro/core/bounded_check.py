@@ -165,15 +165,17 @@ def fact_pool_from_sentences(
 
         def add_variant(relation_name: str, values: List[object]) -> None:
             # ``validate_tuple`` returns ``tuple(values)`` unchanged, so a
-            # variant seen before (pooled or rejected) needs no validation.
+            # variant equal to a pooled fact needs no validation.  Only
+            # pooled variants enter ``seen``: a rejected ``1`` must not
+            # hide an equal but well-typed ``True`` on a bool column.
             variant = (relation_name, tuple(values))
             if variant in seen:
                 return
-            seen.add(variant)
             try:
                 base_schema.relation(relation_name).validate_tuple(variant[1])
             except SchemaError:
                 return  # ill-typed for the relation: not a possible fact
+            seen.add(variant)
             facts.append(variant)
 
         # Variants matching a concrete binding mentioned by the formula: for
@@ -325,17 +327,17 @@ class ResponseIndex:
     that binding, in pool order.  A table is built on the first access of
     its shape, so one index per candidate enumeration (the emptiness
     search's ``_candidate_tables`` and the bounded checker each build
-    one) replaces a scan of the relation's facts per access by one scan
-    per shape.  :meth:`matching` still confirms every fact the table
-    returns with :meth:`Access.matches`, so it returns exactly what that
-    scan did, order included (the table merges bindings that compare
-    equal, such as ``1``, ``1.0`` and ``True``, as the scan does).
+    one) replaces a scan of the relation's facts per access by one pass
+    over the pool per shape.  :meth:`matching` still confirms every fact
+    the table returns with :meth:`Access.matches`, so it returns exactly
+    what that scan did, order included (the table merges bindings that
+    compare equal, such as ``1``, ``1.0`` and ``True``, as the scan does).
     """
 
-    __slots__ = ("_facts", "_tables")
+    __slots__ = ("_pool", "_tables")
 
     def __init__(self, fact_pool: Sequence[Fact]) -> None:
-        self._facts = _facts_by_relation(fact_pool)
+        self._pool = fact_pool
         self._tables: Dict[Tuple[str, Tuple[int, ...]], Dict[Tuple, List]] = {}
 
     def matching(self, access: Access) -> List[Tuple[object, ...]]:
@@ -345,9 +347,12 @@ class ResponseIndex:
         table = self._tables.get(shape)
         if table is None:
             table = self._tables[shape] = {}
-            positions = method.input_positions
-            for tup in self._facts.get(method.relation, ()):
-                table.setdefault(tuple(tup[i] for i in positions), []).append(tup)
+            relation, positions = shape
+            for fact_relation, tup in self._pool:
+                if fact_relation == relation:
+                    table.setdefault(
+                        tuple(tup[i] for i in positions), []
+                    ).append(tup)
         return [tup for tup in table.get(access.binding, ()) if access.matches(tup)]
 
 

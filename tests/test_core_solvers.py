@@ -2,16 +2,26 @@
 
 import pytest
 
+from repro.access.methods import AccessMethod, AccessSchema
 from repro.access.path import is_grounded, path_from_pairs
 from repro.core import properties
 from repro.core.bounded_check import (
     Bounds,
     bounded_satisfiability,
+    fact_pool_from_sentences,
     formula_constants,
     formula_fact_pool,
     validity_counterexample,
 )
-from repro.core.formulas import atom, eventually, globally, land, lnext, lnot
+from repro.core.formulas import (
+    EmbeddedSentence,
+    atom,
+    eventually,
+    globally,
+    land,
+    lnext,
+    lnot,
+)
 from repro.core.fragments import Fragment
 from repro.core.sat_accltl_plus import accltl_plus_satisfiable
 from repro.core.sat_xonly import xonly_satisfiable
@@ -26,9 +36,16 @@ from repro.core.sat_zeroary import (
 )
 from repro.core.semantics import path_satisfies
 from repro.core.solver import AccLTLSolver
+from repro.core.vocabulary import AccessVocabulary, isbind_name, post_name
 from repro.ltl.semantics import word_satisfies
+from repro.queries.atoms import Atom
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
+from repro.queries.terms import Constant, Variable
+from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.dependencies import FunctionalDependency
+from repro.relational.schema import Relation, Schema
+from repro.relational.types import BOOL
 from repro.workloads.directory import join_query, resident_names_query
 
 
@@ -73,6 +90,32 @@ class TestBoundedCheck:
         pool = formula_fact_pool(solver.vocabulary, formula)
         assert any(relation == "Mobile" for relation, _ in pool)
         assert any("Smith" in tup for _, tup in pool)
+
+    def test_rejected_variant_does_not_hide_an_equal_well_typed_one(self):
+        # ``1 == True`` but only ``True`` is a bool.  The binding of
+        # ``IsBind_MR(1)`` is tried first and gives the ill-typed ``R(1)``;
+        # its rejection must not keep the well-typed ``R(True)`` of
+        # ``IsBind_MR(True)`` out of the pool.
+        access_schema = AccessSchema(
+            Schema([Relation("R", 1, (BOOL,))]),
+            [AccessMethod("MR", "R", (0,))],
+        )
+        vocabulary = AccessVocabulary.of(access_schema)
+        query = ConjunctiveQuery(
+            (
+                Atom(post_name("R"), (Variable("x"),)),
+                Atom(isbind_name("MR"), (Constant(1),)),
+                Atom(isbind_name("MR"), (Constant(True),)),
+            )
+        )
+        sentence = EmbeddedSentence(UnionOfConjunctiveQueries((query,)))
+        pool = fact_pool_from_sentences(vocabulary, [sentence])
+        bool_facts = [
+            tup for relation, tup in pool
+            if relation == "R" and not isinstance(tup[0], str)
+        ]
+        assert bool_facts == [(True,)]
+        assert type(bool_facts[0][0]) is bool
 
     def test_validity_counterexample(self, solver):
         # "Mobile is always empty before the access" is not valid.
