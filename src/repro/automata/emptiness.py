@@ -24,18 +24,27 @@ This module provides two procedures:
   and the chains of one call share the candidate tables of equal pools
   (:class:`CallMemo`).
 
-* :func:`guard_to_datalog` / :func:`datalog_emptiness_precheck` — the
-  Lemma 4.10 connection made concrete for the guards produced by
-  :mod:`repro.automata.library` and :mod:`repro.automata.compile`: the
-  positive part of a guard becomes a (nonrecursive) Datalog program over
-  the access vocabulary, and containment of that program in one of the
-  guard's negated sentences (Proposition 4.11) proves the guard
-  unsatisfiable.  Pruning such transitions and re-trimming gives a sound
-  emptiness *pre-check* exercised by the tests and the pipeline benchmark
-  (``benchmarks/bench_pipeline_vs_bruteforce.py``): when the pre-check
-  already proves emptiness the witness search is skipped entirely.  The
-  verdict depends on the guard alone, so one emptiness call checks each
-  distinct guard once and every in-process chain reuses the answer.
+* :func:`datalog_emptiness_precheck` — the Lemma 4.10 connection made
+  concrete: a transition whose guard no transition can satisfy is
+  pruned, and an automaton left without a reachable accepting state is
+  empty.  :func:`transitions_refute_guard` enumerates each guard's
+  canonical transition structures — the transition encoding of Lemma
+  4.10: ``R_post = R_pre ∪ response``, the response agrees with the
+  ``IsBind`` binding, each step uses one method, the initial facts are
+  in ``pre`` — and refutes the guard when every structure is impossible
+  or satisfies a negated sentence.  That settles the loop-then-exit
+  automata of long-term relevance (the exit guard ``IsBind[probe] ∧
+  Q_post ∧ ¬Q_pre`` is refuted when every way of making ``Q`` true needs
+  a fact the probe cannot return) and of containment (``Q1_pre ∧
+  ¬Q2_pre`` is refuted when ``Q1 ⊆ Q2``).  Guards with a negated
+  inequality are declined and fall back to :func:`guard_to_datalog`:
+  containment of the positive part's Datalog program in a negated
+  sentence (Proposition 4.11).  Both are sound for any automaton,
+  grounded runs, exact methods and access orders, and never claim a
+  witness.  When the precheck proves emptiness the witness search is
+  skipped entirely (``exhausted`` with 0 paths).  The verdict depends on
+  the guard and the initial instance alone, so one emptiness call checks
+  each distinct guard once and every in-process chain reuses the answer.
 """
 
 from __future__ import annotations
@@ -76,10 +85,20 @@ from repro.core.transition import (
     seed_structure_mirror,
     validated_candidate_facts,
 )
-from repro.core.vocabulary import AccessVocabulary, base_relation_of, is_pre
+from repro.core.vocabulary import (
+    AccessVocabulary,
+    base_relation_of,
+    is_isbind,
+    is_isbind0,
+    is_pre,
+    isbind0_name,
+    isbind_name,
+    method_of_isbind,
+)
 from repro.datalog.containment import ContainmentResult, datalog_contained_in_ucq
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom
+from repro.queries.homomorphism import FreshValue
 from repro.queries.terms import Constant, Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instance import Instance
@@ -90,7 +109,8 @@ Fact = Tuple[str, Tuple[object, ...]]
 
 #: Guard verdicts of one precheck scope: ``id(guard) -> (guard, verdict)``.
 #: Holding the guard keeps its ``id`` from being reused while the entry
-#: lives; the verdict depends only on the guard and the vocabulary.
+#: lives; the verdict depends only on the guard, the vocabulary and the
+#: scope's initial instance.
 GuardVerdicts = Dict[int, Tuple[object, bool]]
 
 #: Candidate tables of one emptiness call: ``(fact pool, value pool,
@@ -1167,18 +1187,17 @@ def check_restriction(
     With a started budget *clock* the search can stop at a work-item
     boundary; the outcome then carries a :class:`ChainCheckpoint`, and
     passing it back as *checkpoint* resumes the chain.  A resumed call
-    skips the Datalog precheck: a chain that checkpoints necessarily
-    passed it already.  The precheck itself is not interruptible, so a
-    deadline can overshoot by at most one guard's containment checks.
+    skips the precheck: a chain that checkpoints necessarily passed it
+    already.  The precheck itself is not interruptible, so a deadline can
+    overshoot by at most one guard's check.
 
-    The precheck decides each distinct guard once (Lemma 4.10 depends on
-    the guard alone), and the search derives its candidate tables from
-    its pools alone.  *memo* holds both (:class:`CallMemo`): the
-    in-process chain loops of one :func:`automaton_emptiness` call pass
-    one memo to all their chains, so each guard's Datalog program is
-    built and checked, and each distinct pool's candidates are built,
-    once per call.  Without it (pooled chain items) the chain keeps its
-    own.
+    The precheck decides each distinct guard once (its verdict depends on
+    the guard and *initial* alone), and the search derives its candidate
+    tables from its pools alone.  *memo* holds both (:class:`CallMemo`):
+    the in-process chain loops of one :func:`automaton_emptiness` call
+    pass one memo to all their chains, so each guard is checked, and each
+    distinct pool's candidates are built, once per call.  Without it
+    (pooled chain items) the chain keeps its own.
     """
     if memo is None:
         memo = CallMemo()
@@ -1191,7 +1210,7 @@ def check_restriction(
         if checkpoint is None and use_datalog_precheck:
             with trace.trace_span("emptiness.precheck"):
                 prechecked = _precheck_empty(
-                    restriction, vocabulary, memo.guard_verdicts
+                    restriction, vocabulary, memo.guard_verdicts, initial
                 )
             if prechecked is True:
                 trace.annotate(outcome="prechecked_empty")
@@ -1422,11 +1441,16 @@ def automaton_emptiness(
     states become sinks, a forward bisimulation merges the rest — the
     quotient preserves emptiness, not the language), decompose into
     SCC-chain restrictions (Lemma 4.9, subsumed chains dropped),
-    optionally prune chains whose Datalog abstraction is contained in the
-    negated-guard query (Lemma 4.10 direction "containment ⇒ empty"),
-    then search each remaining chain for an accepted path.  Every witness
-    is accepted by the quotient, hence by *automaton* itself; task
-    fingerprints stay keyed on the caller's automaton.
+    optionally (``use_datalog_precheck``) prune the transitions whose
+    guard no transition from a configuration containing *initial* can
+    satisfy (:func:`datalog_emptiness_precheck`: canonical transition
+    structures, or Datalog containment for guards with a negated
+    inequality — Lemma 4.10 direction "containment ⇒ empty"), and return
+    an exhausted EMPTY with 0 paths for a chain left without a reachable
+    accepting state; then search each remaining chain for an accepted
+    path.  Every witness is accepted by the quotient, hence by
+    *automaton* itself; task fingerprints stay keyed on the caller's
+    automaton.
 
     ``memoize`` toggles the witness search's visited-node and guard-verdict
     caches together (see :class:`_WitnessSearch`); it exists so tests and
@@ -1587,7 +1611,7 @@ def automaton_emptiness(
 
 # ----------------------------------------------------------------------
 # The Datalog-containment connection (Lemma 4.10 / Proposition 4.11),
-# used as a sound guard-pruning pre-check.
+# the guard-pruning pre-check's fallback for negated inequalities.
 # ----------------------------------------------------------------------
 def guard_to_datalog(
     guard, vocabulary: AccessVocabulary
@@ -1648,40 +1672,70 @@ def guard_unsatisfiable_via_datalog(guard, vocabulary: AccessVocabulary) -> bool
 
 
 def prune_unsatisfiable_guards(
-    automaton: AAutomaton, vocabulary: AccessVocabulary
+    automaton: AAutomaton,
+    vocabulary: AccessVocabulary,
+    initial: Optional[Instance] = None,
 ) -> AAutomaton:
-    """Remove transitions whose guards are provably unsatisfiable, then trim."""
-    return _prune_guards(automaton, vocabulary, {})
+    """Remove transitions whose guards are provably unsatisfiable, then trim.
+
+    A guard is unsatisfiable when no transition from a configuration
+    containing *initial* (``None``: the empty instance) satisfies it
+    (:func:`transitions_refute_guard`, or the Datalog containment of
+    :func:`guard_unsatisfiable_via_datalog` for the guards that check
+    declines).
+    """
+    initial = _initial_or_empty(vocabulary, initial)
+    return _prune_guards(automaton, vocabulary, {}, initial)
 
 
 def datalog_emptiness_precheck(
-    automaton: AAutomaton, vocabulary: AccessVocabulary
+    automaton: AAutomaton,
+    vocabulary: AccessVocabulary,
+    initial: Optional[Instance] = None,
 ) -> Optional[bool]:
     """``True`` when guard pruning proves the language empty, else ``None``.
 
-    After removing transitions with Datalog-provably unsatisfiable guards,
-    an automaton with no reachable accepting state has an empty language.
-    The check never claims non-emptiness (the caller's witness search is
-    responsible for that).  Each distinct guard object is checked once,
-    however many transitions share it; :func:`check_restriction` goes
-    further and shares those verdicts across every chain of one
-    :func:`automaton_emptiness` call (the chains share their transitions).
+    After removing transitions with provably unsatisfiable guards (see
+    :func:`prune_unsatisfiable_guards`; *initial* ``None`` means the
+    empty instance), an automaton with no reachable accepting state has
+    an empty language.  The check never claims non-emptiness (the
+    caller's witness search is responsible for that).  Each distinct
+    guard object is checked once, however many transitions share it;
+    :func:`check_restriction` goes further and shares those verdicts
+    across every chain of one :func:`automaton_emptiness` call (the
+    chains share their transitions and their initial instance).
     """
-    return _precheck_empty(automaton, vocabulary, {})
+    return _precheck_empty(
+        automaton, vocabulary, {}, _initial_or_empty(vocabulary, initial)
+    )
+
+
+def _initial_or_empty(
+    vocabulary: AccessVocabulary, initial: Optional[Instance]
+) -> Instance:
+    if initial is None:
+        return vocabulary.access_schema.empty_instance()
+    return initial
 
 
 def _prune_guards(
-    automaton: AAutomaton, vocabulary: AccessVocabulary, verdicts: GuardVerdicts
+    automaton: AAutomaton,
+    vocabulary: AccessVocabulary,
+    verdicts: GuardVerdicts,
+    initial: Instance,
 ) -> AAutomaton:
+    refuter: Optional[_TransitionRefuter] = None
     kept = []
     for transition in automaton.transitions:
         guard = transition.guard
         entry = verdicts.get(id(guard))
         if entry is None:
-            entry = verdicts[id(guard)] = (
-                guard,
-                guard_unsatisfiable_via_datalog(guard, vocabulary),
-            )
+            if refuter is None:
+                refuter = _TransitionRefuter(vocabulary, initial)
+            verdict = refuter.refutes(guard)
+            if verdict is None:
+                verdict = guard_unsatisfiable_via_datalog(guard, vocabulary)
+            entry = verdicts[id(guard)] = (guard, verdict)
         if not entry[1]:
             kept.append(transition)
     pruned = AAutomaton(
@@ -1695,9 +1749,232 @@ def _prune_guards(
 
 
 def _precheck_empty(
-    automaton: AAutomaton, vocabulary: AccessVocabulary, verdicts: GuardVerdicts
+    automaton: AAutomaton,
+    vocabulary: AccessVocabulary,
+    verdicts: GuardVerdicts,
+    initial: Instance,
 ) -> Optional[bool]:
-    pruned = _prune_guards(automaton, vocabulary, verdicts)
+    pruned = _prune_guards(automaton, vocabulary, verdicts, initial)
     if not pruned.accepting or not (pruned.reachable_states() & pruned.accepting):
         return True
     return None
+
+
+# ----------------------------------------------------------------------
+# Canonical transition structures (the transition encoding of Lemma 4.10)
+# ----------------------------------------------------------------------
+def transitions_refute_guard(
+    guard, vocabulary: AccessVocabulary, initial: Optional[Instance] = None
+) -> Optional[bool]:
+    """Whether no transition from a configuration ⊇ *initial* satisfies *guard*.
+
+    ``True`` proves the guard unsatisfiable, ``False`` means some
+    canonical transition structure survives (the guard may hold), and
+    ``None`` means the check declines the guard (a negated sentence with
+    inequalities, or a relation outside the vocabulary).  *initial*
+    ``None`` means the empty instance.  See :class:`_TransitionRefuter`
+    for the structures and why the answer is sound.
+    """
+    initial = _initial_or_empty(vocabulary, initial)
+    return _TransitionRefuter(vocabulary, initial).refutes(guard)
+
+
+class _TransitionRefuter:
+    """Refutes guards over the canonical structures of one transition.
+
+    A transition ``t = (I, (AcM, b̄), I ∪ resp)`` of any run from *initial*
+    has ``I ⊇ initial``, ``R_post = R_pre ∪ resp`` for the accessed
+    relation ``R`` (every other ``post`` copy equals its ``pre`` copy),
+    every response tuple agrees with ``b̄`` on the method's input
+    positions, and only ``AcM``'s binding predicates are non-empty.  So if
+    ``t`` satisfies the guard's positive sentences, the homomorphisms of
+    the chosen disjuncts factor through one *canonical structure*:
+
+    * pick a disjunct of each positive sentence (renamed apart) and a
+      method — the one a binding atom names, else each method;
+    * send each ``post`` atom over the method's relation either to
+      ``pre`` or to the response, and every other ``post`` atom to
+      ``pre``;
+    * unify the binding atoms' terms and the response atoms' input
+      positions with one binding, and the disjuncts' equalities;
+    * freeze each class to its constant or to a fresh value, and add the
+      initial facts.
+
+    The structure is *impossible* when unification equates two distinct
+    constants, a positive inequality relates a class to itself, a binding
+    atom names another method, or a ``pre`` atom lies over a relation
+    that has no access method and no initial fact (such a relation never
+    grows).  Each possible structure maps homomorphically into ``M(t)``;
+    negated sentences without inequalities are UCQs and so are preserved
+    under that map.  The guard is refuted when every structure is
+    impossible or satisfies a negated sentence.  Grounded runs, exact
+    methods and access orders only remove transitions, so the answer is
+    sound for them too; it is never used to claim a witness.
+    """
+
+    def __init__(self, vocabulary: AccessVocabulary, initial: Instance) -> None:
+        access_schema = vocabulary.access_schema
+        self.methods = list(access_schema)
+        self.names = prepost_names(access_schema.schema)
+        accessible = {method.relation for method in self.methods}
+        # Pre or post copy -> base relation, and whether the base relation
+        # can hold a fact at all.
+        self.base: Dict[str, str] = {}
+        self.populated: Dict[str, bool] = {}
+        for name, (pre, post) in self.names.items():
+            self.base[pre] = self.base[post] = name
+            self.populated[name] = name in accessible or bool(initial.tuples_view(name))
+        self.structure = Instance(vocabulary.schema)
+        seed_structure_mirror(self.structure, self.names, initial)
+
+    def refutes(self, guard) -> Optional[bool]:
+        """See :func:`transitions_refute_guard`."""
+        if any(sentence.has_inequalities for sentence in guard.negated) or any(
+            not (name in self.base or is_isbind(name) or is_isbind0(name))
+            for sentence in guard.positives
+            for name in sentence.relations()
+        ):
+            return None
+        negated = [bind_sentence(sentence, 0)[2] for sentence in guard.negated]
+        choices = [sentence.query.disjuncts for sentence in guard.positives]
+        for disjuncts in itertools.product(*choices):
+            for facts in self._structures(disjuncts):
+                if not self._refuted(negated, facts):
+                    return False
+        return True
+
+    def _structures(self, disjuncts) -> Iterable[List[Fact]]:
+        """The possible canonical structures of one disjunct choice.
+
+        Each is the list of facts it adds to the initial mirror.
+        """
+        named: Set[str] = set()
+        for disjunct in disjuncts:
+            for atom in disjunct.atoms:
+                if is_isbind(atom.relation) or is_isbind0(atom.relation):
+                    named.add(method_of_isbind(atom.relation))
+        if len(named) > 1:
+            return
+        methods = (
+            [m for m in self.methods if m.name in named] if named else self.methods
+        )
+        for method in methods:
+            yield from self._method_structures(disjuncts, method)
+
+    def _method_structures(self, disjuncts, method) -> Iterable[List[Fact]]:
+        binding = [("bind", position) for position in method.input_positions]
+        equal: List[Tuple[object, object]] = []
+        distinct: List[Tuple[object, object]] = []
+        pre_atoms: List[Tuple[str, Tuple]] = []
+        routable: List[Tuple] = []
+        isbind = isbind_name(method.name)
+
+        def node(index, term):
+            return term if isinstance(term, Constant) else (index, term)
+
+        for index, disjunct in enumerate(disjuncts):
+            for comparison, pairs in (
+                (disjunct.equalities, equal),
+                (disjunct.inequalities, distinct),
+            ):
+                for item in comparison:
+                    pairs.append((node(index, item.left), node(index, item.right)))
+            for atom in disjunct.atoms:
+                terms = tuple(node(index, term) for term in atom.terms)
+                if atom.relation == isbind:
+                    if len(terms) != len(binding):
+                        return
+                    equal.extend(zip(terms, binding))
+                elif is_isbind0(atom.relation) or is_isbind(atom.relation):
+                    continue  # names *method* (checked by the caller)
+                else:
+                    relation = self.base[atom.relation]
+                    if is_pre(atom.relation) or relation != method.relation:
+                        if not self.populated[relation]:
+                            return
+                        pre_atoms.append((relation, terms))
+                    else:
+                        routable.append(terms)
+        for routes in itertools.product((False, True), repeat=len(routable)):
+            pairs = list(equal)
+            pre = list(pre_atoms)
+            response = []
+            for to_response, terms in zip(routes, routable):
+                if to_response:
+                    response.append(terms)
+                    pairs.extend(
+                        (terms[position], slot)
+                        for position, slot in zip(method.input_positions, binding)
+                    )
+                else:
+                    pre.append((method.relation, terms))
+            value = _unify(pairs, distinct)
+            if value is None:
+                continue
+            facts: List[Fact] = []
+            for relation, terms in pre:
+                tup = tuple(value(term) for term in terms)
+                pre_copy, post_copy = self.names[relation]
+                facts.append((pre_copy, tup))
+                facts.append((post_copy, tup))
+            post_copy = self.names[method.relation][1]
+            facts.extend(
+                (post_copy, tuple(value(term) for term in terms)) for terms in response
+            )
+            facts.append((isbind, tuple(value(slot) for slot in binding)))
+            facts.append((isbind0_name(method.name), ()))
+            yield facts
+
+    def _refuted(self, negated: List[Tuple], facts: List[Fact]) -> bool:
+        """Whether a *negated* sentence (bound plans) holds on the initial
+        mirror plus *facts*."""
+        structure = self.structure
+        added = [fact for fact in facts if structure.add_unchecked(*fact)]
+        try:
+            return any(plans_hold(plans, structure) for plans in negated)
+        finally:
+            for relation, tup in added:
+                structure.discard(relation, tup)
+
+
+def _unify(pairs, distinct) -> Optional[Callable[[object], object]]:
+    """The freezing map of the most general unifier of *pairs*.
+
+    Nodes are :class:`~repro.queries.terms.Constant` objects or opaque
+    keys.  ``None`` when two distinct constants meet or a *distinct* pair
+    ends up in one class.
+    """
+    parent: Dict[object, object] = {}
+
+    def find(node):
+        root = node
+        while root in parent:
+            root = parent[root]
+        while node in parent and parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    for left, right in pairs:
+        left, right = find(left), find(right)
+        if left == right:
+            continue
+        if isinstance(left, Constant):
+            if isinstance(right, Constant):
+                return None
+            left, right = right, left
+        parent[left] = right
+    for left, right in distinct:
+        if find(left) == find(right):
+            return None
+    fresh: Dict[object, object] = {}
+
+    def value(node):
+        root = find(node)
+        if isinstance(root, Constant):
+            return root.value
+        frozen = fresh.get(root)
+        if frozen is None:
+            frozen = fresh[root] = FreshValue(len(fresh))
+        return frozen
+
+    return value

@@ -7,23 +7,21 @@ Classical (unrestricted) query containment is the building block for
 * minimisation used when constructing A-automata guards.
 
 We implement the Chandra–Merlin homomorphism test for CQs (including
-constants), the Sagiv–Yannakakis disjunct-wise test for UCQs, and a sound
-and complete test for CQs with inequalities on the *right-hand side free*
-case (containment of a CQ≠ in a CQ without inequalities) plus a
-canonical-instance-based refutation procedure for the general case that is
-exact for the query sizes used in this project (it enumerates the finitely
-many order/equality types of the left-hand query's frozen variables).
+constants), the Sagiv–Yannakakis disjunct-wise test for UCQs, and, when
+either side has inequalities, an exact test that freezes the left-hand
+query once per equality type of its variables over the constants of both
+queries.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.queries.cq import ConjunctiveQuery, QueryError
-from repro.queries.evaluation import evaluate_cq, holds, satisfying_assignments
-from repro.queries.homomorphism import canonical_instance, find_homomorphism
-from repro.queries.terms import Constant, Variable
+from repro.queries.cq import ConjunctiveQuery
+from repro.queries.evaluation import satisfying_assignments
+from repro.queries.homomorphism import FreshValue, canonical_instance
+from repro.queries.terms import Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 from repro.relational.instance import Instance
 
@@ -47,83 +45,16 @@ def _head_respecting_containment(
 def cq_contained_in(containee: ConjunctiveQuery, container: ConjunctiveQuery) -> bool:
     """Whether ``containee ⊆ container`` over all instances.
 
-    Handles constants.  If *containee* has inequalities the test freezes it
-    over every equality type of its variables (so it remains sound and
-    complete); inequalities in the *container* make the problem
-    Π2p-complete in general — we handle them by checking that for every
-    frozen counterexample candidate there is a homomorphism satisfying the
-    container's inequalities, which is exact for queries without repeated
-    use of the same frozen value (the case produced by our generators) and
-    conservative (may report non-containment) otherwise.
+    Handles constants.  Without inequalities this is Chandra–Merlin.  With
+    inequalities on either side the test freezes the containee over every
+    equality type (see :func:`_cq_contained_in_ucq`), which is sound and
+    complete.
     """
     if len(containee.head) != len(container.head):
         return False
     if not containee.inequalities and not container.inequalities:
         return _head_respecting_containment(container, containee)
-    # General case: enumerate identification patterns of the containee's
-    # variables (equality types), freeze, and check each resulting instance.
-    variables = sorted(containee.variables(), key=lambda v: v.name)
-    if not variables:
-        return _check_frozen_with_inequalities(containee, container, {})
-    for partition in _set_partitions(variables):
-        identification: Dict[Variable, Variable] = {}
-        for block in partition:
-            representative = block[0]
-            for v in block:
-                identification[v] = representative
-        try:
-            identified = containee.rename_variables(identification)
-        except QueryError:
-            continue  # identification forces a head variable onto a constant
-        # The identified query must still satisfy its own inequalities.
-        if any(
-            ineq.left == ineq.right for ineq in identified.inequalities
-        ):
-            continue
-        if not _check_frozen_with_inequalities(identified, container, identification):
-            return False
-    return True
-
-
-def _check_frozen_with_inequalities(
-    containee: ConjunctiveQuery,
-    container: ConjunctiveQuery,
-    identification: Dict[Variable, Variable],
-) -> bool:
-    """Check containment on the canonical instance of an identified containee."""
-    instance, frozen = canonical_instance(containee.without_inequalities())
-    # The frozen instance must satisfy the containee's inequalities
-    # (distinct frozen values are distinct, so only constant clashes matter).
-    for ineq in containee.inequalities:
-        left = frozen.get(ineq.left, getattr(ineq.left, "value", ineq.left))
-        right = frozen.get(ineq.right, getattr(ineq.right, "value", ineq.right))
-        if isinstance(ineq.left, Variable):
-            left = frozen[ineq.left]
-        if isinstance(ineq.right, Variable):
-            right = frozen[ineq.right]
-        if left == right:
-            return True  # this identification cannot be a counterexample
-    frozen_head = tuple(frozen[v] for v in containee.head)
-    for assignment in satisfying_assignments(container, instance):
-        candidate_head = tuple(
-            assignment[v] if isinstance(v, Variable) else v.value
-            for v in container.head
-        )
-        if candidate_head == frozen_head:
-            return True
-    return False
-
-
-def _set_partitions(items: List[Variable]) -> Iterable[List[List[Variable]]]:
-    """All set partitions of *items* (used for equality-type enumeration)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        for index, block in enumerate(partition):
-            yield partition[:index] + [[first] + block] + partition[index + 1 :]
-        yield [[first]] + partition
+    return _cq_contained_in_ucq(containee, as_ucq(container))
 
 
 def ucq_contained_in(containee, container) -> bool:
@@ -145,13 +76,68 @@ def ucq_contained_in(containee, container) -> bool:
 def _cq_contained_in_ucq(
     disjunct: ConjunctiveQuery, container: UnionOfConjunctiveQueries
 ) -> bool:
-    """Whether a single CQ is contained in a UCQ (freeze and evaluate)."""
-    if disjunct.inequalities or container.has_inequalities:
-        # Conservative general case: check all identifications as above.
-        return any(
-            cq_contained_in(disjunct, candidate) for candidate in container.disjuncts
-        ) or _frozen_in_union(disjunct, container)
-    return _frozen_in_union(disjunct, container)
+    """Whether a single CQ is contained in a UCQ (freeze and evaluate).
+
+    With inequalities on either side, one frozen instance does not
+    decide: ``R(x,y)`` is not contained in ``R(x,y) ∧ x≠y`` (take
+    ``R(a,a)``), nor ``R(x)`` in ``R(x) ∧ x≠'a'`` (take ``R('a')``).  So
+    the disjunct is frozen once per *equality type*: each variable is
+    sent to a constant of either query or to a fresh value, up to
+    renaming the fresh values.  A type that violates the disjunct's own
+    equalities or inequalities is no counterexample; every other type's
+    frozen instance must satisfy some container disjunct with the frozen
+    head.  This is exact: a homomorphism of the disjunct into any
+    instance factors injectively through the frozen instance of its
+    type, and injective maps that fix the constants preserve
+    inequalities.
+    """
+    if not disjunct.inequalities and not container.has_inequalities:
+        return _frozen_in_union(disjunct, container)
+    constants = sorted(
+        {term.value for term in disjunct.constants() | container.constants()},
+        key=repr,
+    )
+    variables = sorted(disjunct.variables(), key=lambda v: v.name)
+    for assignment in _equality_types(variables, constants):
+        if not _satisfies_comparisons(disjunct, assignment):
+            continue
+        instance, _ = canonical_instance(disjunct, assignment=assignment)
+        frozen_head = tuple(assignment[v] for v in disjunct.head)
+        if not _head_in_union(instance, frozen_head, container):
+            return False
+    return True
+
+
+def _equality_types(
+    variables: List[Variable], constants: List[object]
+) -> Iterable[Dict[Variable, object]]:
+    """Every assignment of *variables* to *constants* or fresh values.
+
+    Fresh values are numbered in order of first use, so each equality
+    type appears once.
+    """
+    assignment: Dict[Variable, object] = {}
+
+    def extend(index: int, fresh: int) -> Iterable[Dict[Variable, object]]:
+        if index == len(variables):
+            yield dict(assignment)
+            return
+        variable = variables[index]
+        for value in itertools.chain(constants, map(FreshValue, range(fresh))):
+            assignment[variable] = value
+            yield from extend(index + 1, fresh)
+        assignment[variable] = FreshValue(fresh)
+        yield from extend(index + 1, fresh + 1)
+
+    return extend(0, 0)
+
+
+def _satisfies_comparisons(
+    query: ConjunctiveQuery, assignment: Dict[Variable, object]
+) -> bool:
+    return all(e.satisfied_by(assignment) for e in query.equalities) and all(
+        i.satisfied_by(assignment) for i in query.inequalities
+    )
 
 
 def _frozen_in_union(
@@ -159,6 +145,13 @@ def _frozen_in_union(
 ) -> bool:
     instance, frozen = canonical_instance(disjunct.without_inequalities())
     frozen_head = tuple(frozen[v] for v in disjunct.head)
+    return _head_in_union(instance, frozen_head, container)
+
+
+def _head_in_union(
+    instance: Instance, frozen_head: Tuple, container: UnionOfConjunctiveQueries
+) -> bool:
+    """Whether some container disjunct has a match in *instance* with *frozen_head*."""
     for candidate in container.disjuncts:
         for assignment in satisfying_assignments(candidate, instance):
             candidate_head = tuple(

@@ -16,6 +16,7 @@ variables of ``Q`` to values of ``I`` sending every body atom to a fact of
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.queries.cq import ConjunctiveQuery
@@ -56,15 +57,31 @@ def homomorphism_image(
     return [(atom.relation, atom.substitute(assignment)) for atom in query.atoms]
 
 
+@dataclass(frozen=True)
+class FreshValue:
+    """A value frozen for a variable class: equal to no constant or data value.
+
+    Canonical structures that must not identify a frozen variable with a
+    constant by accident (the equality types of
+    :mod:`repro.queries.containment`, the canonical transition structures
+    of :mod:`repro.automata.emptiness`) freeze to these.
+    """
+
+    index: int
+
+
 def canonical_instance(
-    query: ConjunctiveQuery, schema: Optional[Schema] = None
+    query: ConjunctiveQuery,
+    schema: Optional[Schema] = None,
+    assignment: Optional[Mapping[Variable, object]] = None,
 ) -> Tuple[Instance, Dict[Variable, object]]:
     """The canonical (frozen) instance of a CQ and the freezing assignment.
 
     Variables are frozen to fresh values (their own names, tagged to avoid
-    collision with constants); constants map to themselves.  If *schema* is
-    not supplied, one is inferred from the query's atoms (all positions
-    typed ``ANY``).
+    collision with constants), or to their values under *assignment* when
+    it is given (it must cover every variable); constants map to
+    themselves.  If *schema* is not supplied, one is inferred from the
+    query's atoms (all positions typed ``ANY``).
     """
     if schema is None:
         spec: Dict[str, int] = {}
@@ -77,13 +94,12 @@ def canonical_instance(
             spec[atom.relation] = atom.arity
         schema = Schema([Relation(name, arity) for name, arity in spec.items()])
 
-    assignment: Dict[Variable, object] = {
-        v: f"~{v.name}" for v in query.variables()
-    }
+    if assignment is None:
+        assignment = {v: f"~{v.name}" for v in query.variables()}
     instance = Instance(schema)
     for atom in query.atoms:
         instance.add(atom.relation, atom.substitute(assignment))
-    return instance, assignment
+    return instance, dict(assignment)
 
 
 def cq_homomorphism(

@@ -18,9 +18,10 @@ count, which these tests pin three ways:
   verdicts and witnesses must still equal the ones recorded before
   (``tests/data/emptiness_verdicts.json``), and every witness must replay
   on the caller's own automaton;
-* a call count: an in-process multi-chain check builds the Datalog
-  program of each distinct guard at most once, and every chain's
-  precheck verdict equals the per-chain reference.
+* a call count: an in-process multi-chain check refutes each distinct
+  guard over its transition structures, and builds its Datalog program,
+  at most once, and every chain's precheck verdict equals the per-chain
+  reference.
 
 The static method filter of binding sentences (a kind-2 sentence whose
 ``methods`` exclude a candidate's method is false without evaluation)
@@ -80,7 +81,10 @@ FIXTURE = Path(__file__).with_name("data") / "emptiness_results.json"
 #: ``empty``, ``exhausted`` and a digest of the witness per input and mode,
 #: as recorded before the search ran on the emptiness quotient
 #: (``AAutomaton.minimise``).  Re-recording the fixture may move the work
-#: counts; it must not move these.
+#: counts; it must not move these.  One edit since: the precheck over
+#: canonical transition structures proves ``synthetic-3rel-ltr`` empty, so
+#: its rows went from a capped EMPTY (``exhausted`` false) to an exhausted
+#: one (:func:`test_synthetic_3rel_ltr_has_no_witness_at_a_large_cap`).
 VERDICTS = Path(__file__).with_name("data") / "emptiness_verdicts.json"
 
 #: Run modes recorded in the fixture; chain-pooled runs are compared with
@@ -208,6 +212,19 @@ def test_fixture_verdicts_match_pre_quotient_record(recorded):
                 "exhausted": fields["exhausted"],
                 "witness": _witness_digest(fields["witness"]),
             } == verdicts[name][mode], (name, mode)
+
+
+def test_synthetic_3rel_ltr_has_no_witness_at_a_large_cap(recorded):
+    """The precheck's EMPTY agrees with a search 13x past the fixture's cap."""
+    assert all(
+        fields["exhausted"] and fields["paths_explored"] == 0
+        for fields in recorded["synthetic-3rel-ltr"].values()
+    )
+    automaton, vocabulary, _ = INPUTS["synthetic-3rel-ltr"]()
+    result = automaton_emptiness(
+        automaton, vocabulary, max_paths=20000, use_datalog_precheck=False
+    )
+    assert result.witness is None
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -502,6 +519,14 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
         return original(guard, voc)
 
     monkeypatch.setattr(emptiness_module, "guard_to_datalog", counted)
+    refuted = []
+    original_refutes = emptiness_module._TransitionRefuter.refutes
+
+    def counted_refutes(self, guard):
+        refuted.append(id(guard))
+        return original_refutes(self, guard)
+
+    monkeypatch.setattr(emptiness_module._TransitionRefuter, "refutes", counted_refutes)
     outcomes = []
     original_check = emptiness_module.check_restriction
 
@@ -516,6 +541,8 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
     )
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(guards)
+    assert len(refuted) == len(set(refuted))
+    assert set(refuted) <= set(guards)
     assert len(outcomes) == len(restrictions)
     assert [outcome.prechecked_empty for outcome in outcomes] == reference
     monkeypatch.undo()

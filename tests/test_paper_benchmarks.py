@@ -1,12 +1,15 @@
-"""Smoke slice of the paper's experiments: Table 1 and Figures 1–2.
+"""Smoke slice of the paper's experiments and the pipeline checks.
 
 ``benchmarks/bench_table1.py``, ``bench_figure1.py`` and
 ``bench_figure2.py`` assert the verdicts behind the paper's Table 1 and
 Figures 1–2 (fragment solvers, the AccLTL+ compiler, the LTS path tree).
-Their files are not named ``test_*``, so the suite does not collect
-them; this test runs them once each in a pytest subprocess with
-``--benchmark-disable`` (every benchmarked call runs once, untimed) and
-requires all of them to pass.
+``bench_pipeline_vs_bruteforce.py``, ``bench_ablation.py``,
+``bench_containment.py`` and ``bench_relevance.py`` check the emptiness
+pipeline (precheck plus search) against brute force and the direct
+procedures, with and without each of its mechanisms.  The files are not
+named ``test_*``, so the suite does not collect them; this test runs them
+once each in a pytest subprocess with ``--benchmark-disable`` (every
+benchmarked call runs once, untimed) and requires all of them to pass.
 """
 
 from __future__ import annotations
@@ -19,10 +22,18 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-BENCHMARKS = ("bench_table1.py", "bench_figure1.py", "bench_figure2.py")
+BENCHMARKS = (
+    "bench_table1.py",
+    "bench_figure1.py",
+    "bench_figure2.py",
+    "bench_pipeline_vs_bruteforce.py",
+    "bench_ablation.py",
+    "bench_containment.py",
+    "bench_relevance.py",
+)
 
 #: Tests in those files: a file that stops collecting fails the slice.
-EXPECTED_TESTS = 14
+EXPECTED_TESTS = 27
 
 
 def test_paper_benchmarks_pass():

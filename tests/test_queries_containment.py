@@ -66,8 +66,44 @@ class TestCQContainment:
         with_ineq = parse_cq("Q(x) :- R(x, y), x != y")
         assert not cq_contained_in(without, with_ineq)
 
+    def test_container_inequality_against_a_constant(self):
+        # R('a') is a counterexample: the variable may equal the constant.
+        assert not cq_contained_in(
+            parse_cq("Q :- R(x)"), parse_cq('Q :- R(x), x != "a"')
+        )
+        assert cq_contained_in(
+            parse_cq('Q :- R(x), x != "a"'), parse_cq('Q :- R(x), x != "a"')
+        )
+
+    def test_head_variable_equal_to_a_constant(self):
+        # Q('a') is an answer of the containee on R('a') but not of the container.
+        assert not cq_contained_in(
+            parse_cq("Q(x) :- R(x)"), parse_cq('Q(x) :- R(x), x != "a"')
+        )
+        assert cq_contained_in(
+            parse_cq('Q(x) :- R(x), x != "a"'), parse_cq("Q(x) :- R(x)")
+        )
+
 
 class TestUCQContainment:
+    def test_container_inequality_needs_every_equality_type(self):
+        # R(a,a) satisfies the containee but not the container.
+        assert not ucq_contained_in(
+            parse_ucq("Q :- R(x, y)"), parse_ucq("Q :- R(x, y), x != y")
+        )
+        assert not ucq_contained_in(
+            parse_ucq("Q :- R(x, y)"), parse_ucq("Q :- R(x, y), x != y ; Q :- S(x)")
+        )
+
+    def test_container_inequality_split_across_disjuncts(self):
+        # Every R(x,y) has x≠y or x=y: neither disjunct alone contains it.
+        assert ucq_contained_in(
+            parse_ucq("Q :- R(x, y)"), parse_ucq("Q :- R(x, y), x != y ; Q :- R(x, x)")
+        )
+        assert ucq_contained_in(
+            parse_ucq("Q :- R(x)"), parse_ucq('Q :- R(x), x != "a" ; Q :- R("a")')
+        )
+
     def test_disjunct_in_union(self):
         small = parse_ucq("Q(x) :- R(x, y)")
         big = parse_ucq("Q(x) :- R(x, y) ; Q(x) :- S(x, y)")
