@@ -24,10 +24,18 @@ languages the Lemma 4.13 bounds make it one — see
 The search checks each candidate extension of a path by formula
 progression (:class:`repro.core.semantics.Progression`): a path carries
 the obligation its continuations must meet, so a candidate is checked
-against its own transition only, never by re-walking the path.  Atom
-verdicts that depend on the configuration alone are decided once per
-search node, and binding sentences that name another access method are
-false without evaluation.
+against its own transition only, never by re-walking the path.  Most
+candidates are settled without a structure of their own.  At setup,
+:func:`repro.core.transition.binding_refutes` marks the binding sentences
+that no disjunct lets hold for a candidate's method and binding.  Once
+per search node and group of candidates with the same refuted sentences,
+:meth:`~repro.core.semantics.Progression.fold` folds those refutations
+and the node's pre-only verdicts into the obligation; a group left with
+``false`` holds no witness there, and at the depth limit its candidates
+are counted in one step.  The other candidates are evaluated, with atom
+verdicts kept per configuration across nodes and deepening rounds.  None
+of this changes a result field: ``tests/test_bounded_oracle.py`` checks
+every field against a search that evaluates each candidate path whole.
 """
 
 from __future__ import annotations
@@ -40,9 +48,10 @@ from repro.access.methods import Access, AccessSchema
 from repro.access.path import AccessPath, PathStep, is_grounded, satisfies_sanity_conditions
 from repro.core.budget import Budget
 from repro.core.formulas import AccFormula
-from repro.core.semantics import Progression
+from repro.core.semantics import FALSE, Progression
 from repro.core.transition import (
     bind_sentence,
+    binding_refutes,
     plans_hold,
     prepost_names,
     seed_structure_mirror,
@@ -66,14 +75,10 @@ from repro.store.snapshot import Snapshot, SnapshotInstance
 Fact = Tuple[str, Tuple[object, ...]]
 
 #: A node of the checker's search stack: ``(path, configuration, known
-#: values, formula obligation, structure mirror)``.  Nodes at the depth
-#: limit are never expanded and carry their path only.
+#: values, formula obligation, structure mirror)``.  Known values are
+#: tracked for grounded searches only.
 _StackNode = Tuple[
-    Tuple[PathStep, ...],
-    Optional[Snapshot],
-    Optional[Set[object]],
-    Optional[int],
-    Optional[Snapshot],
+    Tuple[PathStep, ...], Snapshot, Optional[FrozenSet[object]], int, Snapshot
 ]
 
 
@@ -423,10 +428,12 @@ def bounded_satisfiability_legacy(
     from repro.obs import trace as _trace
 
     _metrics.counter("bounded_check.runs")
+    tally = [0, 0]
     with _trace.trace_span(
         "bounded_check.run", max_paths=bounds.max_paths, budgeted=budget is not None
     ):
         result = _bounded_satisfiability_impl(
+            tally,
             vocabulary,
             formula,
             bounds,
@@ -441,6 +448,8 @@ def bounded_satisfiability_legacy(
             satisfiable=result.satisfiable,
             explored=result.paths_explored,
             interrupted=result.interrupted,
+            folded=tally[0],
+            evaluated=tally[1],
         )
     if result.interrupted:
         _metrics.counter("budget.bounded_check_interrupted")
@@ -448,6 +457,7 @@ def bounded_satisfiability_legacy(
 
 
 def _bounded_satisfiability_impl(
+    tally: List[int],
     vocabulary: AccessVocabulary,
     formula: AccFormula,
     bounds: Bounds,
@@ -458,6 +468,7 @@ def _bounded_satisfiability_impl(
     enforce_schema_sanity: bool = True,
     budget: Optional[Budget] = None,
 ) -> BoundedCheckResult:
+    """The search; *tally* receives its folded and evaluated check counts."""
     from repro.core.budget import INTERRUPT_STRIDE
 
     clock = (budget if budget is not None else Budget()).start()
@@ -471,7 +482,7 @@ def _bounded_satisfiability_impl(
         value_pool = default_value_pool(
             vocabulary, formula, fact_pool, initial, bounds.fresh_values
         )
-    index = ResponseIndex(fact_pool)
+    response_index = ResponseIndex(fact_pool)
 
     # Candidate (access, response) steps, computed once; revealing steps are
     # explored before empty-response steps.
@@ -485,7 +496,7 @@ def _bounded_satisfiability_impl(
     empty_response_methods: Set[str] = set()
     for access in accesses:
         for response in _candidate_responses(
-            access, index, bounds.max_response_size
+            access, response_index, bounds.max_response_size
         ):
             if not response and not nary and not grounded_only:
                 # For 0-ary formulas the binding values of an information-free
@@ -498,7 +509,7 @@ def _bounded_satisfiability_impl(
     candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
 
     explored = 0
-    initial_known = set(initial.active_domain())
+    initial_known = frozenset(initial.active_domain()) if grounded_only else None
 
     def _interrupted() -> BoundedCheckResult:
         # Budget expiry: sound partial verdict — no witness, no claimed
@@ -525,86 +536,156 @@ def _bounded_satisfiability_impl(
     # candidate as the last transition, and a child's obligation is the
     # progressed one.  Each candidate thus reads atoms of its own
     # transition only, never the path prefix.  Atoms are bound once to
-    # the compiled plans of their disjuncts (:func:`bind_sentence`), and
-    # read by kind:
+    # the compiled plans of their disjuncts (:func:`bind_sentence`).
+    # Their verdicts are kept per configuration snapshot, across nodes
+    # and iterative-deepening rounds, under a key naming what they read:
     #
-    # * kind 0 (``R_pre`` only) — one verdict per configuration, decided
-    #   at most once per stack node against the node's structure mirror
-    #   and kept across iterative-deepening rounds;
-    # * kind 1 (``R_post`` too) — per candidate, on the candidate's
-    #   structure;
-    # * kind 2 (binding predicates) — per candidate, unless the sentence's
-    #   ``methods`` exclude the candidate's method: only the used method's
-    #   binding predicates are non-empty in ``M(t)``, so it is false.
+    # * kind 0 (``R_pre`` only) — the atom alone, decided on the node's
+    #   structure mirror;
+    # * kind 1 (``R_post`` too) — the accessed relation and the response
+    #   (an empty response reads the mirror too);
+    # * kind 2 (binding predicates) — the candidate, unless the sentence
+    #   is *refuted* for it: :func:`binding_refutes` found at setup that
+    #   no disjunct fits the candidate's method and binding.
+    #
+    # Candidates with equal refuted sets form a group.  Once per node and
+    # group, :meth:`Progression.fold` folds the kind-0 verdicts and the
+    # refuted sentences into the obligation.  A group whose residual is
+    # false holds no witness at the node and skips ``last``; at the depth
+    # limit a run of its candidates is counted in one step.
     progression = Progression(formula)
-    last = progression.last
-    progress = progression.progress
+    last, progress, fold = progression.last, progression.progress, progression.fold
     records = [
         bind_sentence(sentence, number)
         for number, sentence in enumerate(progression.atoms)
     ]
-    # Kind-0 verdicts per configuration snapshot: atom number -> verdict.
-    node_verdicts_of: Dict[Snapshot, Dict[int, bool]] = {}
+    bind_numbers = [number for number, kind, _, _ in records if kind == 2]
+    # ``(start, stop, refuted)`` per maximal run of candidates in one group.
+    runs: List[Tuple[int, int, FrozenSet[int]]] = []
+    refuted_of: Dict[int, FrozenSet[int]] = {}  # id(access) -> refuted set
+    for index, (access, _response) in enumerate(candidates):
+        refuted = refuted_of.get(id(access))
+        if refuted is None:
+            refuted = refuted_of[id(access)] = frozenset(
+                number
+                for number in bind_numbers
+                if binding_refutes(
+                    progression.atoms[number], access.method.name, access.binding
+                )
+            )
+        if runs and runs[-1][2] == refuted:
+            runs[-1] = (runs[-1][0], index + 1, refuted)
+        else:
+            runs.append((index, index + 1, refuted))
+    # Atom verdicts per configuration snapshot, keyed as described above.
+    verdicts_of: Dict[Snapshot, Dict[object, bool]] = {}
     # ``atom_holds`` reads the node being expanded (``base_snap``, its
     # verdicts and lazily built structure) and the candidate being checked
-    # (``index``, ``access``, ``response``, its verdicts and lazily built
-    # structure) from the search loop below.
-    node_verdicts: Dict[int, bool] = {}
+    # (``index``, ``access``, ``response``, ``refuted`` and its lazily
+    # built structure) from the search loop below.
+    verdicts: Dict[object, bool] = {}
     node_structure: Optional[SnapshotInstance] = None
-    step_verdicts: Dict[int, bool] = {}
     struct_store: Optional[SnapshotInstance] = None
 
     def atom_holds(number: int) -> bool:
         nonlocal node_structure, struct_store
-        _, kind, plans, methods = records[number]
+        _, kind, plans, _ = records[number]
         if kind == 0:
-            verdict = node_verdicts.get(number)
-            if verdict is None:
+            key: object = number
+        elif kind == 1:
+            key = (number, access.relation, response) if response else (number,)
+        elif number in refuted:
+            return False
+        else:
+            key = (number, index)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            if kind == 2 or (kind == 1 and response):
+                if struct_store is None:
+                    # Branch the candidate's structure off the node's base
+                    # snapshot and lay the delta on top.
+                    _pre, post_rel, isbind_rel, binding_tup, isbind0_rel = (
+                        candidate_meta[index]
+                    )
+                    struct_store = SnapshotInstance.from_snapshot(base_snap)
+                    for tup in response:
+                        struct_store.add_unchecked(post_rel, tup)
+                    struct_store.add_unchecked(isbind_rel, binding_tup)
+                    struct_store.add_unchecked(isbind0_rel, ())
+                structure = struct_store
+            else:
                 if node_structure is None:
                     node_structure = SnapshotInstance.from_snapshot(base_snap)
-                verdict = node_verdicts[number] = plans_hold(plans, node_structure)
-            return verdict
-        if methods is not None and access.method.name not in methods:
-            return False
-        verdict = step_verdicts.get(number)
-        if verdict is None:
-            if struct_store is None:
-                # Branch the candidate's structure off the node's base
-                # snapshot and lay the delta on top.
-                _pre, post_rel, isbind_rel, binding_tup, isbind0_rel = (
-                    candidate_meta[index]
-                )
-                struct_store = SnapshotInstance.from_snapshot(base_snap)
-                for tup in response:
-                    struct_store.add_unchecked(post_rel, tup)
-                struct_store.add_unchecked(isbind_rel, binding_tup)
-                struct_store.add_unchecked(isbind0_rel, ())
-            verdict = step_verdicts[number] = plans_hold(plans, struct_store)
+                structure = node_structure
+            verdict = verdicts[key] = plans_hold(plans, structure)
         return verdict
+
+    def folded_verdict(number: int) -> Optional[bool]:
+        # The verdicts ``fold`` may use: kind 0 and the refuted sentences.
+        if records[number][1] == 0:
+            return atom_holds(number)
+        return False if number in refuted else None
 
     # Search state lives in the persistent fact store: stack nodes hold
     # O(1) snapshots of the configuration and of its ``R_pre``/``R_post``
     # mirror (``base``) instead of O(n) ``Instance.copy()`` clones.  A
     # candidate's transition structure is branched off the node's base
-    # snapshot — only when one of its kind>=1 atoms is actually asked —
-    # with just the response and binding facts layered on top, sharing
-    # its untouched shards (and their lazily built indexes) with every
-    # sibling candidate.
+    # snapshot only when an atom reads its delta and has no stored verdict.
     base_schema = schema.schema
     structure_names = prepost_names(base_schema)
-    # Pre-validated per-candidate facts (the old code validated response
-    # tuples against the relation signature on every expansion; validating
-    # the candidate pool once up front is equivalent because every
-    # expansion draws from this fixed pool).
-    for access, response in candidates:
-        relation = base_schema.relation(access.relation)
-        for tup in response:
-            relation.validate_tuple(tup)
+    # Pre-validated per-candidate facts: every expansion draws from this
+    # fixed pool, so each pooled response fact is validated once, by
+    # identity (the pool's ``1`` and ``True`` are checked separately).
+    pooled = {
+        (access.relation, id(tup)): tup for access, response in candidates for tup in response
+    }
+    for (relation, _), tup in pooled.items():
+        base_schema.relation(relation).validate_tuple(tup)
     candidate_meta = validated_candidate_facts(
         vocabulary, structure_names, candidates
     )
     # One validated path step per candidate, shared by every expansion.
     candidate_steps = [PathStep(access, response) for access, response in candidates]
+
+    def extended(steps: Tuple[PathStep, ...], index: int) -> Optional[Tuple[PathStep, ...]]:
+        # The path extended by a candidate, or ``None`` when it is skipped.
+        step = candidate_steps[index]
+        if steps and not candidates[index][1] and steps[-1] == step:
+            return None  # Repeating an identical information-free step cannot help.
+        new_steps = steps + (step,)
+        if need_sanity and not satisfies_sanity_conditions(
+            AccessPath(new_steps), schema, initial=initial, require_grounded=grounded_only
+        ):
+            return None
+        return new_steps
+
+    def _capped() -> BoundedCheckResult:
+        return BoundedCheckResult(
+            satisfiable=False, witness=None, paths_explored=explored, exhausted=False
+        )
+
+    def count(checks: int) -> Optional[BoundedCheckResult]:
+        # Count *checks* candidate checks, returning the result the search
+        # returns where counting them one at a time would: a budget expiry
+        # right after the charge that reaches the node cap (or, on the
+        # stride, the deadline), else the path cap one check past
+        # ``max_paths``.  Node accounting is per candidate check, so the
+        # cap expires at an exact, scheduling-independent point.
+        nonlocal explored
+        stop = min(checks, bounds.max_paths + 1 - explored)
+        if check_budget:
+            cap = budget.node_cap
+            expiry = stop + 1 if cap is None else cap - clock.charged
+            stride = INTERRUPT_STRIDE - explored % INTERRUPT_STRIDE
+            if stride < expiry and stride <= stop and clock.deadline_hit():
+                expiry = stride
+            if expiry <= stop:
+                clock.charge(expiry)
+                explored += expiry
+                return _interrupted()
+            clock.charge(stop)
+        explored += stop
+        return _capped() if explored > bounds.max_paths else None
 
     config = SnapshotInstance.from_instance(initial)
     initial_config_snap = config.snapshot()
@@ -614,16 +695,12 @@ def _bounded_satisfiability_impl(
 
     # Iterative-deepening depth-first search over paths: short witnesses are
     # found before the search commits to deep branches, and the final round
-    # (depth = max_path_length) determines exhaustiveness.  Search states
-    # carry the current path, the configuration snapshot, the set of known
-    # values (for groundedness), the formula obligation of the path's
-    # continuations and the snapshot of the configuration's structure
-    # mirror.  Children at the depth limit are never expanded: they keep
-    # only their path (the stack pops still run the budget checks) and
-    # get no obligation or configuration.
+    # (depth = max_path_length) determines exhaustiveness.  Candidates at
+    # the depth limit only end their path: they get no stack node, and
+    # their node makes once the checks that popping them would make.
     for depth_limit in range(1, bounds.max_path_length + 1):
         stack: List[_StackNode] = [
-            ((), initial_config_snap, set(initial_known), progression.root,
+            ((), initial_config_snap, initial_known, progression.root,
              initial_base_snap)
         ]
         while stack:
@@ -631,91 +708,86 @@ def _bounded_satisfiability_impl(
             if check_budget and clock.expired():
                 return _interrupted()
             if explored >= bounds.max_paths:
-                return BoundedCheckResult(
-                    satisfiable=False,
-                    witness=None,
-                    paths_explored=explored,
-                    exhausted=False,
-                )
-            if len(steps) >= depth_limit:
-                continue
-            expand_children = len(steps) + 1 < depth_limit
-            node_verdicts = node_verdicts_of.setdefault(config_snap, {})
+                return _capped()
+            at_limit = len(steps) + 1 == depth_limit
+            verdicts = verdicts_of.setdefault(config_snap, {})
             node_structure = None
+            residuals: Dict[FrozenSet[int], int] = {}
+            ended = False  # whether some candidate ended a path here
             children: List[_StackNode] = []
-            for index, (access, response) in enumerate(candidates):
-                if grounded_only and not all(
-                    value in known for value in access.binding
-                ):
+            for start, stop, refuted in runs:
+                indices = range(start, stop)
+                if grounded_only:
+                    indices = [
+                        i for i in indices
+                        if all(value in known for value in candidates[i][0].binding)
+                    ]
+                residual = residuals.get(refuted)
+                if residual is None:
+                    residual = residuals[refuted] = fold(obligation, folded_verdict)
+                if at_limit and residual == FALSE:
+                    stopped = count(len(indices))
+                    if stopped is not None:
+                        return stopped
+                    tally[0] += len(indices)
+                    ended = ended or any(extended(steps, i) is not None for i in indices)
                     continue
-                explored += 1
-                if check_budget:
-                    # Node accounting is per candidate expansion, so the
-                    # cap expires at an exact, scheduling-independent
-                    # point; the wall clock is consulted on a stride.
-                    clock.charge(1)
-                    if clock.node_cap_hit() or (
-                        explored % INTERRUPT_STRIDE == 0 and clock.deadline_hit()
-                    ):
-                        return _interrupted()
-                if explored > bounds.max_paths:
-                    return BoundedCheckResult(
-                        satisfiable=False,
-                        witness=None,
-                        paths_explored=explored,
-                        exhausted=False,
+                for index in indices:
+                    access, response = candidates[index]
+                    stopped = count(1)
+                    if stopped is not None:
+                        return stopped
+                    new_steps = extended(steps, index)
+                    if new_steps is None:
+                        continue
+                    struct_store = None
+                    if residual == FALSE:
+                        tally[0] += 1
+                    else:
+                        tally[1] += 1
+                        if last(residual, atom_holds):
+                            return BoundedCheckResult(
+                                satisfiable=True,
+                                witness=AccessPath(new_steps),
+                                paths_explored=explored,
+                                exhausted=False,
+                            )
+                    if at_limit:
+                        ended = True
+                        continue
+                    child_obligation = progress(obligation, atom_holds)
+                    # Child state: configuration plus the genuinely new
+                    # response tuples, snapshotted in O(#relations).
+                    config.restore(config_snap)
+                    new_tuples = [
+                        tup
+                        for tup in response
+                        if config.add_unchecked(access.relation, tup)
+                    ]
+                    new_config_snap = config.snapshot()
+                    if new_tuples:
+                        pre_rel, post_rel = candidate_meta[index][:2]
+                        base.restore(base_snap)
+                        for tup in new_tuples:
+                            base.add_unchecked(pre_rel, tup)
+                            base.add_unchecked(post_rel, tup)
+                        new_base_snap = base.snapshot()
+                    else:
+                        new_base_snap = base_snap
+                    new_known = (
+                        known | set(access.binding) | {v for tup in response for v in tup}
+                        if grounded_only
+                        else None
                     )
-                step = candidate_steps[index]
-                if steps and not response and steps[-1] == step:
-                    # Repeating an identical information-free step cannot help.
-                    continue
-                new_steps = steps + (step,)
-                if need_sanity and not satisfies_sanity_conditions(
-                    AccessPath(new_steps),
-                    schema,
-                    initial=initial,
-                    require_grounded=grounded_only,
-                ):
-                    continue
-                if step_verdicts:
-                    step_verdicts = {}
-                struct_store = None
-                if last(obligation, atom_holds):
-                    return BoundedCheckResult(
-                        satisfiable=True,
-                        witness=AccessPath(new_steps),
-                        paths_explored=explored,
-                        exhausted=False,
+                    children.append(
+                        (new_steps, new_config_snap, new_known, child_obligation,
+                         new_base_snap)
                     )
-                if not expand_children:
-                    children.append((new_steps, None, None, None, None))
-                    continue
-                child_obligation = progress(obligation, atom_holds)
-                # Child state: configuration plus the genuinely new
-                # response tuples, snapshotted in O(#relations).
-                config.restore(config_snap)
-                new_tuples = [
-                    tup
-                    for tup in response
-                    if config.add_unchecked(access.relation, tup)
-                ]
-                new_config_snap = config.snapshot()
-                if new_tuples:
-                    pre_rel, post_rel = candidate_meta[index][:2]
-                    base.restore(base_snap)
-                    for tup in new_tuples:
-                        base.add_unchecked(pre_rel, tup)
-                        base.add_unchecked(post_rel, tup)
-                    new_base_snap = base.snapshot()
-                else:
-                    new_base_snap = base_snap
-                new_known = known | set(access.binding) | {
-                    v for tup in response for v in tup
-                }
-                children.append(
-                    (new_steps, new_config_snap, new_known, child_obligation,
-                     new_base_snap)
-                )
+            if ended:
+                if check_budget and clock.expired():
+                    return _interrupted()
+                if explored >= bounds.max_paths:
+                    return _capped()
             stack.extend(reversed(children))
     return BoundedCheckResult(
         satisfiable=False, witness=None, paths_explored=explored, exhausted=True

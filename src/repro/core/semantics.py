@@ -21,6 +21,9 @@ Two evaluators implement it:
   ``Fφ → φ' ∨ Fφ``, ``Gφ → φ' ∧ Gφ``, where ``'`` marks a progressed
   subformula).  Both read atoms of the current transition only, so an
   extension of a path is checked without re-walking its prefix.
+  :meth:`Progression.fold` is :meth:`~Progression.last` with only some
+  atoms known: it returns the residual the unknown atoms must satisfy,
+  so a checker can rule out a whole group of candidates at once.
 """
 
 from __future__ import annotations
@@ -238,24 +241,40 @@ class Progression:
         """Whether *node* holds when the current transition is the last one.
 
         ``X`` fails (there is no next position), ``U`` needs its right
-        side now, ``F`` and ``G`` reduce to their operand.
+        side now, ``F`` and ``G`` reduce to their operand: :meth:`fold`
+        with every atom known.
+        """
+        return self.fold(node, atom_holds) == TRUE
+
+    def fold(self, node: int, known: Callable[[int], Optional[bool]]) -> int:
+        """*node* under :meth:`last`, with the verdicts *known* gives folded in.
+
+        *known* returns an atom's verdict, or ``None`` to leave it open.
+        The result is a boolean combination of the open atoms with the same
+        :meth:`last` value as *node*: :data:`FALSE` means *node* fails
+        whatever the open atoms turn out to be.  Atoms are asked left to
+        right, and a conjunction or disjunction stops at an operand that
+        decides it.
         """
         nodes = self._nodes
 
-        def value(n: int) -> bool:
+        def value(n: int) -> int:
             op, a, b = nodes[n]
             if op == _ATOM:
-                return atom_holds(a)
+                verdict = known(a)
+                return n if verdict is None else int(verdict)
             if op == _AND:
-                return value(a) and value(b)
+                left = value(a)
+                return FALSE if left == FALSE else self._and(left, value(b))
             if op == _OR:
-                return value(a) or value(b)
+                left = value(a)
+                return TRUE if left == TRUE else self._or(left, value(b))
             if op == _NOT:
-                return not value(a)
+                return self._not(value(a))
             if op == _CONST:
-                return bool(a)
+                return n
             if op == _NEXT:
-                return False
+                return FALSE
             if op == _UNTIL:
                 return value(b)
             return value(a)  # F and G

@@ -20,6 +20,7 @@ evaluate embedded sentences on such structures through one binder,
 of its disjuncts and records what part of a transition the sentence can
 read, and — because only the used method's binding predicates are
 non-empty in ``M(t)`` — for which access methods it can hold at all.
+:func:`binding_refutes` carries that test down to one access's binding.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.core.vocabulary import (
 )
 from repro.queries.evaluation import naive_satisfying_assignments
 from repro.queries.plan_cache import execute_plan, get_plan
+from repro.queries.terms import Constant
 from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
 
@@ -202,6 +204,31 @@ def bind_sentence(sentence, number: int) -> SentenceRecord:
         tuple(plans),
         frozenset(methods) if methods is not None else None,
     )
+
+
+def binding_refutes(sentence, method_name: str, binding: Tuple) -> bool:
+    """Whether *sentence* is false on every transition of one access.
+
+    This refines the ``methods`` of :func:`bind_sentence` to bindings: in
+    ``M(t)`` only ``IsBind_AcM(b̄)`` and ``IsBind0_AcM`` hold, so a
+    disjunct can hold only if all its binding atoms name *method_name*
+    and their constants equal *binding* position by position.  A constant
+    differs only when ``!=`` says so in both operand orders (the plan
+    executor and the naive oracle use one each); anything else leaves the
+    disjunct open, so ``True`` is sound and ``False`` merely undecided.
+    """
+    for disjunct in as_ucq(sentence.query).disjuncts:
+        for atom in disjunct.atoms:
+            if not (is_isbind(atom.relation) or is_isbind0(atom.relation)):
+                continue
+            if method_of_isbind(atom.relation) != method_name or any(
+                isinstance(term, Constant) and term.value != value and value != term.value
+                for term, value in zip(atom.terms, binding)
+            ):
+                break
+        else:
+            return False
+    return True
 
 
 def plans_hold(plans: Tuple, instance: Instance) -> bool:

@@ -1,0 +1,325 @@
+"""The bounded checker against a whole-path reference search.
+
+:func:`reference_search` is the checker's search written the plain way.
+It builds the same candidate list with the checker module's own helpers,
+visits paths in the same iterative-deepening order, counts every
+candidate check the same way, pops every path end off the search (so a
+path cap reached exactly at the end of the last round still reads
+``exhausted=False``), and evaluates each candidate path whole with
+:func:`repro.core.semantics.path_satisfies`.
+
+The checker instead progresses the formula along the path, folds each
+node's obligation per group of candidates, refutes binding sentences at
+setup, keeps verdicts per configuration and settles runs of candidates
+in one step.  None of that may change a
+:class:`~repro.core.bounded_check.BoundedCheckResult` field, on seeded
+synthetic scenarios, :class:`~repro.workloads.generators.WorkloadGenerator`
+schemas and the Table 1 formulas, under grounded runs, exact and
+idempotent methods, node-capped budgets, non-empty initial instances and
+path caps that land exactly on a node boundary.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.access.methods import AccessSchema
+from repro.access.path import AccessPath, PathStep, satisfies_sanity_conditions
+from repro.core import properties
+from repro.core.bounded_check import (
+    BoundedCheckResult,
+    Bounds,
+    ResponseIndex,
+    _candidate_responses,
+    bounded_satisfiability,
+    candidate_accesses_for_search,
+    default_value_pool,
+    formula_fact_pool,
+)
+from repro.core.budget import Budget
+from repro.core.formulas import EmbeddedSentence, atom, eventually, land, lnext, lnot
+from repro.core.fragments import uses_nary_binding
+from repro.core.semantics import path_satisfies
+from repro.core.solver import AccLTLSolver
+from repro.core.transition import binding_refutes
+from repro.io.json_io import access_path_to_dict
+from repro.relational.dependencies import DisjointnessConstraint, FunctionalDependency
+from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.relational.instance import Instance
+from repro.workloads.directory import (
+    ADDRESS,
+    MOBILE,
+    directory_access_schema,
+    directory_hidden_instance,
+    directory_schema,
+    join_query,
+    resident_names_query,
+)
+from repro.workloads.generators import WorkloadGenerator
+from repro.workloads.scenarios import _synthetic_scenario
+
+SMALL = Bounds(max_path_length=3, max_paths=300)
+
+
+class _Done(Exception):
+    def __init__(self, result: BoundedCheckResult) -> None:
+        self.result = result
+
+
+def reference_search(vocabulary, formula, bounds, initial=None, grounded_only=False, budget=None):
+    """The checker's search, evaluating every candidate path whole."""
+    schema = vocabulary.access_schema
+    initial = schema.empty_instance() if initial is None else initial
+    fact_pool = formula_fact_pool(vocabulary, formula)
+    value_pool = default_value_pool(vocabulary, formula, fact_pool, initial, bounds.fresh_values)
+    nary = uses_nary_binding(formula)
+    index = ResponseIndex(fact_pool)
+    candidates, empty_methods = [], set()
+    for access in candidate_accesses_for_search(schema, fact_pool, value_pool, nary_bindings=nary):
+        for response in _candidate_responses(access, index, bounds.max_response_size):
+            if not response and not nary and not grounded_only:
+                if access.method.name in empty_methods:
+                    continue
+                empty_methods.add(access.method.name)
+            candidates.append(PathStep(access, response))
+    candidates.sort(key=lambda step: len(step.response), reverse=True)
+    sanity = bool(schema.exact_methods() or schema.idempotent_methods() or grounded_only)
+    cap = budget.node_cap if budget is not None else None
+    explored = 0
+
+    def done(**fields):
+        fields = {"satisfiable": False, "witness": None, "exhausted": False, **fields}
+        return _Done(BoundedCheckResult(paths_explored=explored, **fields))
+
+    def visit(path, depth_limit):
+        nonlocal explored
+        if cap is not None and explored >= cap:
+            raise done(interrupted=True)
+        if explored >= bounds.max_paths:
+            raise done()
+        if len(path) >= depth_limit:
+            return
+        known = set(initial.active_domain())
+        for step in path:
+            known.update(step.access.binding, *step.response)
+        children = []
+        for step in candidates:
+            if grounded_only and not all(value in known for value in step.access.binding):
+                continue
+            explored += 1
+            if cap is not None and explored >= cap:
+                raise done(interrupted=True)
+            if explored > bounds.max_paths:
+                raise done()
+            if path and not step.response and path[-1] == step:
+                continue
+            extended = AccessPath(path + (step,))
+            if sanity and not satisfies_sanity_conditions(
+                extended, schema, initial=initial, require_grounded=grounded_only
+            ):
+                continue
+            if path_satisfies(vocabulary, extended, formula, initial):
+                raise done(satisfiable=True, witness=extended)
+            children.append(path + (step,))
+        for child in children:
+            visit(child, depth_limit)
+
+    try:
+        for depth_limit in range(1, bounds.max_path_length + 1):
+            visit((), depth_limit)
+    except _Done as stop:
+        return stop.result
+    return BoundedCheckResult(False, None, explored, exhausted=True)
+
+
+def _fields(result):
+    return (
+        result.satisfiable,
+        access_path_to_dict(result.witness) if result.witness is not None else None,
+        result.paths_explored,
+        result.exhausted,
+        result.interrupted,
+    )
+
+
+def _agree(vocabulary, formula, bounds=SMALL, **kwargs):
+    expected = reference_search(vocabulary, formula, bounds, **kwargs)
+    actual = bounded_satisfiability(vocabulary, formula, bounds, **kwargs)
+    assert _fields(actual) == _fields(expected)
+    return actual
+
+
+def _scenario_formulas(seed):
+    scenario = _synthetic_scenario(seed=seed, num_relations=2 + seed % 2, name=f"s{seed}")
+    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+    probe, q1, q2 = scenario.probe_access, scenario.query_one, scenario.query_two
+    return scenario, vocabulary, {
+        "ltr": properties.ltr_formula(vocabulary, probe, q1),
+        "ltr-q2": properties.ltr_formula(vocabulary, probe, q2),
+        "containment": properties.containment_counterexample_formula(vocabulary, q1, q2),
+    }
+
+
+def _table1_formulas(schema):
+    v = AccLTLSolver(schema).vocabulary
+    probe = schema.access("AcM1", ("Smith",))
+    dataflow = properties.dataflow_formula(v, schema.method("AcM1"), 0, ADDRESS, 2)
+    # A binding sentence with a variable binding: its verdict differs
+    # between candidates of one method at one configuration.
+    flow = next(s for s in dataflow.atoms() if s.label.startswith("flow"))
+    return v, {
+        "flow": eventually(atom(flow.query, flow.label)),
+        "xonly-relevance": land(
+            lnot(properties.relation_nonempty_pre(v, MOBILE)),
+            properties.zeroary_binding_atom("AcM1"),
+            properties.relation_nonempty_post(v, MOBILE),
+            lnext(properties.relation_nonempty_post(v, ADDRESS)),
+        ),
+        "access-order": properties.access_order_formula(v, "AcM2", "AcM1"),
+        "zeroary-ltr": properties.ltr_formula_zeroary(v, "AcM1", join_query()),
+        "disjointness": properties.disjointness_formula(
+            v, DisjointnessConstraint(MOBILE, 0, ADDRESS, 0)
+        ),
+        "fd-zeroary-ltr": land(
+            properties.fd_formula(v, FunctionalDependency(MOBILE, (0,), 3)),
+            properties.ltr_formula_zeroary(v, "AcM1", join_query()),
+        ),
+        "ltr-dataflow": land(
+            properties.ltr_formula(v, probe, join_query()),
+            dataflow,
+        ),
+        "ltr": properties.ltr_formula(v, probe, join_query()),
+        "containment": properties.containment_counterexample_formula(
+            v, join_query(), resident_names_query()
+        ),
+    }
+
+
+def _sanity_schema():
+    schema = AccessSchema(directory_schema())
+    schema.add("AcM1", MOBILE, (0,), exact=True)
+    schema.add("AcM2", ADDRESS, (0, 1), idempotent=True)
+    return schema
+
+
+def test_binding_refutes_only_bindings_no_disjunct_admits():
+    acm1 = directory_access_schema().method("AcM1")
+    smith = properties.nary_binding_atom(acm1, ("Smith",)).sentence
+    assert not binding_refutes(smith, "AcM1", ("Smith",))
+    assert binding_refutes(smith, "AcM1", ("Jones",))
+    assert binding_refutes(smith, "AcM2", ("Smith", "OX1"))
+    # ``1 == True`` for the plan executor too, so the binding stays open.
+    one = properties.nary_binding_atom(acm1, (1,)).sentence
+    assert not binding_refutes(one, "AcM1", (True,))
+    # A disjunct for another method keeps the sentence open for that method.
+    uses_acm2 = properties.zeroary_binding_atom("AcM2").sentence
+    either = EmbeddedSentence(
+        UnionOfConjunctiveQueries(smith.query.disjuncts + uses_acm2.query.disjuncts)
+    )
+    assert binding_refutes(either, "AcM1", ("Jones",))
+    assert not binding_refutes(either, "AcM2", ("Jones", "OX1"))
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 8, 11, 17, 32])
+@pytest.mark.parametrize("grounded_only", [False, True])
+def test_synthetic_scenarios(seed, grounded_only):
+    _scenario, vocabulary, formulas = _scenario_formulas(seed)
+    for formula in formulas.values():
+        _agree(vocabulary, formula, grounded_only=grounded_only)
+
+
+@pytest.mark.parametrize("seed", [3, 8, 13])
+def test_synthetic_scenarios_from_the_hidden_instance(seed):
+    scenario, vocabulary, formulas = _scenario_formulas(seed)
+    initial = Instance(scenario.access_schema.schema)
+    for relation in scenario.access_schema.schema:
+        for tup in sorted(scenario.hidden_instance.tuples(relation.name), key=repr)[:1]:
+            initial.add(relation.name, tup)
+    for formula in formulas.values():
+        _agree(vocabulary, formula, initial=initial)
+        _agree(vocabulary, formula, initial=initial, grounded_only=True)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7, 12])
+def test_workload_generator_schemas(seed):
+    generator = WorkloadGenerator(seed=seed)
+    schema = generator.access_schema(num_relations=2, max_arity=3, max_inputs=2)
+    vocabulary = AccLTLSolver(schema).vocabulary
+    q1 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
+    q2 = generator.conjunctive_query(schema.schema, num_atoms=1, num_variables=2)
+    methods = sorted(schema, key=lambda m: (-m.num_inputs, m.name))
+    probe = schema.access(methods[0].name, ("v0",) * methods[0].num_inputs)
+    target = list(schema.schema)[-1].name
+    formulas = [
+        properties.ltr_formula(vocabulary, probe, q1),
+        properties.containment_counterexample_formula(vocabulary, q1, q2),
+    ]
+    if methods[0].num_inputs:
+        formulas.append(properties.dataflow_formula(vocabulary, methods[0], 0, target, 0))
+    for formula in formulas:
+        _agree(vocabulary, formula, bounds=Bounds(max_path_length=2, max_paths=400))
+
+
+@pytest.mark.parametrize("schema", ["directory", "sanity"])
+def test_table1_formulas(schema):
+    access_schema = directory_access_schema() if schema == "directory" else _sanity_schema()
+    vocabulary, formulas = _table1_formulas(access_schema)
+    for name, formula in formulas.items():
+        bounds = Bounds(max_path_length=3, max_paths=700)
+        result = _agree(vocabulary, formula, bounds)
+        # The probe's witness needs the one candidate whose binding matches.
+        assert result.satisfiable or name == "containment"
+        _agree(vocabulary, formula, bounds, grounded_only=True)
+
+
+def test_table1_formulas_from_the_hidden_directory():
+    vocabulary, formulas = _table1_formulas(directory_access_schema())
+    initial = directory_hidden_instance("small")
+    for formula in formulas.values():
+        _agree(vocabulary, formula, initial=initial)
+        _agree(vocabulary, formula, initial=initial, grounded_only=True)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 40, 129, 250])
+def test_node_capped_budgets(cap):
+    vocabulary, formulas = _table1_formulas(directory_access_schema())
+    _scenario, synthetic_vocabulary, synthetic = _scenario_formulas(2)
+    for vocab, formula in (
+        (vocabulary, formulas["fd-zeroary-ltr"]),
+        (vocabulary, formulas["ltr"]),
+        (synthetic_vocabulary, synthetic["containment"]),
+    ):
+        result = _agree(vocab, formula, budget=Budget(node_cap=cap))
+        assert result.interrupted or result.paths_explored < cap
+
+
+def _exhaustive_inputs():
+    vocabulary, formulas = _table1_formulas(directory_access_schema())
+    _s, vocabulary3, synthetic3 = _scenario_formulas(3)
+    _s, vocabulary6, synthetic6 = _scenario_formulas(6)
+    return [
+        (vocabulary, formulas["containment"], 3),
+        (vocabulary, formulas["ltr-dataflow"], 1),
+        (vocabulary3, synthetic3["containment"], 3),
+        (vocabulary6, synthetic6["ltr-q2"], 2),
+    ]
+
+
+@pytest.mark.parametrize("number", range(4))
+def test_path_caps_on_node_boundaries(number):
+    vocabulary, formula, length = _exhaustive_inputs()[number]
+    full = _agree(vocabulary, formula, Bounds(length, max_paths=10**6))
+    assert full.exhausted and not full.satisfiable
+    total = full.paths_explored
+    # A cap equal to the whole search checks every path, yet the path ends
+    # of the last node are still popped against it: not exhausted.
+    at_end = _agree(vocabulary, formula, Bounds(length, max_paths=total))
+    assert (at_end.paths_explored, at_end.exhausted) == (total, False)
+    assert _agree(vocabulary, formula, Bounds(length, max_paths=total + 1)).exhausted
+    # Every node of the first two rounds checks each candidate once, so
+    # multiples of the first round's count are node boundaries.
+    per_node = reference_search(vocabulary, formula, Bounds(1, max_paths=10**6)).paths_explored
+    for cap in (per_node, 2 * per_node, 3 * per_node):
+        if cap < total:
+            _agree(vocabulary, formula, Bounds(length, max_paths=cap))
+            _agree(vocabulary, formula, Bounds(length, max_paths=cap + 1))
