@@ -21,10 +21,6 @@ compare against:
   directory LTR scenario with the search memoisation on vs off (the
   memoised run's cache hit/miss counters are reported as
   ``emptiness_memo_stats``);
-* ``emptiness_subtree_seq`` / ``emptiness_subtree_par`` — a deep
-  single-dominant-chain emptiness check, plain vs decomposed into
-  subtree work items (:mod:`repro.store.workqueue`; pool dispatch is
-  cost-gated, so the par row cannot lose to seq);
 * ``snapshot_depth_copy`` / ``snapshot_depth_store`` — a search-stack
   simulation (snapshot, extend, fingerprint, at depth) contrasting O(n)
   ``Instance.copy``/``freeze`` per node against the persistent store's
@@ -358,55 +354,6 @@ def bench_emptiness(
     return results
 
 
-def bench_subtree_emptiness(smoke: bool, repeats: int) -> Dict[str, Dict[str, object]]:
-    """Deep single-dominant-chain emptiness: plain vs subtree-parallel.
-
-    The workload whole-chain parallelism cannot touch: one chain
-    restriction of the directory LTR automaton (a single-chain automaton
-    by construction) searched deep.  ``emptiness_subtree_par`` runs the
-    work-queue decomposition (:mod:`repro.store.workqueue`) with pool
-    dispatch left to the production cost gate: on a host with ≥ 4 usable
-    CPUs the subtree items fan out across 4 workers; on a single-CPU
-    host the gate keeps the decomposition in-process, so the row
-    measures the decomposition overhead rather than pretending a pool
-    can win without CPUs — parallel stays a strict non-loss either way.
-    Identical verdicts are asserted.
-    """
-    from repro.automata.progressive import chain_restrictions
-    from repro.store.parallel import available_cpus
-
-    scenario = next(s for s in standard_scenarios() if s.name == "directory")
-    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
-    full = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one)
-    automaton = chain_restrictions(full.trim())[0]
-    max_paths = 4000 if smoke else 30000
-    workers = 4 if available_cpus() >= 4 else None
-
-    def run(subtree: bool):
-        return automaton_emptiness(
-            automaton,
-            vocabulary,
-            max_paths=max_paths,
-            use_datalog_precheck=False,
-            parallel=subtree,
-            subtree_parallel=subtree,
-            max_workers=workers if subtree else None,
-        ).empty
-
-    run(True)  # warm the worker pool outside the timed region
-    results: Dict[str, Dict[str, object]] = {}
-    for label, subtree in (
-        ("emptiness_subtree_seq", False),
-        ("emptiness_subtree_par", True),
-    ):
-        results[label] = _median_of(repeats, lambda subtree=subtree: run(subtree))
-    assert (
-        results["emptiness_subtree_seq"]["checksum"]
-        == results["emptiness_subtree_par"]["checksum"]
-    ), "subtree decomposition changed the emptiness verdict"
-    return results
-
-
 def bench_snapshots(smoke: bool, repeats: int) -> Dict[str, Dict[str, object]]:
     """Search-stack simulation: snapshot + extend + fingerprint at depth.
 
@@ -636,9 +583,9 @@ def bench_anytime(
     """The anytime decision layer: deadline, resume, streaming first verdict.
 
     The interrupted emptiness call is produced once outside the timed
-    region (node caps expire at deterministic item boundaries; the cap is
-    halved until the run genuinely interrupts, so the rows never depend on
-    where the workload's verdict happens to land).  The timed rows then
+    region (node caps expire at deterministic candidate boundaries; the
+    cap is halved until the run genuinely interrupts, so the rows never
+    depend on where the workload's verdict happens to land).  The timed rows then
     measure (a) how fast a budget-capped call comes back ``UNKNOWN`` —
     the serving guarantee is that this tracks the budget, not the
     workload — and (b) what the continuation to the full verdict costs.
@@ -1292,7 +1239,6 @@ def run_benchmarks(
     results.update(bench_cq_evaluation(smoke, repeats))
     results.update(bench_datalog(smoke, repeats))
     results.update(bench_emptiness(smoke, repeats, memo_stats_out=memo_stats))
-    results.update(bench_subtree_emptiness(smoke, repeats))
     results.update(bench_snapshots(smoke, repeats))
     results.update(bench_parallel_chains(smoke, repeats))
     results.update(bench_matrices(smoke, repeats, matrix_stats_out=matrix_stats))
@@ -1310,8 +1256,6 @@ def run_benchmarks(
     snap_store = results["snapshot_depth_store"]["median_s"]
     chains_seq = results["parallel_chains_seq"]["median_s"]
     chains_par = results["parallel_chains_par"]["median_s"]
-    subtree_seq = results["emptiness_subtree_seq"]["median_s"]
-    subtree_par = results["emptiness_subtree_par"]["median_s"]
     datalog_posthoc = results["datalog_fixedpoint_posthoc"]["median_s"]
     datalog_delta = results["datalog_fixedpoint_delta_dict"]["median_s"]
     relevance_seq = results["relevance_matrix_seq"]["median_s"]
@@ -1339,9 +1283,6 @@ def run_benchmarks(
         else None,
         "speedup_parallel_chains": round(chains_seq / chains_par, 2)
         if chains_par
-        else None,
-        "speedup_subtree_parallel": round(subtree_seq / subtree_par, 2)
-        if subtree_par
         else None,
         "speedup_relevance_matrix_batched": round(
             relevance_seq / relevance_batched, 2
@@ -1418,10 +1359,6 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
     print(
         "parallel chains speedup:",
         report["speedup_parallel_chains"],
-    )
-    print(
-        "subtree parallel speedup:",
-        report["speedup_subtree_parallel"],
     )
     print(
         "relevance matrix batched speedup:",

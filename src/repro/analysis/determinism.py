@@ -236,13 +236,13 @@ class PayloadPicklabilityRule(Rule):
     rule_id = "PKL001"
     name = "payload-picklability"
     summary = (
-        "a registered pool-crossing payload class (SubtreeItem, "
-        "ResumeFrontier, ReductionTask/Result, SpanRecord, chain "
-        "checkpoints/outcomes, the Shipped result envelope) stores a "
+        "a registered pool-crossing payload class (ResumeFrontier, "
+        "ReductionTask/Result, SpanRecord, chain checkpoints/outcomes, "
+        "the Shipped result envelope) stores a "
         "lambda, generator expression, threading lock or open file handle"
     )
     invariant = (
-        "work items, resume frontiers, result envelopes and spans cross "
+        "chain outcomes, resume frontiers, result envelopes and spans cross "
         "the process boundary by pickle; a field that cannot pickle turns "
         "every pooled run into a payload-error fallback (and a fork-start "
         "pool hides it until the first spawn-start platform)"
@@ -262,10 +262,6 @@ class PayloadPicklabilityRule(Rule):
     payload_classes: Dict[str, FrozenSet[str]] = {
         "repro/automata/emptiness.py": frozenset(
             {
-                "SubtreeItem",
-                "SubtreeOutcome",
-                "ExportRecord",
-                "RoundExpansion",
                 "ChainCheckpoint",
                 "ResumeFrontier",
                 "ChainOutcome",

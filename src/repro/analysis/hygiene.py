@@ -100,16 +100,15 @@ class PoolSchedulerRule(Rule):
         "scheduler (repro/store/workqueue.py)"
     )
     invariant = (
-        "every pooled item — a chain, a subtree item, an engine task — is "
+        "every pooled item — a chain or an engine task — is "
         "submitted, awaited, retried and recovered in-process by "
         "repro.store.workqueue, so there is one failure taxonomy, one "
         "result envelope and one set of pool_* counters"
     )
     motivation = (
-        "the chain fan-out, the subtree queue and the engine batch each "
-        "grew their own submit/timeout/retry/fallback copy, and the copies "
-        "drifted: a failed chain recomputed every chain and threw away the "
-        "dominant chain's finished search"
+        "the pooled callers each grew their own "
+        "submit/timeout/retry/fallback copy, and the copies drifted: a "
+        "failed chain recomputed every chain"
     )
     fix = (
         "describe the work as a repro.store.workqueue item: dispatch it "

@@ -15,14 +15,19 @@ This module provides two procedures:
   the canonical databases of the guard sentences (the same small-witness
   pools used elsewhere), and the automaton is simulated alongside the path
   construction.  A non-emptiness verdict comes with an accepted access
-  path; an emptiness verdict is exact whenever the search exhausted the
-  bounded space (which it does for the automata produced in this
-  repository — the result records the flag).  Guard work that does not
-  depend on the candidate step — sentences over the pre configuration,
-  plan binding, path-step construction — is done once per node or once
-  per search, outside the candidate loop (see :class:`_WitnessSearch`),
-  and the chains of one call share the candidate tables of equal pools
-  (:class:`CallMemo`).
+  path.  An emptiness verdict with ``exhausted`` set means the search
+  tried every path the candidate pools can build within the length
+  bound, which is not the same as "no accepted path exists": the pools
+  come from the guards' canonical databases alone, so they never
+  identify two variables (``R_pre(x,y) ∧ ¬(R_pre(u,v) ∧ u≠v)`` needs a
+  fact ``R(a,a)``) and never use a value of the initial instance
+  (``T_pre(x) ∧ S_post(x)`` over an initial ``T('a')`` needs ``'a'``);
+  such automata can be reported exhausted EMPTY while they have a
+  witness.  Guard work that does not depend on the candidate step —
+  sentences over the pre configuration, plan binding, path-step
+  construction — is done once per node or once per search, outside the
+  candidate loop (see :class:`_WitnessSearch`), and the chains of one
+  call share the candidate tables of equal pools (:class:`CallMemo`).
 
 * :func:`datalog_emptiness_precheck` — the Lemma 4.10 connection made
   concrete: a transition whose guard no transition can satisfy is
@@ -74,7 +79,7 @@ from repro.core.bounded_check import (
     candidate_accesses_for_search,
     fact_pool_from_sentences,
 )
-from repro.core.budget import Budget, BudgetClock
+from repro.core.budget import INTERRUPT_STRIDE, Budget, BudgetClock
 from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.core.transition import (
@@ -123,7 +128,7 @@ CandidateTables = Dict[Tuple, Tuple[List, List, List]]
 class CallMemo:
     """Memos scoped to one :func:`automaton_emptiness` call.
 
-    The in-process chain loops pass one memo to all their chains, which
+    The in-process chain loop passes one memo to all its chains, which
     share their transitions and mostly their pools: each distinct guard's
     Lemma 4.10 verdict (``guard_verdicts``) and each distinct pool's
     candidate tables (``candidate_tables``) are then computed once per
@@ -140,13 +145,12 @@ class EmptinessResult:
     """Result of an A-automaton emptiness check.
 
     ``stats`` carries informational search instrumentation (memo hit/miss
-    counters, subtree work-item counts, pool failure/retry/timeout
-    counters — see :class:`_WitnessSearch` and
-    :mod:`repro.store.workqueue`); it is excluded from equality so that
-    the determinism guarantees of the parallel modes are stated over the
-    semantic fields only.  Cache hit rates legitimately depend on how
-    work was scheduled; verdicts, witnesses and exploration counters do
-    not.
+    counters, pool failure/retry/timeout counters — see
+    :class:`_WitnessSearch` and :mod:`repro.store.workqueue`); it is
+    excluded from equality so that the determinism guarantees of the
+    parallel and resumed modes are stated over the semantic fields only.
+    Cache hit rates legitimately depend on how work was scheduled;
+    verdicts, witnesses and exploration counters do not.
 
     ``unknown`` tags the anytime verdict: a budget
     (:class:`~repro.core.budget.Budget`) expired before the check could
@@ -196,124 +200,30 @@ def _guard_pools(
     return fact_pool, pool
 
 
-#: Effectively-unbounded exploration cap for trunk rounds: a trunk round
-#: expands exactly one node (the root of the decomposed search), so its
-#: candidate loop is bounded by the candidate count and needs no budget.
+#: "No limit" for the exploration counters of :meth:`_WitnessSearch.run`.
 _UNBOUNDED = 1 << 62
-
-
-@dataclass(frozen=True)
-class SubtreeItem:
-    """A self-contained, picklable witness-search subtree work item.
-
-    Captures everything a worker needs to re-enter the DFS at a frontier
-    node: the automaton state set, the configuration as an O(1) store
-    :class:`~repro.store.snapshot.Snapshot` (picklable by construction —
-    it rebuilds from its fact list on the receiving side, so layouts
-    never cross hash seeds), the known-value set of the grounded-access
-    discipline, and the remaining depth budget.  The trunk-side
-    bookkeeping that accompanies an item (path prefix, exploration
-    counter at export) stays in :class:`ExportRecord` and never crosses
-    the process boundary.
-    """
-
-    states: FrozenSet[str]
-    snapshot: Snapshot
-    known: FrozenSet[object]
-    budget: int
-
-
-@dataclass(frozen=True)
-class SubtreeOutcome:
-    """What one subtree run produced.
-
-    ``status`` is ``"witness"`` (accepted path found; ``steps`` holds the
-    path suffix relative to the item's node and ``explored`` the local
-    exploration count at which it was found), ``"done"`` (subtree
-    exhausted within its depth budget), ``"overflow"`` (the node budget
-    was hit first — the caller re-splits the item one level deeper), or
-    ``"aborted"`` (the global ``max_paths`` cap was hit — the sequential
-    search would have aborted too).  ``stats`` carries the worker's
-    instrumentation deltas when the item ran in another process.
-    """
-
-    status: str
-    steps: Optional[Tuple[PathStep, ...]]
-    explored: int
-    stats: Optional[Dict[str, int]] = None
-
-
-@dataclass(frozen=True)
-class ExportRecord:
-    """Trunk-side record of one exported subtree item.
-
-    ``prefix`` is the path step leading from the expanded node to the
-    item's node (used to stitch a worker's witness suffix back into a
-    full path) and ``explored_at`` the trunk's exploration counter right
-    after the candidate that produced the item — the two pieces the
-    deterministic fold needs to reproduce the sequential interleaving of
-    trunk and subtree exploration counts.
-    """
-
-    item: SubtreeItem
-    prefix: Tuple[PathStep, ...]
-    explored_at: int
-
-
-@dataclass(frozen=True)
-class RoundExpansion:
-    """One node level expanded with subtree export.
-
-    ``records`` are the exported children in DFS (canonical candidate)
-    order; ``witness_steps``/``witness_at`` describe an accepting step
-    found inline at this level (it truncates the candidate loop exactly
-    like the sequential search would); ``explored`` is the expansion's
-    own candidate count.
-    """
-
-    records: Tuple[ExportRecord, ...]
-    witness_steps: Optional[Tuple[PathStep, ...]]
-    witness_at: int
-    explored: int
 
 
 @dataclass(frozen=True)
 class ChainCheckpoint:
     """Where a budget-interrupted witness search stopped inside one chain.
 
-    Everything here is picklable (the pending :class:`ExportRecord`\\ s
-    carry :class:`SubtreeItem`\\ s, whose snapshots rebuild themselves on
-    unpickling), so a checkpoint survives process boundaries and disk.
-
-    ``pending`` is the tail of the interrupted round's export records —
-    the not-yet-resolved subtree items in canonical fold order (the
-    record that was mid-flight when the budget fired is included: items
-    are pure, so it simply re-runs in full).  ``pending=None`` marks an
-    interruption *before* the round's trunk expansion completed; resume
-    re-expands that round from its beginning (trunk memoisation never
-    prunes across rounds, so the re-run reproduces the original counts).
-    The ``round_*`` fields are the already-known parts of the round's
-    :class:`RoundExpansion` plus the fold total accumulated so far, and
-    ``base_explored`` the exploration total of the completed earlier
-    rounds — exactly the state
-    :func:`repro.store.workqueue.run_decomposed_search` needs to make the
-    resumed arithmetic land where the uninterrupted fold would have.
+    This is the state of the plain DFS at the interruption: the deepening
+    round (``depth_limit``), the exploration count so far (``explored``),
+    the candidate index at each depth of the interrupted DFS (``path``:
+    every index but the last was counted and descended into, the last is
+    the candidate the search stopped before) and the expansion memo as
+    ``(node key, remaining depth)`` pairs (``expanded``; ``None`` under
+    ``memoize=False``).  Everything is picklable — memo keys hold
+    automaton states, store snapshots (which rebuild themselves on
+    unpickling) and value sets — so a checkpoint survives process
+    boundaries and disk.
     """
 
     depth_limit: int
-    pending: Optional[Tuple[ExportRecord, ...]]
-    round_total: int
-    round_witness_steps: Optional[Tuple[PathStep, ...]]
-    round_witness_at: int
-    round_explored: int
-    base_explored: int
-
-    @property
-    def items(self) -> Tuple[SubtreeItem, ...]:
-        """The pending subtree work items (the resumable frontier)."""
-        if not self.pending:
-            return ()
-        return tuple(record.item for record in self.pending)
+    explored: int
+    path: Tuple[int, ...]
+    expanded: Optional[Tuple[Tuple[Tuple, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -336,31 +246,18 @@ class ResumeFrontier:
     num_chains: int
     signature: Tuple
 
-    @property
-    def items(self) -> Tuple[SubtreeItem, ...]:
-        """The pending subtree work items at the interruption point."""
-        if self.checkpoint is None:
-            return ()
-        return self.checkpoint.items
-
 
 class _WitnessSearch:
-    """The guided witness search, set up once and re-enterable anywhere.
+    """The guided witness search: an iterative-deepening DFS, set up once.
 
-    The search is an iterative-deepening DFS over ``(automaton state set,
-    configuration)`` nodes.  Construction performs all the per-automaton
-    work (candidate pools, compiled transitions, canonicalised guard
-    sentences); the entry points then share one DFS driver:
-
-    * :meth:`run` — the sequential search (the historical
-      ``_search_accepted_path`` behaviour, bit for bit);
-    * :meth:`run_round_exporting` / :meth:`expand_item` — expand one node
-      level, exporting each viable child as a :class:`SubtreeItem`
-      instead of descending (the *trunk* side of the subtree-parallel
-      decomposition; the sequential path is the exact same code with the
-      export hook disabled);
-    * :meth:`run_subtree` — re-enter the DFS at a shipped item (the
-      *worker* side).
+    The search runs over ``(automaton state set, configuration)`` nodes.
+    Construction performs all the per-automaton work (candidate pools,
+    compiled transitions, canonicalised guard sentences); :meth:`run` is
+    the one DFS driver.  Under a started budget clock it stops before a
+    candidate and returns a :class:`ChainCheckpoint` of its DFS stack;
+    ``run(checkpoint=...)`` replays that stack and continues at the
+    recorded candidate, so resuming to completion gives the result of
+    the uninterrupted run, field for field.
 
     Three memoisation layers (disabled together by ``memoize=False``,
     which must not change any verdict of a search that stays under its
@@ -372,20 +269,7 @@ class _WitnessSearch:
       budget with which the node was already expanded; a node is pruned
       whenever it reappears with no more budget than before (the revisit
       is dominated: every continuation available now was available then).
-      The memo is *scope-local*: the sequential search keeps one table
-      for the whole search, while each subtree item gets a fresh table
-      (a shared table across processes would make exploration counters
-      scheduling-dependent).  With ``memoize=False`` the exploration
-      counters are additive over subtrees and every result field is
-      identical across modes.  With memoisation on, the scope-local
-      tables prune less, so the decomposed search can consume the
-      ``max_paths`` budget earlier than the globally-memoised sequential
-      search: away from that boundary (neither run aborts, or both do)
-      the modes agree on ``empty``/``witness``/``exhausted``; at the
-      boundary the decomposed search may abort first and return a
-      *sound but less conclusive* result (``exhausted=False`` — never a
-      wrong witness, and ``exhausted=True`` still implies full coverage,
-      since pruning only ever skips dominated revisits).
+      One table serves the whole search, and a checkpoint carries it.
     * **guard cache** — sentence verdicts keyed by the sentence, the
       configuration fingerprint and as much of the candidate step as the
       sentence can read (see below); a pure cache of deterministic
@@ -395,7 +279,7 @@ class _WitnessSearch:
       :class:`~repro.store.snapshot.SnapshotInstance`; each node takes an
       O(1) snapshot, candidates layer their response on top, and
       backtracking is an O(1) ``restore``.  The snapshots double as memo
-      fingerprints and as the configuration payload of subtree items.
+      fingerprints.
 
     Guards are evaluated over ``base``, a dict-backed ``Instance`` that
     mirrors the configuration into the combined ``R_pre``/``R_post``
@@ -435,8 +319,6 @@ class _WitnessSearch:
     lookups (kind-0 lookups count once per node, not once per candidate,
     and kind-2 sentences rejected by the method filter are not looked up
     at all, so these counters are informational).
-    The subtree executor adds ``subtree_items``, ``subtree_overflows``
-    and ``subtree_pooled_items``.
     """
 
     def __init__(
@@ -466,8 +348,7 @@ class _WitnessSearch:
             derived_facts, derived_values = _guard_pools(automaton, vocabulary)
             fact_pool = derived_facts if fact_pool is None else fact_pool
             value_pool = derived_values if value_pool is None else value_pool
-        # Resolved pools are kept (and shipped to subtree workers) so the
-        # candidate enumeration below is reproduced verbatim elsewhere.
+        # The resolved pools key the call's shared candidate tables.
         self.fact_pool: List[Fact] = list(fact_pool)
         self.value_pool: List[object] = list(value_pool)
         nary = any(
@@ -543,11 +424,6 @@ class _WitnessSearch:
         # memo lookup resolve through the identity fast path instead of a
         # structural comparison.
         self.interned_fingerprints: Dict[Snapshot, Snapshot] = {}
-        # Trunk-side expansion memo for the decomposed search: it only
-        # ever holds depth-0/depth-1 nodes, whose prune decisions coincide
-        # with the sequential search's (deeper nodes can never dominate
-        # them — their remaining budgets are strictly smaller).
-        self._trunk_expanded: Dict[Tuple, int] = {}
 
         self.initial_snapshot = SnapshotInstance.from_instance(initial).snapshot()
         self.initial_known = frozenset(initial.active_domain())
@@ -561,13 +437,6 @@ class _WitnessSearch:
         }
         self.config: Optional[SnapshotInstance] = None
         self.base: Optional[Instance] = None
-        # Ambient interruption hook for the anytime mode: a zero-argument
-        # callable (e.g. ``BudgetClock.interrupt_check``) invoked from the
-        # DFS candidate loop; it raises
-        # :class:`~repro.core.budget.BudgetExpired` when the wall clock
-        # runs out.  Coordinator-local state — deliberately not part of
-        # :meth:`params`, so shipped subtree workers never inherit it.
-        self.interrupt: Optional[Callable[[], None]] = None
 
     def _candidate_tables(self, nary: bool) -> Tuple[List, List, List]:
         """Candidate steps with their path steps and structure facts.
@@ -599,21 +468,6 @@ class _WitnessSearch:
             self.vocabulary, self.structure_names, candidates
         )
         return candidates, steps, facts
-
-    # ------------------------------------------------------------------
-    # Worker shipping
-    # ------------------------------------------------------------------
-    def params(self) -> Dict[str, object]:
-        """Constructor kwargs reproducing this search in another process."""
-        return {
-            "max_length": self.max_length,
-            "max_response_size": self.max_response_size,
-            "max_paths": self.max_paths,
-            "fact_pool": self.fact_pool,
-            "value_pool": self.value_pool,
-            "grounded_only": self.grounded_only,
-            "memoize": self.memoize,
-        }
 
     # ------------------------------------------------------------------
     # Positioning
@@ -796,50 +650,86 @@ class _WitnessSearch:
     # ------------------------------------------------------------------
     # The DFS driver
     # ------------------------------------------------------------------
-    def _run_dfs(
+    def run(
         self,
-        start_states: FrozenSet[str],
-        start_known: FrozenSet[object],
-        depth_limit: int,
-        *,
-        explored_start: int,
-        abort_limit: int,
-        expanded: Dict[Tuple, int],
-        export_depth: Optional[int] = None,
-        sink: Optional[Callable[[SubtreeItem, Tuple[PathStep, ...], int], None]] = None,
-    ) -> Tuple[Optional[Tuple[PathStep, ...]], int, bool]:
-        """One DFS from the current configuration position.
+        clock: Optional[BudgetClock] = None,
+        checkpoint: Optional[ChainCheckpoint] = None,
+    ) -> Tuple[
+        Optional[AccessPath], int, bool, Dict[str, int], Optional[ChainCheckpoint]
+    ]:
+        """Iterative-deepening search for an accepted path.
 
-        Returns ``(witness steps or None, explored counter, aborted)``.
-        With ``export_depth`` set, a node reached at that depth is handed
-        to *sink* as a :class:`SubtreeItem` (after the same expansion-memo
-        check the sequential search would apply at its entry) instead of
-        being explored — the only difference between the sequential and
-        the trunk mode of the search.
+        Returns ``(witness, explored, exhausted, stats, checkpoint)``.
+        Short witnesses are found before the search commits to deep
+        branches, and the final round (depth = ``max_length``) determines
+        exhaustiveness.  Every candidate step tried counts as one explored
+        path; the search gives up, undecided, when the count passes
+        ``max_paths`` (``explored == max_paths + 1``).
+
+        A started budget *clock* is charged the same count.  The search
+        stops before the candidate that would pass the clock's node cap,
+        and before any candidate at which it reads the wall clock (every
+        :data:`~repro.core.budget.INTERRUPT_STRIDE` candidates) past the
+        deadline.  It then returns a :class:`ChainCheckpoint` of its DFS
+        stack instead of a verdict.  Passed back as *checkpoint* to a
+        search built with the same arguments, the checkpoint's path is
+        replayed from the initial snapshot and the search continues at
+        the recorded candidate.
         """
+        self._position(self.initial_snapshot)
         config = self.config
         base = self.base
         candidates = self.candidates
-        candidate_steps = self.candidate_steps
+        num_candidates = len(candidates)
         candidate_facts = self.candidate_facts
         node_guards = self.node_guards
         accepting = self.accepting
         interned_fingerprints = self.interned_fingerprints
         memoize = self.memoize
         grounded_only = self.grounded_only
-        interrupt = self.interrupt
+        max_paths = self.max_paths
 
-        explored = explored_start
-        aborted = False
+        if checkpoint is None:
+            first_round, explored, replay = 1, 0, ()
+            expanded: Dict[Tuple, int] = {}
+        else:
+            first_round = checkpoint.depth_limit
+            explored = checkpoint.explored
+            replay = checkpoint.path
+            expanded = dict(checkpoint.expanded or ())
+        started = explored
+        # The loop compares the count with ``check_at`` alone; past it,
+        # the node cap and (for a deadline) the wall clock are consulted.
+        stop_at = check_at = _UNBOUNDED
+        deadline_hit: Optional[Callable[[], bool]] = None
+        if clock is not None:
+            cap = clock.budget.node_cap
+            if cap is not None:
+                stop_at = explored + max(0, cap - clock.charged)
+            check_at = stop_at
+            if clock.budget.deadline_s is not None:
+                deadline_hit = clock.deadline_hit
+                check_at = explored
+
+        path: List[int] = []
+        stop_path: Optional[Tuple[int, ...]] = None
+        stopped = False
         node_hits = 0
         node_expansions = 0
-        steps: List[PathStep] = []
+        depth_limit = first_round
 
         def dfs(
-            states: FrozenSet[str], known: FrozenSet[object]
-        ) -> Optional[Tuple[PathStep, ...]]:
-            nonlocal explored, aborted, node_hits, node_expansions
-            depth = len(steps)
+            states: FrozenSet[str], known: FrozenSet[object], replay: Tuple[int, ...]
+        ) -> Optional[Tuple[int, ...]]:
+            """Candidate indices of a witness below the current node, if any.
+
+            *replay* is the rest of a checkpoint's path: this node was
+            expanded before the interruption, and the search continues at
+            ``replay[0]``.
+            """
+            nonlocal explored, stopped, stop_path, check_at
+            nonlocal node_hits, node_expansions
+            depth = len(path)
             if depth >= depth_limit:
                 return None
             remaining = depth_limit - depth
@@ -852,53 +742,55 @@ class _WitnessSearch:
                 fingerprint: Optional[Snapshot] = interned_fingerprints.setdefault(
                     node_config, node_config
                 )
-                node_key = (
-                    (states, fingerprint, known)
-                    if grounded_only
-                    else (states, fingerprint)
-                )
-                if expanded.get(node_key, 0) >= remaining:
-                    node_hits += 1
-                    return None
-                expanded[node_key] = remaining
-                node_expansions += 1
+                if not replay:
+                    node_key = (
+                        (states, fingerprint, known)
+                        if grounded_only
+                        else (states, fingerprint)
+                    )
+                    if expanded.get(node_key, 0) >= remaining:
+                        node_hits += 1
+                        return None
+                    expanded[node_key] = remaining
+                    node_expansions += 1
             else:
                 fingerprint = None
-            if export_depth is not None and depth >= export_depth:
-                # Trunk mode: the child survives the same memo check the
-                # sequential search applies at its entry, so ship it as a
-                # self-contained work item instead of descending.
-                sink(
-                    SubtreeItem(states, node_config, known, remaining),
-                    tuple(steps),
-                    explored,
-                )
-                return None
             following_of = node_guards(states, fingerprint)
-            for index, (access, response) in enumerate(candidates):
-                if grounded_only and not all(
-                    value in known for value in access.binding
-                ):
-                    continue
-                explored += 1
-                if explored > abort_limit:
-                    aborted = True
-                    return None
-                if interrupt is not None:
-                    interrupt()
-                following = following_of(index)
-                if not following:
-                    continue
-                step = candidate_steps[index]
-                if following & accepting:
-                    return tuple(steps) + (step,)
-                following_frozen = frozenset(following)
-                if not response and following_frozen == states:
-                    # An information-free step that does not move the
-                    # automaton is a stutter: any accepting continuation
-                    # from the child is also available from the current
-                    # node.
-                    continue
+            # Below a replayed candidate the DFS was already descending.
+            through = replay[1:]
+            for index in range(replay[0] if replay else 0, num_candidates):
+                access, response = candidates[index]
+                if through:
+                    following_frozen = frozenset(following_of(index))
+                    child_replay, through = through, ()
+                else:
+                    child_replay = ()
+                    if grounded_only and not all(
+                        value in known for value in access.binding
+                    ):
+                        continue
+                    if explored >= check_at:
+                        if explored >= stop_at or deadline_hit():
+                            stop_path = tuple(path) + (index,)
+                            stopped = True
+                            return None
+                        check_at = min(stop_at, explored + INTERRUPT_STRIDE)
+                    explored += 1
+                    if explored > max_paths:
+                        stopped = True
+                        return None
+                    following = following_of(index)
+                    if not following:
+                        continue
+                    if following & accepting:
+                        return tuple(path) + (index,)
+                    following_frozen = frozenset(following)
+                    if not response and following_frozen == states:
+                        # An information-free step that does not move the
+                        # automaton is a stutter: any accepting
+                        # continuation from the child is also available
+                        # from the current node.
+                        continue
                 # Apply the delta to the configuration (snapshot-restored
                 # on the way back: O(1) undo) and its structure mirror
                 # (undone by the recorded delta), then recurse.
@@ -909,21 +801,28 @@ class _WitnessSearch:
                         base.add_unchecked(pre_rel, tup)
                         base.add_unchecked(post_rel, tup)
                         descended.append(tup)
-                steps.append(step)
+                path.append(index)
                 new_known = known | frozenset(access.binding) | frozenset(
                     value for tup in response for value in tup
                 )
-                witness = dfs(following_frozen, new_known)
-                steps.pop()
+                witness = dfs(following_frozen, new_known, child_replay)
+                path.pop()
                 config.restore(node_config)
                 for tup in descended:
                     base.discard(pre_rel, tup)
                     base.discard(post_rel, tup)
-                if witness is not None or aborted:
+                if witness is not None or stopped:
                     return witness
             return None
 
-        witness = dfs(start_states, start_known)
+        witness = None
+        for depth_limit in range(first_round, self.max_length + 1):
+            witness = dfs(self.start_states, self.initial_known, replay)
+            replay = ()
+            if witness is not None or stopped:
+                break
+        if clock is not None:
+            clock.charge(explored - started)
         stats = self.stats
         stats["node_memo_hits"] += node_hits
         stats["node_memo_expansions"] += node_expansions
@@ -931,218 +830,18 @@ class _WitnessSearch:
         stats["sentence_cache_hits"] += tally[0]
         stats["sentence_cache_misses"] += tally[1]
         tally[0] = tally[1] = 0
-        return witness, explored, aborted
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def run(self) -> Tuple[Optional[AccessPath], int, bool, Dict[str, int]]:
-        """Sequential iterative-deepening search (the historical behaviour).
-
-        Short witnesses are found before the search commits to deep
-        branches, and the final round (depth = ``max_length``) determines
-        exhaustiveness.
-        """
-        self._position(self.initial_snapshot)
-        expanded: Dict[Tuple, int] = {}
-        explored = 0
-        for depth_limit in range(1, self.max_length + 1):
-            witness, explored, aborted = self._run_dfs(
-                self.start_states,
-                self.initial_known,
-                depth_limit,
-                explored_start=explored,
-                abort_limit=self.max_paths,
-                expanded=expanded,
-            )
-            if witness is not None:
-                return AccessPath(witness), explored, False, dict(self.stats)
-            if aborted:
-                return None, explored, False, dict(self.stats)
-        return None, explored, True, dict(self.stats)
-
-    def run_round_exporting(self, depth_limit: int) -> RoundExpansion:
-        """One deepening round of the trunk: expand the root, export children."""
-        self._position(self.initial_snapshot)
-        records: List[ExportRecord] = []
-
-        def sink(
-            item: SubtreeItem, prefix: Tuple[PathStep, ...], explored_at: int
-        ) -> None:
-            records.append(ExportRecord(item, prefix, explored_at))
-
-        witness, explored, _ = self._run_dfs(
-            self.start_states,
-            self.initial_known,
-            depth_limit,
-            explored_start=0,
-            abort_limit=_UNBOUNDED,
-            expanded=self._trunk_expanded,
-            export_depth=1,
-            sink=sink,
-        )
-        return RoundExpansion(
-            tuple(records),
-            witness,
-            explored if witness is not None else 0,
-            explored,
-        )
-
-    def expand_item(self, item: SubtreeItem) -> RoundExpansion:
-        """Re-split an overflowed item one level deeper (deterministic).
-
-        Runs the item's own candidate loop in-process — with a fresh
-        expansion memo, exactly as the worker entered it — exporting each
-        viable child as a new item with one less depth budget.  Overflow
-        is a pure function of ``(item, node budget)``, so whether and how
-        an item is re-split never depends on pool scheduling.
-        """
-        self._position(item.snapshot)
-        records: List[ExportRecord] = []
-
-        def sink(
-            child: SubtreeItem, prefix: Tuple[PathStep, ...], explored_at: int
-        ) -> None:
-            records.append(ExportRecord(child, prefix, explored_at))
-
-        witness, explored, _ = self._run_dfs(
-            item.states,
-            item.known,
-            item.budget,
-            explored_start=0,
-            abort_limit=_UNBOUNDED,
-            expanded={},
-            export_depth=1,
-            sink=sink,
-        )
-        return RoundExpansion(
-            tuple(records),
-            witness,
-            explored if witness is not None else 0,
-            explored,
-        )
-
-    def run_subtree(
-        self,
-        item: SubtreeItem,
-        node_budget: Optional[int] = None,
-        hard_limit: Optional[int] = None,
-    ) -> SubtreeOutcome:
-        """Run one subtree item to completion, overflow, witness or abort.
-
-        ``node_budget`` is the re-split threshold (exceeding it yields
-        ``overflow``); ``hard_limit`` is the remaining global exploration
-        budget at the item's sequential position (exceeding it yields
-        ``aborted`` — the sequential search would have hit ``max_paths``
-        exactly there).  Workers run with the loose default
-        (``hard_limit=None`` ⇒ ``max_paths``) because their entry offset
-        is unknown at dispatch time; the fold re-checks their results
-        against the true horizon, so the verdict is identical — a tight
-        limit only avoids exploring past a crossing the coordinator can
-        already predict.
-        """
-        self._position(item.snapshot)
-        hard = (
-            self.max_paths
-            if hard_limit is None
-            else min(self.max_paths, int(hard_limit))
-        )
-        limit = hard if node_budget is None else min(hard, int(node_budget))
-        witness, explored, aborted = self._run_dfs(
-            item.states,
-            item.known,
-            item.budget,
-            explored_start=0,
-            abort_limit=limit,
-            expanded={},
-        )
         if witness is not None:
-            return SubtreeOutcome("witness", witness, explored)
-        if aborted:
-            status = "aborted" if explored > hard else "overflow"
-            return SubtreeOutcome(status, None, explored)
-        return SubtreeOutcome("done", None, explored)
-
-
-def search_from_payload(payload) -> _WitnessSearch:
-    """Rebuild a :class:`_WitnessSearch` from a shipped context payload.
-
-    The payload is ``(automaton, vocabulary, initial snapshot, params)``
-    as produced by the subtree dispatch in ``_search_accepted_path``; the
-    worker-side cache in :mod:`repro.store.workqueue` calls this once per
-    context and then feeds the search many cheap items.
-    """
-    automaton, vocabulary, initial_snapshot, params = payload
-    initial = SnapshotInstance.from_snapshot(initial_snapshot)
-    return _WitnessSearch(automaton, vocabulary, initial, **params)
-
-
-def _search_accepted_path(
-    automaton: AAutomaton,
-    vocabulary: AccessVocabulary,
-    initial: Instance,
-    max_length: int,
-    max_response_size: int,
-    max_paths: int,
-    fact_pool: Optional[Sequence[Fact]] = None,
-    value_pool: Optional[Sequence[object]] = None,
-    grounded_only: bool = False,
-    memoize: bool = True,
-    subtree_mode: bool = False,
-    split_budget: Optional[int] = None,
-    executor=None,
-    clock: Optional[BudgetClock] = None,
-    checkpoint: Optional[ChainCheckpoint] = None,
-    candidate_tables: Optional[CandidateTables] = None,
-) -> Tuple[
-    Optional[AccessPath], int, bool, Dict[str, int], Optional[ChainCheckpoint]
-]:
-    """Guided search for an accepted path.
-
-    Returns ``(witness, explored, exhausted, stats, checkpoint)``.  With
-    ``subtree_mode`` — or a budget *clock* — the search runs as the
-    deterministic trunk/fold decomposition of
-    :mod:`repro.store.workqueue`: the same result whether *executor*
-    dispatches items to a worker pool or everything resolves in-process.
-    Under ``memoize=False`` every field coincides with the plain
-    sequential search (scope-local expansion memos make counts additive
-    over subtrees); with memoisation on, agreement on
-    verdict/witness/``exhausted`` holds away from the ``max_paths``
-    boundary — see :class:`_WitnessSearch` for the exact statement.  A
-    non-``None`` *checkpoint* in the result means the clock ran out
-    first; passing it back resumes the search where it stopped.
-    *candidate_tables* is the call's shared :class:`CallMemo` table.
-    """
-    search = _WitnessSearch(
-        automaton,
-        vocabulary,
-        initial,
-        max_length=max_length,
-        max_response_size=max_response_size,
-        max_paths=max_paths,
-        fact_pool=fact_pool,
-        value_pool=value_pool,
-        grounded_only=grounded_only,
-        memoize=memoize,
-        candidate_tables=candidate_tables,
-    )
-    if not subtree_mode and clock is None:
-        return search.run() + (None,)
-    from repro.store.workqueue import run_decomposed_search
-
-    context = None
-    if executor is not None:
-        context = (automaton, vocabulary, search.initial_snapshot, search.params())
-    steps, explored, exhausted, stats, checkpoint = run_decomposed_search(
-        search,
-        clock=clock,
-        checkpoint=checkpoint,
-        split_budget=split_budget,
-        executor=executor,
-        context=context,
-    )
-    witness = AccessPath(steps) if steps is not None else None
-    return witness, explored, exhausted, stats, checkpoint
+            steps = self.candidate_steps
+            path_steps = AccessPath(tuple(steps[index] for index in witness))
+            return path_steps, explored, False, dict(stats), None
+        if stop_path is not None:
+            return None, explored, False, dict(stats), ChainCheckpoint(
+                depth_limit,
+                explored,
+                stop_path,
+                tuple(expanded.items()) if memoize else None,
+            )
+        return None, explored, not stopped, dict(stats), None
 
 
 @dataclass(frozen=True)
@@ -1169,33 +868,31 @@ def check_restriction(
     initial: Instance,
     search_kwargs: Dict[str, object],
     use_datalog_precheck: bool,
-    executor=None,
     clock: Optional[BudgetClock] = None,
     checkpoint: Optional[ChainCheckpoint] = None,
     memo: Optional[CallMemo] = None,
 ) -> ChainOutcome:
     """Precheck + witness search for a single chain restriction.
 
-    This is the unit of work of the sequential chain loop, the pooled
-    chain items of :mod:`repro.store.parallel` and the anytime loop;
-    sharing it (and the fold in :func:`_fold_chain_outcomes`) is what
-    makes every mode return bit-identical :class:`EmptinessResult`
-    values.  *executor* is the optional subtree executor
-    (:mod:`repro.store.workqueue`) a coordinator passes for a chain whose
-    search should fan its own DFS subtrees out; workers never pass one.
+    This is the unit of work of the in-process chain loop and of the
+    pooled chain items of :mod:`repro.store.parallel`; sharing it (and
+    the fold in :func:`_fold_chain_outcomes`) is what makes every mode
+    return bit-identical :class:`EmptinessResult` values.
+    *search_kwargs* are the :class:`_WitnessSearch` arguments.
 
-    With a started budget *clock* the search can stop at a work-item
-    boundary; the outcome then carries a :class:`ChainCheckpoint`, and
-    passing it back as *checkpoint* resumes the chain.  A resumed call
-    skips the precheck: a chain that checkpoints necessarily passed it
-    already.  The precheck itself is not interruptible, so a deadline can
-    overshoot by at most one guard's check.
+    With a started budget *clock* the search can stop before a candidate
+    (:meth:`_WitnessSearch.run`); the outcome then carries a
+    :class:`ChainCheckpoint`, and passing it back as *checkpoint* resumes
+    the chain.  A resumed call skips the precheck: a chain that
+    checkpoints necessarily passed it already.  The precheck itself is
+    not interruptible, so a deadline can overshoot by at most one
+    chain's precheck.
 
     The precheck decides each distinct guard once (its verdict depends on
     the guard and *initial* alone), and the search derives its candidate
     tables from its pools alone.  *memo* holds both (:class:`CallMemo`):
-    the in-process chain loops of one :func:`automaton_emptiness` call
-    pass one memo to all their chains, so each guard is checked, and each
+    the in-process chain loop of one :func:`automaton_emptiness` call
+    passes one memo to all its chains, so each guard is checked, and each
     distinct pool's candidates are built, once per call.  Without it
     (pooled chain items) the chain keeps its own.
     """
@@ -1217,15 +914,15 @@ def check_restriction(
                 return ChainOutcome(
                     prechecked_empty=True, witness=None, explored=0, exhausted=True
                 )
-        witness, explored, exhausted, stats, checkpoint = _search_accepted_path(
+        search = _WitnessSearch(
             restriction,
             vocabulary,
             initial,
-            executor=executor,
-            clock=clock,
-            checkpoint=checkpoint,
             candidate_tables=memo.candidate_tables,
             **search_kwargs,
+        )
+        witness, explored, exhausted, stats, checkpoint = search.run(
+            clock, checkpoint
         )
         trace.annotate(
             outcome="interrupted"
@@ -1293,45 +990,37 @@ def _unknown_result(
     )
 
 
-def _anytime_emptiness(
+def _check_chains(
     restrictions: Sequence[AAutomaton],
     vocabulary: AccessVocabulary,
     initial: Instance,
     search_kwargs: Dict[str, object],
     use_datalog_precheck: bool,
-    clock: BudgetClock,
-    resume_from: Optional[ResumeFrontier],
-    signature: Tuple,
-    use_executor: bool,
-    max_workers: Optional[int],
+    clock: Optional[BudgetClock] = None,
+    resume_from: Optional[ResumeFrontier] = None,
+    signature: Tuple = (),
 ) -> EmptinessResult:
-    """The anytime chain loop: budgeted, interruptible, resumable.
+    """The in-process chain loop, budgeted when *clock* is given.
 
-    Chains run sequentially in the coordinator (restriction order is the
-    resume order); when subtree pool dispatch is enabled each chain's own
-    DFS items still fan out to the shared pool.  The loop stops at the
-    first chain boundary where *clock* is spent — or mid-chain, via a
-    :class:`ChainCheckpoint` — and returns the tagged UNKNOWN result.
-    Completed runs fold through :func:`_fold_chain_outcomes`, so a
-    finished anytime call is field-identical to the uninterrupted one.
+    Chains run in restriction order (the resume order) up to the first
+    witness, sharing one :class:`CallMemo`.  With a started *clock* the
+    loop stops before a chain once the budget has run out, or inside a
+    chain via a :class:`ChainCheckpoint`, and returns the tagged UNKNOWN
+    result; *resume_from* continues such a run.  Completed runs fold
+    through :func:`_fold_chain_outcomes`, so a finished budgeted call is
+    field-identical to the unbudgeted one.
     """
-    completed: List[ChainOutcome] = (
-        list(resume_from.completed) if resume_from is not None else []
-    )
-    start_chain = resume_from.chain_index if resume_from is not None else 0
-    checkpoint = resume_from.checkpoint if resume_from is not None else None
+    completed: List[ChainOutcome] = []
+    start_chain = 0
+    checkpoint = None
+    if resume_from is not None:
+        completed = list(resume_from.completed)
+        start_chain = resume_from.chain_index
+        checkpoint = resume_from.checkpoint
     num_chains = len(restrictions)
     memo = CallMemo()
-
-    workers = 1
-    if use_executor:
-        from repro.store.parallel import worker_count
-        from repro.store.workqueue import SubtreeExecutor
-
-        workers = worker_count(1, max_workers, subtree=True)
-
     for index in range(start_chain, num_chains):
-        if checkpoint is None and clock.expired():
+        if clock is not None and checkpoint is None and clock.expired():
             return _unknown_result(
                 completed,
                 None,
@@ -1344,7 +1033,6 @@ def _anytime_emptiness(
             initial,
             search_kwargs,
             use_datalog_precheck,
-            executor=SubtreeExecutor(workers) if workers > 1 else None,
             clock=clock,
             checkpoint=checkpoint,
             memo=memo,
@@ -1368,12 +1056,11 @@ def _anytime_emptiness(
 def _fold_chain_outcomes(
     outcomes: Iterable[ChainOutcome], num_chains: int
 ) -> EmptinessResult:
-    """Aggregate per-chain outcomes exactly like the sequential loop.
+    """Aggregate per-chain outcomes in restriction order.
 
-    Consumes *outcomes* lazily and stops at the first witness, so feeding
-    it a generator reproduces the sequential early exit, while feeding it
-    the fully computed list from the parallel executor yields the same
-    result fields (any chains after the witness are simply discarded).
+    Stops at the first witness: any chains after it are discarded, so
+    the chain-pooled list and the in-process loop fold to the same
+    result fields.
     """
     total_explored = 0
     all_exhausted = True
@@ -1430,7 +1117,6 @@ def automaton_emptiness(
     parallel: Optional[bool] = None,
     max_workers: Optional[int] = None,
     subtree_parallel: Optional[bool] = None,
-    split_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     resume_from: Optional[ResumeFrontier] = None,
 ) -> EmptinessResult:
@@ -1470,8 +1156,8 @@ def automaton_emptiness(
     without a lookup, so their totals and hit ratio move with those
     filters, not with the work a verdict needs.
 
-    ``parallel`` fans independent work out across worker processes
-    (:mod:`repro.store.parallel`) — the per-search caches are
+    ``parallel`` fans the chains of a multi-chain automaton out across
+    worker processes (:mod:`repro.store.parallel`) — the per-search caches are
     process-local already and the store snapshots are picklable by
     construction.  ``None`` defers to the ``REPRO_PARALLEL_CHAINS``
     environment toggle (off by default).  Dispatch is cost-gated: small
@@ -1481,33 +1167,23 @@ def automaton_emptiness(
     modes share :func:`check_restriction` and
     :func:`_fold_chain_outcomes`).
 
-    ``subtree_parallel`` additionally decomposes each chain's witness
-    search into DFS-subtree work items (``None`` defers to
-    ``REPRO_PARALLEL_SUBTREES``).  The decomposition semantics are
-    deterministic — pooled and in-process execution return identical
-    results — and agree with the plain search on *every* field under
-    ``memoize=False``.  With memoisation on, the decomposed search can
-    consume the ``max_paths`` budget sooner (its expansion memos are
-    scope-local), so exactly at that boundary it may return a sound but
-    less conclusive result than the plain search (see
-    :class:`_WitnessSearch`); away from the boundary the verdicts
-    coincide.
-    ``split_budget`` caps the explored nodes a worker spends on one item
-    before it is re-split (default: ``REPRO_SUBTREE_SPLIT_BUDGET`` or
-    :data:`repro.store.workqueue.DEFAULT_SPLIT_BUDGET`).
+    ``subtree_parallel`` is accepted and ignored: every chain runs the
+    one witness search.  It stays only because the ``chains_pooled``
+    benchmark still passes it, and goes once that benchmark drops it.
 
     ``budget`` makes the check *anytime*: when the
     :class:`~repro.core.budget.Budget` (wall-clock deadline and/or
     explored-node cap) expires before a verdict, the result is tagged
     ``unknown=True`` and carries a picklable :class:`ResumeFrontier`;
     pass it back via ``resume_from`` — with a fresh budget, or none — to
-    continue exactly where the interrupted call stopped.  Resuming to
-    completion yields a result field-identical to the uninterrupted run
-    (the property the anytime tests pin).  The anytime path always runs
-    the subtree-decomposed search (its work-item boundaries are the
-    deterministic interruption points), so its completed results coincide
-    with ``subtree_parallel=True`` runs; a ``resume_from`` whose
-    signature does not match this call raises ``ValueError``.
+    continue exactly where the interrupted call stopped.  Budgeted calls
+    check their chains in process, one after the other.  The node cap
+    counts candidate steps, the unit of ``paths_explored``, so a capped
+    call stops after exactly that many (plus the completed chains'
+    count).  Resuming to completion yields a result field-identical to
+    the uninterrupted run (the property the anytime tests pin); a
+    ``resume_from`` whose signature does not match this call raises
+    ``ValueError``.
     """
     if initial is None:
         initial = vocabulary.access_schema.empty_instance()
@@ -1529,17 +1205,6 @@ def automaton_emptiness(
     if max_length is None:
         max_length = max(2, len(derived_fact_pool) + 2)
 
-    from repro.store.parallel import (
-        map_chain_outcomes,
-        parallel_chains_enabled,
-        subtree_parallel_enabled,
-    )
-
-    if parallel is None:
-        parallel = parallel_chains_enabled()
-    if subtree_parallel is None:
-        subtree_parallel = subtree_parallel_enabled()
-
     search_kwargs: Dict[str, object] = {
         "max_length": max_length,
         "max_response_size": max_response_size,
@@ -1548,14 +1213,10 @@ def automaton_emptiness(
         "value_pool": value_pool,
         "grounded_only": grounded_only,
         "memoize": memoize,
-        "subtree_mode": bool(subtree_parallel),
-        "split_budget": split_budget,
     }
 
     if budget is not None or resume_from is not None:
-        anytime_kwargs = dict(search_kwargs)
-        anytime_kwargs["subtree_mode"] = True
-        signature = _frontier_signature(quotient, len(restrictions), anytime_kwargs)
+        signature = _frontier_signature(quotient, len(restrictions), search_kwargs)
         if resume_from is not None and resume_from.signature != signature:
             raise ValueError(
                 "resume_from frontier does not match this emptiness call "
@@ -1569,21 +1230,22 @@ def automaton_emptiness(
                 completed=len(resume_from.completed),
             )
         clock = (budget if budget is not None else Budget()).start()
-        return _anytime_emptiness(
+        return _check_chains(
             restrictions,
             vocabulary,
             initial,
-            anytime_kwargs,
+            search_kwargs,
             use_datalog_precheck,
             clock,
             resume_from,
             signature,
-            use_executor=bool(parallel and subtree_parallel),
-            max_workers=max_workers,
         )
 
-    outcomes: Optional[Iterable[ChainOutcome]] = None
-    if parallel and (len(restrictions) > 1 or subtree_parallel):
+    from repro.store.parallel import map_chain_outcomes, parallel_chains_enabled
+
+    if parallel is None:
+        parallel = parallel_chains_enabled()
+    if parallel and len(restrictions) > 1:
         outcomes = map_chain_outcomes(
             restrictions,
             vocabulary,
@@ -1593,20 +1255,11 @@ def automaton_emptiness(
             max_workers=max_workers,
             pool_size=len(derived_fact_pool),
         )
-    if outcomes is None:
-        memo = CallMemo()
-        outcomes = (
-            check_restriction(
-                restriction,
-                vocabulary,
-                initial,
-                search_kwargs,
-                use_datalog_precheck,
-                memo=memo,
-            )
-            for restriction in restrictions
-        )
-    return _fold_chain_outcomes(outcomes, len(restrictions))
+        if outcomes is not None:
+            return _fold_chain_outcomes(outcomes, len(restrictions))
+    return _check_chains(
+        restrictions, vocabulary, initial, search_kwargs, use_datalog_precheck
+    )
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,10 @@ A :class:`Budget` caps one call of :func:`repro.automata.emptiness.automaton_emp
 * ``deadline_s`` — wall-clock seconds measured from call entry (a
   *duration*, not an absolute timestamp, so a budget ships to worker
   processes unchanged and each holder starts its own clock);
-* ``node_cap`` — a cap on explored search nodes.  Unlike the wall clock
-  it is deterministic: expiry happens at exact work-item boundaries, which
-  is what lets the resume property tests interrupt a search at scripted
+* ``node_cap`` — a cap on explored search nodes (candidate steps, the
+  unit of ``paths_explored``).  Unlike the wall clock it is
+  deterministic: a capped search stops after exactly that many, which is
+  what lets the resume property tests interrupt a search at scripted
   points and pin the resumed result against the uninterrupted run.
 
 A budget never changes a completed verdict — it only decides *whether*
@@ -24,13 +25,11 @@ interrupted call stopped; the bounded checker returns a result tagged
 ``interrupted=True`` (sound: never a wrong witness, never a claimed
 exhaustion).
 
-:class:`BudgetClock` is the mutable coordinator-side state: it is started
-once per call (:meth:`Budget.start`) and consulted at work-item
-boundaries (``expired``) plus, for the wall clock only, inside the DFS
-inner loop via :meth:`interrupt_check` — raising :class:`BudgetExpired`
-out of the search so a long-running subtree cannot blow through a
-deadline.  Node accounting stays at item boundaries on purpose: charging
-mid-subtree would make expiry points depend on scheduling.
+:class:`BudgetClock` is the mutable per-call state: it is started once
+per call (:meth:`Budget.start`) and charged with the work each search
+did.  The searches compare their own count with the node cap before
+every candidate and read the wall clock every :data:`INTERRUPT_STRIDE`
+candidates (:meth:`BudgetClock.deadline_hit`).
 """
 
 from __future__ import annotations
@@ -38,15 +37,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-
-class BudgetExpired(Exception):
-    """Raised inside a search when the ambient deadline fires.
-
-    Carries no resume state itself — the coordinator that catches it owns
-    the frontier bookkeeping (the interrupted work item is simply re-run
-    in full on resume, which is sound because items are pure functions).
-    """
 
 
 @dataclass(frozen=True)
@@ -70,22 +60,22 @@ class Budget:
         return self.deadline_s is None and self.node_cap is None
 
 
-#: How many DFS candidate expansions between ambient deadline checks.
-#: A power of two so the check compiles to a mask; small enough that a
-#: deadline overshoot is bounded by a few hundred guard evaluations.
+#: How many search candidates between two reads of the wall clock: small
+#: enough that a deadline overshoot is bounded by a few hundred guard
+#: evaluations.
 INTERRUPT_STRIDE = 128
 
 
 class BudgetClock:
     """Mutable per-call state of one started :class:`Budget`.
 
-    ``charge`` records completed work (explored nodes) at item
-    boundaries; ``expired`` reports whether either axis ran out.  The
-    node cap is checked only against *charged* work, so expiry points are
-    a pure function of the fold order — deterministic and resumable.
+    ``charge`` records completed work (explored nodes); ``expired``
+    reports whether either axis ran out.  The node cap is checked only
+    against *charged* work, so expiry points are a pure function of the
+    work done — deterministic and resumable.
     """
 
-    __slots__ = ("budget", "_clock", "_deadline", "_charged", "_stride")
+    __slots__ = ("budget", "_clock", "_deadline", "_charged")
 
     def __init__(
         self, budget: Budget, *, clock: Callable[[], float] = time.monotonic
@@ -96,7 +86,6 @@ class BudgetClock:
             clock() + budget.deadline_s if budget.deadline_s is not None else None
         )
         self._charged = 0
-        self._stride = 0
 
     # ------------------------------------------------------------------
     # Accounting
@@ -120,7 +109,7 @@ class BudgetClock:
         return cap is not None and self._charged >= cap
 
     def expired(self) -> bool:
-        """Whether either budget axis ran out (checked at item boundaries)."""
+        """Whether either budget axis ran out."""
         return self.node_cap_hit() or self.deadline_hit()
 
     def remaining_s(self) -> Optional[float]:
@@ -140,22 +129,3 @@ class BudgetClock:
             deadline_s=self.remaining_s(),
             node_cap=None if cap is None else max(0, cap - self._charged),
         )
-
-    # ------------------------------------------------------------------
-    # The ambient in-search hook
-    # ------------------------------------------------------------------
-    def interrupt_check(self) -> None:
-        """Raise :class:`BudgetExpired` when the wall clock ran out.
-
-        Installed on a witness search and called from the DFS inner loop
-        every :data:`INTERRUPT_STRIDE` candidates.  Only the *deadline*
-        is checked here — node accounting deliberately stays at item
-        boundaries (see the class docstring).
-        """
-        self._stride += 1
-        if self._stride & (INTERRUPT_STRIDE - 1):
-            return
-        if self.deadline_hit():
-            raise BudgetExpired(
-                f"deadline of {self.budget.deadline_s}s expired mid-search"
-            )

@@ -4,7 +4,7 @@ See ``src/repro/engine/README.md`` for the reduction taxonomy and cache
 keys, and :mod:`repro.engine.engine` for the dispatch semantics.
 """
 
-from repro.core.budget import Budget, BudgetExpired
+from repro.core.budget import Budget
 from repro.engine.reduction import (
     BOUNDED_CHECK,
     EMPTINESS,
@@ -36,7 +36,6 @@ from repro.engine.engine import (
 __all__ = [
     "BOUNDED_CHECK",
     "Budget",
-    "BudgetExpired",
     "EMPTINESS",
     "CachePolicy",
     "Deduper",

@@ -28,14 +28,10 @@ from typing import Callable, Dict, List, Optional, Set
 # ----------------------------------------------------------------------
 #: Permissive flag: opt in to parallel chain checking.
 PARALLEL_CHAINS_ENV = "REPRO_PARALLEL_CHAINS"
-#: Permissive flag: opt in to subtree-decomposed witness searches.
-PARALLEL_SUBTREES_ENV = "REPRO_PARALLEL_SUBTREES"
 #: Strict flag: allow engine batch dispatch through the worker pool.
 PARALLEL_TASKS_ENV = "REPRO_PARALLEL_TASKS"
 #: Estimated-work floor for pool dispatch.
 PARALLEL_MIN_COST_ENV = "REPRO_PARALLEL_MIN_COST"
-#: Per-item explored-nodes budget before a subtree item is re-split.
-SPLIT_BUDGET_ENV = "REPRO_SUBTREE_SPLIT_BUDGET"
 #: Bounded retries for transient pool worker failures.
 POOL_RETRIES_ENV = "REPRO_POOL_RETRIES"
 #: Per-item pooled result timeout in seconds (unset = none).
@@ -58,7 +54,6 @@ STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
 SQL_PUSHDOWN_MIN_ROWS_ENV = "REPRO_SQL_PUSHDOWN_MIN_ROWS"
 
 DEFAULT_MIN_DISPATCH_COST = 100_000
-DEFAULT_SPLIT_BUDGET = 20_000
 DEFAULT_POOL_RETRIES = 2
 DEFAULT_MEMO_CAPACITY = 0
 DEFAULT_MEMO_LOCK_TIMEOUT = 1.0
@@ -101,8 +96,8 @@ _TRUTHY = ("1", "true", "yes", "on")
 def flag_lenient(name: str) -> bool:
     """Permissive boolean: anything outside the falsey set opts in.
 
-    The historical semantics of the parallel-chains/subtrees toggles
-    (``REPRO_PARALLEL_CHAINS=banana`` enables them — deliberately kept,
+    The historical semantics of the parallel-chains toggle
+    (``REPRO_PARALLEL_CHAINS=banana`` enables it — deliberately kept,
     operators rely on it).
     """
     return os.environ.get(name, "").strip().lower() not in _FALSEY
@@ -228,13 +223,6 @@ _register(
     lambda: flag_lenient(PARALLEL_CHAINS_ENV),
 )
 _register(
-    PARALLEL_SUBTREES_ENV,
-    "flag",
-    False,
-    "decompose each chain's witness search into poolable DFS-subtree items",
-    lambda: flag_lenient(PARALLEL_SUBTREES_ENV),
-)
-_register(
     PARALLEL_TASKS_ENV,
     "flag(strict)",
     False,
@@ -247,13 +235,6 @@ _register(
     DEFAULT_MIN_DISPATCH_COST,
     "estimated-work floor below which parallel=True stays in process",
     lambda: non_negative_int(PARALLEL_MIN_COST_ENV, DEFAULT_MIN_DISPATCH_COST),
-)
-_register(
-    SPLIT_BUDGET_ENV,
-    "int",
-    DEFAULT_SPLIT_BUDGET,
-    "explored-nodes budget per subtree item before it is handed back for re-splitting",
-    lambda: positive_int(SPLIT_BUDGET_ENV, DEFAULT_SPLIT_BUDGET),
 )
 _register(
     POOL_RETRIES_ENV,

@@ -1,8 +1,8 @@
 """Persistent fact-store subsystem: O(1) snapshots + the one pool scheduler.
 
 Snapshots make configurations cheap to capture and picklable; the pool
-scheduler (:mod:`repro.store.workqueue`) ships chains, subtree items and
-engine tasks to one shared worker pool with one failure taxonomy, and
+scheduler (:mod:`repro.store.workqueue`) ships chains and engine tasks
+to one shared worker pool with one failure taxonomy, and
 :mod:`repro.store.parallel` decides which chains go there.  See
 ``src/repro/store/README.md`` for the architecture note.
 """
@@ -30,13 +30,10 @@ from repro.store.verdict_cache import (
     verify_store,
 )
 from repro.store.workqueue import (
-    DEFAULT_SPLIT_BUDGET,
     PoolScheduler,
     Shipped,
-    SubtreeExecutor,
     discard_shared_pool,
     shared_pool,
-    subtree_split_budget,
 )
 
 __all__ = [
@@ -63,11 +60,8 @@ __all__ = [
     "encode_key",
     "store_stats",
     "verify_store",
-    "DEFAULT_SPLIT_BUDGET",
     "PoolScheduler",
     "Shipped",
-    "SubtreeExecutor",
     "discard_shared_pool",
     "shared_pool",
-    "subtree_split_budget",
 ]

@@ -6,9 +6,7 @@ guard/sentence caches of the witness search are per-search already, and
 the initial configuration ships as a store snapshot, which is picklable
 by construction (:mod:`repro.store.snapshot`).  This module fans those
 checks out across the shared persistent process pool
-(:mod:`repro.store.workqueue`), and — when subtree mode is on — fans the
-*dominant* chain's own DFS subtrees out alongside them, so the pool does
-not drain to one busy worker while a hard chain finishes alone.
+(:mod:`repro.store.workqueue`).
 
 Guarantees:
 
@@ -32,12 +30,12 @@ Guarantees:
   ``max_workers`` overrides the gate (tests use it to exercise the real
   pool on single-core machines; operators to force dispatch).
 
-* **Per-chain recovery.**  Chains, the dominant chain's subtree items
-  and engine tasks all go through the one scheduler of
-  :mod:`repro.store.workqueue`; a failed chain item retries on a
-  rebuilt pool or falls back in process on its own, without disturbing
-  the other chains.  One restriction, one worker or a closed cost gate
-  keep every chain on ``automaton_emptiness``'s own in-process loop.
+* **Per-chain recovery.**  Chains and engine tasks both go through the
+  one scheduler of :mod:`repro.store.workqueue`; a failed chain item
+  retries on a rebuilt pool or falls back in process on its own,
+  without disturbing the other chains.  One restriction, one worker or
+  a closed cost gate keep every chain on ``automaton_emptiness``'s own
+  in-process loop.
 
 The pool prefers the ``fork`` start method (cheap on Linux, inherits the
 parent's hash seed); under ``spawn`` correctness is preserved because
@@ -59,12 +57,6 @@ from repro.store.snapshot import Snapshot, SnapshotInstance
 #: Environment toggle consulted when ``automaton_emptiness(parallel=None)``.
 PARALLEL_CHAINS_ENV = envknobs.PARALLEL_CHAINS_ENV
 
-#: Environment toggle consulted when
-#: ``automaton_emptiness(subtree_parallel=None)``: decompose each chain's
-#: witness search into subtree work items (deterministic semantics; pool
-#: dispatch still requires ``parallel`` and the cost gate).
-PARALLEL_SUBTREES_ENV = envknobs.PARALLEL_SUBTREES_ENV
-
 #: Environment override for the dispatch cost gate (see
 #: :func:`min_dispatch_cost`).
 PARALLEL_MIN_COST_ENV = envknobs.PARALLEL_MIN_COST_ENV
@@ -82,11 +74,6 @@ DEFAULT_MIN_DISPATCH_COST = envknobs.DEFAULT_MIN_DISPATCH_COST
 #: search setup, so very wide pools only add startup latency.
 _MAX_WORKERS_CAP = 8
 
-#: How many parallel units to assume when sizing a pool for subtree mode:
-#: a single chain still yields many subtree items, so the pool is sized
-#: by CPUs/cap rather than by the chain count.
-_SUBTREE_POOL_UNITS = 8
-
 
 #: Back-compat alias; the lenient-flag semantics live in the knob
 #: registry (:func:`repro.obs.env.flag_lenient`).
@@ -96,11 +83,6 @@ _env_flag = envknobs.flag_lenient
 def parallel_chains_enabled() -> bool:
     """Whether the environment opts in to parallel chain checking."""
     return _env_flag(PARALLEL_CHAINS_ENV)
-
-
-def subtree_parallel_enabled() -> bool:
-    """Whether the environment opts in to subtree-decomposed searches."""
-    return _env_flag(PARALLEL_SUBTREES_ENV)
 
 
 def min_dispatch_cost() -> int:
@@ -152,19 +134,13 @@ def estimate_chain_cost(
     return (states + transitions) * budget
 
 
-def worker_count(
-    num_units: int, max_workers: Optional[int], subtree: bool = False
-) -> int:
+def worker_count(num_units: int, max_workers: Optional[int]) -> int:
     """Pool size for *num_units* independent units of work.
 
-    The one sizing rule of every pooled caller — chain fan-out, subtree
-    and anytime searches, engine batches — so they agree on the size and
-    the shared pool is not rebuilt between them.  In subtree mode a
-    single chain still yields many items, so the pool is sized by CPUs
-    and the cap rather than by the chain count.
+    The one sizing rule of every pooled caller — chain fan-out and
+    engine batches — so they agree on the size and the shared pool is
+    not rebuilt between them.
     """
-    if subtree:
-        num_units = max(num_units, _SUBTREE_POOL_UNITS)
     if max_workers is not None:
         # An explicit worker count is honoured as given (minus idle
         # workers): tests use it to exercise the real pool on single-core
@@ -195,23 +171,6 @@ def _initial_snapshot(initial) -> Snapshot:
     return SnapshotInstance.from_instance(initial).snapshot()
 
 
-def _earlier_witness_finished(futures: Dict[int, object], dominant: int) -> bool:
-    """Whether a chain before *dominant* already finished with a witness.
-
-    A non-blocking scan: such a witness makes the dominant chain dead
-    work (the fold stops before it).  A chain that finishes *while* the
-    dominant search runs is not seen — that race is inherent to running
-    them concurrently — but the cheap chains often beat the coordinator
-    to this point, and skipping a multi-second dominant search is worth
-    the O(#chains) check.
-    """
-    for index in range(dominant):
-        outcome = workqueue.finished_value(futures.get(index))
-        if outcome is not None and outcome.witness is not None:
-            return True
-    return False
-
-
 def map_chain_outcomes(
     restrictions: Sequence,
     vocabulary,
@@ -223,46 +182,36 @@ def map_chain_outcomes(
 ) -> Optional[List]:
     """Chain outcomes in restriction order, up to the first witness.
 
-    Returns ``None`` when parallelism cannot help — no usable extra CPUs,
-    estimated work below :func:`min_dispatch_cost`, a single chain
-    outside subtree mode — and the caller checks the chains in process.
-    *pool_size* is the caller's fact-pool cardinality hint for
-    :func:`estimate_chain_cost` (``automaton_emptiness`` derives the
-    pool anyway and passes its size along so the gate can bound the
-    exploration budget by the actual search space).
+    Returns ``None`` when parallelism cannot help — a single chain, no
+    usable extra CPUs, estimated work below :func:`min_dispatch_cost` —
+    and the caller checks the chains in process.  *pool_size* is the
+    caller's fact-pool cardinality hint for :func:`estimate_chain_cost`
+    (``automaton_emptiness`` derives the pool anyway and passes its size
+    along so the gate can bound the exploration budget by the actual
+    search space).
 
     Otherwise every chain ships as a pool item of the shared scheduler
-    (:mod:`repro.store.workqueue`) — except, in subtree mode, the chain
-    with the largest cost estimate: that straggler is what makes
-    whole-chain granularity lose, so its witness search runs in the
-    coordinator with its DFS subtrees dispatched to the same queue, and
-    workers pick them up as the small chains drain.  Once an outcome
-    carries a witness the remaining chains are dead work (the caller's
-    fold stops there, mirroring the sequential early exit), so
-    not-yet-started items are cancelled and the list is truncated at
-    that point.  A chain whose item fails retries or falls back in
-    process on its own; the failures are counted (``pool_*``) in the
-    first outcome's stats.  Placement depends on runtime estimates, but
-    the folded result never does.
+    (:mod:`repro.store.workqueue`).  Once an outcome carries a witness
+    the remaining chains are dead work (the caller's fold stops there,
+    mirroring the in-process early exit), so not-yet-started items are
+    cancelled and the list is truncated at that point.  A chain whose
+    item fails retries or falls back in process on its own; the failures
+    are counted (``pool_*``) in the first outcome's stats.
     """
     from repro.automata.emptiness import check_restriction
 
     num_chains = len(restrictions)
-    subtree = bool(search_kwargs.get("subtree_mode"))
-    workers = worker_count(num_chains, max_workers, subtree)
-    costs = [
+    workers = worker_count(num_chains, max_workers)
+    total_cost = sum(
         estimate_chain_cost(restriction, search_kwargs, pool_size)
         for restriction in restrictions
-    ]
+    )
     if (
-        workers <= 1
-        or not _should_dispatch(sum(costs), max_workers)
-        or (num_chains <= 1 and not subtree)
+        num_chains <= 1
+        or workers <= 1
+        or not _should_dispatch(total_cost, max_workers)
     ):
         return None
-    dominant = (
-        max(range(num_chains), key=lambda i: (costs[i], -i)) if subtree else None
-    )
     scheduler = workqueue.PoolScheduler(workers)
     initial_snapshot = _initial_snapshot(initial)
 
@@ -277,47 +226,34 @@ def map_chain_outcomes(
             use_datalog_precheck,
         )
 
-    def check(index: int, executor=None):
+    def check(index: int):
         return check_restriction(
             restrictions[index],
             vocabulary,
             initial,
             search_kwargs,
             use_datalog_precheck,
-            executor=executor,
         )
 
-    futures = {index: submit(index) for index in range(num_chains) if index != dominant}
+    futures = [submit(index) for index in range(num_chains)]
     outcomes = []
     try:
-        dominant_outcome = None
-        if dominant is not None and not _earlier_witness_finished(futures, dominant):
-            dominant_outcome = check(dominant, workqueue.SubtreeExecutor(workers))
         for index in range(num_chains):
-            if index == dominant:
-                if dominant_outcome is None:
-                    # Unreachable by the fold: an earlier chain's witness
-                    # truncates the walk before this entry.
-                    raise AssertionError(
-                        "dominant chain skipped without an earlier witness"
-                    )  # pragma: no cover - guarded by _earlier_witness_finished
-                outcome = dominant_outcome
+            future, futures[index] = futures[index], None
+            if future is None:
+                outcome = check(index)
             else:
-                future = futures.pop(index)
-                if future is None:
-                    outcome = check(index)
-                else:
-                    outcome, _ = scheduler.resolve(
-                        future,
-                        "chain",
-                        lambda: submit(index),
-                        lambda: check(index),
-                    )
+                outcome, _ = scheduler.resolve(
+                    future,
+                    "chain",
+                    lambda: submit(index),
+                    lambda: check(index),
+                )
             outcomes.append(outcome)
             if outcome.witness is not None:
                 break
     finally:
-        for future in futures.values():
+        for future in futures:
             if future is not None:
                 future.cancel()
     if scheduler.counters:

@@ -597,8 +597,8 @@ class TestPayloadPicklabilityRule:
             from dataclasses import dataclass
 
             @dataclass(frozen=True)
-            class SubtreeItem:
-                states: tuple
+            class ChainCheckpoint:
+                path: tuple
                 scorer = lambda self: 0
             """,
             self.PAYLOAD_PATH,
@@ -638,7 +638,7 @@ class TestPayloadPicklabilityRule:
             from dataclasses import dataclass, field
 
             @dataclass
-            class SubtreeOutcome:
+            class ChainOutcome:
                 log = field(default_factory=lambda: open("/tmp/x", "w"))
             """,
             self.PAYLOAD_PATH,
@@ -667,9 +667,9 @@ class TestPayloadPicklabilityRule:
             from typing import Dict, Tuple
 
             @dataclass(frozen=True)
-            class SubtreeItem:
-                states: Tuple[str, ...]
-                budget: int = 0
+            class ChainCheckpoint:
+                path: Tuple[int, ...]
+                depth_limit: int = 0
                 stats: Dict[str, int] = field(default_factory=dict)
             """,
             self.PAYLOAD_PATH,
@@ -689,7 +689,7 @@ class TestPayloadPicklabilityRule:
     def test_other_module_not_scoped(self):
         report = findings_of(
             """
-            class SubtreeItem:
+            class ChainCheckpoint:
                 fn = lambda self: 0
             """,
             "repro/workloads/generators.py",

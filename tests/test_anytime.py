@@ -11,9 +11,9 @@ Three load-bearing properties:
   result is field-identical to the uninterrupted run, including across
   pickle round-trips of the frontier and across chains of many
   interrupt/resume hops;
-* **determinism** — node-cap expiry happens at exact work-item
-  boundaries, so interruption points are reproducible (which is what
-  makes the resume property testable at all).
+* **determinism** — the node cap counts candidate steps and expires
+  after exactly that many, so interruption points are reproducible
+  (which is what makes the resume property testable at all).
 
 The engine-level tests pin the batch semantics: budget-aware kinds
 (emptiness, bounded check) always run — even on an expired clock — and
@@ -31,6 +31,7 @@ import pytest
 from repro.automata.emptiness import (
     EmptinessResult,
     ResumeFrontier,
+    _WitnessSearch,
     automaton_emptiness,
 )
 from repro.automata.library import containment_automaton, ltr_automaton
@@ -40,7 +41,7 @@ from repro.core.bounded_check import (
     bounded_satisfiability,
     bounded_satisfiability_legacy,
 )
-from repro.core.budget import INTERRUPT_STRIDE, Budget, BudgetExpired
+from repro.core.budget import INTERRUPT_STRIDE, Budget
 from repro.core.solver import AccLTLSolver
 from repro.engine import DecisionEngine, bounded_check_task, emptiness_task
 from repro.engine.engine import relevance_task
@@ -49,7 +50,7 @@ from repro.workloads.directory import (
     join_query,
     resident_names_query,
 )
-from repro.workloads.scenarios import standard_scenarios
+from repro.workloads.scenarios import _synthetic_scenario, standard_scenarios
 
 
 class FakeClock:
@@ -105,15 +106,6 @@ class TestBudget:
         assert remaining == Budget(deadline_s=pytest.approx(3.0), node_cap=7)
         clock.charge(100)
         assert clock.remaining_budget().node_cap == 0
-
-    def test_interrupt_check_raises_on_stride_boundary_only(self):
-        fake = FakeClock()
-        clock = Budget(deadline_s=0.0).start(fake)
-        fake.advance(1.0)  # deadline already past
-        for _ in range(INTERRUPT_STRIDE - 1):
-            clock.interrupt_check()  # off-stride calls never raise
-        with pytest.raises(BudgetExpired):
-            clock.interrupt_check()
 
     def test_budget_is_hashable_and_picklable(self):
         budget = Budget(deadline_s=1.5, node_cap=7)
@@ -176,9 +168,19 @@ class TestBoundedCheckBudget:
 # ---------------------------------------------------------------------------
 NONEMPTY = "nonempty_ltr"
 EMPTY = "empty_containment"
+#: A containment automaton whose witness the memoised search finds after
+#: 94 paths, while the unmemoised one gives up at a cap of 120.
+CAPPED = "capped_containment"
 
 
 def _emptiness_workload(name):
+    if name == CAPPED:
+        scenario = _synthetic_scenario(seed=1, num_relations=3, name="synthetic-1")
+        vocab = AccLTLSolver(scenario.access_schema).vocabulary
+        automaton = containment_automaton(
+            vocab, scenario.query_one, scenario.query_two, grounded=False
+        )
+        return automaton, vocab
     directory = directory_access_schema()
     vocab = AccLTLSolver(directory).vocabulary
     if name == NONEMPTY:
@@ -265,7 +267,7 @@ class TestAnytimeEmptiness:
         hops = 0
         while result.unknown:
             hops += 1
-            assert hops <= 4 * oracle.paths_explored + 200
+            assert hops < oracle.paths_explored
             result = automaton_emptiness(
                 automaton,
                 vocab,
@@ -274,7 +276,67 @@ class TestAnytimeEmptiness:
                 **kwargs,
             )
         assert result == oracle
-        assert hops >= 1
+        # Every call explores exactly one candidate step.
+        assert hops == oracle.paths_explored - 1
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_resume_at_the_max_paths_boundary(self, memoize):
+        """Interrupting next to the cap resumes to the capped result.
+
+        At ``max_paths=120`` the memoised search finds its witness after
+        94 paths, and the unmemoised one gives up undecided at 121.
+        """
+        automaton, vocab = _emptiness_workload(CAPPED)
+        kwargs = dict(memoize=memoize, max_paths=120)
+        oracle = automaton_emptiness(automaton, vocab, **kwargs)
+        if memoize:
+            assert oracle.witness is not None and oracle.paths_explored == 94
+        else:
+            assert oracle.empty and not oracle.exhausted
+            assert oracle.paths_explored == 121
+        for cap in sorted({1, 60, 93, 94, 119, 120, 121}):
+            partial = automaton_emptiness(
+                automaton, vocab, budget=Budget(node_cap=cap), **kwargs
+            )
+            if not partial.unknown:
+                assert cap >= oracle.paths_explored
+                assert partial == oracle
+                continue
+            assert cap < oracle.paths_explored
+            assert partial.paths_explored == cap
+            frontier = pickle.loads(pickle.dumps(partial.frontier))
+            resumed = automaton_emptiness(
+                automaton, vocab, resume_from=frontier, **kwargs
+            )
+            assert resumed == oracle, cap
+
+    def test_deadline_is_read_every_stride_candidates(self):
+        """The search reads the wall clock every INTERRUPT_STRIDE candidates."""
+        automaton, vocab = _emptiness_workload(EMPTY)
+        search = _WitnessSearch(
+            automaton.minimise(),
+            vocab,
+            vocab.access_schema.empty_instance(),
+            max_length=4,
+            max_response_size=2,
+            max_paths=10**6,
+            memoize=False,
+        )
+        readings = []
+
+        def clock():
+            # Start, then reads at 0 and INTERRUPT_STRIDE candidates are
+            # on time; the third read finds the deadline passed.
+            readings.append(None)
+            return 0.0 if len(readings) <= 3 else 10.0
+
+        witness, explored, exhausted, _, checkpoint = search.run(
+            Budget(deadline_s=1.0).start(clock)
+        )
+        assert witness is None and not exhausted
+        assert checkpoint is not None
+        assert explored == checkpoint.explored == 2 * INTERRUPT_STRIDE
+        assert len(readings) == 4
 
     def test_frontier_rejects_mismatched_call(self):
         automaton, vocab = _emptiness_workload(NONEMPTY)

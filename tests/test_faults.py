@@ -1,9 +1,9 @@
 """Fault-injection suite: scripted worker failures never change verdicts.
 
 Drives the ``REPRO_FAULT_INJECT`` harness (:mod:`repro.store.faults`)
-against real process pools at all three worker entry points — whole-chain
-emptiness tasks (``chain``), DFS subtree items (``subtree``) and pooled
-engine reductions (``task``) — and asserts two things for every scripted
+against real process pools at both worker entry points — whole-chain
+emptiness tasks (``chain``) and pooled engine reductions (``task``) —
+and asserts two things for every scripted
 kill, delay, corruption and transient failure:
 
 * the final result is field-identical to the fault-free sequential
@@ -23,7 +23,6 @@ import time
 
 import pytest
 
-from repro.automata import emptiness as emptiness_module
 from repro.automata.emptiness import automaton_emptiness
 from repro.automata.library import containment_automaton, ltr_automaton
 from repro.automata.operations import union_automaton
@@ -88,16 +87,16 @@ def _result_fields(result):
 # ---------------------------------------------------------------------------
 class TestFaultSpec:
     def test_parse_full_spec(self):
-        plan = parse_fault_spec("kill@subtree:2,delay@chain:0:0.2, raise@task:1")
+        plan = parse_fault_spec("kill@task:2,delay@chain:0:0.2, raise@task:1")
         assert plan == (
-            Fault("kill", "subtree", 2),
+            Fault("kill", "task", 2),
             Fault("delay", "chain", 0, 0.2),
             Fault("raise", "task", 1),
         )
 
     def test_parse_rejects_malformed_entries(self):
         for bad in ("kill", "kill@", "explode@chain:0", "kill@nowhere:0",
-                    "kill@chain:-1", "kill@chain:x"):
+                    "kill@subtree:0", "kill@chain:-1", "kill@chain:x"):
             with pytest.raises(ValueError):
                 parse_fault_spec(bad)
 
@@ -107,7 +106,7 @@ class TestFaultSpec:
         assert plan.next_fault("task").action == "corrupt"  # hit 0
         assert plan.next_fault("chain").action == "raise"  # hit 1
         assert plan.next_fault("chain") is None  # hit 2
-        assert plan.next_fault("subtree") is None
+        assert plan.next_fault("task") is None  # hit 1
 
     def test_install_and_clear(self):
         plan = faults.install("raise@task:0")
@@ -146,9 +145,9 @@ class TestFireInProcess:
             faults.fire("chain")
 
     def test_delay_sleeps_for_arg_seconds(self):
-        faults.install("delay@subtree:0:0.05")
+        faults.install("delay@task:0:0.05")
         start = time.perf_counter()
-        faults.fire("subtree")
+        faults.fire("task")
         assert time.perf_counter() - start >= 0.05
 
 
@@ -179,101 +178,6 @@ class TestChainFaults:
         # the first chain it sees, so that chain falls back in process
         # on its own, recorded in the result stats
         assert (faulty.stats or {}).get("pool_inprocess_fallbacks", 0) >= 1
-
-
-# ---------------------------------------------------------------------------
-# Real-pool injection: subtree items
-# ---------------------------------------------------------------------------
-class TestSubtreeFaults:
-    @pytest.mark.parametrize("empty_language", [True, False])
-    def test_subtree_kill_retries_then_matches_sequential(
-        self, vocabulary, monkeypatch, empty_language
-    ):
-        automaton = _multi_chain_automaton(vocabulary, empty_language)
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **KWARGS
-        )
-        monkeypatch.setenv(FAULT_INJECT_ENV, "kill@subtree:0")
-        workqueue_module.discard_shared_pool()
-        faulty = automaton_emptiness(
-            automaton,
-            vocabulary,
-            parallel=True,
-            subtree_parallel=True,
-            max_workers=2,
-            **KWARGS,
-        )
-        assert _result_fields(faulty) == _result_fields(sequential)
-        stats = faulty.stats or {}
-        assert (
-            stats.get("pool_worker_failures", 0)
-            + stats.get("pool_inprocess_fallbacks", 0)
-        ) >= 1
-
-    @pytest.mark.parametrize("empty_language", [True, False])
-    def test_hybrid_chain_kill_recovers_that_chain_alone(
-        self, vocabulary, monkeypatch, empty_language
-    ):
-        """A killed non-dominant chain never costs the dominant chain's search.
-
-        In hybrid mode the coordinator searches the dominant chain with its
-        subtree items on the pool while the other chains run as pool items.
-        Killing every fresh worker's first chain item must recover that
-        chain on its own: the dominant search runs exactly once.
-        """
-        automaton = _multi_chain_automaton(vocabulary, empty_language)
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **KWARGS
-        )
-        searched = []
-        search = emptiness_module._search_accepted_path
-
-        def counting_search(restriction, *args, **kwargs):
-            searched.append((id(restriction), kwargs.get("executor") is not None))
-            return search(restriction, *args, **kwargs)
-
-        monkeypatch.setattr(emptiness_module, "_search_accepted_path", counting_search)
-        monkeypatch.setenv(FAULT_INJECT_ENV, "kill@chain:0")
-        workqueue_module.discard_shared_pool()
-        faulty = automaton_emptiness(
-            automaton,
-            vocabulary,
-            parallel=True,
-            subtree_parallel=True,
-            max_workers=2,
-            **KWARGS,
-        )
-        assert _result_fields(faulty) == _result_fields(sequential)
-        # Only this process's searches are recorded: forked workers append
-        # to their own copy of the list.
-        dominant = [key for key, with_executor in searched if with_executor]
-        assert len(dominant) == 1
-        assert [key for key, _ in searched].count(dominant[0]) == 1
-        stats = faulty.stats or {}
-        assert (
-            stats.get("pool_worker_failures", 0)
-            + stats.get("pool_inprocess_fallbacks", 0)
-        ) >= 1
-
-    def test_subtree_delay_trips_the_item_timeout(self, vocabulary, monkeypatch):
-        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **KWARGS
-        )
-        monkeypatch.setenv(FAULT_INJECT_ENV, "delay@subtree:0:1.5")
-        monkeypatch.setenv(workqueue_module.POOL_ITEM_TIMEOUT_ENV, "0.1")
-        workqueue_module.discard_shared_pool()
-        faulty = automaton_emptiness(
-            automaton,
-            vocabulary,
-            parallel=True,
-            subtree_parallel=True,
-            max_workers=2,
-            **KWARGS,
-        )
-        assert _result_fields(faulty) == _result_fields(sequential)
-        stats = faulty.stats or {}
-        assert stats.get("pool_timeouts", 0) >= 1
 
 
 # ---------------------------------------------------------------------------

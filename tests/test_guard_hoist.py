@@ -11,9 +11,10 @@ count, which these tests pin three ways:
   states equals the set computed from scratch, guard by guard, with
   ``holds`` over a freshly built transition structure;
 * a committed fixture (``tests/data/emptiness_results.json``) holding the
-  ``EmptinessResult`` fields of a fixed list of inputs, matched under the
-  sequential, chain-pooled, subtree, anytime-resumed and
-  ``memoize=False`` runs.  Its work counts were re-recorded when the
+  ``EmptinessResult`` fields of a fixed list of inputs, recorded for the
+  sequential and ``memoize=False`` runs and matched by those, by the
+  chain-pooled and anytime-resumed runs, and by runs passing the ignored
+  ``subtree_parallel=True``.  Its work counts were re-recorded when the
   search moved to the emptiness quotient (``AAutomaton.minimise``); its
   verdicts and witnesses must still equal the ones recorded before
   (``tests/data/emptiness_verdicts.json``), and every witness must replay
@@ -88,12 +89,20 @@ FIXTURE = Path(__file__).with_name("data") / "emptiness_results.json"
 VERDICTS = Path(__file__).with_name("data") / "emptiness_verdicts.json"
 
 #: Run modes recorded in the fixture; chain-pooled runs are compared with
-#: ``sequential`` and anytime-resumed runs with ``subtree``/``subtree_memo_off``.
+#: ``sequential`` and anytime-resumed runs with ``sequential``/``memo_off``.
 MODES = {
     "sequential": dict(parallel=False, subtree_parallel=False),
     "memo_off": dict(parallel=False, subtree_parallel=False, memoize=False),
-    "subtree": dict(parallel=False, subtree_parallel=True),
-    "subtree_memo_off": dict(parallel=False, subtree_parallel=True, memoize=False),
+}
+
+#: Modes checked against a recorded one.  ``subtree_parallel`` is accepted
+#: and ignored, so it must reproduce the recorded row on every field.
+ALIASES = {
+    "subtree": ("sequential", dict(parallel=False, subtree_parallel=True)),
+    "subtree_memo_off": (
+        "memo_off",
+        dict(parallel=False, subtree_parallel=True, memoize=False),
+    ),
 }
 
 
@@ -189,10 +198,11 @@ def test_fixture_covers_every_input(recorded):
     assert all(sorted(entry) == sorted(MODES) for entry in recorded.values())
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted({**MODES, **ALIASES}))
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_results_match_fixture(recorded, name, mode):
-    assert _fields(_run(name, **MODES[mode])) == recorded[name][mode]
+    row, kwargs = ALIASES.get(mode, (mode, MODES.get(mode)))
+    assert _fields(_run(name, **kwargs)) == recorded[name][row]
 
 
 def _witness_digest(witness):
@@ -265,7 +275,7 @@ def test_anytime_resumed_matches_fixture(recorded, name, memoize):
             budget=Budget(node_cap=150),
             **kwargs,
         )
-    mode = "subtree" if memoize else "subtree_memo_off"
+    mode = "sequential" if memoize else "memo_off"
     assert _fields(result) == recorded[name][mode]
 
 
@@ -556,8 +566,6 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
         "value_pool": None,
         "grounded_only": False,
         "memoize": True,
-        "subtree_mode": False,
-        "split_budget": None,
     }
     initial = vocabulary.access_schema.empty_instance()
     unshared = emptiness_module._fold_chain_outcomes(

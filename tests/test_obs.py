@@ -199,13 +199,12 @@ class TestEnvRegistry:
             "REPRO_TRACE",
             "REPRO_FAULT_INJECT",
             "REPRO_PARALLEL_CHAINS",
-            "REPRO_PARALLEL_SUBTREES",
             "REPRO_PARALLEL_TASKS",
             "REPRO_PARALLEL_MIN_COST",
-            "REPRO_SUBTREE_SPLIT_BUDGET",
             "REPRO_POOL_RETRIES",
             "REPRO_POOL_ITEM_TIMEOUT",
         } <= names
+        assert len(names) == 13
 
     def test_current_reports_source_and_value(self, monkeypatch):
         monkeypatch.delenv("REPRO_POOL_RETRIES", raising=False)
@@ -263,48 +262,59 @@ class TestStreamedMatrixStats:
 # ---------------------------------------------------------------------------
 class TestWorkerSpanShipping:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_subtree_worker_ships_picklable_spans(self, start_method):
+    def test_chain_worker_ships_picklable_spans(self, start_method):
         from concurrent.futures import ProcessPoolExecutor
 
-        from test_parallel_chains import _harvest_items, vocabulary as _  # noqa: F401
-
+        from repro.automata.library import ltr_automaton
+        from repro.automata.progressive import chain_restrictions
         from repro.core.solver import AccLTLSolver
+        from repro.store import parallel as parallel_module
 
-        voc = AccLTLSolver(directory_access_schema()).vocabulary
-        _, items, payload = _harvest_items(voc)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        token = workqueue_module._next_context_token()
+        schema = directory_access_schema()
+        voc = AccLTLSolver(schema).vocabulary
+        automaton = ltr_automaton(voc, schema.access("AcM1", ("Smith",)), join_query())
+        restriction = chain_restrictions(automaton.minimise())[0]
+        search_kwargs = dict(
+            max_length=3,
+            max_response_size=2,
+            max_paths=200,
+            fact_pool=None,
+            value_pool=None,
+            grounded_only=False,
+            memoize=False,
+        )
+        initial = parallel_module._initial_snapshot(voc.access_schema.empty_instance())
+        args = (restriction, voc, initial, search_kwargs, False)
         context = multiprocessing.get_context(start_method)
-        args = (token, blob, items[0], 10**6)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             shipped = pool.submit(
                 workqueue_module._run_item,
-                "subtree",
-                workqueue_module._subtree_worker,
+                "chain",
+                parallel_module._check_chain,
                 args,
                 True,
             ).result()
         assert shipped.spans, "worker recorded no spans with tracing on"
         clone = pickle.loads(pickle.dumps(shipped.spans))
         names = [span.name for root in clone for span in root.walk()]
-        assert "emptiness.subtree" in names
+        assert "emptiness.chain" in names
         worker_pids = {span.pid for root in shipped.spans for span in root.walk()}
         assert worker_pids and os.getpid() not in worker_pids
         # The same submission with tracing off ships nothing.
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             quiet = pool.submit(
                 workqueue_module._run_item,
-                "subtree",
-                workqueue_module._subtree_worker,
+                "chain",
+                parallel_module._check_chain,
                 args,
                 False,
             ).result()
         assert quiet.spans is None
         outcome, quiet = shipped.value, quiet.value
-        assert (quiet.status, quiet.steps, quiet.explored) == (
-            outcome.status,
-            outcome.steps,
+        assert (quiet.witness, quiet.explored, quiet.exhausted) == (
+            outcome.witness,
             outcome.explored,
+            outcome.exhausted,
         )
 
 

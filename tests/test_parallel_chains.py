@@ -7,28 +7,16 @@ bit-identical :class:`~repro.automata.emptiness.EmptinessResult` with
 counters and all.  The fallback paths (no pool, single chain) must be
 equally invisible.
 
-The same contract extends to the intra-chain subtree decomposition
-(:mod:`repro.store.workqueue`): ``subtree_parallel=True`` returns
-identical results whether items run pooled or in-process, agrees with
-the plain search on verdict/witness/exhaustiveness always, and agrees on
-*every* field (including ``paths_explored``) under ``memoize=False``,
-where the scope-local expansion memos make exploration counts additive
-over subtrees.
+Every chain runs the one witness search: ``subtree_parallel=True`` is
+accepted and ignored, so it returns the plain search's result on every
+field, pooled or not.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-
 import pytest
 
-from repro.automata import emptiness as emptiness_module
-from repro.automata.emptiness import (
-    SubtreeItem,
-    automaton_emptiness,
-    check_restriction,
-)
+from repro.automata.emptiness import automaton_emptiness, check_restriction
 from repro.automata.library import containment_automaton, ltr_automaton
 from repro.automata.operations import union_automaton
 from repro.automata.progressive import chain_restrictions
@@ -231,13 +219,7 @@ class TestSubtreeMatchesSequential:
 
     @pytest.mark.parametrize("empty_language", [True, False])
     def test_full_field_equality_memoize_off(self, vocabulary, empty_language):
-        """With memoize=False all three modes agree on every field.
-
-        The expansion memo is the one scope-dependent layer of the
-        search; without it, exploration counts are additive over
-        subtrees, so the subtree decomposition reproduces the sequential
-        counters exactly — in-process and pooled alike.
-        """
+        """With memoize=False all modes agree on every field."""
         automaton = _multi_chain_automaton(vocabulary, empty_language)
         kwargs = dict(max_paths=1200, use_datalog_precheck=False, memoize=False)
         sequential = automaton_emptiness(
@@ -266,16 +248,7 @@ class TestSubtreeMatchesSequential:
 
     @pytest.mark.parametrize("empty_language", [True, False])
     def test_verdict_equality_memoized(self, vocabulary, empty_language):
-        """Memoised subtree mode: verdicts coincide away from the cap.
-
-        The expansion memo is scope-local (per subtree), so the
-        decomposed search explores more than the globally memoised
-        sequential search when transpositions cross subtree boundaries.
-        Away from the ``max_paths`` boundary (here: both runs abort, or
-        neither does) verdict, witness and exhausted coincide; the
-        boundary itself is pinned in
-        ``test_memoized_boundary_abort_is_sound_not_identical``.
-        """
+        """With the memo on, the modes agree on every field too."""
         automaton = _multi_chain_automaton(vocabulary, empty_language)
         kwargs = dict(max_paths=1500, use_datalog_precheck=False)
         sequential = automaton_emptiness(
@@ -284,114 +257,41 @@ class TestSubtreeMatchesSequential:
         subtree = automaton_emptiness(
             automaton, vocabulary, parallel=False, subtree_parallel=True, **kwargs
         )
-        assert (subtree.empty, subtree.witness, subtree.exhausted) == (
-            sequential.empty,
-            sequential.witness,
-            sequential.exhausted,
-        )
+        assert _result_fields(subtree) == _result_fields(sequential)
 
-    def test_memoized_boundary_abort_is_sound_not_identical(self, vocabulary):
-        """At the ``max_paths`` boundary, memoised subtree mode is sound.
+    def test_memoized_boundary_abort_is_identical(self, vocabulary):
+        """At the ``max_paths`` boundary the modes still agree on every field.
 
-        The scope-local memos prune less, so the decomposed search can
-        hit the cap where the globally memoised sequential search
-        finished exhaustively.  The documented contract: the decomposed
-        result is then *less conclusive* (``exhausted=False``), never
-        *wrong* — it must not claim exhaustion, and it must stay
-        deterministic (pooled == in-process).  ``memoize=False`` on the
-        same workload restores full field equality.
+        A cap equal to the paths the memoised search needs to exhaust
+        this automaton lets it finish; one less stops it one path short,
+        undecided, in every mode alike.
         """
         automaton = containment_automaton(
             vocabulary, join_query(), resident_names_query(), grounded=False
         )
-        kwargs = dict(max_paths=500, use_datalog_precheck=False)
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **kwargs
-        )
-        inprocess = automaton_emptiness(
-            automaton, vocabulary, parallel=False, subtree_parallel=True, **kwargs
-        )
-        pooled = automaton_emptiness(
-            automaton,
-            vocabulary,
-            parallel=True,
-            subtree_parallel=True,
-            max_workers=2,
-            **kwargs,
-        )
-        # Deterministic across placements...
-        assert _result_fields(inprocess) == _result_fields(pooled)
-        # ...and sound versus the plain search: same emptiness verdict
-        # here, and exhaustion is only ever claimed when the plain
-        # search claims it too (the decomposition may be the less
-        # conclusive side, never the overclaiming one).
-        assert inprocess.empty == sequential.empty
-        if inprocess.exhausted:
-            assert sequential.exhausted
-        # With the cap out of the picture the fields align exactly.
-        exact = dict(kwargs, max_paths=100000, memoize=False)
-        assert _result_fields(
-            automaton_emptiness(
-                automaton, vocabulary, parallel=False, subtree_parallel=True, **exact
+        needed = automaton_emptiness(
+            automaton, vocabulary, parallel=False, use_datalog_precheck=False
+        ).paths_explored
+        for max_paths, exhausted in ((needed, True), (needed - 1, False)):
+            kwargs = dict(max_paths=max_paths, use_datalog_precheck=False)
+            sequential = automaton_emptiness(
+                automaton, vocabulary, parallel=False, **kwargs
             )
-        ) == _result_fields(
-            automaton_emptiness(automaton, vocabulary, parallel=False, **exact)
-        )
-
-    def test_resplit_budget_preserves_results(self, vocabulary):
-        """A tiny split budget forces the overflow/re-split protocol.
-
-        Re-splitting is a pure function of ``(item, budget)``, so pooled
-        and in-process execution still agree with each other and with
-        the plain sequential search (memoize=False: on every field).
-        """
-        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
-        kwargs = dict(max_paths=700, use_datalog_precheck=False, memoize=False)
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **kwargs
-        )
-        inprocess = automaton_emptiness(
-            automaton,
-            vocabulary,
-            parallel=False,
-            subtree_parallel=True,
-            split_budget=25,
-            **kwargs,
-        )
-        pooled = automaton_emptiness(
-            automaton,
-            vocabulary,
-            parallel=True,
-            subtree_parallel=True,
-            max_workers=2,
-            split_budget=25,
-            **kwargs,
-        )
-        assert _result_fields(inprocess) == _result_fields(sequential)
-        assert _result_fields(pooled) == _result_fields(sequential)
-        assert (inprocess.stats or {}).get("subtree_overflows", 0) > 0
-
-    def test_single_chain_subtree_dispatch(self, vocabulary):
-        """Subtree mode parallelises even a single-chain automaton."""
-        scenario = next(s for s in standard_scenarios() if s.name == "directory")
-        voc = AccLTLSolver(scenario.access_schema).vocabulary
-        full = ltr_automaton(voc, scenario.probe_access, scenario.query_one)
-        # One chain restriction *is* a single-chain automaton — the shape
-        # whole-chain parallelism cannot split but subtree mode can.
-        automaton = chain_restrictions(full.trim())[0]
-        assert len(chain_restrictions(automaton.trim())) == 1
-        kwargs = dict(max_paths=2000, use_datalog_precheck=False, memoize=False)
-        sequential = automaton_emptiness(automaton, voc, parallel=False, **kwargs)
-        pooled = automaton_emptiness(
-            automaton,
-            voc,
-            parallel=True,
-            subtree_parallel=True,
-            max_workers=2,
-            **kwargs,
-        )
-        assert _result_fields(pooled) == _result_fields(sequential)
-        assert (pooled.stats or {}).get("subtree_items", 0) > 0
+            inprocess = automaton_emptiness(
+                automaton, vocabulary, parallel=False, subtree_parallel=True, **kwargs
+            )
+            pooled = automaton_emptiness(
+                automaton,
+                vocabulary,
+                parallel=True,
+                subtree_parallel=True,
+                max_workers=2,
+                **kwargs,
+            )
+            assert sequential.empty and sequential.exhausted == exhausted
+            assert sequential.paths_explored == needed
+            assert _result_fields(inprocess) == _result_fields(sequential)
+            assert _result_fields(pooled) == _result_fields(sequential)
 
 
 class TestRandomizedDeterminism:
@@ -447,75 +347,7 @@ class TestRandomizedDeterminism:
         subtree = automaton_emptiness(
             automaton, vocabulary, parallel=False, subtree_parallel=True, **kwargs
         )
-        assert (subtree.empty, subtree.witness, subtree.exhausted) == (
-            sequential.empty,
-            sequential.witness,
-            sequential.exhausted,
-        )
-
-
-def _harvest_items(vocabulary):
-    """A real search plus a few exported work items from its trunk."""
-    scenario = next(s for s in standard_scenarios() if s.name == "directory")
-    voc = AccLTLSolver(scenario.access_schema).vocabulary
-    automaton = ltr_automaton(
-        voc, scenario.probe_access, scenario.query_one
-    ).trim()
-    initial = voc.access_schema.empty_instance()
-    search = emptiness_module._WitnessSearch(
-        automaton,
-        voc,
-        initial,
-        max_length=4,
-        max_response_size=2,
-        max_paths=2000,
-        grounded_only=False,
-        memoize=False,
-    )
-    expansion = search.run_round_exporting(3)
-    assert expansion.records, "expected the trunk to export work items"
-    payload = (automaton, voc, search.initial_snapshot, search.params())
-    return search, [record.item for record in expansion.records], payload
-
-
-class TestWorkItemShipping:
-    """Subtree work items survive pickling — under fork *and* spawn.
-
-    Spawn is the adversarial case: the child process has a different
-    hash seed, so anything that serialises hash-dependent layout (a raw
-    HAMT trie, a dict order) would rebuild differently.  Snapshots
-    pickle as fact lists by construction, which these tests verify end
-    to end through the real worker entry point.
-    """
-
-    def test_plain_pickle_round_trip(self, vocabulary):
-        _, items, _ = _harvest_items(vocabulary)
-        for item in items[:5]:
-            clone = pickle.loads(pickle.dumps(item))
-            assert clone.states == item.states
-            assert clone.known == item.known
-            assert clone.budget == item.budget
-            assert clone.snapshot == item.snapshot  # exact structural equality
-
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_worker_round_trip_matches_inprocess(self, vocabulary, start_method):
-        from concurrent.futures import ProcessPoolExecutor
-
-        search, items, payload = _harvest_items(vocabulary)
-        item = items[0]
-        reference = search.run_subtree(item, 10**6)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        token = workqueue_module._next_context_token()
-        context = multiprocessing.get_context(start_method)
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            outcome = pool.submit(
-                workqueue_module._subtree_worker, token, blob, item, 10**6
-            ).result()
-        assert (outcome.status, outcome.steps, outcome.explored) == (
-            reference.status,
-            reference.steps,
-            reference.explored,
-        )
+        assert _result_fields(subtree) == _result_fields(sequential)
 
 
 class TestCostGate:
@@ -608,38 +440,6 @@ class TestCostGate:
         ]
         assert all(cost > 0 for cost in costs)
 
-
-class TestSubtreeEnvParsing:
-    """``REPRO_PARALLEL_SUBTREES`` / knob env parsing."""
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "", " 0 "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(parallel_module.PARALLEL_SUBTREES_ENV, value)
-        assert parallel_module.subtree_parallel_enabled() is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
-    def test_enabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(parallel_module.PARALLEL_SUBTREES_ENV, value)
-        assert parallel_module.subtree_parallel_enabled() is True
-
-    def test_unset_disables(self, monkeypatch):
-        monkeypatch.delenv(parallel_module.PARALLEL_SUBTREES_ENV, raising=False)
-        assert parallel_module.subtree_parallel_enabled() is False
-
-    def test_split_budget_env(self, monkeypatch):
-        monkeypatch.delenv(workqueue_module.SPLIT_BUDGET_ENV, raising=False)
-        assert (
-            workqueue_module.subtree_split_budget()
-            == workqueue_module.DEFAULT_SPLIT_BUDGET
-        )
-        monkeypatch.setenv(workqueue_module.SPLIT_BUDGET_ENV, "123")
-        assert workqueue_module.subtree_split_budget() == 123
-        monkeypatch.setenv(workqueue_module.SPLIT_BUDGET_ENV, "not-a-number")
-        assert (
-            workqueue_module.subtree_split_budget()
-            == workqueue_module.DEFAULT_SPLIT_BUDGET
-        )
-
     def test_min_cost_env(self, monkeypatch):
         monkeypatch.delenv(parallel_module.PARALLEL_MIN_COST_ENV, raising=False)
         assert (
@@ -654,22 +454,6 @@ class TestSubtreeEnvParsing:
             == parallel_module.DEFAULT_MIN_DISPATCH_COST
         )
 
-    def test_subtree_env_toggle_engages_decomposition(self, vocabulary, monkeypatch):
-        monkeypatch.setenv(parallel_module.PARALLEL_SUBTREES_ENV, "1")
-        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
-        kwargs = dict(max_paths=500, use_datalog_precheck=False, memoize=False)
-        via_env = automaton_emptiness(automaton, vocabulary, parallel=False, **kwargs)
-        monkeypatch.delenv(parallel_module.PARALLEL_SUBTREES_ENV)
-        explicit = automaton_emptiness(
-            automaton, vocabulary, parallel=False, subtree_parallel=True, **kwargs
-        )
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **kwargs
-        )
-        assert _result_fields(via_env) == _result_fields(explicit)
-        assert _result_fields(via_env) == _result_fields(sequential)
-        assert (via_env.stats or {}).get("subtree_items", 0) > 0
-
 
 class TestWorkerSizing:
     """Every pooled caller sizes the shared pool with the one rule."""
@@ -677,7 +461,6 @@ class TestWorkerSizing:
     def test_mixed_callers_never_rebuild_the_pool(self, vocabulary, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.core.budget import Budget
         from repro.engine import DecisionEngine, emptiness_task
 
         built, submitted = [], []
@@ -701,21 +484,6 @@ class TestWorkerSizing:
             automaton_emptiness(automaton, vocabulary, parallel=True, **kwargs)
             assert "chain" in submitted
             del submitted[:]
-            automaton_emptiness(
-                automaton, vocabulary, parallel=True, subtree_parallel=True, **kwargs
-            )
-            assert "subtree" in submitted
-            del submitted[:]
-            automaton_emptiness(
-                automaton,
-                vocabulary,
-                parallel=True,
-                subtree_parallel=True,
-                budget=Budget(node_cap=10**9),
-                **kwargs,
-            )
-            assert "subtree" in submitted
-            del submitted[:]
             engine = DecisionEngine(parallel=True)
             engine.run_batch(
                 [
@@ -732,47 +500,3 @@ class TestWorkerSizing:
             assert built == [2]
         finally:
             workqueue_module.discard_shared_pool()
-
-
-class TestAnytimeContexts:
-    def test_each_chain_ships_items_with_its_own_context(
-        self, vocabulary, monkeypatch
-    ):
-        """Anytime pooled runs bind every chain's own search context."""
-        from repro.core.budget import Budget
-
-        executor_class = workqueue_module.SubtreeExecutor
-        bound, shipped = {}, []
-        bind, submit = executor_class.bind, executor_class.submit
-
-        def recording_bind(self, context, node_budget):
-            bind(self, context, node_budget)
-            bound[self._token] = frozenset(context[0].states)
-
-        def recording_submit(self, item):
-            shipped.append((self._token, item.states))
-            return submit(self, item)
-
-        monkeypatch.setattr(executor_class, "bind", recording_bind)
-        monkeypatch.setattr(executor_class, "submit", recording_submit)
-        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
-        kwargs = dict(max_paths=600, use_datalog_precheck=False, memoize=False)
-        try:
-            anytime = automaton_emptiness(
-                automaton,
-                vocabulary,
-                parallel=True,
-                subtree_parallel=True,
-                max_workers=2,
-                budget=Budget(node_cap=10**9),
-                **kwargs,
-            )
-        finally:
-            workqueue_module.discard_shared_pool()
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **kwargs
-        )
-        assert _result_fields(anytime) == _result_fields(sequential)
-        assert len(bound) > 1
-        assert shipped
-        assert all(states <= bound[token] for token, states in shipped)

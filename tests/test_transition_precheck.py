@@ -18,6 +18,10 @@ three ways:
   nor one of the bounded checker;
 * one case for each input the check declines or restricts: a negated
   inequality, a relation without access methods, an exact method.
+
+Two of those automata have witnesses the search misses, reporting an
+exhausted EMPTY with the precheck off; strict xfails pin both gaps, so a
+fix of the search's pools shows up as an unexpected pass.
 """
 
 from __future__ import annotations
@@ -357,3 +361,42 @@ def test_exact_method_binding_constrains_the_response():
         use_datalog_precheck=False,
     )
     assert search.witness is None
+
+
+# ----------------------------------------------------------------------
+# Known gaps of the search's candidate pools
+# ----------------------------------------------------------------------
+@pytest.mark.xfail(
+    strict=True,
+    reason="the search pools never identify two variables, so R(a,a) is never tried",
+)
+def test_search_does_not_exhaust_a_negated_inequality_with_a_witness():
+    vocabulary = _vocabulary()
+    guard = Guard(
+        positives=(_sentence("Q :- R__pre(x, y)"),),
+        negated=(_sentence("Q :- R__pre(u, v), u != v"),),
+    )
+    result = automaton_emptiness(
+        _exit_automaton(guard), vocabulary, use_datalog_precheck=False
+    )
+    # A witness exists (test_negated_inequality_is_declined_and_not_pruned).
+    assert not (result.empty and result.exhausted), result.paths_explored
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the search pools never use a value of the initial instance",
+)
+def test_search_does_not_exhaust_a_guard_needing_an_initial_value():
+    vocabulary = _vocabulary()
+    guard = Guard(positives=(_sentence("Q :- T__pre(x), S__post(x)"),))
+    seeded = _initial(vocabulary, [("T", ("a",))])
+    result = automaton_emptiness(
+        _exit_automaton(guard),
+        vocabulary,
+        initial=seeded,
+        use_datalog_precheck=False,
+    )
+    # A witness exists
+    # (test_relation_without_methods_depends_on_the_initial_instance).
+    assert not (result.empty and result.exhausted), result.paths_explored
