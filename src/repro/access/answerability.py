@@ -24,15 +24,14 @@ This module implements:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from repro.access.methods import AccessSchema
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom
-from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import evaluate_ucq
-from repro.queries.terms import Constant, Variable
-from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.queries.terms import Variable
+from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema
 

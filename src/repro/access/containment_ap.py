@@ -37,9 +37,8 @@ compares this direct procedure against the automata pipeline.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.access.methods import AccessSchema
 from repro.engine.reduction import Deduper
@@ -47,7 +46,7 @@ from repro.queries.containment import ucq_contained_in
 from repro.queries.cq import ConjunctiveQuery, QueryError
 from repro.queries.evaluation import holds
 from repro.queries.terms import Variable
-from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
 from repro.store.snapshot import Snapshot, SnapshotInstance
 

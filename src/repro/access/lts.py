@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.access.methods import Access, AccessMethod, AccessSchema
 from repro.access.path import AccessPath, PathStep, conf

@@ -14,11 +14,11 @@ allows schemas to prescribe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.immutable import cached_hash
 from repro.relational.instance import Instance
-from repro.relational.schema import Relation, Schema, SchemaError
+from repro.relational.schema import Schema, SchemaError
 
 
 @cached_hash

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.access.methods import Access, AccessMethod, AccessSchema
 from repro.relational.instance import Instance
-from repro.relational.schema import Schema, SchemaError
+from repro.relational.schema import SchemaError
 
 Response = FrozenSet[Tuple[object, ...]]
 

@@ -27,7 +27,7 @@ can compare the work performed by different plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.access.answerability import accessible_part
 from repro.access.methods import Access, AccessMethod, AccessSchema, respond

@@ -33,17 +33,15 @@ complete up to the auxiliary-access bound, which the result object reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.access.answerability import accessible_part
 from repro.access.methods import Access, AccessSchema
-from repro.access.path import AccessPath, PathStep, conf, is_grounded
+from repro.access.path import AccessPath, PathStep, conf
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.evaluation import evaluate_ucq, holds
+from repro.queries.evaluation import evaluate_ucq
 from repro.queries.terms import Constant, Variable
-from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
 from repro.store.snapshot import Snapshot, SnapshotInstance
 

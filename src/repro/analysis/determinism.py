@@ -10,7 +10,7 @@ purity (memo keys survive process restarts).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (

@@ -21,14 +21,14 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import determinism as _determinism  # noqa: F401  (registers rules)
-from repro.analysis import hygiene as _hygiene  # noqa: F401  (registers rules)
-from repro.analysis import sql as _sql  # noqa: F401  (registers rules)
-from repro.analysis import storage as _storage  # noqa: F401  (registers rules)
-from repro.analysis.baseline import BaselineComparison, BaselineError, BaselineEntry
+from repro.analysis import determinism as _determinism  # repro: noqa[IMP001] registers rules
+from repro.analysis import hygiene as _hygiene  # repro: noqa[IMP001] registers rules
+from repro.analysis import sql as _sql  # repro: noqa[IMP001] registers rules
+from repro.analysis import storage as _storage  # repro: noqa[IMP001] registers rules
+from repro.analysis.baseline import BaselineComparison, BaselineError
 from repro.analysis.findings import Finding, is_suppressed, scan_suppressions
 from repro.analysis.rules import RULES, ModuleContext, Rule, all_rules
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Sequence
 
 #: Sentinel in a suppression set: every rule is suppressed on that line.
 SUPPRESS_ALL = "*"

@@ -1,10 +1,11 @@
-"""Hygiene rules: env-knob routing, pool access, silent swallows, defaults, prints.
+"""Hygiene rules: env-knob routing, pool access, silent swallows, defaults, prints, imports.
 
-These five rules guard conventions that every PR so far has had to
+These six rules guard conventions that every PR so far has had to
 re-establish by review: environment access goes through the typed knob
 registry, process pools are reached only through the one scheduler,
 broad exception handlers record what they swallowed, function defaults
-are immutable, and nothing but the CLI writes to stdout.
+are immutable, nothing but the CLI writes to stdout, and every
+module-level import is used.
 """
 
 from __future__ import annotations
@@ -307,3 +308,44 @@ class BarePrintRule(Rule):
                 yield ctx.finding(
                     self, node, "bare print() outside the CLI"
                 )
+
+
+@register
+class UnusedImportRule(Rule):
+    """IMP001: every module-level import is used by its module."""
+
+    rule_id = "IMP001"
+    name = "unused-import"
+    summary = "module-level import the module never reads (__init__.py re-exports excepted)"
+    invariant = "a module's imports are exactly its dependencies, so readers and renames see them"
+    motivation = (
+        "refactors left imports behind: automata/emptiness.py carried five "
+        "unused names, and src/repro over a hundred"
+    )
+    fix = "delete it; an import kept for a side effect carries a noqa[IMP001] saying which"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.path.endswith("__init__.py"):
+            return
+        used: Set[str] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    # A quoted annotation such as ``"weakref.ref"`` reads names too.
+                    try:
+                        quoted = ast.parse(part.value, mode="eval")
+                    except SyntaxError:
+                        continue  # a string literal, not a forward reference
+                    used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+        for node in ctx.tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                if local != "*" and local not in used:
+                    yield ctx.finding(self, alias, f"unused import {local!r}")

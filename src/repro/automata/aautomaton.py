@@ -16,15 +16,13 @@ simply appear as constants inside the embedded queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.formulas import EmbeddedSentence
 from repro.core.transition import TransitionStructure
-from repro.core.vocabulary import AccessVocabulary
 from repro.immutable import cached_hash
 from repro.queries.evaluation import holds
-from repro.queries.ucq import as_ucq, true_query
 
 
 class AutomatonError(ValueError):

@@ -22,7 +22,7 @@ the bound stated by Lemma 4.5.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.automata.aautomaton import AAutomaton, ATransition, Guard
 from repro.core.formulas import AccFormula, EmbeddedSentence
@@ -30,7 +30,6 @@ from repro.core.fragments import classify
 from repro.core.sat_zeroary import FragmentError, translate_to_ltl
 from repro.ltl.sat import _Tableau, desugar
 from repro.ltl.syntax import LTLFormula
-from repro.queries.ucq import UnionOfConjunctiveQueries
 
 
 def compile_accltl_plus(

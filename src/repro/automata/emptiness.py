@@ -24,10 +24,10 @@ This module provides two procedures:
   (``T_pre(x) ∧ S_post(x)`` over an initial ``T('a')`` needs ``'a'``);
   such automata can be reported exhausted EMPTY while they have a
   witness.  Guard work that does not depend on the candidate step —
-  sentences over the pre configuration, plan binding, path-step
-  construction — is done once per node or once per search, outside the
-  candidate loop (see :class:`_WitnessSearch`), and the chains of one
-  call share the candidate tables of equal pools (:class:`CallMemo`).
+  sentences over the pre configuration, plan binding — is done once per
+  node or once per search, outside the candidate loop (see
+  :class:`_WitnessSearch`), and the chains of one call share the
+  candidate tables of equal pools (:class:`CallMemo`).
 
 * :func:`datalog_emptiness_precheck` — the Lemma 4.10 connection made
   concrete: a transition whose guard no transition can satisfy is
@@ -69,16 +69,10 @@ from typing import (
     Tuple,
 )
 
-from repro.access.methods import Access
 from repro.access.path import AccessPath, PathStep
 from repro.automata.aautomaton import AAutomaton
 from repro.automata.progressive import chain_restrictions
-from repro.core.bounded_check import (
-    ResponseIndex,
-    _candidate_responses,
-    candidate_accesses_for_search,
-    fact_pool_from_sentences,
-)
+from repro.core.bounded_check import candidate_table, fact_pool_from_sentences
 from repro.core.budget import INTERRUPT_STRIDE, Budget, BudgetClock
 from repro.obs import metrics as _metrics
 from repro.obs import trace
@@ -88,11 +82,9 @@ from repro.core.transition import (
     plans_hold,
     prepost_names,
     seed_structure_mirror,
-    validated_candidate_facts,
 )
 from repro.core.vocabulary import (
     AccessVocabulary,
-    base_relation_of,
     is_isbind,
     is_isbind0,
     is_pre,
@@ -104,10 +96,8 @@ from repro.datalog.containment import ContainmentResult, datalog_contained_in_uc
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom
 from repro.queries.homomorphism import FreshValue
-from repro.queries.terms import Constant, Variable
-from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.queries.terms import Constant
 from repro.relational.instance import Instance
-from repro.relational.schema import Relation, Schema
 from repro.store.snapshot import Snapshot, SnapshotInstance
 
 Fact = Tuple[str, Tuple[object, ...]]
@@ -119,9 +109,9 @@ Fact = Tuple[str, Tuple[object, ...]]
 GuardVerdicts = Dict[int, Tuple[object, bool]]
 
 #: Candidate tables of one emptiness call: ``(fact pool, value pool,
-#: max_response_size, nary) -> (candidates, candidate steps, candidate
-#: facts)`` — everything :class:`_WitnessSearch` derives from its pools.
-CandidateTables = Dict[Tuple, Tuple[List, List, List]]
+#: max_response_size, nary) -> (candidates, candidate facts)`` —
+#: everything :class:`_WitnessSearch` derives from its pools.
+CandidateTables = Dict[Tuple, Tuple[List, List]]
 
 
 @dataclass
@@ -310,8 +300,9 @@ class _WitnessSearch:
     response (and for kind 2 the binding facts) is staged over ``base``,
     the bound plans execute directly on it, and exactly the staged facts
     are removed again — O(|response|) per candidate instead of an
-    O(|configuration|) structure rebuild.  Each candidate's
-    :class:`~repro.access.path.PathStep` is built once, at construction.
+    O(|configuration|) structure rebuild.  Paths are tuples of candidate
+    indices; a :class:`~repro.access.path.PathStep` is built only for a
+    returned witness.
 
     ``stats`` accumulates instrumentation: ``node_memo_hits`` /
     ``node_memo_expansions`` for the expansion memo,
@@ -367,7 +358,7 @@ class _WitnessSearch:
             tables = self._candidate_tables(nary)
             if candidate_tables is not None:
                 candidate_tables[tables_key] = tables
-        self.candidates, self.candidate_steps, self.candidate_facts = tables
+        self.candidates, self.candidate_facts = tables
         self.accepting = automaton.accepting
 
         # Canonicalise guard sentences (different guards frequently embed
@@ -438,36 +429,15 @@ class _WitnessSearch:
         self.config: Optional[SnapshotInstance] = None
         self.base: Optional[Instance] = None
 
-    def _candidate_tables(self, nary: bool) -> Tuple[List, List, List]:
-        """Candidate steps with their path steps and structure facts.
-
-        Each access's responses come from one :class:`ResponseIndex` of
-        the fact pool, built for this enumeration.
-        """
-        index = ResponseIndex(self.fact_pool)
-        accesses = candidate_accesses_for_search(
-            self.vocabulary.access_schema,
+    def _candidate_tables(self, nary: bool) -> Tuple[List, List]:
+        """The candidate steps (revealing first) and their structure facts."""
+        return candidate_table(
+            self.vocabulary,
             self.fact_pool,
             self.value_pool,
-            nary_bindings=nary,
+            self.max_response_size,
+            nary,
         )
-        # Pre-compute the candidate (access, response) steps, preferring
-        # revealing responses over empty ones so the depth-first search
-        # reaches data-dependent guards quickly.
-        candidates: List[Tuple[Access, FrozenSet[Tuple[object, ...]]]] = []
-        for access in accesses:
-            for response in _candidate_responses(
-                access, index, self.max_response_size
-            ):
-                candidates.append((access, response))
-        candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
-        # One validated path step per candidate, shared by every witness,
-        # and its pre-validated structure facts.
-        steps = [PathStep(access, response) for access, response in candidates]
-        facts = validated_candidate_facts(
-            self.vocabulary, self.structure_names, candidates
-        )
-        return candidates, steps, facts
 
     # ------------------------------------------------------------------
     # Positioning
@@ -831,8 +801,7 @@ class _WitnessSearch:
         stats["sentence_cache_misses"] += tally[1]
         tally[0] = tally[1] = 0
         if witness is not None:
-            steps = self.candidate_steps
-            path_steps = AccessPath(tuple(steps[index] for index in witness))
+            path_steps = AccessPath(tuple(PathStep(*candidates[i]) for i in witness))
             return path_steps, explored, False, dict(stats), None
         if stop_path is not None:
             return None, explored, False, dict(stats), ChainCheckpoint(

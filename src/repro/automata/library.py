@@ -19,9 +19,9 @@ access-order restrictions.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from repro.access.methods import Access, AccessSchema
+from repro.access.methods import Access
 from repro.automata.aautomaton import AAutomaton
 from repro.automata.compile import compile_accltl_plus
 from repro.core.formulas import AccFormula, land

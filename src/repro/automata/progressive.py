@@ -34,7 +34,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.automata.aautomaton import AAutomaton, ATransition
 from repro.queries.terms import Variable

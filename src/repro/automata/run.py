@@ -11,7 +11,7 @@ compilation-correctness checks).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.access.path import AccessPath
 from repro.automata.aautomaton import AAutomaton, ATransition

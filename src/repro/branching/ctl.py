@@ -24,7 +24,7 @@ from repro.access.lts import LabelledTransitionSystem, Transition
 from repro.access.methods import AccessSchema
 from repro.core.formulas import EmbeddedSentence
 from repro.core.transition import TransitionStructure, transition_structure
-from repro.core.vocabulary import AccessVocabulary, isbind0_name, post_name, pre_name
+from repro.core.vocabulary import AccessVocabulary, isbind0_name, post_name
 from repro.core.properties import sentence_from_atoms
 from repro.queries.atoms import Atom
 from repro.queries.evaluation import holds

@@ -26,32 +26,40 @@ progression (:class:`repro.core.semantics.Progression`): a path carries
 the obligation its continuations must meet, so a candidate is checked
 against its own transition only, never by re-walking the path.  Most
 candidates are settled without a structure of their own.  At setup,
-:func:`repro.core.transition.binding_refutes` marks the binding sentences
+:func:`repro.core.transition.binding_refuter` marks the binding sentences
 that no disjunct lets hold for a candidate's method and binding.  Once
 per search node and group of candidates with the same refuted sentences,
 :meth:`~repro.core.semantics.Progression.fold` folds those refutations
 and the node's pre-only verdicts into the obligation; a group left with
 ``false`` holds no witness there, and at the depth limit its candidates
 are counted in one step.  The other candidates are evaluated, with atom
-verdicts kept per configuration across nodes and deepening rounds.  None
-of this changes a result field: ``tests/test_bounded_oracle.py`` checks
-every field against a search that evaluates each candidate path whole.
+verdicts kept per configuration across nodes and deepening rounds.
+
+The work follows the nodes the search pops, not the children it could
+build.  A path is a tuple of indices into the candidate table
+(:func:`candidate_table`, shared with the emptiness search); path steps
+are built only for a witness and the sanity-condition replay.  A stack
+entry names a parent node and a candidate, and the child's obligation
+and snapshots are built when the entry is popped and passes the budget
+and path-cap checks.  None of this changes a result field:
+``tests/test_bounded_oracle.py`` checks every field against a search
+that evaluates each candidate path whole.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.access.methods import Access, AccessSchema
-from repro.access.path import AccessPath, PathStep, is_grounded, satisfies_sanity_conditions
+from repro.access.path import AccessPath, PathStep, satisfies_sanity_conditions
 from repro.core.budget import Budget
 from repro.core.formulas import AccFormula
 from repro.core.semantics import FALSE, Progression
 from repro.core.transition import (
     bind_sentence,
-    binding_refutes,
+    binding_refuter,
     plans_hold,
     prepost_names,
     seed_structure_mirror,
@@ -62,24 +70,21 @@ from repro.core.vocabulary import (
     base_relation_of,
     is_isbind,
     is_isbind0,
-    is_post,
-    is_pre,
     method_of_isbind,
 )
-from repro.queries.cq import ConjunctiveQuery
-from repro.queries.terms import Constant, Variable
+from repro.queries.terms import Variable
 from repro.relational.instance import Instance
 from repro.relational.schema import SchemaError
 from repro.store.snapshot import Snapshot, SnapshotInstance
 
 Fact = Tuple[str, Tuple[object, ...]]
 
-#: A node of the checker's search stack: ``(path, configuration, known
-#: values, formula obligation, structure mirror)``.  Known values are
-#: tracked for grounded searches only.
-_StackNode = Tuple[
-    Tuple[PathStep, ...], Snapshot, Optional[FrozenSet[object]], int, Snapshot
-]
+#: A node of the checker's search: ``(configuration, known values (grounded
+#: searches only), formula obligation, structure mirror, atom verdicts)``.
+_Node = Tuple[Snapshot, Optional[FrozenSet[object]], int, Snapshot, Dict[object, bool]]
+#: A stack entry ``(parent node, candidate index, index path)``; the root
+#: is ``(None, -1, ())``.  Its node is built when it is popped.
+_StackEntry = Tuple[Optional[_Node], int, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -330,13 +335,13 @@ class ResponseIndex:
     For each method shape ``(relation, input positions)`` it keeps a table
     from binding to the facts whose projection onto those positions is
     that binding, in pool order.  A table is built on the first access of
-    its shape, so one index per candidate enumeration (the emptiness
-    search's ``_candidate_tables`` and the bounded checker each build
-    one) replaces a scan of the relation's facts per access by one pass
-    over the pool per shape.  :meth:`matching` still confirms every fact
-    the table returns with :meth:`Access.matches`, so it returns exactly
-    what that scan did, order included (the table merges bindings that
-    compare equal, such as ``1``, ``1.0`` and ``True``, as the scan does).
+    its shape, so one index per candidate table (:func:`candidate_table`,
+    which both witness searches use) replaces a scan of the relation's
+    facts per access by one pass over the pool per shape.
+    :meth:`matching` still confirms every fact the table returns with
+    :meth:`Access.matches`, so it returns exactly what that scan did,
+    order included (the table merges bindings that compare equal, such
+    as ``1``, ``1.0`` and ``True``, as the scan does).
     """
 
     __slots__ = ("_pool", "_tables")
@@ -371,6 +376,39 @@ def _candidate_responses(
     for size in range(1, min(len(matching), max_response_size) + 1):
         for subset in itertools.combinations(matching, size):
             yield frozenset(subset)
+
+
+def candidate_table(
+    vocabulary: AccessVocabulary,
+    fact_pool: Sequence[Fact],
+    value_pool: Sequence[object],
+    max_response_size: int,
+    nary: bool,
+    one_empty_per_method: bool = False,
+) -> Tuple[List[Tuple[Access, FrozenSet[Tuple[object, ...]]]], List[Tuple]]:
+    """The candidate ``(access, response)`` steps of both witness searches.
+
+    Returns the candidates, revealing responses first, and their
+    structure facts (:func:`validated_candidate_facts`); the responses
+    come from one :class:`ResponseIndex`.  *one_empty_per_method* keeps
+    only the first empty response of each method.  Accesses are distinct
+    by ``(method, binding)``, so different indices are never equal steps.
+    """
+    index = ResponseIndex(fact_pool)
+    candidates: List[Tuple[Access, FrozenSet[Tuple[object, ...]]]] = []
+    empty_response_methods: Set[str] = set()
+    for access in candidate_accesses_for_search(
+        vocabulary.access_schema, fact_pool, value_pool, nary_bindings=nary
+    ):
+        for response in _candidate_responses(access, index, max_response_size):
+            if not response and one_empty_per_method:
+                if access.method.name in empty_response_methods:
+                    continue
+                empty_response_methods.add(access.method.name)
+            candidates.append((access, response))
+    candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
+    names = prepost_names(vocabulary.access_schema.schema)
+    return candidates, validated_candidate_facts(vocabulary, names, candidates)
 
 
 def bounded_satisfiability(
@@ -428,7 +466,7 @@ def bounded_satisfiability_legacy(
     from repro.obs import trace as _trace
 
     _metrics.counter("bounded_check.runs")
-    tally = [0, 0]
+    tally = [0, 0, 0]
     with _trace.trace_span(
         "bounded_check.run", max_paths=bounds.max_paths, budgeted=budget is not None
     ):
@@ -450,6 +488,7 @@ def bounded_satisfiability_legacy(
             interrupted=result.interrupted,
             folded=tally[0],
             evaluated=tally[1],
+            nodes=tally[2],
         )
     if result.interrupted:
         _metrics.counter("budget.bounded_check_interrupted")
@@ -468,7 +507,7 @@ def _bounded_satisfiability_impl(
     enforce_schema_sanity: bool = True,
     budget: Optional[Budget] = None,
 ) -> BoundedCheckResult:
-    """The search; *tally* receives its folded and evaluated check counts."""
+    """The search; *tally* receives its folded and evaluated checks and nodes."""
     from repro.core.budget import INTERRUPT_STRIDE
 
     clock = (budget if budget is not None else Budget()).start()
@@ -482,31 +521,21 @@ def _bounded_satisfiability_impl(
         value_pool = default_value_pool(
             vocabulary, formula, fact_pool, initial, bounds.fresh_values
         )
-    response_index = ResponseIndex(fact_pool)
-
     # Candidate (access, response) steps, computed once; revealing steps are
-    # explored before empty-response steps.
+    # explored before empty-response steps.  For 0-ary formulas the binding
+    # values of an information-free access are irrelevant (and groundedness
+    # is not being tracked): one empty-response candidate per method is kept.
     from repro.core.fragments import uses_nary_binding
 
     nary = uses_nary_binding(formula)
-    accesses = candidate_accesses_for_search(
-        schema, fact_pool, value_pool, nary_bindings=nary
+    candidates, candidate_meta = candidate_table(
+        vocabulary,
+        fact_pool,
+        value_pool,
+        bounds.max_response_size,
+        nary,
+        one_empty_per_method=not nary and not grounded_only,
     )
-    candidates: List[Tuple[Access, FrozenSet[Tuple[object, ...]]]] = []
-    empty_response_methods: Set[str] = set()
-    for access in accesses:
-        for response in _candidate_responses(
-            access, response_index, bounds.max_response_size
-        ):
-            if not response and not nary and not grounded_only:
-                # For 0-ary formulas the binding values of an information-free
-                # access are irrelevant (and groundedness is not being
-                # tracked): keep one empty-response candidate per method.
-                if access.method.name in empty_response_methods:
-                    continue
-                empty_response_methods.add(access.method.name)
-            candidates.append((access, response))
-    candidates.sort(key=lambda pair: len(pair[1]), reverse=True)
 
     explored = 0
     initial_known = frozenset(initial.active_domain()) if grounded_only else None
@@ -531,21 +560,21 @@ def _bounded_satisfiability_impl(
     )
 
     # The formula is evaluated by progression (:class:`Progression`):
-    # every stack node carries the obligation its continuations must
-    # meet, a candidate is a witness iff the obligation holds with the
-    # candidate as the last transition, and a child's obligation is the
-    # progressed one.  Each candidate thus reads atoms of its own
-    # transition only, never the path prefix.  Atoms are bound once to
-    # the compiled plans of their disjuncts (:func:`bind_sentence`).
-    # Their verdicts are kept per configuration snapshot, across nodes
-    # and iterative-deepening rounds, under a key naming what they read:
+    # every node carries the obligation its continuations must meet, a
+    # candidate is a witness iff the obligation holds with the candidate
+    # as the last transition, and a child's obligation is the progressed
+    # one.  Each candidate thus reads atoms of its own transition only,
+    # never the path prefix.  Atoms are bound once to the compiled plans
+    # of their disjuncts (:func:`bind_sentence`).  Their verdicts are kept
+    # per configuration snapshot, across nodes and iterative-deepening
+    # rounds, under a key naming what they read:
     #
     # * kind 0 (``R_pre`` only) — the atom alone, decided on the node's
     #   structure mirror;
     # * kind 1 (``R_post`` too) — the accessed relation and the response
     #   (an empty response reads the mirror too);
     # * kind 2 (binding predicates) — the candidate, unless the sentence
-    #   is *refuted* for it: :func:`binding_refutes` found at setup that
+    #   is *refuted* for it: :func:`binding_refuter` found at setup that
     #   no disjunct fits the candidate's method and binding.
     #
     # Candidates with equal refuted sets form a group.  Once per node and
@@ -559,20 +588,19 @@ def _bounded_satisfiability_impl(
         bind_sentence(sentence, number)
         for number, sentence in enumerate(progression.atoms)
     ]
-    bind_numbers = [number for number, kind, _, _ in records if kind == 2]
-    # ``(start, stop, refuted)`` per maximal run of candidates in one group.
+    refuted_for = binding_refuter(progression.atoms, records)
+    # ``(start, stop, refuted)`` per maximal run of candidates in one
+    # group, and each candidate's refuted set.
     runs: List[Tuple[int, int, FrozenSet[int]]] = []
+    refuted_at: List[FrozenSet[int]] = []
     refuted_of: Dict[int, FrozenSet[int]] = {}  # id(access) -> refuted set
     for index, (access, _response) in enumerate(candidates):
         refuted = refuted_of.get(id(access))
         if refuted is None:
-            refuted = refuted_of[id(access)] = frozenset(
-                number
-                for number in bind_numbers
-                if binding_refutes(
-                    progression.atoms[number], access.method.name, access.binding
-                )
+            refuted = refuted_of[id(access)] = refuted_for(
+                access.method.name, access.binding
             )
+        refuted_at.append(refuted)
         if runs and runs[-1][2] == refuted:
             runs[-1] = (runs[-1][0], index + 1, refuted)
         else:
@@ -626,38 +654,35 @@ def _bounded_satisfiability_impl(
             return atom_holds(number)
         return False if number in refuted else None
 
-    # Search state lives in the persistent fact store: stack nodes hold
-    # O(1) snapshots of the configuration and of its ``R_pre``/``R_post``
+    # Search state lives in the persistent fact store: nodes hold O(1)
+    # snapshots of the configuration and of its ``R_pre``/``R_post``
     # mirror (``base``) instead of O(n) ``Instance.copy()`` clones.  A
     # candidate's transition structure is branched off the node's base
     # snapshot only when an atom reads its delta and has no stored verdict.
     base_schema = schema.schema
-    structure_names = prepost_names(base_schema)
-    # Pre-validated per-candidate facts: every expansion draws from this
-    # fixed pool, so each pooled response fact is validated once, by
-    # identity (the pool's ``1`` and ``True`` are checked separately).
+    # Every expansion draws from the fixed candidate table, so each pooled
+    # response fact is validated once, by identity (the pool's ``1`` and
+    # ``True`` are checked separately).
     pooled = {
         (access.relation, id(tup)): tup for access, response in candidates for tup in response
     }
     for (relation, _), tup in pooled.items():
         base_schema.relation(relation).validate_tuple(tup)
-    candidate_meta = validated_candidate_facts(
-        vocabulary, structure_names, candidates
-    )
-    # One validated path step per candidate, shared by every expansion.
-    candidate_steps = [PathStep(access, response) for access, response in candidates]
 
-    def extended(steps: Tuple[PathStep, ...], index: int) -> Optional[Tuple[PathStep, ...]]:
+    def access_path(path: Tuple[int, ...]) -> AccessPath:
+        return AccessPath(tuple(PathStep(*candidates[i]) for i in path))
+
+    def extended(path: Tuple[int, ...], index: int) -> Optional[Tuple[int, ...]]:
         # The path extended by a candidate, or ``None`` when it is skipped.
-        step = candidate_steps[index]
-        if steps and not candidates[index][1] and steps[-1] == step:
+        # Equal indices are equal steps and different ones never are.
+        if path and not candidates[index][1] and path[-1] == index:
             return None  # Repeating an identical information-free step cannot help.
-        new_steps = steps + (step,)
+        new_path = path + (index,)
         if need_sanity and not satisfies_sanity_conditions(
-            AccessPath(new_steps), schema, initial=initial, require_grounded=grounded_only
+            access_path(new_path), schema, initial=initial, require_grounded=grounded_only
         ):
             return None
-        return new_steps
+        return new_path
 
     def _capped() -> BoundedCheckResult:
         return BoundedCheckResult(
@@ -688,33 +713,63 @@ def _bounded_satisfiability_impl(
         return _capped() if explored > bounds.max_paths else None
 
     config = SnapshotInstance.from_instance(initial)
-    initial_config_snap = config.snapshot()
     base = SnapshotInstance(vocabulary.schema)
-    seed_structure_mirror(base, structure_names, initial)
-    initial_base_snap = base.snapshot()
+    seed_structure_mirror(base, prepost_names(base_schema), initial)
+    root_snap = config.snapshot()
+    root: _Node = (
+        root_snap, initial_known, progression.root, base.snapshot(),
+        verdicts_of.setdefault(root_snap, {}),
+    )
 
     # Iterative-deepening depth-first search over paths: short witnesses are
     # found before the search commits to deep branches, and the final round
     # (depth = max_path_length) determines exhaustiveness.  Candidates at
-    # the depth limit only end their path: they get no stack node, and
+    # the depth limit only end their path: they get no stack entry, and
     # their node makes once the checks that popping them would make.
     for depth_limit in range(1, bounds.max_path_length + 1):
-        stack: List[_StackNode] = [
-            ((), initial_config_snap, initial_known, progression.root,
-             initial_base_snap)
-        ]
+        stack: List[_StackEntry] = [(None, -1, ())]
         while stack:
-            steps, config_snap, known, obligation, base_snap = stack.pop()
+            parent, index, path = stack.pop()
             if check_budget and clock.expired():
                 return _interrupted()
             if explored >= bounds.max_paths:
                 return _capped()
-            at_limit = len(steps) + 1 == depth_limit
-            verdicts = verdicts_of.setdefault(config_snap, {})
+            if parent is None:
+                node = root
+            else:
+                # The child: the parent's obligation progressed on the
+                # parent's verdicts, and its configuration and mirror
+                # with the new response tuples, snapshotted in O(#relations).
+                config_snap, known, obligation, base_snap, verdicts = parent
+                access, response = candidates[index]
+                refuted = refuted_at[index]
+                node_structure = struct_store = None
+                obligation = progress(obligation, atom_holds)
+                config.restore(config_snap)
+                new_tuples = [
+                    tup for tup in response if config.add_unchecked(access.relation, tup)
+                ]
+                config_snap = config.snapshot()
+                if new_tuples:
+                    pre_rel, post_rel = candidate_meta[index][:2]
+                    base.restore(base_snap)
+                    for tup in new_tuples:
+                        base.add_unchecked(pre_rel, tup)
+                        base.add_unchecked(post_rel, tup)
+                    base_snap = base.snapshot()
+                if grounded_only:
+                    known = known | set(access.binding) | {v for tup in response for v in tup}
+                node = (
+                    config_snap, known, obligation, base_snap,
+                    verdicts_of.setdefault(config_snap, {}),
+                )
+            tally[2] += 1
+            _, known, obligation, base_snap, verdicts = node
+            at_limit = len(path) + 1 == depth_limit
             node_structure = None
             residuals: Dict[FrozenSet[int], int] = {}
             ended = False  # whether some candidate ended a path here
-            children: List[_StackNode] = []
+            children: List[_StackEntry] = []
             for start, stop, refuted in runs:
                 indices = range(start, stop)
                 if grounded_only:
@@ -730,59 +785,32 @@ def _bounded_satisfiability_impl(
                     if stopped is not None:
                         return stopped
                     tally[0] += len(indices)
-                    ended = ended or any(extended(steps, i) is not None for i in indices)
+                    ended = ended or any(extended(path, i) is not None for i in indices)
                     continue
                 for index in indices:
-                    access, response = candidates[index]
                     stopped = count(1)
                     if stopped is not None:
                         return stopped
-                    new_steps = extended(steps, index)
-                    if new_steps is None:
+                    new_path = extended(path, index)
+                    if new_path is None:
                         continue
-                    struct_store = None
                     if residual == FALSE:
                         tally[0] += 1
                     else:
                         tally[1] += 1
+                        access, response = candidates[index]
+                        struct_store = None
                         if last(residual, atom_holds):
                             return BoundedCheckResult(
                                 satisfiable=True,
-                                witness=AccessPath(new_steps),
+                                witness=access_path(new_path),
                                 paths_explored=explored,
                                 exhausted=False,
                             )
                     if at_limit:
                         ended = True
                         continue
-                    child_obligation = progress(obligation, atom_holds)
-                    # Child state: configuration plus the genuinely new
-                    # response tuples, snapshotted in O(#relations).
-                    config.restore(config_snap)
-                    new_tuples = [
-                        tup
-                        for tup in response
-                        if config.add_unchecked(access.relation, tup)
-                    ]
-                    new_config_snap = config.snapshot()
-                    if new_tuples:
-                        pre_rel, post_rel = candidate_meta[index][:2]
-                        base.restore(base_snap)
-                        for tup in new_tuples:
-                            base.add_unchecked(pre_rel, tup)
-                            base.add_unchecked(post_rel, tup)
-                        new_base_snap = base.snapshot()
-                    else:
-                        new_base_snap = base_snap
-                    new_known = (
-                        known | set(access.binding) | {v for tup in response for v in tup}
-                        if grounded_only
-                        else None
-                    )
-                    children.append(
-                        (new_steps, new_config_snap, new_known, child_obligation,
-                         new_base_snap)
-                    )
+                    children.append((node, index, new_path))
             if ended:
                 if check_budget and clock.expired():
                     return _interrupted()

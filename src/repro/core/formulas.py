@@ -25,7 +25,6 @@ from repro.core.vocabulary import (
     is_pre,
 )
 from repro.immutable import cached_hash
-from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 
 

@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from repro.core.formulas import (
-    AccAnd,
     AccAtom,
     AccEventually,
     AccFormula,
     AccGlobally,
-    AccNext,
     AccNot,
-    AccOr,
-    AccTrue,
     AccUntil,
 )
 

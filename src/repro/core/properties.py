@@ -23,9 +23,9 @@ reproducing the DjC / FD / DF / AccOr columns of Table 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.access.methods import Access, AccessMethod, AccessSchema
+from repro.access.methods import Access, AccessMethod
 from repro.core.formulas import (
     AccFormula,
     EmbeddedSentence,

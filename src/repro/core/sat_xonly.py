@@ -25,7 +25,7 @@ from repro.access.path import AccessPath
 from repro.core.bounded_check import Bounds, bounded_satisfiability
 from repro.core.formulas import AccFormula
 from repro.core.fragments import classify
-from repro.core.sat_zeroary import FragmentError, ZeroaryBounds, lemma_4_13_bounds
+from repro.core.sat_zeroary import FragmentError, lemma_4_13_bounds
 from repro.core.vocabulary import AccessVocabulary
 from repro.relational.instance import Instance
 

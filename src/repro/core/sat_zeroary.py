@@ -35,11 +35,10 @@ This module implements both ingredients:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.access.path import AccessPath
 from repro.core.bounded_check import (
-    BoundedCheckResult,
     Bounds,
     bounded_satisfiability,
     formula_fact_pool,
@@ -58,12 +57,11 @@ from repro.core.formulas import (
     AccUntil,
     EmbeddedSentence,
 )
-from repro.core.fragments import classify, Fragment
+from repro.core.fragments import classify
 from repro.core.semantics import path_satisfies
-from repro.core.transition import TransitionStructure, path_structures
+from repro.core.transition import path_structures
 from repro.core.vocabulary import AccessVocabulary
 from repro.ltl import syntax as ltl_syntax
-from repro.ltl.sat import find_satisfying_word
 from repro.ltl.semantics import word_satisfies
 from repro.queries.evaluation import holds
 from repro.relational.instance import Instance

@@ -20,15 +20,16 @@ evaluate embedded sentences on such structures through one binder,
 of its disjuncts and records what part of a transition the sentence can
 read, and — because only the used method's binding predicates are
 non-empty in ``M(t)`` — for which access methods it can hold at all.
-:func:`binding_refutes` carries that test down to one access's binding.
+:func:`binding_refutes` carries that test down to one access's binding,
+and :func:`binding_refuter` applies both to every sentence of a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.access.methods import Access, AccessSchema
+from repro.access.methods import Access
 from repro.access.path import AccessPath, configurations
 from repro.core.vocabulary import (
     AccessVocabulary,
@@ -229,6 +230,34 @@ def binding_refutes(sentence, method_name: str, binding: Tuple) -> bool:
         else:
             return False
     return True
+
+
+def binding_refuter(
+    sentences: Sequence, records: Sequence[SentenceRecord]
+) -> Callable[[str, Tuple], FrozenSet[int]]:
+    """:func:`binding_refutes` for all *sentences*, bound pairwise by *records*.
+
+    The returned function maps an access's method name and binding to the
+    numbers of the kind-2 sentences :func:`binding_refutes` refutes for
+    it.  A sentence whose ``methods`` exclude the method is refuted at
+    once, one whose ``methods`` are ``None`` never is (a disjunct without
+    binding atoms stays open), and :func:`binding_refutes` runs only for
+    the rest whose binding atoms carry a constant.
+    """
+    tests = []  # (number, methods, the sentence if a binding atom has a constant)
+    for sentence, (number, kind, _plans, methods) in zip(sentences, records):
+        if kind == 2 and methods is not None:
+            atoms = [a for d in as_ucq(sentence.query).disjuncts for a in d.atoms]
+            constant = any(
+                isinstance(t, Constant) for a in atoms if is_isbind(a.relation) for t in a.terms
+            )
+            tests.append((number, methods, sentence if constant else None))
+    return lambda method_name, binding: frozenset(
+        number
+        for number, methods, sentence in tests
+        if method_name not in methods
+        or (sentence is not None and binding_refutes(sentence, method_name, binding))
+    )
 
 
 def plans_hold(plans: Tuple, instance: Instance) -> bool:

@@ -30,9 +30,9 @@ the gadget's intent); their full correctness argument is the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.access.methods import AccessMethod, AccessSchema
+from repro.access.methods import AccessSchema
 from repro.core.formulas import (
     AccFormula,
     atom,
@@ -45,10 +45,8 @@ from repro.core.formulas import (
 )
 from repro.core.properties import fd_violation_sentence, sentence_from_atoms
 from repro.core.vocabulary import AccessVocabulary, isbind_name, post_name, pre_name
-from repro.queries.atoms import Atom, Inequality
-from repro.queries.cq import ConjunctiveQuery
+from repro.queries.atoms import Atom
 from repro.queries.terms import Variable
-from repro.queries.ucq import as_ucq
 from repro.relational.dependencies import FunctionalDependency, InclusionDependency
 from repro.relational.schema import Relation, Schema
 

@@ -17,10 +17,9 @@ either vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List
 
-from repro.access.methods import AccessMethod, AccessSchema
-from repro.queries.cq import ConjunctiveQuery
+from repro.access.methods import AccessSchema
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 from repro.relational.schema import Relation, Schema
 

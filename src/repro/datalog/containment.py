@@ -23,11 +23,11 @@ non-containment quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.datalog.evaluation import accepts
 from repro.datalog.expansion import expansions
-from repro.datalog.program import DatalogProgram, Rule
+from repro.datalog.program import DatalogProgram
 from repro.queries.containment import ucq_contained_in
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import holds

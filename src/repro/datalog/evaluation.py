@@ -38,7 +38,7 @@ round compiles each rule (and each of its delta variants) exactly once.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.datalog.program import DatalogProgram, Rule
 from repro.obs import metrics as _metrics

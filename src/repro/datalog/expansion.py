@@ -20,10 +20,10 @@ reported as such.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.program import DatalogProgram, Rule
-from repro.queries.atoms import Atom, Equality, Inequality
+from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery, QueryError
 from repro.queries.terms import Constant, Term, Variable
 

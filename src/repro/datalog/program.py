@@ -9,11 +9,11 @@ distinguished goal predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.queries.atoms import Atom, Equality, Inequality
-from repro.queries.cq import ConjunctiveQuery, QueryError
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Constant, Variable
 from repro.relational.schema import Relation, Schema
 

@@ -16,7 +16,7 @@ formulas at position 1.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Set, Union
+from typing import FrozenSet, Sequence, Set, Union
 
 from repro.ltl.syntax import (
     And,

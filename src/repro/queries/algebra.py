@@ -22,9 +22,8 @@ stays in the unnamed perspective.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Constant, Variable

@@ -9,8 +9,8 @@ used as dictionary keys (e.g. when memoising containment checks).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.immutable import cached_hash
 from repro.queries.atoms import Atom, Equality, Inequality

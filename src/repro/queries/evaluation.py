@@ -33,7 +33,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Set,
     Tuple,
 )
@@ -239,12 +238,3 @@ def holds(query, instance: Instance) -> bool:
 def answers(query, instance: Instance) -> FrozenSet[Tuple[object, ...]]:
     """The answers of a CQ or UCQ on *instance*."""
     return evaluate_ucq(as_ucq(query), instance)
-
-
-def certain_single_assignment(
-    query: ConjunctiveQuery, instance: Instance
-) -> Optional[Assignment]:
-    """The first satisfying assignment, or ``None`` if there is none."""
-    for assignment in satisfying_assignments(query, instance):
-        return assignment
-    return None

@@ -15,13 +15,12 @@ variables of ``Q`` to values of ``I`` sending every body atom to a fact of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import satisfying_assignments
-from repro.queries.terms import Constant, Variable
+from repro.queries.terms import Variable
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema
 
@@ -100,36 +99,3 @@ def canonical_instance(
     for atom in query.atoms:
         instance.add(atom.relation, atom.substitute(assignment))
     return instance, dict(assignment)
-
-
-def cq_homomorphism(
-    source: ConjunctiveQuery, target: ConjunctiveQuery
-) -> Optional[Dict[Variable, object]]:
-    """A homomorphism from *source* into the canonical instance of *target*.
-
-    This is the Chandra–Merlin test: ``target ⊆ source`` (as queries) iff a
-    homomorphism from *source* to the canonical instance of *target* exists
-    that maps head to frozen head.  This helper only finds a body
-    homomorphism; head compatibility is enforced by
-    :func:`repro.queries.containment.cq_contained_in`.
-    """
-    instance, _ = canonical_instance(target)
-    return find_homomorphism(source.without_inequalities(), instance)
-
-
-def is_core_preserving_map(
-    query: ConjunctiveQuery, assignment: Mapping[Variable, object]
-) -> bool:
-    """Whether *assignment* maps every atom of *query* into its own canonical
-    instance (used by property tests on homomorphism utilities)."""
-    instance, frozen = canonical_instance(query)
-    for atom in query.atoms:
-        values = []
-        for term in atom.terms:
-            if isinstance(term, Constant):
-                values.append(term.value)
-            else:
-                values.append(assignment.get(term, frozen[term]))
-        if not instance.contains(atom.relation, tuple(values)):
-            return False
-    return True

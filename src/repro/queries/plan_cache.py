@@ -61,7 +61,7 @@ from typing import (
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.queries.atoms import Atom, Equality, Inequality
+from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Constant, Variable
 from repro.relational.instance import Instance

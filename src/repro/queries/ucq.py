@@ -20,7 +20,7 @@ from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.immutable import cached_hash
 from repro.queries.cq import ConjunctiveQuery, QueryError
-from repro.queries.terms import Constant, Variable
+from repro.queries.terms import Constant
 
 
 @cached_hash

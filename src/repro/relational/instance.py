@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.relational.schema import Relation, Schema, SchemaError
+from repro.relational.schema import Schema, SchemaError
 
 Fact = Tuple[str, Tuple[object, ...]]
 FrozenInstance = FrozenSet[Fact]
@@ -97,14 +97,6 @@ class Instance:
                     buckets[value] = {tup}
                 else:
                     bucket.add(tup)
-
-    def _index_discard(self, relation_name: str, tup: Tuple[object, ...]) -> None:
-        indexes = self._indexes.get(relation_name)
-        if indexes:
-            for position, buckets in indexes.items():
-                bucket = buckets.get(tup[position])
-                if bucket is not None:
-                    bucket.discard(tup)
 
     def add(self, relation_name: str, values: Sequence[object]) -> Tuple[object, ...]:
         """Add a tuple to *relation_name*, validating arity and types."""

@@ -40,7 +40,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,

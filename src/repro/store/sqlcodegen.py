@@ -34,7 +34,7 @@ assignment multiplicity.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.queries import plan_cache as _pc
 

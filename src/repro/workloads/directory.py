@@ -15,7 +15,6 @@ corresponding access vocabulary.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.access.methods import AccessSchema
 from repro.core.vocabulary import AccessVocabulary
@@ -23,7 +22,7 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema
-from repro.relational.types import STRING, INT, DataType
+from repro.relational.types import STRING, INT
 
 MOBILE = "Mobile"
 ADDRESS = "Address"

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.access.methods import Access, AccessMethod, AccessSchema
+from repro.access.methods import Access, AccessSchema
 from repro.access.path import AccessPath, PathStep
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom, Equality, Inequality

@@ -9,12 +9,11 @@ tables iterate over, so every reported row names the scenario it came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.access.methods import Access, AccessSchema
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.parser import parse_cq
 from repro.relational.dependencies import DisjointnessConstraint, FunctionalDependency
 from repro.relational.instance import Instance
 from repro.workloads.directory import (
@@ -23,7 +22,6 @@ from repro.workloads.directory import (
     jones_address_query,
     join_query,
     resident_names_query,
-    smith_phone_query,
 )
 from repro.workloads.generators import WorkloadGenerator
 

@@ -48,6 +48,7 @@ EXPECTED_RULE_IDS = {
     "PRN001",
     "IO001",
     "SQL002",
+    "IMP001",
 }
 
 
@@ -232,6 +233,8 @@ class TestPoolSchedulerRule:
 
             def bypass(fn):
                 return {call}
+
+            MODULES = (workqueue, shared_pool)
             """,
             "repro/engine/engine.py",
         )
@@ -243,6 +246,8 @@ class TestPoolSchedulerRule:
             """
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+
+            POOL = (multiprocessing.get_context, ProcessPoolExecutor)
             """,
             "repro/store/workqueue.py",
         )
@@ -266,6 +271,8 @@ class TestPoolSchedulerRule:
         report = findings_of(
             """
             import multiprocessing  # repro: noqa[POOL001]
+
+            CONTEXT = multiprocessing.get_context
             """,
             "repro/store/parallel.py",
         )
@@ -824,6 +831,82 @@ class TestFingerprintPurityRule:
         )
         assert report.findings == []
         assert rule_ids_suppressed(report) == ["FPR001"]
+
+
+# ----------------------------------------------------------------------
+# IMP001 — unused module-level imports
+# ----------------------------------------------------------------------
+class TestUnusedImportRule:
+    def test_unused_names_flagged(self):
+        report = findings_of(
+            """
+            import itertools
+            import os.path
+            from typing import Dict, List
+            from repro.queries.ucq import UnionOfConjunctiveQueries as UCQ
+
+            def f(values: List[int]) -> int:
+                return len(values)
+            """,
+            "repro/automata/emptiness.py",
+        )
+        assert rule_ids(report) == ["IMP001"] * 4
+        assert [finding.message for finding in report.findings] == [
+            "unused import 'itertools'",
+            "unused import 'os'",
+            "unused import 'Dict'",
+            "unused import 'UCQ'",
+        ]
+        # Each name is reported on its own line of a parenthesised import.
+        report = findings_of(
+            """
+            from typing import (
+                Dict,
+                List,
+            )
+
+            VALUES: List[int] = []
+            """,
+            "repro/core/transition.py",
+        )
+        assert [(finding.line, finding.message) for finding in report.findings] == [
+            (3, "unused import 'Dict'")
+        ]
+
+    def test_used_names_clean(self):
+        report = findings_of(
+            """
+            from __future__ import annotations
+
+            import os.path
+            import weakref
+            from collections import OrderedDict
+            from typing import Optional
+            from repro.queries.terms import Constant
+
+            def f(value: Optional["OrderedDict[str, int]"]) -> "weakref.ref":
+                return isinstance(value, Constant) and os.path.sep
+            """,
+            "repro/queries/evaluation.py",
+        )
+        assert report.findings == []
+
+    def test_package_init_reexports_not_scoped(self):
+        snippet = """
+            from repro.queries.terms import Constant, Variable
+            """
+        assert findings_of(snippet, "repro/queries/__init__.py").findings == []
+        assert rule_ids(findings_of(snippet, "repro/queries/atoms.py")) == ["IMP001"] * 2
+
+    def test_noqa_suppression_honoured(self):
+        report = findings_of(
+            """
+            from repro.analysis import hygiene as _hygiene  # repro: noqa[IMP001] registers rules
+            """,
+            "repro/analysis/driver.py",
+        )
+        assert report.findings == []
+        assert rule_ids_suppressed(report) == ["IMP001"]
 
 
 # ----------------------------------------------------------------------

@@ -39,11 +39,13 @@ from repro.core.bounded_check import (
 from repro.core.budget import Budget
 from repro.core.formulas import EmbeddedSentence, atom, eventually, land, lnext, lnot
 from repro.core.fragments import uses_nary_binding
-from repro.core.semantics import path_satisfies
+from repro.core.semantics import Progression, path_satisfies
 from repro.core.solver import AccLTLSolver
-from repro.core.transition import binding_refutes
+from repro.core.transition import bind_sentence, binding_refuter, binding_refutes
 from repro.io.json_io import access_path_to_dict
+from repro.obs import trace
 from repro.relational.dependencies import DisjointnessConstraint, FunctionalDependency
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instance import Instance
 from repro.workloads.directory import (
@@ -66,8 +68,16 @@ class _Done(Exception):
         self.result = result
 
 
-def reference_search(vocabulary, formula, bounds, initial=None, grounded_only=False, budget=None):
-    """The checker's search, evaluating every candidate path whole."""
+def reference_search(
+    vocabulary, formula, bounds, initial=None, grounded_only=False, budget=None, tally=None
+):
+    """The checker's search, evaluating every candidate path whole.
+
+    *tally*, a dict, receives the number of ``nodes`` popped (paths
+    visited past the budget and path-cap checks), of ``roots`` among
+    them, and of ``children`` pushed (paths shorter than the depth limit
+    that a visited node queued).
+    """
     schema = vocabulary.access_schema
     initial = schema.empty_instance() if initial is None else initial
     fact_pool = formula_fact_pool(vocabulary, formula)
@@ -99,6 +109,9 @@ def reference_search(vocabulary, formula, bounds, initial=None, grounded_only=Fa
             raise done()
         if len(path) >= depth_limit:
             return
+        if tally is not None:
+            tally["nodes"] += 1
+            tally["roots"] += not path
         known = set(initial.active_domain())
         for step in path:
             known.update(step.access.binding, *step.response)
@@ -121,6 +134,8 @@ def reference_search(vocabulary, formula, bounds, initial=None, grounded_only=Fa
             if path_satisfies(vocabulary, extended, formula, initial):
                 raise done(satisfiable=True, witness=extended)
             children.append(path + (step,))
+        if tally is not None and len(path) + 1 < depth_limit:
+            tally["children"] += len(children)  # path ends get no stack entry
         for child in children:
             visit(child, depth_limit)
 
@@ -218,6 +233,108 @@ def test_binding_refutes_only_bindings_no_disjunct_admits():
     )
     assert binding_refutes(either, "AcM1", ("Jones",))
     assert not binding_refutes(either, "AcM2", ("Jones", "OX1"))
+
+
+def _refuter_agrees(vocabulary, sentences, accesses):
+    """``binding_refuter`` against ``binding_refutes`` on every pair."""
+    records = [bind_sentence(sentence, number) for number, sentence in enumerate(sentences)]
+    refuted_for = binding_refuter(sentences, records)
+    pairs = 0
+    for access in accesses:
+        name, binding = access.method.name, access.binding
+        expected = frozenset(
+            number
+            for number, sentence in enumerate(sentences)
+            if binding_refutes(sentence, name, binding)
+        )
+        assert refuted_for(name, binding) == expected, (name, binding)
+        pairs += len(sentences)
+    return pairs
+
+
+def _all_accesses(vocabulary, formula):
+    """Every candidate access of *formula*'s pools, n-ary bindings included."""
+    schema = vocabulary.access_schema
+    fact_pool = formula_fact_pool(vocabulary, formula)
+    value_pool = default_value_pool(vocabulary, formula, fact_pool, schema.empty_instance(), 1)
+    return candidate_accesses_for_search(schema, fact_pool, value_pool, nary_bindings=True)
+
+
+def test_method_first_refutation_agrees_with_binding_refutes():
+    access_schema = directory_access_schema()
+    vocabulary, formulas = _table1_formulas(access_schema)
+    acm1 = access_schema.method("AcM1")
+    smith = properties.nary_binding_atom(acm1, ("Smith",)).sentence
+    one = properties.nary_binding_atom(acm1, (1,)).sentence
+    uses_acm2 = properties.zeroary_binding_atom("AcM2").sentence
+    # One disjunct naming two methods, and two disjuncts naming one each.
+    both = EmbeddedSentence(
+        UnionOfConjunctiveQueries(
+            (ConjunctiveQuery(smith.query.disjuncts[0].atoms + uses_acm2.query.disjuncts[0].atoms),)
+        )
+    )
+    either = EmbeddedSentence(
+        UnionOfConjunctiveQueries(smith.query.disjuncts + uses_acm2.query.disjuncts)
+    )
+    extra = [smith, one, uses_acm2, both, either]
+    accesses = [
+        access_schema.access("AcM1", (True,)),
+        access_schema.access("AcM1", (1,)),
+        access_schema.access("AcM1", ("Jones",)),
+        access_schema.access("AcM2", ("Smith", "OX1")),
+    ]
+    pairs = _refuter_agrees(vocabulary, extra, accesses)
+    records = [bind_sentence(sentence, number) for number, sentence in enumerate(extra)]
+    refuted_for = binding_refuter(extra, records)
+    # ``1 == True`` keeps ``one`` open; a disjunct naming two methods
+    # never holds, and ``either`` holds only through its AcM2 disjunct.
+    assert refuted_for("AcM1", (True,)) == {0, 2, 3, 4}
+    assert refuted_for("AcM2", ("Smith", "OX1")) == {0, 1, 3}
+    for formula in formulas.values():
+        sentences = Progression(formula).atoms
+        pairs += _refuter_agrees(vocabulary, sentences + extra, _all_accesses(vocabulary, formula))
+    for seed in (0, 4, 7, 12):
+        generator = WorkloadGenerator(seed=seed)
+        schema = generator.access_schema(num_relations=2, max_arity=3, max_inputs=2)
+        generated = AccLTLSolver(schema).vocabulary
+        q1 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
+        methods = sorted(schema, key=lambda m: (-m.num_inputs, m.name))
+        probe = schema.access(methods[0].name, ("v0",) * methods[0].num_inputs)
+        formula = land(
+            properties.ltr_formula(generated, probe, q1),
+            properties.zeroary_binding_atom(methods[-1].name),
+        )
+        sentences = Progression(formula).atoms
+        pairs += _refuter_agrees(generated, sentences, _all_accesses(generated, formula))
+    assert pairs > 1000
+
+
+def test_children_are_built_when_popped(monkeypatch):
+    """A capped run progresses the formula once per popped non-root node."""
+    vocabulary, formulas = _table1_formulas(directory_access_schema())
+    formula, bounds = formulas["containment"], Bounds(max_path_length=3, max_paths=100)
+    expected = {"nodes": 0, "roots": 0, "children": 0}
+    reference = reference_search(vocabulary, formula, bounds, tally=expected)
+    calls = []
+    original = Progression.progress
+
+    def counted(self, node, atom_holds):
+        calls.append(node)
+        return original(self, node, atom_holds)
+
+    monkeypatch.setattr(Progression, "progress", counted)
+    trace.set_enabled(True)
+    try:
+        result = bounded_satisfiability(vocabulary, formula, bounds)
+        (span,) = [s for s in trace.take_spans() if s.name == "bounded_check.run"]
+    finally:
+        trace.set_enabled(False)
+        trace.reset()
+    assert _fields(result) == _fields(reference)
+    assert not result.satisfiable and not result.exhausted and not result.interrupted
+    assert span.attrs["nodes"] == expected["nodes"]
+    assert len(calls) == expected["nodes"] - expected["roots"]
+    assert len(calls) < expected["children"]
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4, 8, 11, 17, 32])

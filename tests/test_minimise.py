@@ -20,7 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.access.path import AccessPath
+from repro.access.path import AccessPath, PathStep
 from repro.automata.aautomaton import AAutomaton, ATransition, Guard
 from repro.automata.emptiness import _WitnessSearch, automaton_emptiness
 from repro.automata.library import containment_automaton, ltr_automaton
@@ -198,7 +198,7 @@ def _draw_path(data, search):
                 max_size=length,
             )
         )
-        return AccessPath(tuple(search.candidate_steps[i] for i in indices))
+        return AccessPath(tuple(PathStep(*search.candidates[i]) for i in indices))
     search._position(search.initial_snapshot)
     states = search.start_states
     steps = []
@@ -222,9 +222,9 @@ def _draw_path(data, search):
             search.config.add_unchecked(access.relation, tup)
         search._position(search.config.snapshot())
         states = moves[index]
-        steps.append(search.candidate_steps[index])
+        steps.append(PathStep(*search.candidates[index]))
     if not steps:
-        steps.append(search.candidate_steps[0])
+        steps.append(PathStep(*search.candidates[0]))
     return AccessPath(tuple(steps))
 
 

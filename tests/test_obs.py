@@ -25,6 +25,9 @@ import pickle
 
 import pytest
 
+from repro.core import properties
+from repro.core.bounded_check import Bounds, bounded_satisfiability
+from repro.core.solver import AccLTLSolver
 from repro.engine import DecisionEngine
 from repro.obs import env as envknobs
 from repro.obs import export, metrics, trace
@@ -34,6 +37,7 @@ from repro.workloads.directory import (
     directory_access_schema,
     directory_hidden_instance,
     join_query,
+    resident_names_query,
 )
 from repro.workloads.matrices import probe_accesses, stream_relevance_matrix
 
@@ -129,6 +133,29 @@ class TestSpanRecords:
         target = tmp_path / "trace.json"
         export.write_chrome_trace(spans, str(target))
         assert json.loads(target.read_text())["traceEvents"]
+
+    def test_bounded_check_span_counts_popped_nodes(self):
+        vocabulary = AccLTLSolver(directory_access_schema()).vocabulary
+        formula = properties.containment_counterexample_formula(
+            vocabulary, join_query(), resident_names_query()
+        )
+        trace.set_enabled(True)
+        for length in (1, 2):
+            result = bounded_satisfiability(
+                vocabulary, formula, Bounds(max_path_length=length, max_paths=10**6)
+            )
+            assert result.exhausted
+        one, two = (
+            span.attrs for span in trace.take_spans() if span.name == "bounded_check.run"
+        )
+        attrs = {"max_paths", "budgeted", "satisfiable", "explored", "interrupted"}
+        assert attrs | {"folded", "evaluated", "nodes"} <= set(two)
+        # A one-step search pops its root only.  With two steps, each popped
+        # node checks every candidate once: both roots and the children
+        # the second root pushed.
+        assert one["nodes"] == 1
+        assert two["nodes"] > 2
+        assert two["explored"] == one["explored"] * two["nodes"]
 
 
 # ---------------------------------------------------------------------------
