@@ -25,10 +25,6 @@ compare against:
   simulation (snapshot, extend, fingerprint, at depth) contrasting O(n)
   ``Instance.copy``/``freeze`` per node against the persistent store's
   O(1) snapshots (:mod:`repro.store.snapshot`);
-* ``parallel_chains_seq`` / ``parallel_chains_par`` — emptiness of a
-  multi-chain union automaton with the Lemma 4.9 chain restrictions
-  checked sequentially vs fanned out across worker processes
-  (:mod:`repro.store.parallel`); identical verdicts are asserted;
 * ``relevance_matrix_seq`` / ``relevance_matrix_batched`` and
   ``containment_matrix_seq`` / ``containment_matrix_batched`` — matrix
   workloads (long-term relevance of every candidate access; pairwise
@@ -91,7 +87,6 @@ from typing import Callable, Dict, List, Optional
 from repro.access.answerability import accessible_part_program
 from repro.automata.emptiness import automaton_emptiness
 from repro.automata.library import containment_automaton, ltr_automaton
-from repro.automata.operations import union_automaton
 from repro.core import properties
 from repro.core.bounded_check import Bounds, bounded_satisfiability
 from repro.core.solver import AccLTLSolver
@@ -404,62 +399,6 @@ def bench_snapshots(smoke: bool, repeats: int) -> Dict[str, Dict[str, object]]:
     store_row = _median_of(repeats, run_store)
     assert copy_row["checksum"] == store_row["checksum"], "backends disagree"
     return {"snapshot_depth_copy": copy_row, "snapshot_depth_store": store_row}
-
-
-def bench_parallel_chains(smoke: bool, repeats: int) -> Dict[str, Dict[str, object]]:
-    """Sequential vs process-pool checking of the Lemma 4.9 chains.
-
-    The union of three relabelled copies of the directory LTR automaton
-    decomposes into six independent chain restrictions of balanced
-    weight — the scaling shape parallel chain checking targets.  The
-    Datalog precheck is disabled so every chain runs a real witness
-    search, and the verdict must be identical in both modes.  The worker
-    pool is warmed up outside the timed region (it is reused across
-    calls in production, so steady state is what the number should show).
-
-    ``parallel=True`` goes through the production cost gate
-    (:mod:`repro.store.parallel`): dispatch happens only when there are
-    usable extra CPUs *and* the estimated work clears the floor, so on a
-    single-CPU (or CPU-pinned) host both rows run the identical
-    in-process loop and coincide up to noise — the gate is what makes
-    the par row a strict non-loss, where it previously paid pool
-    latency it could never recover.  The speedup itself remains a
-    multicore property by nature.
-    """
-    from repro.automata.operations import relabel
-
-    scenario = next(s for s in standard_scenarios() if s.name == "directory")
-    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
-    ltr = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one)
-    automaton = union_automaton(
-        union_automaton(relabel(ltr, "c1_"), relabel(ltr, "c2_")),
-        relabel(ltr, "c3_"),
-    )
-    max_paths = 1200 if smoke else 12000
-
-    def run(parallel: bool):
-        return automaton_emptiness(
-            automaton,
-            vocabulary,
-            max_paths=max_paths,
-            use_datalog_precheck=False,
-            parallel=parallel,
-        ).empty
-
-    run(True)  # warm the worker pool outside the timed region
-    results: Dict[str, Dict[str, object]] = {}
-    for label, parallel in (
-        ("parallel_chains_seq", False),
-        ("parallel_chains_par", True),
-    ):
-        results[label] = _median_of(
-            repeats, lambda parallel=parallel: run(parallel)
-        )
-    assert (
-        results["parallel_chains_seq"]["checksum"]
-        == results["parallel_chains_par"]["checksum"]
-    ), "parallel chain checking changed the emptiness verdict"
-    return results
 
 
 def bench_matrices(
@@ -1240,7 +1179,6 @@ def run_benchmarks(
     results.update(bench_datalog(smoke, repeats))
     results.update(bench_emptiness(smoke, repeats, memo_stats_out=memo_stats))
     results.update(bench_snapshots(smoke, repeats))
-    results.update(bench_parallel_chains(smoke, repeats))
     results.update(bench_matrices(smoke, repeats, matrix_stats_out=matrix_stats))
     results.update(bench_anytime(smoke, repeats, anytime_stats_out=anytime_stats))
     results.update(
@@ -1254,8 +1192,6 @@ def run_benchmarks(
     naive = results["cq_naive"]["median_s"]
     snap_copy = results["snapshot_depth_copy"]["median_s"]
     snap_store = results["snapshot_depth_store"]["median_s"]
-    chains_seq = results["parallel_chains_seq"]["median_s"]
-    chains_par = results["parallel_chains_par"]["median_s"]
     datalog_posthoc = results["datalog_fixedpoint_posthoc"]["median_s"]
     datalog_delta = results["datalog_fixedpoint_delta_dict"]["median_s"]
     relevance_seq = results["relevance_matrix_seq"]["median_s"]
@@ -1280,9 +1216,6 @@ def run_benchmarks(
         else None,
         "speedup_snapshot_store_over_copy": round(snap_copy / snap_store, 2)
         if snap_store
-        else None,
-        "speedup_parallel_chains": round(chains_seq / chains_par, 2)
-        if chains_par
         else None,
         "speedup_relevance_matrix_batched": round(
             relevance_seq / relevance_batched, 2
@@ -1355,10 +1288,6 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
     print(
         "snapshot store/copy speedup:",
         report["speedup_snapshot_store_over_copy"],
-    )
-    print(
-        "parallel chains speedup:",
-        report["speedup_parallel_chains"],
     )
     print(
         "relevance matrix batched speedup:",

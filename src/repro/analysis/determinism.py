@@ -79,7 +79,6 @@ class NondeterministicIterationRule(Rule):
     target_paths: Tuple[str, ...] = (
         "repro/automata/emptiness.py",
         "repro/store/workqueue.py",
-        "repro/store/parallel.py",
         "repro/engine/engine.py",
     )
 

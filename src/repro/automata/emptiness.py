@@ -49,7 +49,7 @@ This module provides two procedures:
   witness.  When the precheck proves emptiness the witness search is
   skipped entirely (``exhausted`` with 0 paths).  The verdict depends on
   the guard and the initial instance alone, so one emptiness call checks
-  each distinct guard once and every in-process chain reuses the answer.
+  each distinct guard once and every chain reuses the answer.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ CandidateTables = Dict[Tuple, Tuple[List, List]]
 class CallMemo:
     """Memos scoped to one :func:`automaton_emptiness` call.
 
-    The in-process chain loop passes one memo to all its chains, which
-    share their transitions and mostly their pools: each distinct guard's
-    Lemma 4.10 verdict (``guard_verdicts``) and each distinct pool's
-    candidate tables (``candidate_tables``) are then computed once per
-    call.  Pooled chain items build their own.  The memo is call-scoped,
-    not process-wide, so it never outlives the call's automata.
+    The chain loop passes one memo to all its chains, which share their
+    transitions and mostly their pools: each distinct guard's Lemma 4.10
+    verdict (``guard_verdicts``) and each distinct pool's candidate tables
+    (``candidate_tables``) are then computed once per call.  The memo is
+    call-scoped, not process-wide, so it never outlives the call's
+    automata.
     """
 
     guard_verdicts: GuardVerdicts = field(default_factory=dict)
@@ -135,10 +135,9 @@ class EmptinessResult:
     """Result of an A-automaton emptiness check.
 
     ``stats`` carries informational search instrumentation (memo hit/miss
-    counters, pool failure/retry/timeout counters — see
-    :class:`_WitnessSearch` and :mod:`repro.store.workqueue`); it is
-    excluded from equality so that the determinism guarantees of the
-    parallel and resumed modes are stated over the semantic fields only.
+    counters, see :class:`_WitnessSearch`); it is excluded from equality
+    so that the determinism guarantees of the resumed mode are stated
+    over the semantic fields only.
     Cache hit rates legitimately depend on how work was scheduled;
     verdicts, witnesses and exploration counters do not.
 
@@ -843,11 +842,8 @@ def check_restriction(
 ) -> ChainOutcome:
     """Precheck + witness search for a single chain restriction.
 
-    This is the unit of work of the in-process chain loop and of the
-    pooled chain items of :mod:`repro.store.parallel`; sharing it (and
-    the fold in :func:`_fold_chain_outcomes`) is what makes every mode
-    return bit-identical :class:`EmptinessResult` values.
-    *search_kwargs* are the :class:`_WitnessSearch` arguments.
+    This is the unit of work of :func:`_check_chains`.  *search_kwargs*
+    are the :class:`_WitnessSearch` arguments.
 
     With a started budget *clock* the search can stop before a candidate
     (:meth:`_WitnessSearch.run`); the outcome then carries a
@@ -860,10 +856,10 @@ def check_restriction(
     The precheck decides each distinct guard once (its verdict depends on
     the guard and *initial* alone), and the search derives its candidate
     tables from its pools alone.  *memo* holds both (:class:`CallMemo`):
-    the in-process chain loop of one :func:`automaton_emptiness` call
-    passes one memo to all its chains, so each guard is checked, and each
-    distinct pool's candidates are built, once per call.  Without it
-    (pooled chain items) the chain keeps its own.
+    the chain loop of one :func:`automaton_emptiness` call passes one
+    memo to all its chains, so each guard is checked, and each distinct
+    pool's candidates are built, once per call.  Without it the chain
+    keeps its own.
     """
     if memo is None:
         memo = CallMemo()
@@ -929,6 +925,17 @@ def _frontier_signature(
     )
 
 
+def _tally(outcomes: Iterable[ChainOutcome]) -> Tuple[int, Dict[str, int]]:
+    """Paths explored and the merged search stats of *outcomes*."""
+    explored = 0
+    stats: Dict[str, int] = {}
+    for outcome in outcomes:
+        explored += outcome.explored
+        for key, value in (outcome.stats or {}).items():
+            stats[key] = stats.get(key, 0) + value
+    return explored, stats
+
+
 def _unknown_result(
     completed: Sequence[ChainOutcome],
     partial: Optional[ChainOutcome],
@@ -936,15 +943,9 @@ def _unknown_result(
     frontier: ResumeFrontier,
 ) -> EmptinessResult:
     """The tagged UNKNOWN verdict: budget spent, frontier attached."""
-    total_explored = 0
-    stats: Dict[str, int] = {}
-    for outcome in list(completed) + ([partial] if partial is not None else []):
-        if outcome.prechecked_empty:
-            continue
-        total_explored += outcome.explored
-        if outcome.stats:
-            for key, value in outcome.stats.items():
-                stats[key] = stats.get(key, 0) + value
+    total_explored, stats = _tally(
+        list(completed) + ([partial] if partial is not None else [])
+    )
     _metrics.counter("emptiness.unknown_results")
     _metrics.absorb("emptiness", stats)
     return EmptinessResult(
@@ -969,15 +970,16 @@ def _check_chains(
     resume_from: Optional[ResumeFrontier] = None,
     signature: Tuple = (),
 ) -> EmptinessResult:
-    """The in-process chain loop, budgeted when *clock* is given.
+    """The chain loop, budgeted when *clock* is given.
 
     Chains run in restriction order (the resume order) up to the first
-    witness, sharing one :class:`CallMemo`.  With a started *clock* the
-    loop stops before a chain once the budget has run out, or inside a
-    chain via a :class:`ChainCheckpoint`, and returns the tagged UNKNOWN
-    result; *resume_from* continues such a run.  Completed runs fold
-    through :func:`_fold_chain_outcomes`, so a finished budgeted call is
-    field-identical to the unbudgeted one.
+    witness, sharing one :class:`CallMemo`, and their outcomes fold in
+    that order.  With a started *clock* the loop stops before a chain
+    once the budget has run out, or inside a chain via a
+    :class:`ChainCheckpoint`, and returns the tagged UNKNOWN result;
+    *resume_from* continues such a run.  A finished budgeted call folds
+    the same outcomes as the unbudgeted one, so the two results are
+    field-identical.
     """
     completed: List[ChainOutcome] = []
     start_chain = 0
@@ -1019,51 +1021,20 @@ def _check_chains(
         completed.append(outcome)
         if outcome.witness is not None:
             break
-    return _fold_chain_outcomes(completed, num_chains)
-
-
-def _fold_chain_outcomes(
-    outcomes: Iterable[ChainOutcome], num_chains: int
-) -> EmptinessResult:
-    """Aggregate per-chain outcomes in restriction order.
-
-    Stops at the first witness: any chains after it are discarded, so
-    the chain-pooled list and the in-process loop fold to the same
-    result fields.
-    """
-    total_explored = 0
-    all_exhausted = True
-    stats: Dict[str, int] = {}
-
-    def merge_stats(outcome_stats: Optional[Dict[str, int]]) -> None:
-        if outcome_stats:
-            for key, value in outcome_stats.items():
-                stats[key] = stats.get(key, 0) + value
-
-    for outcome in outcomes:
-        merge_stats(outcome.stats)
+    for outcome in completed:
         if outcome.prechecked_empty:
             _metrics.counter("emptiness.prechecked_chains")
-            continue
-        total_explored += outcome.explored
-        if outcome.witness is not None:
-            _metrics.counter("emptiness.nonempty_results")
-            _metrics.absorb("emptiness", stats)
-            return EmptinessResult(
-                empty=False,
-                witness=outcome.witness,
-                exhausted=False,
-                paths_explored=total_explored,
-                chains_checked=num_chains,
-                stats=stats or None,
-            )
-        all_exhausted = all_exhausted and outcome.exhausted
-    _metrics.counter("emptiness.empty_results")
+    total_explored, stats = _tally(completed)
+    # Only the last outcome can carry a witness: the loop stops there.
+    witness = completed[-1].witness
+    _metrics.counter(
+        "emptiness.empty_results" if witness is None else "emptiness.nonempty_results"
+    )
     _metrics.absorb("emptiness", stats)
     return EmptinessResult(
-        empty=True,
-        witness=None,
-        exhausted=all_exhausted,
+        empty=witness is None,
+        witness=witness,
+        exhausted=witness is None and all(outcome.exhausted for outcome in completed),
         paths_explored=total_explored,
         chains_checked=num_chains,
         stats=stats or None,
@@ -1084,7 +1055,6 @@ def automaton_emptiness(
     grounded_only: bool = False,
     memoize: bool = True,
     parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
     subtree_parallel: Optional[bool] = None,
     budget: Optional[Budget] = None,
     resume_from: Optional[ResumeFrontier] = None,
@@ -1125,28 +1095,16 @@ def automaton_emptiness(
     without a lookup, so their totals and hit ratio move with those
     filters, not with the work a verdict needs.
 
-    ``parallel`` fans the chains of a multi-chain automaton out across
-    worker processes (:mod:`repro.store.parallel`) — the per-search caches are
-    process-local already and the store snapshots are picklable by
-    construction.  ``None`` defers to the ``REPRO_PARALLEL_CHAINS``
-    environment toggle (off by default).  Dispatch is cost-gated: small
-    inputs (or hosts without usable extra CPUs) degrade to the in-process
-    loop, and the parallel path falls back to it whenever a pool is
-    unavailable — returning bit-identical results in every case (all
-    modes share :func:`check_restriction` and
-    :func:`_fold_chain_outcomes`).
-
-    ``subtree_parallel`` is accepted and ignored: every chain runs the
-    one witness search.  It stays only because the ``chains_pooled``
-    benchmark still passes it, and goes once that benchmark drops it.
+    ``parallel`` and ``subtree_parallel`` are accepted and ignored: every
+    chain runs the one witness search in process, and they stay only
+    because the ``chains_pooled`` benchmark still passes them.
 
     ``budget`` makes the check *anytime*: when the
     :class:`~repro.core.budget.Budget` (wall-clock deadline and/or
     explored-node cap) expires before a verdict, the result is tagged
     ``unknown=True`` and carries a picklable :class:`ResumeFrontier`;
     pass it back via ``resume_from`` — with a fresh budget, or none — to
-    continue exactly where the interrupted call stopped.  Budgeted calls
-    check their chains in process, one after the other.  The node cap
+    continue exactly where the interrupted call stopped.  The node cap
     counts candidate steps, the unit of ``paths_explored``, so a capped
     call stops after exactly that many (plus the completed chains'
     count).  Resuming to completion yields a result field-identical to
@@ -1167,12 +1125,12 @@ def automaton_emptiness(
     if not restrictions:
         restrictions = [quotient]
 
-    if fact_pool is None:
-        derived_fact_pool, _ = _guard_pools(quotient, vocabulary)
-    else:
-        derived_fact_pool = list(fact_pool)
     if max_length is None:
-        max_length = max(2, len(derived_fact_pool) + 2)
+        if fact_pool is None:
+            fact_pool_size = len(_guard_pools(quotient, vocabulary)[0])
+        else:
+            fact_pool_size = len(fact_pool)
+        max_length = max(2, fact_pool_size + 2)
 
     search_kwargs: Dict[str, object] = {
         "max_length": max_length,
@@ -1184,6 +1142,8 @@ def automaton_emptiness(
         "memoize": memoize,
     }
 
+    clock = None
+    signature: Tuple = ()
     if budget is not None or resume_from is not None:
         signature = _frontier_signature(quotient, len(restrictions), search_kwargs)
         if resume_from is not None and resume_from.signature != signature:
@@ -1199,35 +1159,15 @@ def automaton_emptiness(
                 completed=len(resume_from.completed),
             )
         clock = (budget if budget is not None else Budget()).start()
-        return _check_chains(
-            restrictions,
-            vocabulary,
-            initial,
-            search_kwargs,
-            use_datalog_precheck,
-            clock,
-            resume_from,
-            signature,
-        )
-
-    from repro.store.parallel import map_chain_outcomes, parallel_chains_enabled
-
-    if parallel is None:
-        parallel = parallel_chains_enabled()
-    if parallel and len(restrictions) > 1:
-        outcomes = map_chain_outcomes(
-            restrictions,
-            vocabulary,
-            initial,
-            search_kwargs,
-            use_datalog_precheck,
-            max_workers=max_workers,
-            pool_size=len(derived_fact_pool),
-        )
-        if outcomes is not None:
-            return _fold_chain_outcomes(outcomes, len(restrictions))
     return _check_chains(
-        restrictions, vocabulary, initial, search_kwargs, use_datalog_precheck
+        restrictions,
+        vocabulary,
+        initial,
+        search_kwargs,
+        use_datalog_precheck,
+        clock,
+        resume_from,
+        signature,
     )
 
 
@@ -1282,6 +1222,13 @@ def guard_unsatisfiable_via_datalog(guard, vocabulary: AccessVocabulary) -> bool
     answer is always correct) and is exactly what collapses, e.g., the
     counterexample automaton for ``Q1 ⊆ Q2`` when the containment holds
     classically.
+
+    It stays as the fallback of :func:`transitions_refute_guard`, which
+    declines every guard whose negated sentence has inequalities: for
+    those guards this is the only pruner left.
+    ``tests/test_transition_precheck.py::test_negated_inequality_still_prunes_through_containment``
+    pins that case.  It runs 0 times on a seed-1 ``decide_cold`` round,
+    where the refuter decides every guard.
     """
     program = guard_to_datalog(guard, vocabulary)
     if program is None:

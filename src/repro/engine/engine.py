@@ -14,10 +14,10 @@
   answerability sweeps) share one memo, one plan cache and one snapshot
   store;
 * independent tasks of a batch can be dispatched through the shared
-  persistent worker pool of :mod:`repro.store.workqueue`, behind the same
-  affinity-aware cost gate as the PR 4 chain fan-out: dispatch engages
-  only when there are usable extra CPUs and the estimated work clears
-  :func:`repro.store.parallel.min_dispatch_cost`, so batching can never
+  persistent worker pool of :mod:`repro.store.workqueue`, behind an
+  affinity-aware cost gate: dispatch engages only when there are usable
+  extra CPUs and the estimated work clears
+  :func:`repro.store.workqueue.min_dispatch_cost`, so batching can never
   lose to the sequential loop, and a pool failure falls back to identical
   in-process execution.
 
@@ -654,7 +654,7 @@ class DecisionEngine:
         Allow batch dispatch through the shared worker pool.  ``None``
         defers to the :data:`PARALLEL_TASKS_ENV` environment toggle (off
         by default); dispatch additionally requires usable extra CPUs and
-        estimated work above the PR 4 cost gate, so batching never loses
+        estimated work above the cost gate, so batching never loses
         to the in-process loop.
     max_workers:
         Explicit worker count; overrides the gate (tests use it to
@@ -886,9 +886,7 @@ class DecisionEngine:
         scheduler = None
         futures: List = [None] * len(pending)
         if len(pending) > 1 and self._dispatch_allowed(pending):
-            from repro.store.parallel import worker_count
-
-            workers = worker_count(len(pending), self.max_workers)
+            workers = workqueue.worker_count(len(pending), self.max_workers)
             scheduler = workqueue.PoolScheduler(workers, self._stats)
             _trace.event("engine.dispatch", workers=workers, tasks=len(pending))
             futures = [
@@ -933,12 +931,10 @@ class DecisionEngine:
                 return False
         elif not self.parallel:
             return False
-        from repro.store.parallel import available_cpus, min_dispatch_cost
-
-        if available_cpus() <= 1:
+        if workqueue.available_cpus() <= 1:
             return False
         total_cost = sum(task.cost_hint for _, task, _ in pending)
-        return total_cost >= min_dispatch_cost()
+        return total_cost >= workqueue.min_dispatch_cost()
 
     # ------------------------------------------------------------------
     # Batch entry points (the matrix workloads)

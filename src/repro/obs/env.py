@@ -5,11 +5,10 @@ type, default, and the exact parsing semantics its call site always had —
 so ``repro env`` can list each knob with its current value and source,
 and so a new knob cannot be added without a type and a default.  The
 accessor functions in :mod:`repro.store.workqueue`,
-:mod:`repro.store.parallel`, :mod:`repro.engine.engine` and
-:mod:`repro.obs.trace` are thin wrappers over the parsers below, which
-keeps their behaviour (including the loud one-time
-:func:`warn_invalid_env` fallback on malformed values) field-identical to
-the pre-registry code.
+:mod:`repro.engine.engine` and :mod:`repro.obs.trace` are thin wrappers
+over the parsers below, which keeps their behaviour (including the loud
+one-time :func:`warn_invalid_env` fallback on malformed values)
+field-identical to the pre-registry code.
 
 This module must stay dependency-free within the package: it is imported
 by :mod:`repro.store.workqueue`, which initialises very early.
@@ -26,8 +25,6 @@ from typing import Callable, Dict, List, Optional, Set
 # Knob names and defaults (the canonical definitions; the consuming
 # modules re-export them under their historical names)
 # ----------------------------------------------------------------------
-#: Permissive flag: opt in to parallel chain checking.
-PARALLEL_CHAINS_ENV = "REPRO_PARALLEL_CHAINS"
 #: Strict flag: allow engine batch dispatch through the worker pool.
 PARALLEL_TASKS_ENV = "REPRO_PARALLEL_TASKS"
 #: Estimated-work floor for pool dispatch.
@@ -91,16 +88,6 @@ def warn_invalid_env(name: str, raw: str, default: object) -> None:
 
 _FALSEY = ("", "0", "false", "no", "off")
 _TRUTHY = ("1", "true", "yes", "on")
-
-
-def flag_lenient(name: str) -> bool:
-    """Permissive boolean: anything outside the falsey set opts in.
-
-    The historical semantics of the parallel-chains toggle
-    (``REPRO_PARALLEL_CHAINS=banana`` enables it — deliberately kept,
-    operators rely on it).
-    """
-    return os.environ.get(name, "").strip().lower() not in _FALSEY
 
 
 def flag_strict(name: str) -> bool:
@@ -182,7 +169,7 @@ class EnvKnob:
     """One declared environment knob: typed, defaulted, introspectable."""
 
     name: str
-    kind: str  # "flag" | "flag(strict)" | "int" | "float" | "str"
+    kind: str  # "flag(strict)" | "int" | "float" | "str"
     default: object
     description: str
     read: Callable[[], object]
@@ -216,13 +203,6 @@ def _register(
 
 
 _register(
-    PARALLEL_CHAINS_ENV,
-    "flag",
-    False,
-    "fan Lemma 4.9 chain restrictions out across the shared worker pool",
-    lambda: flag_lenient(PARALLEL_CHAINS_ENV),
-)
-_register(
     PARALLEL_TASKS_ENV,
     "flag(strict)",
     False,
@@ -233,7 +213,7 @@ _register(
     PARALLEL_MIN_COST_ENV,
     "int",
     DEFAULT_MIN_DISPATCH_COST,
-    "estimated-work floor below which parallel=True stays in process",
+    "estimated-work floor below which a DecisionEngine batch stays in process",
     lambda: non_negative_int(PARALLEL_MIN_COST_ENV, DEFAULT_MIN_DISPATCH_COST),
 )
 _register(

@@ -47,10 +47,10 @@ class DataType:
         """Return ``True`` if *value* is a member of this datatype."""
         if is_placeholder(value):
             return True
-        if bool in self.python_types and isinstance(value, bool):
-            return True
-        if isinstance(value, bool) and bool not in self.python_types:
-            return False
+        if isinstance(value, bool):
+            # ``bool`` subclasses ``int``; a boolean belongs only to types
+            # that list ``bool`` itself or accept every value.
+            return bool in self.python_types or object in self.python_types
         return isinstance(value, self.python_types)
 
     def __str__(self) -> str:  # pragma: no cover - trivial

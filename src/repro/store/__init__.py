@@ -1,10 +1,9 @@
 """Persistent fact-store subsystem: O(1) snapshots + the one pool scheduler.
 
 Snapshots make configurations cheap to capture and picklable; the pool
-scheduler (:mod:`repro.store.workqueue`) ships chains and engine tasks
-to one shared worker pool with one failure taxonomy, and
-:mod:`repro.store.parallel` decides which chains go there.  See
-``src/repro/store/README.md`` for the architecture note.
+scheduler (:mod:`repro.store.workqueue`) ships engine tasks to one shared
+worker pool with one failure taxonomy.  See ``src/repro/store/README.md``
+for the architecture note.
 """
 
 from repro.store.backend import (

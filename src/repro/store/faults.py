@@ -4,7 +4,7 @@ The robustness guarantees of the parallel modes — verdicts never change
 when workers die, stall or return garbage — are only worth stating if
 they are *provable*.  This module scripts faults at exact points so the
 determinism suites can kill a worker on the third engine task, delay a
-chain result past its timeout, or corrupt a result pickle, and then
+task result past its timeout, or corrupt a result pickle, and then
 assert field-by-field agreement with the sequential oracle.
 
 ## Spec format
@@ -18,14 +18,13 @@ A spec is a comma-separated list of ``action@point:index[:arg]``:
   modelling a result blob that cannot be decoded — the coordinator's
   fail-fast payload-error path), or ``raise`` (a generic transient
   ``RuntimeError`` — the retry path).
-* ``point`` — which worker entry the fault arms: ``chain`` (one
-  whole-chain emptiness task) or ``task`` (one pooled engine reduction
-  task).
+* ``point`` — which worker entry the fault arms: ``task`` (one pooled
+  engine reduction task).
 * ``index`` — fire on the *N*-th hit of that point (0-based).  Counters
   are per process: a single-worker pool makes indices exact; with more
   workers each counts its own stream.
 
-Example: ``kill@task:2,delay@chain:0:0.2``.
+Example: ``kill@task:2,delay@task:0:0.2``.
 
 ## Storage fault points
 
@@ -81,7 +80,7 @@ from typing import Dict, Optional, Tuple
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 
 _ACTIONS = ("kill", "delay", "corrupt", "raise", "trip")
-_POINTS = ("chain", "task")
+_POINTS = ("task",)
 #: Storage fault points consulted by :func:`storage_fault` (the verdict
 #: cache implements each point's semantics at its own syscall boundary).
 STORAGE_POINTS = (

@@ -28,7 +28,7 @@ Design notes
   map therefore never ships its nodes: :meth:`PMap.__reduce__`
   serialises the items and the receiving process rebuilds the trie with
   its own hash seed.  This is what makes snapshots safely picklable into
-  worker processes (see :mod:`repro.store.parallel`) even under the
+  worker processes (see :mod:`repro.store.workqueue`) even under the
   ``spawn`` start method.
 
 The map is deliberately minimal: exactly the operations the fact store

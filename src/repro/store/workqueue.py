@@ -1,25 +1,23 @@
 """The one pool scheduler: every pooled item is submitted and resolved here.
 
-Two kinds of work share one persistent process pool:
-
-* **chains** — a whole Lemma 4.9 chain restriction check
-  (:mod:`repro.store.parallel` decides which chains go to the pool);
-* **engine tasks** — independent reduction tasks of a
-  :class:`~repro.engine.DecisionEngine` batch.
-
-Both go through the same three pieces: one worker entry
-(:func:`_run_item`: configure tracing, fire the scripted fault, run,
-capture spans and the metrics-registry counter delta), one result
-envelope (:class:`Shipped`) and one resolver (:meth:`PoolScheduler.resolve`: wait,
-classify the failure, retry on a rebuilt pool, fall back in-process).
-A caller only chooses *what* to run and *what* the in-process
-equivalent is; results never depend on where an item ran.
+The independent reduction tasks of a :class:`~repro.engine.DecisionEngine`
+batch share one persistent process pool, behind an affinity-aware cost
+gate (:func:`available_cpus`, :func:`min_dispatch_cost`) and one sizing
+rule (:func:`worker_count`).  Every item goes through the same three
+pieces: one worker entry (:func:`_run_item`: configure tracing, fire the
+scripted fault, run, capture spans and the metrics-registry counter
+delta), one result envelope (:class:`Shipped`) and one resolver
+(:meth:`PoolScheduler.resolve`: wait, classify the failure, retry on a
+rebuilt pool, fall back in-process).  A caller only chooses *what* to
+run and *what* the in-process equivalent is; results never depend on
+where an item ran.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +49,22 @@ DEFAULT_POOL_RETRIES = envknobs.DEFAULT_POOL_RETRIES
 #: recomputation.
 POOL_ITEM_TIMEOUT_ENV = envknobs.POOL_ITEM_TIMEOUT_ENV
 
+#: Environment override for the dispatch cost gate (see
+#: :func:`min_dispatch_cost`).
+PARALLEL_MIN_COST_ENV = envknobs.PARALLEL_MIN_COST_ENV
+
+#: Default for :func:`min_dispatch_cost`: estimated-work floor below
+#: which a batch stays in process.  The unit is the tasks' ``cost_hint``
+#: — roughly ``automaton size × exploration budget``; the default clears
+#: comfortably for multi-second batches and blocks the millisecond-scale
+#: ones where pool latency dominates.
+DEFAULT_MIN_DISPATCH_COST = envknobs.DEFAULT_MIN_DISPATCH_COST
+
+#: Upper bound on workers regardless of core count: batches are small
+#: and each worker pays a full search setup, so very wide pools only add
+#: startup latency.
+_MAX_WORKERS_CAP = 8
+
 #: Base of the exponential retry backoff (seconds): 0.05, 0.1, 0.2, ...
 _RETRY_BACKOFF_S = 0.05
 
@@ -73,6 +87,38 @@ def pool_retry_limit() -> int:
 def pool_item_timeout() -> Optional[float]:
     """Per-item pooled result timeout in seconds (``None`` = no timeout)."""
     return envknobs.positive_float(POOL_ITEM_TIMEOUT_ENV, None)
+
+
+def min_dispatch_cost() -> int:
+    """Estimated-work floor for pool dispatch (env override or default)."""
+    return envknobs.non_negative_int(PARALLEL_MIN_COST_ENV, DEFAULT_MIN_DISPATCH_COST)
+
+
+# ----------------------------------------------------------------------
+# Sizing
+# ----------------------------------------------------------------------
+def available_cpus() -> int:
+    """CPUs this process may actually run on (scheduling affinity).
+
+    ``os.cpu_count()`` reports the machine; a containerised or
+    CPU-pinned process can see many cores it will never be scheduled
+    onto, in which case a worker pool only adds dispatch overhead — the
+    exact failure mode the cost gate exists to prevent.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def worker_count(num_units: int, max_workers: Optional[int]) -> int:
+    """Pool size for *num_units* independent units of work."""
+    if max_workers is not None:
+        # An explicit worker count is honoured as given (minus idle
+        # workers): tests use it to exercise the real pool on single-core
+        # machines, operators to oversubscribe or restrict deliberately.
+        return max(1, min(num_units, max_workers))
+    return max(1, min(num_units, available_cpus(), _MAX_WORKERS_CAP))
 
 
 # ----------------------------------------------------------------------
@@ -99,10 +145,9 @@ def _bump(stats: Dict[str, int], key: str, amount: int = 1) -> None:
 # ----------------------------------------------------------------------
 # A lazily created, reused pool: spawning workers costs hundreds of
 # milliseconds (fork of a large parent, interpreter warm-up), which would
-# otherwise be paid by every emptiness call.  The pool is replaced when a
-# caller needs more workers than it has, and discarded on any failure
-# (the next call recreates it).  Chains and engine tasks both draw from
-# it, so they interleave in one queue.
+# otherwise be paid by every batch.  The pool is replaced when a caller
+# needs more workers than it has, and discarded on any failure (the next
+# call recreates it).
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
@@ -157,9 +202,10 @@ class Shipped:
 def _run_item(point: str, fn: Callable, args: Tuple, trace_on: bool) -> Shipped:
     """The worker entry point of every pooled item (picklable by name).
 
-    *point* names the fault-injection point (``chain`` or ``task``).  *trace_on* travels with every submission: persistent
-    workers inherit whatever tracing flag the coordinator had at fork
-    time, so the entry reconfigures :mod:`repro.obs.trace` per item.
+    *point* names the fault-injection point (``task``).  *trace_on*
+    travels with every submission: persistent workers inherit whatever
+    tracing flag the coordinator had at fork time, so the entry
+    reconfigures :mod:`repro.obs.trace` per item.
     """
     _trace.configure_worker(trace_on)
     base = _metrics.REGISTRY.counters_snapshot()
@@ -185,7 +231,7 @@ def _unwrap(result):
 class PoolScheduler:
     """Submits one caller's items to the shared pool and resolves them.
 
-    *workers* sizes the shared pool (:func:`repro.store.parallel.worker_count`).
+    *workers* sizes the shared pool (:func:`worker_count`).
     Every pool event of the caller's items is counted into *counters*
     (the caller's stats dict, or a fresh one).  A submission failure
     (``pool_payload_errors`` / ``pool_submit_errors``) makes the

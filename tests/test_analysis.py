@@ -171,7 +171,7 @@ class TestEnvRegistryRule:
             HERE = os.path.dirname(__file__)
             CPUS = os.sched_getaffinity(0)
             """,
-            "repro/store/parallel.py",
+            "repro/store/workqueue.py",
         )
         assert report.findings == []
 
@@ -261,9 +261,9 @@ class TestPoolSchedulerRule:
 
             def fan_out(items):
                 scheduler = workqueue.PoolScheduler(2)
-                return [scheduler.dispatch("chain", os.getpid) for _ in items]
+                return [scheduler.dispatch("task", os.getpid) for _ in items]
             """,
-            "repro/store/parallel.py",
+            "repro/engine/engine.py",
         )
         assert report.findings == []
 
@@ -274,7 +274,7 @@ class TestPoolSchedulerRule:
 
             CONTEXT = multiprocessing.get_context
             """,
-            "repro/store/parallel.py",
+            "repro/engine/engine.py",
         )
         assert report.findings == []
         assert rule_ids_suppressed(report) == ["POOL001"]

@@ -315,6 +315,194 @@ class TestPooledDeterminism:
         assert engine.stats()["pooled_tasks"] == 0
 
 
+def _gate_tasks(max_paths: int, count: int = 2):
+    """*count* distinct emptiness tasks whose ``cost_hint`` follows *max_paths*.
+
+    The union of the directory LTR and containment automata has 197
+    states and transitions, so ``max_paths=3`` stays far below the default
+    dispatch floor and ``max_paths=2000`` clears it.
+    """
+    from repro.automata.library import ltr_automaton
+    from repro.automata.operations import union_automaton
+    from repro.workloads.directory import (
+        directory_access_schema,
+        join_query,
+        resident_names_query,
+    )
+
+    vocabulary = AccLTLSolver(directory_access_schema()).vocabulary
+    scenario = next(s for s in standard_scenarios() if s.name == "directory")
+    automaton = union_automaton(
+        containment_automaton(
+            vocabulary, join_query(), resident_names_query(), grounded=False
+        ),
+        ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one),
+    )
+    return [
+        emptiness_task(
+            automaton,
+            vocabulary,
+            max_paths=max_paths + offset,
+            use_datalog_precheck=False,
+        )
+        for offset in range(count)
+    ]
+
+
+def _spy_pool(monkeypatch):
+    """Record each pool request (its worker count) and fail it."""
+    calls = []
+
+    def record(workers):
+        calls.append(workers)
+        raise RuntimeError("pool intentionally unavailable in this test")
+
+    monkeypatch.setattr(workqueue, "shared_pool", record)
+    return calls
+
+
+class TestDispatchGate:
+    """The engine's cost gate: a batch never pays for a pool that cannot win."""
+
+    @staticmethod
+    def _values(engine, tasks):
+        return [result.value for result in engine.run_batch(tasks)]
+
+    def test_single_cpu_blocks_dispatch(self, monkeypatch):
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 1)
+        calls = _spy_pool(monkeypatch)
+        tasks = _gate_tasks(max_paths=2000)
+        gated = self._values(DecisionEngine(parallel=True), tasks)
+        assert calls == []
+        assert gated == self._values(DecisionEngine(parallel=False), tasks)
+
+    def test_small_workload_blocks_dispatch_even_multicore(self, monkeypatch):
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
+        calls = _spy_pool(monkeypatch)
+        tasks = _gate_tasks(max_paths=3)
+        assert sum(task.cost_hint for task in tasks) < workqueue.min_dispatch_cost()
+        gated = self._values(DecisionEngine(parallel=True), tasks)
+        assert calls == []
+        assert gated == self._values(DecisionEngine(parallel=False), tasks)
+
+    def test_large_workload_dispatches_on_multicore(self, monkeypatch):
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
+        calls = _spy_pool(monkeypatch)
+        tasks = _gate_tasks(max_paths=2000)
+        engine = DecisionEngine(parallel=True)
+        values = self._values(engine, tasks)
+        # The gate opened (pool requested); the rigged pool failure then
+        # fell back in process without changing a result.
+        assert calls
+        assert engine.stats()["pool_submit_errors"] == 1
+        assert values == self._values(DecisionEngine(parallel=False), tasks)
+
+    def test_explicit_max_workers_overrides_gate(self, monkeypatch):
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 1)
+        calls = _spy_pool(monkeypatch)
+        self._values(DecisionEngine(max_workers=2), _gate_tasks(max_paths=3))
+        assert calls == [2]  # explicit worker count forces dispatch
+
+    def test_min_cost_env_override(self, monkeypatch):
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
+        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "1")
+        calls = _spy_pool(monkeypatch)
+        self._values(DecisionEngine(parallel=True), _gate_tasks(max_paths=3))
+        assert calls  # the lowered floor lets the tiny workload through
+
+    def test_min_cost_env(self, monkeypatch):
+        monkeypatch.delenv(workqueue.PARALLEL_MIN_COST_ENV, raising=False)
+        assert workqueue.min_dispatch_cost() == workqueue.DEFAULT_MIN_DISPATCH_COST
+        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "42")
+        assert workqueue.min_dispatch_cost() == 42
+        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "-5")
+        assert workqueue.min_dispatch_cost() == workqueue.DEFAULT_MIN_DISPATCH_COST
+
+    def test_worker_cap_holds(self, monkeypatch):
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 64)
+        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "0")
+        assert workqueue.worker_count(20, None) == workqueue._MAX_WORKERS_CAP
+        assert workqueue.worker_count(3, None) == 3
+        assert workqueue.worker_count(20, 16) == 16  # explicit count honoured
+        calls = _spy_pool(monkeypatch)
+        tasks = _gate_tasks(max_paths=3, count=10)
+        self._values(DecisionEngine(parallel=True), tasks)
+        assert calls == [workqueue._MAX_WORKERS_CAP]
+
+    def test_pool_failure_falls_back_to_sequential(self, monkeypatch):
+        class _BrokenPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool in this environment")
+
+        monkeypatch.setattr(workqueue, "ProcessPoolExecutor", _BrokenPool)
+        monkeypatch.setattr(workqueue, "_POOL", None)
+        monkeypatch.setattr(workqueue, "_POOL_WORKERS", 0)
+        tasks = _gate_tasks(max_paths=300)
+        engine = DecisionEngine(max_workers=2)
+        fallback = self._values(engine, tasks)
+        assert engine.stats()["pool_submit_errors"] == 1
+        assert engine.stats()["pooled_tasks"] == 0
+        assert fallback == self._values(DecisionEngine(parallel=False), tasks)
+
+
+class TestParallelTasksEnvParsing:
+    """``REPRO_PARALLEL_TASKS`` value parsing, case by case.
+
+    The toggle is read when ``DecisionEngine(parallel=None)``; a multicore
+    host and a zero dispatch floor leave it as the only gate, and a rigged
+    pool records whether the batch asked for workers.
+    """
+
+    @staticmethod
+    def _dispatches(monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_PARALLEL_TASKS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PARALLEL_TASKS", value)
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
+        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "0")
+        calls = _spy_pool(monkeypatch)
+        DecisionEngine().run_batch(_gate_tasks(max_paths=3))
+        return bool(calls)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0", "false", "False", "FALSE", "no", "No", "off", "OFF", "", "  ", " 0 "],
+    )
+    def test_disabling_values(self, monkeypatch, value):
+        assert self._dispatches(monkeypatch, value) is False
+
+    @pytest.mark.parametrize("value", ["1", "true", "True", "yes", "on", " 1 "])
+    def test_enabling_values(self, monkeypatch, value):
+        assert self._dispatches(monkeypatch, value) is True
+
+    @pytest.mark.parametrize("value", ["2"])
+    def test_unknown_values_disable(self, monkeypatch, value):
+        assert self._dispatches(monkeypatch, value) is False
+
+    def test_unset_disables(self, monkeypatch):
+        assert self._dispatches(monkeypatch, None) is False
+
+    def test_env_toggle_controls_default(self, monkeypatch):
+        assert self._dispatches(monkeypatch, None) is False
+        assert self._dispatches(monkeypatch, "1") is True
+        assert self._dispatches(monkeypatch, "off") is False
+
+    def test_zero_verifiably_bypasses_the_pool(self, monkeypatch):
+        # With REPRO_PARALLEL_TASKS=0 and parallel=None a batch must stay
+        # in process: the scheduler is rigged to explode if touched.
+        monkeypatch.setenv("REPRO_PARALLEL_TASKS", "0")
+        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
+        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "0")
+
+        def _explode(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("process pool used despite REPRO_PARALLEL_TASKS=0")
+
+        monkeypatch.setattr(workqueue, "PoolScheduler", _explode)
+        results = DecisionEngine().run_batch(_gate_tasks(max_paths=3))
+        assert all(result.value is not None for result in results)
+
+
 class TestNodeMemo:
     """The expansion memo follows ``memoize`` and decides within a path cap."""
 

@@ -1,10 +1,9 @@
 """Fault-injection suite: scripted worker failures never change verdicts.
 
 Drives the ``REPRO_FAULT_INJECT`` harness (:mod:`repro.store.faults`)
-against real process pools at both worker entry points — whole-chain
-emptiness tasks (``chain``) and pooled engine reductions (``task``) —
-and asserts two things for every scripted
-kill, delay, corruption and transient failure:
+against real process pools at the worker entry point of pooled engine
+reductions (``task``) and asserts two things for every scripted kill,
+delay, corruption and transient failure:
 
 * the final result is field-identical to the fault-free sequential
   oracle (the robustness guarantee of PR 6's retrying dispatch), and
@@ -23,11 +22,8 @@ import time
 
 import pytest
 
-from repro.automata.emptiness import automaton_emptiness
-from repro.automata.library import containment_automaton, ltr_automaton
-from repro.automata.operations import union_automaton
 from repro.core.solver import AccLTLSolver
-from repro.engine import DecisionEngine, bounded_check_task
+from repro.engine import DecisionEngine, bounded_check_task, emptiness_task
 from repro.store import faults
 from repro.store import workqueue as workqueue_module
 from repro.store.faults import (
@@ -35,11 +31,6 @@ from repro.store.faults import (
     Fault,
     FaultPlan,
     parse_fault_spec,
-)
-from repro.workloads.directory import (
-    directory_access_schema,
-    join_query,
-    resident_names_query,
 )
 from repro.workloads.scenarios import standard_scenarios
 
@@ -53,60 +44,32 @@ def _clean_fault_state():
     workqueue_module.discard_shared_pool()
 
 
-@pytest.fixture(scope="module")
-def vocabulary():
-    return AccLTLSolver(directory_access_schema()).vocabulary
-
-
-def _multi_chain_automaton(vocabulary, empty_language: bool):
-    scenario = next(s for s in standard_scenarios() if s.name == "directory")
-    ltr = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one)
-    if empty_language:
-        containment = containment_automaton(
-            vocabulary, join_query(), resident_names_query(), grounded=False
-        )
-    else:
-        containment = containment_automaton(
-            vocabulary, resident_names_query(), join_query(), grounded=False
-        )
-    return union_automaton(containment, ltr)
-
-
-def _result_fields(result):
-    return (
-        result.empty,
-        result.witness,
-        result.exhausted,
-        result.paths_explored,
-        result.chains_checked,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Spec parsing and plan bookkeeping
 # ---------------------------------------------------------------------------
 class TestFaultSpec:
     def test_parse_full_spec(self):
-        plan = parse_fault_spec("kill@task:2,delay@chain:0:0.2, raise@task:1")
+        plan = parse_fault_spec("kill@task:2,delay@task:0:0.2, raise@task:1")
         assert plan == (
             Fault("kill", "task", 2),
-            Fault("delay", "chain", 0, 0.2),
+            Fault("delay", "task", 0, 0.2),
             Fault("raise", "task", 1),
         )
 
     def test_parse_rejects_malformed_entries(self):
-        for bad in ("kill", "kill@", "explode@chain:0", "kill@nowhere:0",
-                    "kill@subtree:0", "kill@chain:-1", "kill@chain:x"):
+        for bad in ("kill", "kill@", "explode@task:0", "kill@nowhere:0",
+                    "kill@subtree:0", "kill@chain:0", "kill@task:-1",
+                    "kill@task:x"):
             with pytest.raises(ValueError):
                 parse_fault_spec(bad)
 
     def test_plan_counters_are_per_point(self):
-        plan = FaultPlan(parse_fault_spec("raise@chain:1,corrupt@task:0"))
-        assert plan.next_fault("chain") is None  # hit 0
-        assert plan.next_fault("task").action == "corrupt"  # hit 0
-        assert plan.next_fault("chain").action == "raise"  # hit 1
-        assert plan.next_fault("chain") is None  # hit 2
-        assert plan.next_fault("task") is None  # hit 1
+        plan = FaultPlan(parse_fault_spec("raise@task:1,trip@torn_write:0"))
+        assert plan.next_fault("task") is None  # hit 0
+        assert plan.next_fault("torn_write").action == "trip"  # hit 0
+        assert plan.next_fault("task").action == "raise"  # hit 1
+        assert plan.next_fault("task") is None  # hit 2
+        assert plan.next_fault("torn_write") is None  # hit 1
 
     def test_install_and_clear(self):
         plan = faults.install("raise@task:0")
@@ -139,45 +102,16 @@ class TestFireInProcess:
         faults.fire("task")  # index 0 consumed: later hits pass
 
     def test_raise_raises_runtime_error(self):
-        faults.install("raise@chain:1")
-        faults.fire("chain")
+        faults.install("raise@task:1")
+        faults.fire("task")
         with pytest.raises(RuntimeError, match="scripted transient"):
-            faults.fire("chain")
+            faults.fire("task")
 
     def test_delay_sleeps_for_arg_seconds(self):
         faults.install("delay@task:0:0.05")
         start = time.perf_counter()
         faults.fire("task")
         assert time.perf_counter() - start >= 0.05
-
-
-# ---------------------------------------------------------------------------
-# Real-pool injection: chain tasks
-# ---------------------------------------------------------------------------
-KWARGS = dict(max_paths=1200, use_datalog_precheck=False, memoize=False)
-
-
-class TestChainFaults:
-    @pytest.mark.parametrize("spec", ["kill@chain:0", "corrupt@chain:0",
-                                      "raise@chain:0"])
-    @pytest.mark.parametrize("empty_language", [True, False])
-    def test_chain_fault_never_changes_the_verdict(
-        self, vocabulary, monkeypatch, spec, empty_language
-    ):
-        automaton = _multi_chain_automaton(vocabulary, empty_language)
-        sequential = automaton_emptiness(
-            automaton, vocabulary, parallel=False, **KWARGS
-        )
-        monkeypatch.setenv(FAULT_INJECT_ENV, spec)
-        workqueue_module.discard_shared_pool()  # fork workers with the spec
-        faulty = automaton_emptiness(
-            automaton, vocabulary, parallel=True, max_workers=2, **KWARGS
-        )
-        assert _result_fields(faulty) == _result_fields(sequential)
-        # the failure is visible, not swallowed: every fresh worker fails
-        # the first chain it sees, so that chain falls back in process
-        # on its own, recorded in the result stats
-        assert (faulty.stats or {}).get("pool_inprocess_fallbacks", 0) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +133,54 @@ def _bounded_tasks(count=2):
     return tasks
 
 
+def _emptiness_tasks(empty_language: bool):
+    """Two emptiness tasks over a union automaton with several chains."""
+    from repro.automata.library import containment_automaton, ltr_automaton
+    from repro.automata.operations import union_automaton
+    from repro.workloads.directory import join_query, resident_names_query
+
+    scenario = next(s for s in standard_scenarios() if s.name == "directory")
+    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+    queries = (join_query(), resident_names_query())
+    if not empty_language:
+        queries = queries[::-1]
+    automaton = union_automaton(
+        containment_automaton(vocabulary, *queries, grounded=False),
+        ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one),
+    )
+    return [
+        emptiness_task(
+            automaton,
+            vocabulary,
+            max_paths=max_paths,
+            use_datalog_precheck=False,
+            memoize=False,
+        )
+        for max_paths in (1200, 1201)
+    ]
+
+
 class TestEngineTaskFaults:
     def _oracle_values(self):
         return [r.value for r in DecisionEngine(parallel=False).run_batch(_bounded_tasks())]
+
+    @pytest.mark.parametrize("spec", ["kill@task:0", "corrupt@task:0",
+                                      "raise@task:0"])
+    @pytest.mark.parametrize("empty_language", [True, False])
+    def test_task_fault_never_changes_the_verdict(
+        self, monkeypatch, spec, empty_language
+    ):
+        tasks = _emptiness_tasks(empty_language)
+        oracle = [r.value for r in DecisionEngine(parallel=False).run_batch(tasks)]
+        monkeypatch.setenv(FAULT_INJECT_ENV, spec)
+        workqueue_module.discard_shared_pool()  # fork workers with the spec
+        engine = DecisionEngine(max_workers=2)
+        results = engine.run_batch(tasks)
+        assert [r.value for r in results] == oracle
+        # the failure is visible, not swallowed: every fresh worker fails
+        # the first task it sees, so at least one task falls back in
+        # process, counted in the engine stats
+        assert engine.stats()["pool_inprocess_fallbacks"] >= 1
 
     def test_transient_failure_is_retried_to_success(self, monkeypatch):
         oracle = self._oracle_values()

@@ -13,7 +13,7 @@ count, which these tests pin three ways:
 * a committed fixture (``tests/data/emptiness_results.json``) holding the
   ``EmptinessResult`` fields of a fixed list of inputs, recorded for the
   sequential and ``memoize=False`` runs and matched by those, by the
-  chain-pooled and anytime-resumed runs, and by runs passing the ignored
+  anytime-resumed runs, and by runs passing the ignored
   ``subtree_parallel=True``.  Its work counts were re-recorded when the
   search moved to the emptiness quotient (``AAutomaton.minimise``); its
   verdicts and witnesses must still equal the ones recorded before
@@ -47,7 +47,6 @@ from repro.automata import emptiness as emptiness_module
 from repro.automata.emptiness import (
     _WitnessSearch,
     automaton_emptiness,
-    check_restriction,
     datalog_emptiness_precheck,
 )
 from repro.automata.library import containment_automaton, ltr_automaton
@@ -88,8 +87,8 @@ FIXTURE = Path(__file__).with_name("data") / "emptiness_results.json"
 #: one (:func:`test_synthetic_3rel_ltr_has_no_witness_at_a_large_cap`).
 VERDICTS = Path(__file__).with_name("data") / "emptiness_verdicts.json"
 
-#: Run modes recorded in the fixture; chain-pooled runs are compared with
-#: ``sequential`` and anytime-resumed runs with ``sequential``/``memo_off``.
+#: Run modes recorded in the fixture; anytime-resumed runs are compared
+#: with ``sequential``/``memo_off``.
 MODES = {
     "sequential": dict(parallel=False, subtree_parallel=False),
     "memo_off": dict(parallel=False, subtree_parallel=False, memoize=False),
@@ -159,10 +158,6 @@ INPUTS = {
     "directory-containment": _directory_containment,
     **{f"generated-{seed}": (lambda seed=seed: _generated(seed)) for seed in range(6)},
 }
-
-#: Inputs whose trimmed automaton splits into several Lemma 4.9 chains.
-MULTI_CHAIN = ("directory-union-empty", "directory-union-nonempty")
-
 
 def _fields(result):
     return {
@@ -245,13 +240,6 @@ def test_fixture_witnesses_replay_on_original_automaton(recorded, name):
         if fields["witness"] is not None:
             witness = access_path_from_dict(fields["witness"], vocabulary.access_schema)
             assert accepts_path(automaton, vocabulary, witness)
-
-
-@pytest.mark.parametrize("name", MULTI_CHAIN)
-def test_chain_pooled_matches_fixture(recorded, name):
-    # max_workers=2 forces a real process pool even on one-CPU hosts.
-    result = _run(name, parallel=True, subtree_parallel=False, max_workers=2)
-    assert _fields(result) == recorded[name]["sequential"]
 
 
 @pytest.mark.parametrize("memoize", [True, False])
@@ -557,23 +545,13 @@ def test_precheck_builds_each_guard_program_once(monkeypatch):
     assert [outcome.prechecked_empty for outcome in outcomes] == reference
     monkeypatch.undo()
     # The same chains, each prechecked on its own (no shared verdicts).
-    fact_pool, _ = emptiness_module._guard_pools(automaton.minimise(), vocabulary)
-    search_kwargs = {
-        "max_length": max(2, len(fact_pool) + 2),
-        "max_response_size": 2,
-        "max_paths": 4000,
-        "fact_pool": None,
-        "value_pool": None,
-        "grounded_only": False,
-        "memoize": True,
-    }
-    initial = vocabulary.access_schema.empty_instance()
-    unshared = emptiness_module._fold_chain_outcomes(
-        (
-            check_restriction(restriction, vocabulary, initial, search_kwargs, True)
-            for restriction in restrictions
-        ),
-        len(restrictions),
+    monkeypatch.setattr(
+        emptiness_module,
+        "check_restriction",
+        lambda *args, memo=None, **kwargs: original_check(*args, **kwargs),
+    )
+    unshared = automaton_emptiness(
+        automaton, vocabulary, parallel=False, subtree_parallel=False, max_paths=4000
     )
     assert result == unshared
 

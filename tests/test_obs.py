@@ -225,13 +225,12 @@ class TestEnvRegistry:
         assert {
             "REPRO_TRACE",
             "REPRO_FAULT_INJECT",
-            "REPRO_PARALLEL_CHAINS",
             "REPRO_PARALLEL_TASKS",
             "REPRO_PARALLEL_MIN_COST",
             "REPRO_POOL_RETRIES",
             "REPRO_POOL_ITEM_TIMEOUT",
         } <= names
-        assert len(names) == 13
+        assert len(names) == 12
 
     def test_current_reports_source_and_value(self, monkeypatch):
         monkeypatch.delenv("REPRO_POOL_RETRIES", raising=False)
@@ -289,37 +288,28 @@ class TestStreamedMatrixStats:
 # ---------------------------------------------------------------------------
 class TestWorkerSpanShipping:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_chain_worker_ships_picklable_spans(self, start_method):
+    def test_task_worker_ships_picklable_spans(self, start_method):
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.automata.library import ltr_automaton
-        from repro.automata.progressive import chain_restrictions
         from repro.core.solver import AccLTLSolver
-        from repro.store import parallel as parallel_module
+        from repro.engine.engine import _pooled_task, emptiness_task
 
         schema = directory_access_schema()
         voc = AccLTLSolver(schema).vocabulary
         automaton = ltr_automaton(voc, schema.access("AcM1", ("Smith",)), join_query())
-        restriction = chain_restrictions(automaton.minimise())[0]
-        search_kwargs = dict(
+        task = emptiness_task(
+            automaton,
+            voc,
             max_length=3,
-            max_response_size=2,
             max_paths=200,
-            fact_pool=None,
-            value_pool=None,
-            grounded_only=False,
+            use_datalog_precheck=False,
             memoize=False,
         )
-        initial = parallel_module._initial_snapshot(voc.access_schema.empty_instance())
-        args = (restriction, voc, initial, search_kwargs, False)
         context = multiprocessing.get_context(start_method)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             shipped = pool.submit(
-                workqueue_module._run_item,
-                "chain",
-                parallel_module._check_chain,
-                args,
-                True,
+                workqueue_module._run_item, "task", _pooled_task, (task,), True
             ).result()
         assert shipped.spans, "worker recorded no spans with tracing on"
         clone = pickle.loads(pickle.dumps(shipped.spans))
@@ -330,18 +320,14 @@ class TestWorkerSpanShipping:
         # The same submission with tracing off ships nothing.
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             quiet = pool.submit(
-                workqueue_module._run_item,
-                "chain",
-                parallel_module._check_chain,
-                args,
-                False,
+                workqueue_module._run_item, "task", _pooled_task, (task,), False
             ).result()
         assert quiet.spans is None
-        outcome, quiet = shipped.value, quiet.value
-        assert (quiet.witness, quiet.explored, quiet.exhausted) == (
-            outcome.witness,
-            outcome.explored,
-            outcome.exhausted,
+        result, quiet = shipped.value, quiet.value
+        assert (quiet.witness, quiet.paths_explored, quiet.exhausted) == (
+            result.witness,
+            result.paths_explored,
+            result.exhausted,
         )
 
 

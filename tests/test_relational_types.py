@@ -39,6 +39,10 @@ class TestDataTypes:
         assert ANY.contains("x")
         assert ANY.contains((1, 2))
 
+    def test_any_contains_booleans(self):
+        assert ANY.contains(True)
+        assert ANY.contains(False)
+
     def test_placeholders_belong_to_every_type(self):
         assert INT.contains("~null1")
         assert BOOL.contains("~x")
@@ -88,3 +92,26 @@ class TestDomains:
     def test_enum_domain_sample_prefix(self):
         domain = enum_domain(["x", "y", "z"])
         assert list(domain.sample(2)) == ["x", "y"]
+
+
+class TestBooleanBindings:
+    def test_bool_input_binding_reaches_the_isbind_relation(self):
+        """``IsBind_*`` relations are untyped, so they accept a ``True`` binding."""
+        from repro.access.methods import AccessSchema
+        from repro.core import properties
+        from repro.core.bounded_check import Bounds, bounded_satisfiability
+        from repro.core.solver import AccLTLSolver
+        from repro.queries.parser import parse_cq
+        from repro.relational.schema import Relation, Schema
+
+        access_schema = AccessSchema(Schema([Relation("R", 2, (BOOL, STRING))]))
+        access_schema.add("AcR", "R", (0,))
+        vocabulary = AccLTLSolver(access_schema).vocabulary
+        formula = properties.ltr_formula(
+            vocabulary, access_schema.access("AcR", (True,)), parse_cq("Q() :- R(x, y)")
+        )
+        result = bounded_satisfiability(
+            vocabulary, formula, Bounds(max_path_length=2, max_paths=200)
+        )
+        assert result.satisfiable
+        assert result.witness.steps[0].access.binding == (True,)
