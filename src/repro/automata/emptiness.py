@@ -32,7 +32,9 @@ This module provides two procedures:
 * :func:`datalog_emptiness_precheck` — the Lemma 4.10 connection made
   concrete: a transition whose guard no transition can satisfy is
   pruned, and an automaton left without a reachable accepting state is
-  empty.  :func:`transitions_refute_guard` enumerates each guard's
+  empty.  The guards are refuted by the transition refuter of
+  :mod:`repro.core.refuter` (:func:`~repro.core.refuter.transitions_refute_guard`),
+  which the bounded checker consults too: it enumerates each guard's
   canonical transition structures — the transition encoding of Lemma
   4.10: ``R_post = R_pre ∪ response``, the response agrees with the
   ``IsBind`` binding, each step uses one method, the initial facts are
@@ -41,15 +43,17 @@ This module provides two procedures:
   automata of long-term relevance (the exit guard ``IsBind[probe] ∧
   Q_post ∧ ¬Q_pre`` is refuted when every way of making ``Q`` true needs
   a fact the probe cannot return) and of containment (``Q1_pre ∧
-  ¬Q2_pre`` is refuted when ``Q1 ⊆ Q2``).  Guards with a negated
-  inequality are declined and fall back to :func:`guard_to_datalog`:
-  containment of the positive part's Datalog program in a negated
-  sentence (Proposition 4.11).  Both are sound for any automaton,
-  grounded runs, exact methods and access orders, and never claim a
-  witness.  When the precheck proves emptiness the witness search is
-  skipped entirely (``exhausted`` with 0 paths).  The verdict depends on
-  the guard and the initial instance alone, so one emptiness call checks
-  each distinct guard once and every chain reuses the answer.
+  ¬Q2_pre`` is refuted when ``Q1 ⊆ Q2``).  The guards into accepting
+  states go first, so an exit guard refuted that way settles a chain
+  without its loop guards.  Guards with a negated inequality are
+  declined and fall back to :func:`guard_to_datalog`: containment of the
+  positive part's Datalog program in a negated sentence (Proposition
+  4.11).  Both are sound for any automaton, grounded runs, exact methods
+  and access orders, and never claim a witness.  When the precheck
+  proves emptiness the witness search is skipped entirely (``exhausted``
+  with 0 paths).  The verdict depends on the guard and the initial
+  instance alone, so one emptiness call checks each distinct guard once
+  and every chain reuses the answer.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ from repro.automata.aautomaton import AAutomaton
 from repro.automata.progressive import chain_restrictions
 from repro.core.bounded_check import candidate_table, fact_pool_from_sentences
 from repro.core.budget import INTERRUPT_STRIDE, Budget, BudgetClock
+from repro.core.refuter import TransitionRefuter
 from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.core.transition import (
@@ -83,20 +88,10 @@ from repro.core.transition import (
     prepost_names,
     seed_structure_mirror,
 )
-from repro.core.vocabulary import (
-    AccessVocabulary,
-    is_isbind,
-    is_isbind0,
-    is_pre,
-    isbind0_name,
-    isbind_name,
-    method_of_isbind,
-)
+from repro.core.vocabulary import AccessVocabulary
 from repro.datalog.containment import ContainmentResult, datalog_contained_in_ucq
 from repro.datalog.program import DatalogProgram, Rule
 from repro.queries.atoms import Atom
-from repro.queries.homomorphism import FreshValue
-from repro.queries.terms import Constant
 from repro.relational.instance import Instance
 from repro.store.snapshot import Snapshot, SnapshotInstance
 
@@ -870,10 +865,9 @@ def check_restriction(
         resumed=checkpoint is not None,
     ):
         if checkpoint is None and use_datalog_precheck:
-            with trace.trace_span("emptiness.precheck"):
-                prechecked = _precheck_empty(
-                    restriction, vocabulary, memo.guard_verdicts, initial
-                )
+            prechecked = _precheck_empty(
+                restriction, vocabulary, memo.guard_verdicts, initial
+            )
             if prechecked is True:
                 trace.annotate(outcome="prechecked_empty")
                 return ChainOutcome(
@@ -1073,7 +1067,10 @@ def automaton_emptiness(
     inequality — Lemma 4.10 direction "containment ⇒ empty"), and return
     an exhausted EMPTY with 0 paths for a chain left without a reachable
     accepting state; then search each remaining chain for an accepted
-    path.  Every witness is accepted by the quotient, hence by
+    path.  The precheck orders the guards accepting-first: a chain whose
+    initial state is not accepting and whose guards into accepting
+    states are all refuted is EMPTY without its loop guards being
+    checked.  Every witness is accepted by the quotient, hence by
     *automaton* itself; task fingerprints stay keyed on the caller's
     automaton.
 
@@ -1223,9 +1220,10 @@ def guard_unsatisfiable_via_datalog(guard, vocabulary: AccessVocabulary) -> bool
     counterexample automaton for ``Q1 ⊆ Q2`` when the containment holds
     classically.
 
-    It stays as the fallback of :func:`transitions_refute_guard`, which
-    declines every guard whose negated sentence has inequalities: for
-    those guards this is the only pruner left.
+    It stays as the fallback of the transition refuter
+    (:func:`~repro.core.refuter.transitions_refute_guard`), which declines
+    every guard whose negated sentence has inequalities: for those guards
+    this is the only pruner left.
     ``tests/test_transition_precheck.py::test_negated_inequality_still_prunes_through_containment``
     pins that case.  It runs 0 times on a seed-1 ``decide_cold`` round,
     where the refuter decides every guard.
@@ -1249,12 +1247,12 @@ def prune_unsatisfiable_guards(
 
     A guard is unsatisfiable when no transition from a configuration
     containing *initial* (``None``: the empty instance) satisfies it
-    (:func:`transitions_refute_guard`, or the Datalog containment of
-    :func:`guard_unsatisfiable_via_datalog` for the guards that check
-    declines).
+    (:func:`~repro.core.refuter.transitions_refute_guard`, or the Datalog
+    containment of :func:`guard_unsatisfiable_via_datalog` for the guards
+    that check declines).
     """
     initial = _initial_or_empty(vocabulary, initial)
-    return _prune_guards(automaton, vocabulary, {}, initial)
+    return _prune_guards(automaton, _GuardRefuter(vocabulary, {}, initial))
 
 
 def datalog_emptiness_precheck(
@@ -1264,15 +1262,21 @@ def datalog_emptiness_precheck(
 ) -> Optional[bool]:
     """``True`` when guard pruning proves the language empty, else ``None``.
 
-    After removing transitions with provably unsatisfiable guards (see
-    :func:`prune_unsatisfiable_guards`; *initial* ``None`` means the
-    empty instance), an automaton with no reachable accepting state has
-    an empty language.  The check never claims non-emptiness (the
-    caller's witness search is responsible for that).  Each distinct
-    guard object is checked once, however many transitions share it;
-    :func:`check_restriction` goes further and shares those verdicts
-    across every chain of one :func:`automaton_emptiness` call (the
-    chains share their transitions and their initial instance).
+    The guards of the transitions into accepting states are refuted
+    first: when the initial state is not accepting and every one of them
+    is unsatisfiable, no accepting state is reachable and the loop guards
+    are never checked.  Otherwise every transition with a provably
+    unsatisfiable guard is removed (see :func:`prune_unsatisfiable_guards`;
+    *initial* ``None`` means the empty instance), and an automaton left
+    with no reachable accepting state has an empty language.  Both orders
+    give the same verdict: an accepted path from a non-accepting initial
+    state ends with a transition into an accepting state.  The check never
+    claims non-emptiness (the caller's witness search is responsible for
+    that).  Each distinct guard object is checked once, however many
+    transitions share it; :func:`check_restriction` goes further and
+    shares those verdicts across every chain of one
+    :func:`automaton_emptiness` call (the chains share their transitions
+    and their initial instance).
     """
     return _precheck_empty(
         automaton, vocabulary, {}, _initial_or_empty(vocabulary, initial)
@@ -1287,31 +1291,41 @@ def _initial_or_empty(
     return initial
 
 
-def _prune_guards(
-    automaton: AAutomaton,
-    vocabulary: AccessVocabulary,
-    verdicts: GuardVerdicts,
-    initial: Instance,
-) -> AAutomaton:
-    refuter: Optional[_TransitionRefuter] = None
-    kept = []
-    for transition in automaton.transitions:
-        guard = transition.guard
-        entry = verdicts.get(id(guard))
+class _GuardRefuter:
+    """Whether a guard is unsatisfiable, memoised in one precheck scope.
+
+    Verdicts go to *verdicts* (:data:`GuardVerdicts`); ``checked`` counts
+    the guards this instance decided rather than found there.
+    """
+
+    def __init__(
+        self, vocabulary: AccessVocabulary, verdicts: GuardVerdicts, initial: Instance
+    ) -> None:
+        self.vocabulary = vocabulary
+        self.verdicts = verdicts
+        self.initial = initial
+        self.refuter: Optional[TransitionRefuter] = None
+        self.checked = 0
+
+    def __call__(self, guard) -> bool:
+        entry = self.verdicts.get(id(guard))
         if entry is None:
-            if refuter is None:
-                refuter = _TransitionRefuter(vocabulary, initial)
-            verdict = refuter.refutes(guard)
+            if self.refuter is None:
+                self.refuter = TransitionRefuter(self.vocabulary, self.initial)
+            verdict = self.refuter.refutes(guard.positives, guard.negated)
             if verdict is None:
-                verdict = guard_unsatisfiable_via_datalog(guard, vocabulary)
-            entry = verdicts[id(guard)] = (guard, verdict)
-        if not entry[1]:
-            kept.append(transition)
+                verdict = guard_unsatisfiable_via_datalog(guard, self.vocabulary)
+            entry = self.verdicts[id(guard)] = (guard, verdict)
+            self.checked += 1
+        return entry[1]
+
+
+def _prune_guards(automaton: AAutomaton, refuted: _GuardRefuter) -> AAutomaton:
     pruned = AAutomaton(
         states=automaton.states,
         initial=automaton.initial,
         accepting=automaton.accepting,
-        transitions=kept,
+        transitions=[t for t in automaton.transitions if not refuted(t.guard)],
         name=automaton.name,
     )
     return pruned.trim()
@@ -1323,227 +1337,16 @@ def _precheck_empty(
     verdicts: GuardVerdicts,
     initial: Instance,
 ) -> Optional[bool]:
-    pruned = _prune_guards(automaton, vocabulary, verdicts, initial)
-    if not pruned.accepting or not (pruned.reachable_states() & pruned.accepting):
-        return True
-    return None
-
-
-# ----------------------------------------------------------------------
-# Canonical transition structures (the transition encoding of Lemma 4.10)
-# ----------------------------------------------------------------------
-def transitions_refute_guard(
-    guard, vocabulary: AccessVocabulary, initial: Optional[Instance] = None
-) -> Optional[bool]:
-    """Whether no transition from a configuration ⊇ *initial* satisfies *guard*.
-
-    ``True`` proves the guard unsatisfiable, ``False`` means some
-    canonical transition structure survives (the guard may hold), and
-    ``None`` means the check declines the guard (a negated sentence with
-    inequalities, or a relation outside the vocabulary).  *initial*
-    ``None`` means the empty instance.  See :class:`_TransitionRefuter`
-    for the structures and why the answer is sound.
-    """
-    initial = _initial_or_empty(vocabulary, initial)
-    return _TransitionRefuter(vocabulary, initial).refutes(guard)
-
-
-class _TransitionRefuter:
-    """Refutes guards over the canonical structures of one transition.
-
-    A transition ``t = (I, (AcM, b̄), I ∪ resp)`` of any run from *initial*
-    has ``I ⊇ initial``, ``R_post = R_pre ∪ resp`` for the accessed
-    relation ``R`` (every other ``post`` copy equals its ``pre`` copy),
-    every response tuple agrees with ``b̄`` on the method's input
-    positions, and only ``AcM``'s binding predicates are non-empty.  So if
-    ``t`` satisfies the guard's positive sentences, the homomorphisms of
-    the chosen disjuncts factor through one *canonical structure*:
-
-    * pick a disjunct of each positive sentence (renamed apart) and a
-      method — the one a binding atom names, else each method;
-    * send each ``post`` atom over the method's relation either to
-      ``pre`` or to the response, and every other ``post`` atom to
-      ``pre``;
-    * unify the binding atoms' terms and the response atoms' input
-      positions with one binding, and the disjuncts' equalities;
-    * freeze each class to its constant or to a fresh value, and add the
-      initial facts.
-
-    The structure is *impossible* when unification equates two distinct
-    constants, a positive inequality relates a class to itself, a binding
-    atom names another method, or a ``pre`` atom lies over a relation
-    that has no access method and no initial fact (such a relation never
-    grows).  Each possible structure maps homomorphically into ``M(t)``;
-    negated sentences without inequalities are UCQs and so are preserved
-    under that map.  The guard is refuted when every structure is
-    impossible or satisfies a negated sentence.  Grounded runs, exact
-    methods and access orders only remove transitions, so the answer is
-    sound for them too; it is never used to claim a witness.
-    """
-
-    def __init__(self, vocabulary: AccessVocabulary, initial: Instance) -> None:
-        access_schema = vocabulary.access_schema
-        self.methods = list(access_schema)
-        self.names = prepost_names(access_schema.schema)
-        accessible = {method.relation for method in self.methods}
-        # Pre or post copy -> base relation, and whether the base relation
-        # can hold a fact at all.
-        self.base: Dict[str, str] = {}
-        self.populated: Dict[str, bool] = {}
-        for name, (pre, post) in self.names.items():
-            self.base[pre] = self.base[post] = name
-            self.populated[name] = name in accessible or bool(initial.tuples_view(name))
-        self.structure = Instance(vocabulary.schema)
-        seed_structure_mirror(self.structure, self.names, initial)
-
-    def refutes(self, guard) -> Optional[bool]:
-        """See :func:`transitions_refute_guard`."""
-        if any(sentence.has_inequalities for sentence in guard.negated) or any(
-            not (name in self.base or is_isbind(name) or is_isbind0(name))
-            for sentence in guard.positives
-            for name in sentence.relations()
-        ):
-            return None
-        negated = [bind_sentence(sentence, 0)[2] for sentence in guard.negated]
-        choices = [sentence.query.disjuncts for sentence in guard.positives]
-        for disjuncts in itertools.product(*choices):
-            for facts in self._structures(disjuncts):
-                if not self._refuted(negated, facts):
-                    return False
-        return True
-
-    def _structures(self, disjuncts) -> Iterable[List[Fact]]:
-        """The possible canonical structures of one disjunct choice.
-
-        Each is the list of facts it adds to the initial mirror.
-        """
-        named: Set[str] = set()
-        for disjunct in disjuncts:
-            for atom in disjunct.atoms:
-                if is_isbind(atom.relation) or is_isbind0(atom.relation):
-                    named.add(method_of_isbind(atom.relation))
-        if len(named) > 1:
-            return
-        methods = (
-            [m for m in self.methods if m.name in named] if named else self.methods
+    with trace.trace_span("emptiness.precheck"):
+        refuted = _GuardRefuter(vocabulary, verdicts, initial)
+        accepting = automaton.accepting
+        shortcut = automaton.initial not in accepting and all(
+            refuted(t.guard) for t in automaton.transitions if t.target in accepting
         )
-        for method in methods:
-            yield from self._method_structures(disjuncts, method)
-
-    def _method_structures(self, disjuncts, method) -> Iterable[List[Fact]]:
-        binding = [("bind", position) for position in method.input_positions]
-        equal: List[Tuple[object, object]] = []
-        distinct: List[Tuple[object, object]] = []
-        pre_atoms: List[Tuple[str, Tuple]] = []
-        routable: List[Tuple] = []
-        isbind = isbind_name(method.name)
-
-        def node(index, term):
-            return term if isinstance(term, Constant) else (index, term)
-
-        for index, disjunct in enumerate(disjuncts):
-            for comparison, pairs in (
-                (disjunct.equalities, equal),
-                (disjunct.inequalities, distinct),
-            ):
-                for item in comparison:
-                    pairs.append((node(index, item.left), node(index, item.right)))
-            for atom in disjunct.atoms:
-                terms = tuple(node(index, term) for term in atom.terms)
-                if atom.relation == isbind:
-                    if len(terms) != len(binding):
-                        return
-                    equal.extend(zip(terms, binding))
-                elif is_isbind0(atom.relation) or is_isbind(atom.relation):
-                    continue  # names *method* (checked by the caller)
-                else:
-                    relation = self.base[atom.relation]
-                    if is_pre(atom.relation) or relation != method.relation:
-                        if not self.populated[relation]:
-                            return
-                        pre_atoms.append((relation, terms))
-                    else:
-                        routable.append(terms)
-        for routes in itertools.product((False, True), repeat=len(routable)):
-            pairs = list(equal)
-            pre = list(pre_atoms)
-            response = []
-            for to_response, terms in zip(routes, routable):
-                if to_response:
-                    response.append(terms)
-                    pairs.extend(
-                        (terms[position], slot)
-                        for position, slot in zip(method.input_positions, binding)
-                    )
-                else:
-                    pre.append((method.relation, terms))
-            value = _unify(pairs, distinct)
-            if value is None:
-                continue
-            facts: List[Fact] = []
-            for relation, terms in pre:
-                tup = tuple(value(term) for term in terms)
-                pre_copy, post_copy = self.names[relation]
-                facts.append((pre_copy, tup))
-                facts.append((post_copy, tup))
-            post_copy = self.names[method.relation][1]
-            facts.extend(
-                (post_copy, tuple(value(term) for term in terms)) for terms in response
-            )
-            facts.append((isbind, tuple(value(slot) for slot in binding)))
-            facts.append((isbind0_name(method.name), ()))
-            yield facts
-
-    def _refuted(self, negated: List[Tuple], facts: List[Fact]) -> bool:
-        """Whether a *negated* sentence (bound plans) holds on the initial
-        mirror plus *facts*."""
-        structure = self.structure
-        added = [fact for fact in facts if structure.add_unchecked(*fact)]
-        try:
-            return any(plans_hold(plans, structure) for plans in negated)
-        finally:
-            for relation, tup in added:
-                structure.discard(relation, tup)
-
-
-def _unify(pairs, distinct) -> Optional[Callable[[object], object]]:
-    """The freezing map of the most general unifier of *pairs*.
-
-    Nodes are :class:`~repro.queries.terms.Constant` objects or opaque
-    keys.  ``None`` when two distinct constants meet or a *distinct* pair
-    ends up in one class.
-    """
-    parent: Dict[object, object] = {}
-
-    def find(node):
-        root = node
-        while root in parent:
-            root = parent[root]
-        while node in parent and parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    for left, right in pairs:
-        left, right = find(left), find(right)
-        if left == right:
-            continue
-        if isinstance(left, Constant):
-            if isinstance(right, Constant):
-                return None
-            left, right = right, left
-        parent[left] = right
-    for left, right in distinct:
-        if find(left) == find(right):
-            return None
-    fresh: Dict[object, object] = {}
-
-    def value(node):
-        root = find(node)
-        if isinstance(root, Constant):
-            return root.value
-        frozen = fresh.get(root)
-        if frozen is None:
-            frozen = fresh[root] = FreshValue(len(fresh))
-        return frozen
-
-    return value
+        if shortcut:
+            empty = True
+        else:
+            pruned = _prune_guards(automaton, refuted)
+            empty = not (pruned.reachable_states() & pruned.accepting)
+        trace.annotate(guards_checked=refuted.checked, shortcut=shortcut)
+    return True if empty else None

@@ -4,7 +4,9 @@ The core package provides:
 
 * the access vocabulary ``SchAcc`` (``R_pre``, ``R_post``, ``IsBind_AcM``)
   and its 0-ary-binding restriction ``Sch0-Acc`` (:mod:`repro.core.vocabulary`);
-* transition structures ``M(t)`` / ``M'(t)`` (:mod:`repro.core.transition`);
+* transition structures ``M(t)`` / ``M'(t)`` (:mod:`repro.core.transition`)
+  and the refuter of conjunctions no transition can satisfy, which both
+  witness searches consult before they search (:mod:`repro.core.refuter`);
 * the AccLTL formula AST and its semantics over access paths
   (:mod:`repro.core.formulas`, :mod:`repro.core.semantics`);
 * fragment classification — binding-positive AccLTL+, the 0-ary languages,

@@ -21,6 +21,18 @@ proof of unsatisfiability depends on the fragment (for the 0-ary and X-only
 languages the Lemma 4.13 bounds make it one — see
 :mod:`repro.core.sat_zeroary` and :mod:`repro.core.sat_xonly`).
 
+Before it searches, the checker compiles the formula into its
+:class:`~repro.core.semantics.Progression` and folds to ``false`` each
+maximal conjunction whose literals the transition refuter
+(:class:`repro.core.refuter.TransitionRefuter`, run on the checker's
+initial instance) refutes; negated literals that mention an n-ary
+binding or have inequalities are dropped first, which only weakens the
+conjunction.  A formula that folds to ``false`` is reported
+``exhausted=True`` at 0 paths before any candidate is built.  That holds
+independent of the bounds: the refuter over-approximates every
+transition of every run from the initial instance, so no path of any
+length satisfies the formula.
+
 The search checks each candidate extension of a path by formula
 progression (:class:`repro.core.semantics.Progression`): a path carries
 the obligation its continuations must meet, so a candidate is checked
@@ -42,8 +54,9 @@ are built only for a witness and the sanity-condition replay.  A stack
 entry names a parent node and a candidate, and the child's obligation
 and snapshots are built when the entry is popped and passes the budget
 and path-cap checks.  None of this changes a result field:
-``tests/test_bounded_oracle.py`` checks every field against a search
-that evaluates each candidate path whole.
+``tests/test_bounded_oracle.py`` checks every field of the search against
+one that evaluates each candidate path whole, and that the latter finds
+no witness wherever the fold claims exhaustion.
 """
 
 from __future__ import annotations
@@ -56,7 +69,8 @@ from repro.access.methods import Access, AccessSchema
 from repro.access.path import AccessPath, PathStep, satisfies_sanity_conditions
 from repro.core.budget import Budget
 from repro.core.formulas import AccFormula
-from repro.core.semantics import FALSE, Progression
+from repro.core.refuter import TransitionRefuter
+from repro.core.semantics import FALSE, Progression, Refutes
 from repro.core.transition import (
     bind_sentence,
     binding_refuter,
@@ -466,7 +480,7 @@ def bounded_satisfiability_legacy(
     from repro.obs import trace as _trace
 
     _metrics.counter("bounded_check.runs")
-    tally = [0, 0, 0]
+    tally = [0, 0, 0, 0]
     with _trace.trace_span(
         "bounded_check.run", max_paths=bounds.max_paths, budgeted=budget is not None
     ):
@@ -489,6 +503,7 @@ def bounded_satisfiability_legacy(
             folded=tally[0],
             evaluated=tally[1],
             nodes=tally[2],
+            refuted=tally[3],
         )
     if result.interrupted:
         _metrics.counter("budget.bounded_check_interrupted")
@@ -507,14 +522,74 @@ def _bounded_satisfiability_impl(
     enforce_schema_sanity: bool = True,
     budget: Optional[Budget] = None,
 ) -> BoundedCheckResult:
-    """The search; *tally* receives its folded and evaluated checks and nodes."""
+    """The fold, then the search; *tally* receives its folded and
+    evaluated checks, nodes and refuted conjunctions."""
+    if initial is None:
+        initial = vocabulary.access_schema.empty_instance()
+    progression = Progression(formula, _literal_refuter(vocabulary, initial))
+    tally[3] = progression.refuted
+    if progression.root == FALSE:
+        return BoundedCheckResult(
+            satisfiable=False, witness=None, paths_explored=0, exhausted=True
+        )
+    return _search(
+        tally,
+        progression,
+        vocabulary,
+        formula,
+        bounds,
+        initial,
+        fact_pool=fact_pool,
+        value_pool=value_pool,
+        grounded_only=grounded_only,
+        enforce_schema_sanity=enforce_schema_sanity,
+        budget=budget,
+    )
+
+
+def _literal_refuter(vocabulary: AccessVocabulary, initial: Instance) -> Refutes:
+    """The checker's conjunction refuter over transitions from *initial*.
+
+    It drops the negated literals that mention an n-ary binding or have
+    inequalities (the transition refuter declines the latter): dropping
+    a conjunct only weakens the conjunction, so a refutation of the rest
+    stays sound.  The refuter is built on its first question.
+    """
+    refuter: Optional[TransitionRefuter] = None
+
+    def refutes(positives, negated) -> Optional[bool]:
+        nonlocal refuter
+        if refuter is None:
+            refuter = TransitionRefuter(vocabulary, initial)
+        kept = tuple(
+            sentence
+            for sentence in negated
+            if not (sentence.has_inequalities or sentence.mentions_nary_binding())
+        )
+        return refuter.refutes(positives, kept)
+
+    return refutes
+
+
+def _search(
+    tally: List[int],
+    progression: Progression,
+    vocabulary: AccessVocabulary,
+    formula: AccFormula,
+    bounds: Bounds,
+    initial: Instance,
+    fact_pool: Optional[Sequence[Fact]] = None,
+    value_pool: Optional[Sequence[object]] = None,
+    grounded_only: bool = False,
+    enforce_schema_sanity: bool = True,
+    budget: Optional[Budget] = None,
+) -> BoundedCheckResult:
+    """The search for a witness of *progression*, compiled from *formula*."""
     from repro.core.budget import INTERRUPT_STRIDE
 
     clock = (budget if budget is not None else Budget()).start()
     check_budget = budget is not None and not budget.unbounded
     schema = vocabulary.access_schema
-    if initial is None:
-        initial = schema.empty_instance()
     if fact_pool is None:
         fact_pool = formula_fact_pool(vocabulary, formula)
     if value_pool is None:
@@ -582,7 +657,6 @@ def _bounded_satisfiability_impl(
     # refuted sentences into the obligation.  A group whose residual is
     # false holds no witness at the node and skips ``last``; at the depth
     # limit a run of its candidates is counted in one step.
-    progression = Progression(formula)
     last, progress, fold = progression.last, progression.progress, progression.fold
     records = [
         bind_sentence(sentence, number)

@@ -24,6 +24,10 @@ Two evaluators implement it:
   :meth:`Progression.fold` is :meth:`~Progression.last` with only some
   atoms known: it returns the residual the unknown atoms must satisfy,
   so a checker can rule out a whole group of candidates at once.
+
+  Given a refuter (:data:`Refutes`), the compilation folds to ``false``
+  each conjunction whose literals no transition can satisfy together
+  (see :class:`Progression`).
 """
 
 from __future__ import annotations
@@ -125,6 +129,13 @@ FALSE, TRUE = 0, 1
 #: Atom verdicts of the current transition: atom index -> truth.
 AtomHolds = Callable[[int], bool]
 
+#: ``(positives, negated) -> True`` when no transition satisfies every
+#: *positives* sentence and no *negated* one; ``False`` or ``None`` when
+#: the conjunction may hold (see :class:`repro.core.refuter.TransitionRefuter`).
+Refutes = Callable[
+    [Tuple[EmbeddedSentence, ...], Tuple[EmbeddedSentence, ...]], Optional[bool]
+]
+
 
 class Progression:
     """An AccLTL formula compiled for evaluation along a growing path.
@@ -141,13 +152,26 @@ class Progression:
 
     Every table belongs to the instance: one compilation per checker call,
     nothing kept at module level.
+
+    With *refutes*, each maximal conjunction (a tree of ``∧`` whose parent
+    is not ``∧``, a lone literal included) is compiled to :data:`FALSE`
+    when *refutes* refutes its literal conjuncts — atoms and negated
+    atoms — together; ``refuted`` counts those conjunctions.  An atom is
+    evaluated on one transition, so a conjunction no transition
+    satisfies is false at every position of every path, and the folded
+    formula holds on exactly the paths the formula holds on.  Dropping
+    the conjuncts that are not literals only weakens the conjunction, so
+    the fold stays sound.  The atoms of a folded conjunction are not
+    numbered unless they occur elsewhere.
     """
 
-    def __init__(self, formula: AccFormula) -> None:
+    def __init__(self, formula: AccFormula, refutes: Optional[Refutes] = None) -> None:
         self.atoms: List[EmbeddedSentence] = []
         self._atom_numbers: Dict[EmbeddedSentence, int] = {}
         self._nodes: List[Tuple[int, int, int]] = [(_CONST, 0, 0), (_CONST, 1, 0)]
         self._table: Dict[Tuple[int, int, int], int] = {}
+        self._refutes = refutes
+        self.refuted = 0
         self.root = self._compile(formula)
 
     # ------------------------------------------------------------------
@@ -206,7 +230,29 @@ class Progression:
     def _globally(self, a: int) -> int:
         return a if a <= TRUE else self._node(_GLOBALLY, a)
 
-    def _compile(self, formula: AccFormula) -> int:
+    def _refuted(self, formula: AccFormula) -> bool:
+        """Whether *refutes* refutes the literal conjuncts of *formula*."""
+        positives: List[EmbeddedSentence] = []
+        negated: List[EmbeddedSentence] = []
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, AccAnd):
+                stack += (node.right, node.left)
+            elif isinstance(node, AccAtom):
+                positives.append(node.sentence)
+            elif isinstance(node, AccNot) and isinstance(node.operand, AccAtom):
+                negated.append(node.operand.sentence)
+        if not (positives or negated):
+            return False
+        return self._refutes(tuple(positives), tuple(negated)) is True
+
+    def _compile(self, formula: AccFormula, conjunct: bool = False) -> int:
+        """*formula* as a node; *conjunct* marks an operand of ``∧`` or a
+        negated atom, which the fold leaves to its enclosing conjunction."""
+        if not conjunct and self._refutes is not None and self._refuted(formula):
+            self.refuted += 1
+            return FALSE
         if isinstance(formula, AccTrue):
             return TRUE
         if isinstance(formula, AccAtom):
@@ -217,9 +263,13 @@ class Progression:
                 self.atoms.append(sentence)
             return self._node(_ATOM, number)
         if isinstance(formula, AccNot):
-            return self._not(self._compile(formula.operand))
+            # A negated atom is a literal: its atom is no conjunction.
+            operand = formula.operand
+            return self._not(self._compile(operand, isinstance(operand, AccAtom)))
         if isinstance(formula, AccAnd):
-            return self._and(self._compile(formula.left), self._compile(formula.right))
+            return self._and(
+                self._compile(formula.left, True), self._compile(formula.right, True)
+            )
         if isinstance(formula, AccOr):
             return self._or(self._compile(formula.left), self._compile(formula.right))
         if isinstance(formula, AccNext):

@@ -17,6 +17,15 @@ synthetic scenarios, :class:`~repro.workloads.generators.WorkloadGenerator`
 schemas and the Table 1 formulas, under grounded runs, exact and
 idempotent methods, node-capped budgets, non-empty initial instances and
 path caps that land exactly on a node boundary.
+
+Before it searches, the checker folds to ``false`` each conjunction of
+literals the transition refuter refutes, and a formula that folds to
+``false`` is reported exhausted at 0 paths.  :func:`_agree` therefore
+compares the search itself (``bounded_check._search``, run on the
+unfolded formula) with the reference field for field, and the public
+result too unless the fold settles the input; where it does, the
+reference must find no witness.  The reference never consults the
+refuter.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import pytest
 from repro.access.methods import AccessSchema
 from repro.access.path import AccessPath, PathStep, satisfies_sanity_conditions
 from repro.core import properties
+from repro.core import bounded_check
 from repro.core.bounded_check import (
     BoundedCheckResult,
     Bounds,
@@ -39,7 +49,8 @@ from repro.core.bounded_check import (
 from repro.core.budget import Budget
 from repro.core.formulas import EmbeddedSentence, atom, eventually, land, lnext, lnot
 from repro.core.fragments import uses_nary_binding
-from repro.core.semantics import Progression, path_satisfies
+from repro.core.refuter import TransitionRefuter
+from repro.core.semantics import FALSE, Progression, path_satisfies
 from repro.core.solver import AccLTLSolver
 from repro.core.transition import bind_sentence, binding_refuter, binding_refutes
 from repro.io.json_io import access_path_to_dict
@@ -157,11 +168,57 @@ def _fields(result):
     )
 
 
+def _unfolded_search(vocabulary, formula, bounds, initial=None, tally=None, **kwargs):
+    """The checker's search on the unfolded formula, past the fold."""
+    initial = vocabulary.access_schema.empty_instance() if initial is None else initial
+    return bounded_check._search(
+        [0, 0, 0, 0] if tally is None else tally,
+        Progression(formula),
+        vocabulary,
+        formula,
+        bounds,
+        initial,
+        **kwargs,
+    )
+
+
+def _fold_settles(vocabulary, formula, initial=None):
+    """Whether the checker's fold compiles *formula* to ``false``."""
+    initial = vocabulary.access_schema.empty_instance() if initial is None else initial
+    refutes = bounded_check._literal_refuter(vocabulary, initial)
+    return Progression(formula, refutes).root == FALSE
+
+
+def _reference_without_refuter(vocabulary, formula, bounds, **kwargs):
+    """:func:`reference_search`, failing if it consults the refuter."""
+    original = TransitionRefuter.refutes
+
+    def forbidden(self, positives, negated):
+        raise AssertionError("the reference search consulted the refuter")
+
+    TransitionRefuter.refutes = forbidden
+    try:
+        return reference_search(vocabulary, formula, bounds, **kwargs)
+    finally:
+        TransitionRefuter.refutes = original
+
+
 def _agree(vocabulary, formula, bounds=SMALL, **kwargs):
-    expected = reference_search(vocabulary, formula, bounds, **kwargs)
+    """Check the search and the public result against the reference.
+
+    Returns the search's result, which the reference pins field for
+    field whether or not the fold settles the input.
+    """
+    expected = _reference_without_refuter(vocabulary, formula, bounds, **kwargs)
+    searched = _unfolded_search(vocabulary, formula, bounds, **kwargs)
+    assert _fields(searched) == _fields(expected)
     actual = bounded_satisfiability(vocabulary, formula, bounds, **kwargs)
-    assert _fields(actual) == _fields(expected)
-    return actual
+    if _fold_settles(vocabulary, formula, kwargs.get("initial")):
+        assert _fields(actual) == (False, None, 0, True, False)
+        assert not expected.satisfiable
+    else:
+        assert _fields(actual) == _fields(expected)
+    return searched
 
 
 def _scenario_formulas(seed):
@@ -310,7 +367,10 @@ def test_method_first_refutation_agrees_with_binding_refutes():
 
 
 def test_children_are_built_when_popped(monkeypatch):
-    """A capped run progresses the formula once per popped non-root node."""
+    """A capped search progresses the formula once per popped non-root node.
+
+    The fold settles this input, so the search runs past it.
+    """
     vocabulary, formulas = _table1_formulas(directory_access_schema())
     formula, bounds = formulas["containment"], Bounds(max_path_length=3, max_paths=100)
     expected = {"nodes": 0, "roots": 0, "children": 0}
@@ -323,18 +383,36 @@ def test_children_are_built_when_popped(monkeypatch):
         return original(self, node, atom_holds)
 
     monkeypatch.setattr(Progression, "progress", counted)
+    tally = [0, 0, 0, 0]
+    result = _unfolded_search(vocabulary, formula, bounds, tally=tally)
+    assert _fields(result) == _fields(reference)
+    assert not result.satisfiable and not result.exhausted and not result.interrupted
+    assert tally[2] == expected["nodes"]
+    assert len(calls) == expected["nodes"] - expected["roots"]
+    assert len(calls) < expected["children"]
+
+
+def test_run_span_counts_nodes_and_refuted_conjunctions():
+    """``bounded_check.run`` reports popped nodes, and the conjunctions the
+    fold refuted; a settled formula pops none."""
+    vocabulary, formulas = _table1_formulas(directory_access_schema())
+    bounds = Bounds(max_path_length=3, max_paths=100)
+    expected = {"nodes": 0, "roots": 0, "children": 0}
+    reference_search(vocabulary, formulas["ltr"], bounds, tally=expected)
     trace.set_enabled(True)
     try:
-        result = bounded_satisfiability(vocabulary, formula, bounds)
-        (span,) = [s for s in trace.take_spans() if s.name == "bounded_check.run"]
+        searched = bounded_satisfiability(vocabulary, formulas["ltr"], bounds)
+        settled = bounded_satisfiability(vocabulary, formulas["containment"], bounds)
+        spans = [s.attrs for s in trace.take_spans() if s.name == "bounded_check.run"]
     finally:
         trace.set_enabled(False)
         trace.reset()
-    assert _fields(result) == _fields(reference)
-    assert not result.satisfiable and not result.exhausted and not result.interrupted
-    assert span.attrs["nodes"] == expected["nodes"]
-    assert len(calls) == expected["nodes"] - expected["roots"]
-    assert len(calls) < expected["children"]
+    assert searched.paths_explored and not _fold_settles(vocabulary, formulas["ltr"])
+    assert _fields(settled) == (False, None, 0, True, False)
+    assert [(span["nodes"], span["refuted"] > 0) for span in spans] == [
+        (expected["nodes"], False),
+        (0, True),
+    ]
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4, 8, 11, 17, 32])
@@ -440,3 +518,63 @@ def test_path_caps_on_node_boundaries(number):
         if cap < total:
             _agree(vocabulary, formula, Bounds(length, max_paths=cap))
             _agree(vocabulary, formula, Bounds(length, max_paths=cap + 1))
+
+
+def _fold_inputs():
+    """``(name, vocabulary, formula, kwargs)`` for the fold's oracle."""
+    for schema in ("directory", "sanity"):
+        access_schema = directory_access_schema() if schema == "directory" else _sanity_schema()
+        vocabulary, formulas = _table1_formulas(access_schema)
+        for name, formula in formulas.items():
+            for grounded_only in (False, True):
+                yield f"{schema}-{name}", vocabulary, formula, {"grounded_only": grounded_only}
+    vocabulary, formulas = _table1_formulas(directory_access_schema())
+    hidden = directory_hidden_instance("small")
+    for name, formula in formulas.items():
+        yield f"hidden-{name}", vocabulary, formula, {"initial": hidden}
+    for seed in range(12):
+        scenario, vocabulary, formulas = _scenario_formulas(seed)
+        initial = Instance(scenario.access_schema.schema)
+        for relation in scenario.access_schema.schema:
+            for tup in sorted(scenario.hidden_instance.tuples(relation.name), key=repr)[:1]:
+                initial.add(relation.name, tup)
+        for name, formula in formulas.items():
+            for grounded_only in (False, True):
+                kwargs = {"grounded_only": grounded_only}
+                yield f"s{seed}-{name}", vocabulary, formula, kwargs
+            yield f"s{seed}-{name}-seeded", vocabulary, formula, {"initial": initial}
+    for seed in range(8):
+        generator = WorkloadGenerator(seed=seed)
+        schema = generator.access_schema(num_relations=2, max_arity=3, max_inputs=2)
+        vocabulary = AccLTLSolver(schema).vocabulary
+        q1 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
+        q2 = generator.conjunctive_query(schema.schema, num_atoms=1, num_variables=2)
+        methods = sorted(schema, key=lambda m: (-m.num_inputs, m.name))
+        probe = schema.access(methods[0].name, ("v0",) * methods[0].num_inputs)
+        yield f"g{seed}-ltr", vocabulary, properties.ltr_formula(vocabulary, probe, q1), {}
+        yield (
+            f"g{seed}-containment",
+            vocabulary,
+            properties.containment_counterexample_formula(vocabulary, q1, q2),
+            {},
+        )
+
+
+def test_fold_claims_no_exhaustion_the_reference_refutes():
+    """Wherever the folded checker claims ``exhausted``, the whole-path
+    reference search, which never consults the refuter, finds no witness
+    within a larger path cap either."""
+    folded = exhausted = 0
+    for name, vocabulary, formula, kwargs in _fold_inputs():
+        result = bounded_satisfiability(vocabulary, formula, SMALL, **kwargs)
+        if not result.exhausted:
+            continue
+        exhausted += 1
+        settled = _fold_settles(vocabulary, formula, kwargs.get("initial"))
+        folded += settled
+        assert result.paths_explored == 0 or not settled, name
+        reference = _reference_without_refuter(
+            vocabulary, formula, Bounds(max_path_length=3, max_paths=600), **kwargs
+        )
+        assert not reference.satisfiable, name
+    assert folded >= 80 and exhausted > folded, (folded, exhausted)

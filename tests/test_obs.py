@@ -37,8 +37,8 @@ from repro.workloads.directory import (
     directory_access_schema,
     directory_hidden_instance,
     join_query,
-    resident_names_query,
 )
+from repro.workloads.generators import WorkloadGenerator
 from repro.workloads.matrices import probe_accesses, stream_relevance_matrix
 
 
@@ -135,9 +135,15 @@ class TestSpanRecords:
         assert json.loads(target.read_text())["traceEvents"]
 
     def test_bounded_check_span_counts_popped_nodes(self):
-        vocabulary = AccLTLSolver(directory_access_schema()).vocabulary
+        # A containment the transition refuter cannot settle, so the
+        # checker searches it to exhaustion.
+        generator = WorkloadGenerator(seed=0)
+        schema = generator.access_schema(num_relations=2, max_arity=3, max_inputs=2)
+        vocabulary = AccLTLSolver(schema).vocabulary
         formula = properties.containment_counterexample_formula(
-            vocabulary, join_query(), resident_names_query()
+            vocabulary,
+            generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3),
+            generator.conjunctive_query(schema.schema, num_atoms=1, num_variables=2),
         )
         trace.set_enabled(True)
         for length in (1, 2):
@@ -149,13 +155,14 @@ class TestSpanRecords:
             span.attrs for span in trace.take_spans() if span.name == "bounded_check.run"
         )
         attrs = {"max_paths", "budgeted", "satisfiable", "explored", "interrupted"}
-        assert attrs | {"folded", "evaluated", "nodes"} <= set(two)
+        assert attrs | {"folded", "evaluated", "nodes", "refuted"} <= set(two)
         # A one-step search pops its root only.  With two steps, each popped
         # node checks every candidate once: both roots and the children
         # the second root pushed.
         assert one["nodes"] == 1
         assert two["nodes"] > 2
         assert two["explored"] == one["explored"] * two["nodes"]
+        assert one["refuted"] == two["refuted"] == 0
 
 
 # ---------------------------------------------------------------------------

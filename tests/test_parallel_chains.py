@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata.emptiness import automaton_emptiness, check_restriction
+from repro.automata.emptiness import (
+    automaton_emptiness,
+    check_restriction,
+    datalog_emptiness_precheck,
+)
 from repro.automata.library import containment_automaton, ltr_automaton
 from repro.automata.operations import union_automaton
 from repro.automata.progressive import chain_restrictions
@@ -91,11 +95,24 @@ class TestParallelMatchesSequential:
         assert _result_fields(sequential) == _result_fields(parallel)
 
 
+#: Per chain of ``_multi_chain_automaton``: ``(prechecked_empty, has a
+#: witness, exhausted, explored)``.
+_CHAIN_OUTCOMES = {
+    True: [(True, False, True, 0), (True, False, True, 0)],
+    False: [(True, False, True, 0), (False, True, False, 19)],
+}
+
+
 class TestWorkerUnit:
     def test_check_restriction_matches_inline_fold(self, vocabulary):
-        """``check_restriction`` checks each chain on its own."""
-        automaton = _multi_chain_automaton(vocabulary, empty_language=True).trim()
-        restrictions = chain_restrictions(automaton)
+        """``check_restriction`` checks each chain on its own, and the
+        chain fold of its outcomes is ``automaton_emptiness``'s result."""
+        for empty_language, expected in _CHAIN_OUTCOMES.items():
+            self._check_chains(vocabulary, empty_language, expected)
+
+    def _check_chains(self, vocabulary, empty_language, expected):
+        automaton = _multi_chain_automaton(vocabulary, empty_language)
+        restrictions = chain_restrictions(automaton.minimise())
         kwargs = dict(
             max_length=4,
             max_response_size=2,
@@ -110,9 +127,42 @@ class TestWorkerUnit:
             check_restriction(r, vocabulary, initial, kwargs, True)
             for r in restrictions
         ]
-        assert len(outcomes) == len(restrictions)
+        assert [
+            (o.prechecked_empty, o.witness is not None, o.exhausted, o.explored)
+            for o in outcomes
+        ] == expected
+        for restriction, outcome in zip(restrictions, outcomes):
+            prechecked = datalog_emptiness_precheck(restriction, vocabulary) is True
+            assert outcome.prechecked_empty == prechecked
+            if not prechecked:
+                # The precheck passed the chain on: its search decides it.
+                searched = check_restriction(
+                    restriction, vocabulary, initial, kwargs, False
+                )
+                assert (outcome.witness, outcome.exhausted, outcome.explored) == (
+                    searched.witness,
+                    searched.exhausted,
+                    searched.explored,
+                )
+            if outcome.witness is not None:
+                assert accepts_path(automaton, vocabulary, outcome.witness)
+        # The chain fold: chains in order up to the first witness.
+        folded = []
         for outcome in outcomes:
-            assert outcome.explored >= 0
+            folded.append(outcome)
+            if outcome.witness is not None:
+                break
+        witness = folded[-1].witness
+        whole = automaton_emptiness(
+            automaton, vocabulary, max_length=4, max_response_size=2, max_paths=1500
+        )
+        assert _result_fields(whole) == (
+            witness is None,
+            witness,
+            witness is None and all(o.exhausted for o in folded),
+            sum(o.explored for o in folded),
+            len(restrictions),
+        )
 
 
 class TestSubtreeMatchesSequential:

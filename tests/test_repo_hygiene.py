@@ -6,7 +6,10 @@ library's behaviour:
 * compiled Python artifacts (``__pycache__``/``*.pyc``) must never be
   git-tracked — they are interpreter- and machine-specific and once
   committed they shadow honest diffs;
-* no silent broad-exception swallow sites may exist in ``src/``.
+* no silent broad-exception swallow sites may exist in ``src/``;
+* the bounded checker and the modules it evaluates formulas with never
+  import ``repro.automata``: the transition refuter both searches share
+  lives in ``repro.core``.
 
 The silent-swallow check used to be an ad-hoc AST walk here; it now
 lives in the contract linter (:class:`repro.analysis.hygiene.
@@ -22,6 +25,7 @@ that keeps the guarantee **at least as strong as the seed check**:
 
 from __future__ import annotations
 
+import ast
 import subprocess
 from pathlib import Path
 
@@ -139,3 +143,51 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert not tracer._patches
+
+
+#: ``repro.core`` modules that must not depend on the automata layer.
+AUTOMATA_FREE = (
+    "core/bounded_check.py",
+    "core/refuter.py",
+    "core/semantics.py",
+    "core/transition.py",
+)
+
+
+def _automata_imports(source: str) -> list:
+    """Line numbers of the imports of ``repro.automata`` in *source*,
+    module-level and function-level alike."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "repro.automata" or name.startswith("repro.automata.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_core_search_modules_do_not_import_automata():
+    offenders = {
+        name: lines
+        for name in AUTOMATA_FREE
+        if (lines := _automata_imports((REPO_ROOT / "src" / "repro" / name).read_text()))
+    }
+    assert not offenders, f"repro.core modules import repro.automata: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.automata.aautomaton import Guard",
+        "import repro.automata.emptiness",
+        "from repro import automata",
+        "def f():\n    from repro.automata import emptiness\n",
+    ],
+)
+def test_automata_import_detection(source):
+    assert _automata_imports(source)
+    assert not _automata_imports("from repro.core.refuter import TransitionRefuter")

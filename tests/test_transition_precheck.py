@@ -1,6 +1,6 @@
 """The emptiness precheck over canonical transition structures.
 
-:func:`~repro.automata.emptiness.transitions_refute_guard` proves a guard
+:func:`~repro.core.refuter.transitions_refute_guard` proves a guard
 unsatisfiable when every canonical structure of a transition (Lemma 4.10's
 encoding: ``R_post = R_pre ∪ response``, the response agrees with the
 binding, one method per step) is impossible or satisfies a negated
@@ -39,15 +39,18 @@ from repro.automata.emptiness import (
     datalog_emptiness_precheck,
     guard_unsatisfiable_via_datalog,
     prune_unsatisfiable_guards,
-    transitions_refute_guard,
 )
+from repro.automata.compile import compile_accltl_plus
 from repro.automata.library import containment_automaton, ltr_automaton
+from repro.automata.progressive import chain_restrictions
 from repro.automata.run import accepts_path
 from repro.core import properties
 from repro.core.bounded_check import Bounds, bounded_satisfiability
 from repro.core.formulas import EmbeddedSentence
+from repro.core.refuter import transitions_refute_guard
 from repro.core.solver import AccLTLSolver
 from repro.core.transition import transition_structure
+from repro.obs import trace
 from repro.core.vocabulary import (
     AccessVocabulary,
     isbind0_name,
@@ -60,9 +63,18 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
 from repro.queries.terms import Constant, Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.relational.dependencies import DisjointnessConstraint
 from repro.relational.instance import Instance
 from repro.relational.schema import make_schema
-from repro.workloads.scenarios import _synthetic_scenario
+from repro.workloads.directory import (
+    ADDRESS,
+    MOBILE,
+    directory_access_schema,
+    join_query,
+    resident_names_query,
+)
+from repro.workloads.generators import WorkloadGenerator
+from repro.workloads.scenarios import _synthetic_scenario, standard_scenarios
 
 #: The oracle's value domain; guards use the constants ``"a"`` and ``"b"``.
 DOMAIN = ("a", "b", "c")
@@ -361,6 +373,124 @@ def test_exact_method_binding_constrains_the_response():
         use_datalog_precheck=False,
     )
     assert search.witness is None
+
+
+# ----------------------------------------------------------------------
+# Accepting guards first: the same verdict as pruning every guard
+# ----------------------------------------------------------------------
+def _prune_all_verdict(automaton, vocabulary, initial):
+    """The precheck's verdict by pruning every guard, then reachability."""
+    pruned = prune_unsatisfiable_guards(automaton, vocabulary, initial)
+    return None if pruned.reachable_states() & pruned.accepting else True
+
+
+def _table1_automata():
+    """The AccLTL+ formulas of Table 1 on the directory, compiled."""
+    vocabulary = AccLTLSolver(directory_access_schema()).vocabulary
+    probe = vocabulary.access_schema.access("AcM1", ("Smith",))
+    formulas = [
+        properties.ltr_formula(vocabulary, probe, join_query()),
+        properties.ltr_formula_zeroary(vocabulary, "AcM1", join_query()),
+        properties.containment_counterexample_formula(
+            vocabulary, join_query(), resident_names_query()
+        ),
+        properties.containment_counterexample_formula(
+            vocabulary, resident_names_query(), join_query()
+        ),
+        properties.access_order_formula(vocabulary, "AcM2", "AcM1"),
+        properties.disjointness_formula(
+            vocabulary, DisjointnessConstraint(MOBILE, 0, ADDRESS, 0)
+        ),
+    ]
+    compiled = [compile_accltl_plus(formula) for formula in formulas]
+    return [(vocabulary, automaton, None) for automaton in compiled]
+
+
+def _library_automata():
+    for scenario in standard_scenarios():
+        vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+        seeded = scenario.access_schema.empty_instance()
+        for relation in scenario.access_schema.schema:
+            for tup in sorted(scenario.hidden_instance.tuples(relation.name), key=repr)[:1]:
+                seeded.add(relation.name, tup)
+        for query in (scenario.query_one, scenario.query_two):
+            automaton = ltr_automaton(vocabulary, scenario.probe_access, query)
+            yield vocabulary, automaton, None
+            yield vocabulary, automaton, seeded
+        # The grounded containment automata are left out: pruning their
+        # loop guards, as the reference does, takes minutes.
+        q1, q2 = scenario.query_one, scenario.query_two
+        for queries in ((q1, q2), (q2, q1)):
+            automaton = containment_automaton(vocabulary, *queries, grounded=False)
+            yield vocabulary, automaton, None
+            yield vocabulary, automaton, seeded
+
+
+def _generated_automata():
+    for seed in range(8):
+        generator = WorkloadGenerator(seed=seed)
+        schema = generator.access_schema(num_relations=2, max_arity=3, max_inputs=2)
+        vocabulary = AccLTLSolver(schema).vocabulary
+        q1 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
+        q2 = generator.conjunctive_query(schema.schema, num_atoms=1, num_variables=2)
+        methods = sorted(schema, key=lambda m: (-m.num_inputs, m.name))
+        probe = schema.access(methods[0].name, ("v0",) * methods[0].num_inputs)
+        yield vocabulary, ltr_automaton(vocabulary, probe, q1), None
+        yield vocabulary, containment_automaton(vocabulary, q1, q2, grounded=False), None
+        yield vocabulary, containment_automaton(vocabulary, q2, q1, grounded=False), None
+
+
+def _precheck_spans():
+    return [span for span in trace.take_spans() if span.name == "emptiness.precheck"]
+
+
+def test_accepting_guards_first_match_pruning_every_guard():
+    """On every chain restriction the precheck sees, refuting the guards
+    into accepting states first gives the verdict of pruning them all."""
+    shortcuts = {True: 0, False: 0}
+    verdicts = {True: 0, None: 0}
+    inputs = [*_table1_automata(), *_library_automata(), *_generated_automata()]
+    trace.set_enabled(True)
+    try:
+        for vocabulary, automaton, initial in inputs:
+            for restriction in chain_restrictions(automaton.minimise()):
+                verdict = datalog_emptiness_precheck(restriction, vocabulary, initial)
+                expected = _prune_all_verdict(restriction, vocabulary, initial)
+                assert verdict == expected, restriction
+                (span,) = _precheck_spans()
+                shortcuts[span.attrs["shortcut"]] += 1
+                verdicts[verdict] += 1
+                assert span.attrs["guards_checked"] <= len(restriction.transitions)
+    finally:
+        trace.set_enabled(False)
+        trace.reset()
+    assert all(count >= 10 for count in (*shortcuts.values(), *verdicts.values())), (
+        shortcuts,
+        verdicts,
+    )
+
+
+def test_accepting_initial_state_takes_no_shortcut():
+    """With an accepting initial state, refuted guards into acceptance
+    prove nothing: the precheck falls through to reachability."""
+    vocabulary = _vocabulary()
+    refuted = Guard(positives=(_sentence("Q :- T__pre(x)"),))
+    automaton = AAutomaton(
+        states=["q0", "q1"],
+        initial="q0",
+        accepting=["q0", "q1"],
+        transitions=[ATransition("q0", refuted, "q1"), ATransition("q1", refuted, "q0")],
+    )
+    assert transitions_refute_guard(refuted, vocabulary) is True
+    trace.set_enabled(True)
+    try:
+        assert datalog_emptiness_precheck(automaton, vocabulary) is None
+        (span,) = _precheck_spans()
+    finally:
+        trace.set_enabled(False)
+        trace.reset()
+    assert span.attrs == {"guards_checked": 1, "shortcut": False}
+    assert _prune_all_verdict(automaton, vocabulary, None) is None
 
 
 # ----------------------------------------------------------------------
