@@ -11,7 +11,7 @@ important static-analysis problems compile directly into A-automata
 
 from repro.automata.aautomaton import AAutomaton, Guard, ATransition
 from repro.automata.run import accepts_path, accepts_structures, accepting_runs
-from repro.automata.compile import compile_accltl_plus
+from repro.automata.compile import clear_template_cache, compile_accltl_plus
 from repro.automata.progressive import (
     strongly_connected_components,
     scc_chain,
@@ -31,6 +31,7 @@ __all__ = [
     "accepts_path",
     "accepts_structures",
     "accepting_runs",
+    "clear_template_cache",
     "compile_accltl_plus",
     "strongly_connected_components",
     "scc_chain",

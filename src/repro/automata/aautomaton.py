@@ -16,6 +16,7 @@ simply appear as constants inside the embedded queries.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -27,6 +28,34 @@ from repro.queries.evaluation import holds
 
 class AutomatonError(ValueError):
     """Raised for malformed A-automata."""
+
+
+def closure(roots: Iterable[str], adjacency: Dict[str, List[str]]) -> Set[str]:
+    """The states reachable from *roots* along *adjacency* (roots included)."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for state in adjacency.get(stack.pop(), ()):
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return seen
+
+
+def useful_states(
+    initial: str, accepting: Iterable[str], edges: Iterable[Tuple[str, str]]
+) -> Set[str]:
+    """States on some ``(source, target)`` path from *initial* to acceptance.
+
+    One adjacency pass builds both directions; one closure from *initial*
+    forward and one from the accepting states backward intersect.
+    """
+    forward: Dict[str, List[str]] = defaultdict(list)
+    backward: Dict[str, List[str]] = defaultdict(list)
+    for source, target in edges:
+        forward[source].append(target)
+        backward[target].append(source)
+    return closure((initial,), forward) & closure(accepting, backward)
 
 
 @cached_hash
@@ -130,6 +159,15 @@ class AAutomaton:
         self.name = name
         self._validate()
 
+    #: The template quotient of a compiled automaton, set only by
+    #: ``compile_accltl_plus`` (see :meth:`minimise`).  Not a field:
+    #: equality, ``repr``, pickles and every automaton built from this one
+    #: leave it out.
+    _quotient = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {key: value for key, value in self.__dict__.items() if key != "_quotient"}
+
     def _validate(self) -> None:
         state_set = set(self.states)
         if self.initial not in state_set:
@@ -168,29 +206,16 @@ class AAutomaton:
 
     def reachable_states(self) -> FrozenSet[str]:
         """States reachable from the initial state in the transition graph."""
-        reachable: Set[str] = set()
-        frontier = [self.initial]
-        while frontier:
-            state = frontier.pop()
-            if state in reachable:
-                continue
-            reachable.add(state)
-            frontier.extend(self.successors(state))
-        return frozenset(reachable)
+        forward: Dict[str, List[str]] = defaultdict(list)
+        for transition in self.transitions:
+            forward[transition.source].append(transition.target)
+        return frozenset(closure((self.initial,), forward))
 
     def trim(self) -> "AAutomaton":
         """Remove states that are unreachable or cannot reach acceptance."""
-        reachable = self.reachable_states()
-        # Backward reachability from accepting states.
-        co_reachable: Set[str] = set(self.accepting)
-        changed = True
-        while changed:
-            changed = False
-            for transition in self.transitions:
-                if transition.target in co_reachable and transition.source not in co_reachable:
-                    co_reachable.add(transition.source)
-                    changed = True
-        useful = reachable & co_reachable
+        useful = useful_states(
+            self.initial, self.accepting, ((t.source, t.target) for t in self.transitions)
+        )
         if self.initial not in useful:
             # The language is empty: keep a minimal automaton with no
             # accepting states so downstream code still has a valid object.
@@ -243,7 +268,26 @@ class AAutomaton:
         The initial state keeps its name; every other block is named by
         its first member in state order.  Applying ``minimise`` twice
         yields an automaton of the same size.
+
+        **Compiled automata.**  The quotient of an automaton that
+        ``compile_accltl_plus`` built depends only on its formula's
+        template (see :mod:`repro.automata.compile`).  Such an automaton
+        privately carries its template's quotient: the first call computes
+        it here and records it in template terms, later calls instantiate
+        it with the automaton's own ``Guard`` objects.  The result is the
+        one computed here, field for field and guard object for guard
+        object.  The shortcut applies only while the public fields are
+        those the compiler set; every other automaton, including those
+        built from a compiled one (``trim``, ``relabel``,
+        ``union_automaton``, products), is minimised here.
         """
+        quotient = self._quotient
+        if quotient is not None and quotient.describes(self):
+            return quotient.build(self)
+        return self._minimise()
+
+    def _minimise(self) -> "AAutomaton":
+        """The general :meth:`minimise` construction."""
         trimmed = self.trim()
         if not trimmed.accepting:
             return trimmed

@@ -225,8 +225,13 @@ class _Tableau:
         self, source: FrozenSet[LTLFormula], target: FrozenSet[LTLFormula]
     ) -> bool:
         """Whether the tableau allows a step from *source* to *target*."""
-        source_profile = self._profile(source)
-        target_profile = self._profile(target)
+        return self._step_allowed(self._profile(source), self._profile(target))
+
+    @staticmethod
+    def _step_allowed(
+        source_profile: Tuple[Tuple[bool, ...], ...],
+        target_profile: Tuple[Tuple[bool, ...], ...],
+    ) -> bool:
         if source_profile[0] != target_profile[1]:
             return False
         for pending, blocked, value in zip(
@@ -238,6 +243,37 @@ class _Tableau:
             elif pending:
                 return False
         return True
+
+    def successor_lists(
+        self, states: Sequence[FrozenSet[LTLFormula]]
+    ) -> List[List[int]]:
+        """Per state, the positions of the *states* it may step to, ascending.
+
+        The same relation as :meth:`transition_allowed` over every pair,
+        without visiting every pair: a step reads of its target only the
+        ``X``-operand and ``U`` values, and of its source only the ``X``,
+        ``U``-pending and ``U``-blocked values, so targets are grouped by
+        the former and each distinct source profile is checked against one
+        member of each group.
+        """
+        profiles = [self._profile(state) for state in states]
+        groups: Dict[Tuple, List[int]] = {}
+        for position, profile in enumerate(profiles):
+            groups.setdefault((profile[1], profile[2]), []).append(position)
+        by_source: Dict[Tuple, List[int]] = {}
+        lists: List[List[int]] = []
+        for profile in profiles:
+            key = (profile[0], profile[3], profile[4])
+            successors = by_source.get(key)
+            if successors is None:
+                successors = by_source[key] = sorted(
+                    position
+                    for members in groups.values()
+                    if self._step_allowed(profile, profiles[members[0]])
+                    for position in members
+                )
+            lists.append(successors)
+        return lists
 
 
 def find_satisfying_word(
