@@ -16,7 +16,7 @@ with inequality atoms) over the combined access vocabulary of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.vocabulary import (
     is_isbind,
@@ -26,6 +26,10 @@ from repro.core.vocabulary import (
 )
 from repro.immutable import cached_hash
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+
+
+#: One shared object per distinct relation set the sentences mention.
+_RELATION_SETS: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
 
 @cached_hash
@@ -42,9 +46,30 @@ class EmbeddedSentence:
     query: UnionOfConjunctiveQueries
     label: Optional[str] = None
 
+    #: :meth:`relations` and :meth:`mentions_nary_binding`, stored by
+    #: :meth:`_memoise` (see :mod:`repro.immutable`).
+    _cached_relations = None
+    _cached_nary_binding = None
+
     def __post_init__(self) -> None:
         normalized = as_ucq(self.query).boolean_version()
         object.__setattr__(self, "query", normalized)
+        self._memoise()
+
+    def _memoise(self) -> None:
+        """Store the relation set and the n-ary binding flag on the instance.
+
+        Done at construction, in the same order for every sentence, so the
+        values stay in the instance's shared-key layout instead of growing
+        a dict of its own, and equal relation sets share one object.
+        Pickles drop both; an unpickled sentence stores them on first use.
+        """
+        relations = self.query.relations()
+        relations = _RELATION_SETS.setdefault(relations, relations)
+        object.__setattr__(self, "_cached_relations", relations)
+        object.__setattr__(
+            self, "_cached_nary_binding", any(is_isbind(name) for name in relations)
+        )
 
     @property
     def has_inequalities(self) -> bool:
@@ -52,11 +77,15 @@ class EmbeddedSentence:
 
     def relations(self) -> FrozenSet[str]:
         """Vocabulary relation names used by the sentence."""
-        return self.query.relations()
+        if self._cached_relations is None:
+            self._memoise()
+        return self._cached_relations
 
     def mentions_nary_binding(self) -> bool:
         """Whether an n-ary ``IsBind`` predicate occurs."""
-        return any(is_isbind(name) for name in self.relations())
+        if self._cached_nary_binding is None:
+            self._memoise()
+        return self._cached_nary_binding
 
     def mentions_zeroary_binding(self) -> bool:
         """Whether a 0-ary ``IsBind`` predicate occurs."""

@@ -15,10 +15,17 @@ the paper, Section 4.1), round by identical round.
 
 The fixedpoint state lives on the persistent fact store by default
 (:class:`~repro.store.snapshot.SnapshotInstance`).  Each round is
-set-based: its derivations are collected per head relation, one
-``missing`` call per relation finds the new ones, and one ``add_all``
-per relation adds them (on SQLite: one staged anti-join and one
-``executemany``).  The previous-generation side of the delta plans is the
+set-based: on the memory store and the dict oracle its derivations are
+collected per head relation, one ``missing`` call per relation finds the
+new ones, and one ``add_all`` per relation adds them.  On SQLite the
+round stays inside SQLite: a delta variant that pushes down inserts its
+head rows into a temp table with ``INSERT ... SELECT``, a declined
+variant (or a rule without variants, or naive mode) adds the head tuples
+it derives in Python to the same table with one ``executemany``, and one
+``SELECT DISTINCT`` anti-join per head relation turns them into the next
+round's delta table.  Python reads each new fact once, to validate it
+and hash it into the store's fingerprint, and reads a delta only when a
+declined variant scans it.  The previous-generation side of the delta plans is the
 store's ``pin()`` of the pre-round state — a shared
 :meth:`~repro.store.snapshot.Snapshot.view` on the memory backend (warm
 indexes included), an uncommitted generation on SQLite, so an in-place
@@ -48,12 +55,18 @@ from repro.queries.evaluation import (
     satisfying_assignments,
     satisfying_assignments_delta,
 )
-from repro.queries.plan_cache import get_plan
+from repro.queries.plan_cache import (
+    SRC_NEW,
+    SRC_OLD,
+    execute_delta_plan,
+    get_delta_plan,
+    get_plan,
+)
 from repro.queries.terms import Constant, Variable
 from repro.relational.instance import Instance
 from repro.store import backend as _backend
 from repro.store.snapshot import Snapshot, SnapshotInstance
-from repro.store.sqlstore import SQLStoreInstance
+from repro.store.sqlstore import SQLDelta, SQLStoreInstance
 
 class FixedpointTruncated(RuntimeError):
     """``evaluate_program(max_rounds=...)`` ran out of rounds unconverged.
@@ -158,6 +171,136 @@ def _rule_supports_delta(rule: Rule) -> bool:
     return bool(rule.body) and not get_plan(_body_query(rule)).fallback
 
 
+def _seed(
+    state, database: Instance, delta: Optional[Dict[str, Set[Tuple[object, ...]]]]
+) -> None:
+    """Copy the facts of *database* into *state* (collecting them in *delta*)."""
+    for name in database.relation_names():
+        tuples = database.tuples_view(name)
+        if not tuples:
+            # Empty relations contribute nothing; in particular a database
+            # over a wider vocabulary than the program's EDB is fine as
+            # long as the extra relations hold no facts (the convention
+            # used by query evaluation throughout the package).
+            continue
+        # Bulk-load without re-validating only when the database's relation
+        # signature matches the program's EDB declaration; otherwise fall
+        # back to the validating path so a mismatched database fails with a
+        # SchemaError at this boundary, not deep inside the join engine.
+        compatible = (
+            name in state.schema
+            and state.schema.relation(name) == database.schema.relation(name)
+        )
+        bucket = delta.setdefault(name, set()) if delta is not None else None
+        for tup in tuples:
+            if compatible:
+                state.add_unchecked(name, tup)
+            else:
+                tup = state.add(name, tup)
+            if bucket is not None:
+                bucket.add(tup)
+
+
+def _python_round(
+    program: DatalogProgram,
+    state,
+    old,
+    delta: Dict[str, Set[Tuple[object, ...]]],
+    semi_naive: bool,
+    store_backed: bool,
+) -> Tuple[Dict[str, Set[Tuple[object, ...]]], object]:
+    """One round on the memory store or the dict oracle: ``(new facts, old)``.
+
+    The derivations are collected per head relation, one ``missing`` call
+    per relation finds the new ones and one ``add_all`` adds them.  A
+    round that derives nothing new returns ``{}`` and mutates nothing.
+    """
+    derived: Dict[str, Set[Tuple[object, ...]]] = {}
+    for rule in program.rules:
+        bucket = derived.setdefault(rule.head.relation, set())
+        if semi_naive and _rule_supports_delta(rule):
+            _rule_delta_derivations(rule, state, old, delta, bucket)
+        else:
+            _rule_derivations(rule, state, bucket)
+    new_facts: Dict[str, Set[Tuple[object, ...]]] = {}
+    for name, bucket in derived.items():
+        missing = state.missing(name, bucket)
+        if missing:
+            new_facts[name] = missing
+    if not new_facts:
+        return new_facts, old
+    if semi_naive:
+        # Advance the previous-generation side before mutating the
+        # state (naive mode reads neither ``old`` nor ``delta``).
+        if store_backed:
+            old = state.pin()
+        else:
+            for name, bucket in delta.items():
+                for tup in bucket:
+                    old.add_unchecked(name, tup)
+    for name, bucket in new_facts.items():
+        state.add_all(name, bucket)
+    return new_facts, old
+
+
+def _reads_an_empty_side(plan, state, old) -> bool:
+    """Whether a delta variant joins a relation with no facts on its side."""
+    for atom in plan.atoms:
+        if atom.source == SRC_NEW:
+            if not state.relation_count(atom.relation):
+                return True
+        elif atom.source == SRC_OLD and not old.relation_count(atom.relation):
+            return True
+    return False
+
+
+def _sql_round(
+    program: DatalogProgram,
+    state: SQLStoreInstance,
+    old,
+    delta: SQLDelta,
+    semi_naive: bool,
+) -> Tuple[SQLDelta, object]:
+    """One round on the SQLite store: ``(new-fact delta, old)``.
+
+    Every variant keeps the routing of
+    :func:`~repro.queries.evaluation.satisfying_assignments_delta`: one
+    that pushes down stages its head rows in SQL
+    (``sql_assignments_delta(..., head=...)``); a declined variant, a rule
+    without delta variants and naive mode derive in Python and stage
+    their head tuples with one ``executemany`` per rule.  The store's
+    anti-join then turns the staged rows into the next delta, and only
+    those new facts are read into Python (to validate and hash them).
+    """
+    for rule in program.rules:
+        head = rule.head
+        derived: Set[Tuple[object, ...]] = set()
+        if semi_naive and _rule_supports_delta(rule):
+            body_query = _body_query(rule)
+            for position, atom in enumerate(rule.body):
+                if not delta.counts.get(atom.relation):
+                    continue
+                plan = get_delta_plan(body_query, position, state)
+                if state.sql_assignments_delta(plan, old, delta, head=head) is not None:
+                    continue
+                if _reads_an_empty_side(plan, state, old):
+                    continue  # derives nothing: leave its delta in SQLite
+                for assignment in execute_delta_plan(
+                    plan, body_query, state, old, delta
+                ):
+                    derived.add(_head_tuple(rule, assignment))
+        else:
+            _rule_derivations(rule, state, derived)
+        state.stage(head.relation, derived)
+    new_delta = state.next_delta(delta)
+    if not new_delta:
+        return new_delta, old
+    if semi_naive:
+        old = state.pin()
+    state.add_delta(new_delta)
+    return new_delta, old
+
+
 def evaluate_program(
     program: DatalogProgram,
     database: Instance,
@@ -235,34 +378,14 @@ def evaluate_program(
         old = state.pin()  # the pre-seed generation
     else:
         old = Instance(combined)
-    delta: Dict[str, Set[Tuple[object, ...]]] = {}
-    for name in database.relation_names():
-        tuples = database.tuples_view(name)
-        if not tuples:
-            # Empty relations contribute nothing; in particular a database
-            # over a wider vocabulary than the program's EDB is fine as
-            # long as the extra relations hold no facts (the convention
-            # used by query evaluation throughout the package).
-            continue
-        # Bulk-load without re-validating only when the database's relation
-        # signature matches the program's EDB declaration; otherwise fall
-        # back to the validating path so a mismatched database fails with a
-        # SchemaError at this boundary, not deep inside the join engine.
-        compatible = (
-            name in combined
-            and combined.relation(name) == database.schema.relation(name)
-        )
-        bucket = delta.setdefault(name, set())
-        if adopted:
-            # The database *is* the state; seed only the round-1 delta.
-            bucket.update(tuples)
-            continue
-        for tup in tuples:
-            if compatible:
-                state.add_unchecked(name, tup)
-            else:
-                tup = state.add(name, tup)
-            bucket.add(tup)
+    # Round 1's delta is the whole database.  On SQLite it is copied from
+    # the live rows in SQL; elsewhere the seeding loop collects it.
+    in_sql = isinstance(state, SQLStoreInstance)
+    delta: Union[Dict[str, Set[Tuple[object, ...]]], SQLDelta] = {}
+    if not adopted:  # an adopted database already *is* the state
+        _seed(state, database, None if in_sql else delta)
+    if in_sql:
+        delta = state.seed_delta()
     if generation_log is not None:
         generation_log.append(state.snapshot())
     rounds = 0
@@ -275,40 +398,20 @@ def evaluate_program(
             if max_rounds is not None and rounds >= max_rounds:
                 break
             rounds += 1
-            derived: Dict[str, Set[Tuple[object, ...]]] = {}
-            for rule in program.rules:
-                bucket = derived.setdefault(rule.head.relation, set())
-                if semi_naive and _rule_supports_delta(rule):
-                    _rule_delta_derivations(rule, state, old, delta, bucket)
-                else:
-                    _rule_derivations(rule, state, bucket)
-            new_facts: Dict[str, Set[Tuple[object, ...]]] = {}
-            for name, bucket in derived.items():
-                missing = state.missing(name, bucket)
-                if missing:
-                    new_facts[name] = missing
-            _trace.event(
-                "datalog.round",
-                round=rounds,
-                new_facts=sum(map(len, new_facts.values())),
-            )
-            if not new_facts:
+            if in_sql:
+                delta, old = _sql_round(program, state, old, delta, semi_naive)
+                new_count = len(delta)
+            else:
+                delta, old = _python_round(
+                    program, state, old, delta, semi_naive, store_backed
+                )
+                new_count = sum(map(len, delta.values()))
+            _trace.event("datalog.round", round=rounds, new_facts=new_count)
+            if not new_count:
                 converged = True
                 break
-            if semi_naive:
-                # Advance the previous-generation side before mutating the
-                # state (naive mode reads neither ``old`` nor ``delta``).
-                if store_backed:
-                    old = state.pin()
-                else:
-                    for name, bucket in delta.items():
-                        for tup in bucket:
-                            old.add_unchecked(name, tup)
-            for name, bucket in new_facts.items():
-                state.add_all(name, bucket)
             if generation_log is not None:
                 generation_log.append(state.snapshot())
-            delta = new_facts
     finally:
         _trace.end(fixedpoint_span, rounds=rounds, converged=converged)
     _metrics.counter("datalog.fixedpoint_runs")

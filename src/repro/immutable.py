@@ -14,6 +14,11 @@ see it.  Pickling drops it (string hashes differ between interpreters
 with different ``PYTHONHASHSEED``), so a pool or spawn-started worker
 recomputes it under its own seed; ``copy`` goes through the same
 ``__getstate__`` and recomputes it too.
+
+A class may memoise other derived values the same way: an instance
+attribute named ``_cached_<what>`` (class default ``None``, set with
+``object.__setattr__``) follows the same contract — outside the
+fields, dropped from pickles and copies.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ T = TypeVar("T")
 
 #: Instance attribute holding the stored hash (``None`` on the class).
 _ATTR = "_cached_hash"
+#: Prefix of every memoised instance attribute ``__getstate__`` drops.
+_MEMO_PREFIX = "_cached_"
 
 _set = object.__setattr__
 
@@ -48,11 +55,15 @@ def cached_hash(cls: Type[T]) -> Type[T]:
             _set(self, _ATTR, value)
         return value
 
+    memo = (_ATTR,) + tuple(
+        name for name in vars(cls) if name.startswith(_MEMO_PREFIX) and name != _ATTR
+    )
+
     def __getstate__(self) -> dict:
         state = self.__dict__
-        if _ATTR in state:
-            state = dict(state)
-            del state[_ATTR]
+        for name in memo:
+            if name in state:
+                return {key: value for key, value in state.items() if key not in memo}
         return state
 
     __hash__.__qualname__ = f"{cls.__qualname__}.__hash__"

@@ -25,6 +25,12 @@ each plan opcode has one SQL image:
   (live head, a pinned snapshot generation, or a per-round delta temp
   table, which carries no visibility column at all).
 
+A Datalog delta variant lowers the same way into ``INSERT INTO <derived
+table of the head> SELECT <head columns and constants> FROM <the join>``
+(:func:`compile_stage_sql`), so a semi-naive round on the SQLite store
+derives, de-duplicates and adds its facts without moving them through
+Python (see the round statements below the DDL).
+
 Because a fact's validity intervals are disjoint by construction (see
 ``sqlstore``), at most one row per fact is visible to any generation, so
 the join needs no ``DISTINCT`` to agree with the in-memory executor's
@@ -34,7 +40,7 @@ assignment multiplicity.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.queries import plan_cache as _pc
 
@@ -47,6 +53,8 @@ _TABLE_PREFIX = "rel "
 _DELTA_PREFIX = "delta "
 #: Prefix of the staging temp tables of :func:`select_missing_sql`.
 _STAGE_PREFIX = "stage "
+#: Prefix of the per-round derived-tuple temp tables of a fixedpoint.
+_DERIVED_PREFIX = "derived "
 #: Name of the store metadata table.
 META_TABLE = "repro_store_meta"
 
@@ -76,6 +84,11 @@ def delta_table_for(relation: str) -> str:
 def stage_table_for(relation: str) -> str:
     """The quoted staging temp-table identifier of *relation*."""
     return quote_ident(_STAGE_PREFIX + relation)
+
+
+def derived_table_for(relation: str) -> str:
+    """The quoted per-round derived-tuple temp-table identifier of *relation*."""
+    return quote_ident(_DERIVED_PREFIX + relation)
 
 
 def column(position: int) -> str:
@@ -221,47 +234,162 @@ def meta_select_sql() -> str:
     return " ".join(["SELECT k, v FROM", quote_ident(META_TABLE)])
 
 
-def create_delta_table_sql(relation: str, arity: int) -> str:
-    """A per-round delta temp table (connection-local, no MVCC columns).
+def _temp_value_decls(arity: int) -> List[str]:
+    """Column declarations of a delta or derived temp table.
 
     Value columns are ``BLOB NOT NULL`` like the relation tables', so a
-    delta row compares with a stored row exactly as the facts do.  A
-    nullary delta gets one constant dummy column (tables need at least
-    one); each row still means one occurrence of the empty tuple.
+    temp row compares with a stored row exactly as the facts do.  A
+    nullary relation gets one constant dummy column ``z`` (tables need
+    at least one); each row still means one occurrence of the empty
+    tuple.
     """
     decls = [" ".join([name, "BLOB", "NOT", "NULL"]) for name in _columns(arity)]
-    if not decls:
-        decls = ["z INTEGER NOT NULL"]
+    return decls or ["z INTEGER NOT NULL"]
+
+
+def _temp_columns(arity: int) -> str:
+    """The column list of a delta or derived temp table."""
+    return ", ".join(_columns(arity)) if arity else "z"
+
+
+def _temp_values(arity: int) -> str:
+    """Stored value columns as a temp-table row (``0`` for the dummy ``z``)."""
+    return ", ".join(_columns(arity)) if arity else "0"
+
+
+def create_delta_table_sql(relation: str, arity: int) -> str:
+    """A per-round delta temp table (connection-local, no MVCC columns)."""
     return " ".join(
         [
             "CREATE TEMP TABLE IF NOT EXISTS",
             delta_table_for(relation),
             "(",
-            ", ".join(decls),
+            ", ".join(_temp_value_decls(arity)),
             ")",
         ]
     )
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def clear_delta_sql(relation: str) -> str:
     return " ".join(["DELETE FROM", delta_table_for(relation)])
 
 
-def insert_delta_sql(relation: str, arity: int) -> str:
-    if not arity:
-        return " ".join(
-            ["INSERT INTO", delta_table_for(relation), "( z ) VALUES ( 0 )"]
-        )
-    params = ", ".join(["?"] * arity)
+def create_derived_table_sql(relation: str, arity: int) -> str:
+    """A per-round derived-tuple temp table (one row per derivation)."""
+    return " ".join(
+        [
+            "CREATE TEMP TABLE IF NOT EXISTS",
+            derived_table_for(relation),
+            "(",
+            ", ".join(_temp_value_decls(arity)),
+            ")",
+        ]
+    )
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def clear_derived_sql(relation: str) -> str:
+    return " ".join(["DELETE FROM", derived_table_for(relation)])
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def insert_derived_sql(relation: str, arity: int) -> str:
+    """Stage one tuple derived in Python (params: its encoded values)."""
+    params = ", ".join(["?"] * arity) if arity else "0"
+    return " ".join(
+        [
+            "INSERT INTO",
+            derived_table_for(relation),
+            "(",
+            _temp_columns(arity),
+            ") VALUES (",
+            params,
+            ")",
+        ]
+    )
+
+
+def fill_delta_from_live_sql(relation: str, arity: int) -> str:
+    """Copy every live fact of *relation* into its delta table (round 1)."""
     return " ".join(
         [
             "INSERT INTO",
             delta_table_for(relation),
             "(",
-            ", ".join(_columns(arity)),
-            ") VALUES (",
-            params,
+            _temp_columns(arity),
+            ") SELECT",
+            _temp_values(arity),
+            "FROM",
+            table_for(relation),
+            "WHERE d IS NULL",
+        ]
+    )
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def new_delta_sql(relation: str, arity: int) -> str:
+    """Move the distinct derived tuples that have no live row into the delta.
+
+    One ``SELECT DISTINCT`` anti-join against the partial UNIQUE index
+    over live rows: the round's new facts, each once, never leaving
+    SQLite.
+    """
+    conditions = [
+        " ".join([".".join(["t", column(p)]), "=", ".".join(["s", column(p)])])
+        for p in range(arity)
+    ]
+    conditions.append("t.d IS NULL")
+    values = (
+        ", ".join(".".join(["s", column(p)]) for p in range(arity)) if arity else "0"
+    )
+    return " ".join(
+        [
+            "INSERT INTO",
+            delta_table_for(relation),
+            "(",
+            _temp_columns(arity),
+            ") SELECT DISTINCT",
+            values,
+            "FROM",
+            derived_table_for(relation),
+            "s WHERE NOT EXISTS ( SELECT 1 FROM",
+            table_for(relation),
+            "t WHERE",
+            " AND ".join(conditions),
             ")",
+        ]
+    )
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def select_delta_sql(relation: str, arity: int) -> str:
+    """The rows of *relation*'s delta table (a nullary row selects ``z``)."""
+    return " ".join(
+        ["SELECT", _temp_columns(arity), "FROM", delta_table_for(relation)]
+    )
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def insert_live_from_delta_sql(relation: str, arity: int) -> str:
+    """Add every delta row as a live fact at generation ``?``.
+
+    A plain ``INSERT``: the delta holds only facts the anti-join of
+    :func:`new_delta_sql` found absent, so a live duplicate would be a
+    bookkeeping fault and fails the partial UNIQUE index loudly.
+    """
+    cols = ", ".join(_columns(arity))
+    cols_prefix = cols + "," if cols else ""
+    return " ".join(
+        [
+            "INSERT INTO",
+            table_for(relation),
+            "(",
+            cols_prefix,
+            "g, d ) SELECT",
+            cols_prefix,
+            "?, NULL FROM",
+            delta_table_for(relation),
         ]
     )
 
@@ -556,27 +684,12 @@ class SQLJoin:
         self.params = params
 
 
-def compile_join_sql(
+def _lower_join(
     plan: "_pc.QueryPlan",
     new_visibility: str,
     encode_value,
-) -> SQLJoin:
-    """Lower a (possibly delta-variant) slot plan to one SELECT.
-
-    *new_visibility* selects the MVCC predicate of ``SRC_NEW`` atoms:
-    :data:`VIS_HEAD` when the plan reads the store's live head,
-    :data:`VIS_PINNED` when it reads a pinned snapshot generation
-    (parameterised — the same text serves every generation).  ``SRC_OLD``
-    atoms are always pinned (``old_gen`` params) and ``SRC_DELTA`` atoms
-    read their relation's delta temp table with no visibility predicate.
-
-    *encode_value* maps a Python constant to its stored SQLite value
-    (its storage class, or a tagged BLOB); it raises ``TypeError`` for
-    values no stored fact can equal, which callers surface as a
-    compile-time empty result.  The selected columns come back as the
-    stored values, so a result row needs decoding only if it holds a
-    BLOB.
-    """
+) -> Tuple[Dict[int, str], str, List[Tuple[str, object]]]:
+    """The binding sites, ``FROM ... [WHERE ...]`` text and params of *plan*."""
     binding_site: Dict[int, str] = {}
     from_items: List[str] = []
     conditions: List[str] = []
@@ -638,11 +751,77 @@ def compile_join_sql(
                     params.append((P_LIT, encode_value(operand)))
             conditions.append(" ".join([sides[0], operator, sides[1]]))
 
-    select_list = ", ".join(
-        binding_site[slot] for slot in range(plan.num_slots)
-    )
-    fragments = ["SELECT", select_list or "1", "FROM", ", ".join(from_items)]
+    fragments = ["FROM", ", ".join(from_items)]
     if conditions:
         fragments.append("WHERE")
         fragments.append(" AND ".join(conditions))
-    return SQLJoin(" ".join(fragments), tuple(params))
+    return binding_site, " ".join(fragments), params
+
+
+def compile_join_sql(
+    plan: "_pc.QueryPlan",
+    new_visibility: str,
+    encode_value,
+) -> SQLJoin:
+    """Lower a (possibly delta-variant) slot plan to one SELECT.
+
+    *new_visibility* selects the MVCC predicate of ``SRC_NEW`` atoms:
+    :data:`VIS_HEAD` when the plan reads the store's live head,
+    :data:`VIS_PINNED` when it reads a pinned snapshot generation
+    (parameterised — the same text serves every generation).  ``SRC_OLD``
+    atoms are always pinned (``old_gen`` params) and ``SRC_DELTA`` atoms
+    read their relation's delta temp table with no visibility predicate.
+
+    *encode_value* maps a Python constant to its stored SQLite value
+    (its storage class, or a tagged BLOB); it raises ``TypeError`` for
+    values no stored fact can equal, which callers surface as a
+    compile-time empty result.  The selected columns come back as the
+    stored values, so a result row needs decoding only if it holds a
+    BLOB.
+    """
+    binding_site, source, params = _lower_join(plan, new_visibility, encode_value)
+    select_list = ", ".join(
+        binding_site[slot] for slot in range(plan.num_slots)
+    )
+    return SQLJoin(" ".join(["SELECT", select_list or "1", source]), tuple(params))
+
+
+def compile_stage_sql(
+    plan: "_pc.QueryPlan",
+    new_visibility: str,
+    encode_value,
+    relation: str,
+    head: Sequence[Tuple[bool, object]],
+) -> SQLJoin:
+    """Lower a delta variant to ``INSERT INTO <derived table> SELECT``.
+
+    *head* describes the rule head's terms in order: ``(True, slot)``
+    selects the slot's binding site (a variable used twice selects it
+    twice), ``(False, value)`` binds the encoded constant as a param —
+    ahead of the join's params, since the select list precedes the
+    ``WHERE`` clause.  A nullary head stages the dummy ``0`` once per
+    derivation.  One derived row per join answer: the round's
+    ``SELECT DISTINCT`` anti-join (:func:`new_delta_sql`) de-duplicates.
+    """
+    binding_site, source, join_params = _lower_join(plan, new_visibility, encode_value)
+    items: List[str] = []
+    params: List[Tuple[str, object]] = []
+    for is_slot, payload in head:
+        if is_slot:
+            items.append(binding_site[payload])
+        else:
+            items.append("?")
+            params.append((P_LIT, encode_value(payload)))
+    arity = len(head)
+    statement = " ".join(
+        [
+            "INSERT INTO",
+            derived_table_for(relation),
+            "(",
+            _temp_columns(arity),
+            ") SELECT",
+            ", ".join(items) if items else "0",
+            source,
+        ]
+    )
+    return SQLJoin(statement, tuple(params + join_params))

@@ -71,8 +71,8 @@ crashed writer rolls back to the previous snapshot, never a torn state).
 An in-place fixedpoint without a generation log commits nothing, so it
 is atomic too: a crash or fault mid-fixedpoint leaves the pre-fixedpoint
 state on disk.  A rollback drops the temp tables created inside the
-transaction, so the store forgets its delta tables then and re-creates
-them on next use.  The scripted ``sql_commit``/
+transaction, so the store forgets its delta and derived tables then and
+re-creates them on next use.  The scripted ``sql_commit``/
 ``sql_pushdown`` fault points (:mod:`repro.store.faults`) let the tests
 prove both degradations.
 """
@@ -88,8 +88,11 @@ from repro.obs import env as _env
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.queries import plan_cache as _pc
+from repro.queries.atoms import Atom
+from repro.queries.terms import Variable
 from repro.relational.instance import Fact, FrozenInstance, Instance
 from repro.relational.schema import Relation, Schema, SchemaError
+from repro.relational.types import ANY
 from repro.store import faults
 from repro.store import sqlcodegen as _sql
 from repro.store.snapshot import (
@@ -598,8 +601,9 @@ class SQLStoreInstance:
         "_tuples_cache",
         "_data",
         "_insert_sql",
-        "_delta_key",
         "_delta_relations",
+        "_derived_relations",
+        "_staged",
         "_closed",
     )
 
@@ -637,8 +641,11 @@ class SQLStoreInstance:
         self._freeze_cache: Optional[FrozenInstance] = None
         self._tuples_cache: Dict[str, FrozenSet[Tuple[object, ...]]] = {}
         self._data = _SQLDataMap(self, None)
-        self._delta_key: Optional[object] = None
+        # Temp tables known to exist (and to hold exactly their round's
+        # rows) in this transaction, and the derived tables holding rows.
         self._delta_relations: Set[str] = set()
+        self._derived_relations: Set[str] = set()
+        self._staged: Set[str] = set()
         try:
             self._load_or_init_meta()
         except SchemaError:
@@ -810,16 +817,17 @@ class SQLStoreInstance:
         """Roll back the open transaction to the last committed snapshot.
 
         Pinned generations die with it, and so do the temp tables created
-        inside it: the delta bookkeeping forgets every table, so the next
-        use re-creates (and clears) it.  Counters are the caller's to
-        re-adopt.
+        inside it: the round bookkeeping forgets every delta and derived
+        table, so the next use re-creates (and clears) it.  Counters are
+        the caller's to re-adopt.
         """
         self._conn.execute(_sql.SQL_ROLLBACK)
         self._in_txn = False
         self._max_frozen = self._committed_gen
         self._gen = self._committed_gen + 1
-        self._delta_key = None
         self._delta_relations.clear()
+        self._derived_relations.clear()
+        self._staged.clear()
         self._touched()
 
     def _resync_to_committed(self) -> None:
@@ -1308,38 +1316,127 @@ class SQLStoreInstance:
         return report
 
     # ------------------------------------------------------------------
+    # Semi-naive rounds in SQL (the Datalog evaluator's round API)
+    # ------------------------------------------------------------------
+    def _ensure_temp(self, name: str, known: Set[str], create, clear) -> None:
+        """Create *name*'s temp table on first use in this transaction.
+
+        A table that outlived a rollback still holds the rows of its last
+        committed use, so a newly adopted table is cleared too.
+        """
+        if name not in known:
+            self._conn.execute(create(name, self.schema.arity(name)))
+            self._conn.execute(clear(name))
+            known.add(name)
+
+    def seed_delta(self) -> "SQLDelta":
+        """Round 1's delta: every live fact, copied into the delta tables in SQL.
+
+        Also empties what an earlier fixedpoint in this transaction left
+        in the round tables, so the tables hold exactly this delta.
+        """
+        self._begin()
+        conn = self._conn
+        for name in self._delta_relations:
+            conn.execute(_sql.clear_delta_sql(name))
+        for name in self._staged:
+            conn.execute(_sql.clear_derived_sql(name))
+        self._staged.clear()
+        counts: Dict[str, int] = {}
+        for name in self.schema.names():
+            live = self._counts.get(name)
+            if not live:
+                continue
+            self._ensure_temp(
+                name, self._delta_relations, _sql.create_delta_table_sql, _sql.clear_delta_sql
+            )
+            conn.execute(_sql.fill_delta_from_live_sql(name, self.schema.arity(name)))
+            counts[name] = live
+        return SQLDelta(self, counts)
+
+    def stage(self, relation_name: str, tuples: Iterable[Tuple[object, ...]]) -> None:
+        """Stage head tuples derived in Python with one ``executemany``.
+
+        They join the rows pushed-down variants staged in SQL; the round's
+        anti-join (:meth:`next_delta`) de-duplicates both.  Raises
+        ``TypeError`` for a value outside the scalar vocabulary.
+        """
+        rows = [_encode_tuple(tup) for tup in tuples]
+        if not rows:
+            return
+        self._begin()
+        self._ensure_temp(
+            relation_name,
+            self._derived_relations,
+            _sql.create_derived_table_sql,
+            _sql.clear_derived_sql,
+        )
+        arity = self.schema.arity(relation_name)
+        self._conn.executemany(_sql.insert_derived_sql(relation_name, arity), rows)
+        self._staged.add(relation_name)
+
+    def next_delta(self, delta: "SQLDelta") -> "SQLDelta":
+        """The round's new facts, moved from the derived tables into the deltas.
+
+        Per staged relation, one ``SELECT DISTINCT`` anti-join against the
+        live rows fills its delta table (the previous round's delta is
+        cleared first), and one read brings each new fact into Python
+        exactly once: decoded, validated against its relation (a
+        ``SchemaError`` leaves the facts and counters untouched) and
+        hashed for the fingerprint.  Nothing is added yet: :meth:`add_delta` does that,
+        after the caller has pinned the pre-round state.
+        """
+        self._begin()
+        conn = self._conn
+        for name, n in delta.counts.items():
+            if n:
+                conn.execute(_sql.clear_delta_sql(name))
+        counts: Dict[str, int] = {}
+        hash_sum = 0
+        hash_xor = 0
+        for name in sorted(self._staged):
+            self._ensure_temp(
+                name, self._delta_relations, _sql.create_delta_table_sql, _sql.clear_delta_sql
+            )
+            arity = self.schema.arity(name)
+            added = conn.execute(_sql.new_delta_sql(name, arity)).rowcount
+            conn.execute(_sql.clear_derived_sql(name))
+            if not added:
+                continue
+            counts[name] = added
+            relation = self.schema.relation(name)
+            # An all-``ANY`` relation accepts every decoded tuple of its arity.
+            typed = any(datatype is not ANY for datatype in relation.types)
+            cursor = conn.execute(_sql.select_delta_sql(name, arity))
+            batch = cursor.fetchmany(_FETCH_BATCH)
+            while batch:
+                for tup in _decode_rows(arity, batch):
+                    if typed:
+                        relation.validate_tuple(tup)
+                    fh = _fact_hash(name, tup)
+                    hash_sum = (hash_sum + fh) & _M64
+                    hash_xor ^= fh
+                batch = cursor.fetchmany(_FETCH_BATCH)
+        self._staged.clear()
+        return SQLDelta(self, counts, hash_sum, hash_xor)
+
+    def add_delta(self, delta: "SQLDelta") -> None:
+        """Add the facts of *delta* (from :meth:`next_delta`) at the working generation."""
+        self._begin()
+        gen = (self._gen,)
+        for name, n in delta.counts.items():
+            self._conn.execute(
+                _sql.insert_live_from_delta_sql(name, self.schema.arity(name)), gen
+            )
+            self._counts[name] += n
+        self._count += len(delta)
+        self._hash_sum = (self._hash_sum + delta.hash_sum) & _M64
+        self._hash_xor ^= delta.hash_xor
+        self._touched()
+
+    # ------------------------------------------------------------------
     # SQL join pushdown
     # ------------------------------------------------------------------
-    def _ensure_delta(
-        self, delta: Mapping[str, Iterable[Tuple[object, ...]]]
-    ) -> None:
-        """Load the round's delta fact sets into temp tables (idempotent).
-
-        Keyed by the mapping's identity: the Datalog evaluator builds a
-        fresh delta dict per round and never mutates one mid-round (the
-        documented executor contract), so one load serves every delta
-        variant of every rule in the round.
-        """
-        if self._delta_key is delta:
-            return
-        for name in self._delta_relations:
-            self._conn.execute(_sql.clear_delta_sql(name))
-        for name, tuples in delta.items():
-            if name not in self.schema:
-                continue
-            arity = self.schema.arity(name)
-            if name not in self._delta_relations:
-                # A table that outlived a rollback still holds the rows
-                # of its last committed use.
-                self._conn.execute(_sql.create_delta_table_sql(name, arity))
-                self._conn.execute(_sql.clear_delta_sql(name))
-                self._delta_relations.add(name)
-            self._conn.executemany(
-                _sql.insert_delta_sql(name, arity),
-                (_encode_tuple(tup) for tup in tuples),
-            )
-        self._delta_key = delta
-
     def sql_assignments(self, plan: "_pc.QueryPlan") -> Optional[Iterator[dict]]:
         """Execute *plan* as a pushed-down SQL join over the live head.
 
@@ -1356,10 +1453,26 @@ class SQLStoreInstance:
         plan: "_pc.QueryPlan",
         old_instance,
         delta: Mapping[str, Iterable[Tuple[object, ...]]],
-    ) -> Optional[Iterator[dict]]:
-        """Execute a delta-variant plan as a pushed-down SQL join."""
+        head: Optional[Atom] = None,
+    ) -> Optional[object]:
+        """Execute a delta-variant plan as a pushed-down SQL join.
+
+        The join reads *delta* from the store's delta tables, so *delta*
+        must be this store's :class:`SQLDelta`; any other mapping (a
+        Python fact set) returns ``None`` and the in-memory executor
+        scans it.  Without *head* the result is the assignment rows.
+        With a rule *head*, the variant runs as ``INSERT INTO <derived
+        table of the head> SELECT <head columns and constants> FROM
+        <join>`` and the result is the number of rows staged (an ``int``,
+        ``0`` included): no derived tuple passes through Python, and
+        :meth:`next_delta` takes the staged rows from there.  ``None``
+        still means "declined" (the same routing as the row form), and
+        the caller derives the variant in Python.
+        """
         if not isinstance(old_instance, SQLStoreView) or old_instance._store is not self:
             return None  # mixed-backend delta round: in-memory path handles it
+        if not isinstance(delta, SQLDelta) or delta._store is not self:
+            return None  # a Python delta: the in-memory executor scans it
         return _maybe_pushdown(
             self,
             plan,
@@ -1367,7 +1480,53 @@ class SQLStoreInstance:
             old_counts=old_instance._snap._counts,
             old_gen=old_instance._snap.gen,
             delta=delta,
+            head=head,
         )
+
+
+class SQLDelta:
+    """One semi-naive round's delta, held in the store's delta temp tables.
+
+    ``counts`` maps each relation to its number of delta facts (relations
+    without any are absent); the facts themselves stay in SQLite, where
+    the pushed-down variants join them.  :meth:`get` is the mapping probe
+    the in-memory delta executor reads: it brings a relation's delta
+    into Python only when a declined variant asks for it.  A delta made
+    by :meth:`SQLStoreInstance.next_delta` also carries the fingerprint
+    contribution of its facts.  It is valid until the store's next
+    ``next_delta``/``seed_delta``, which rewrite the tables.
+    """
+
+    __slots__ = ("_store", "counts", "hash_sum", "hash_xor", "_tuples")
+
+    def __init__(
+        self,
+        store: SQLStoreInstance,
+        counts: Dict[str, int],
+        hash_sum: int = 0,
+        hash_xor: int = 0,
+    ) -> None:
+        self._store = store
+        self.counts = counts
+        self.hash_sum = hash_sum
+        self.hash_xor = hash_xor
+        self._tuples: Dict[str, FrozenSet[Tuple[object, ...]]] = {}
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def get(
+        self, name: str, default: Optional[FrozenSet[Tuple[object, ...]]] = None
+    ) -> Optional[FrozenSet[Tuple[object, ...]]]:
+        if not self.counts.get(name):
+            return default
+        cached = self._tuples.get(name)
+        if cached is None:
+            arity = self._store.schema.arity(name)
+            cursor = self._store._conn.execute(_sql.select_delta_sql(name, arity))
+            cached = frozenset(_decode_rows(arity, cursor.fetchall()))
+            self._tuples[name] = cached
+        return cached
 
 
 def _sqlstore_from_payload(
@@ -1392,11 +1551,13 @@ def _maybe_pushdown(
     pinned_gen: Optional[int] = None,
     old_counts: Optional[Mapping[str, int]] = None,
     old_gen: Optional[int] = None,
-    delta: Optional[Mapping[str, Iterable[Tuple[object, ...]]]] = None,
-) -> Optional[Iterator[dict]]:
+    delta: Optional["SQLDelta"] = None,
+    head: Optional[Atom] = None,
+) -> Optional[object]:
     """The routing decision + execution of one SQL join pushdown.
 
-    Returns a row iterator (decoded assignment dicts) or ``None`` to
+    Returns a row iterator (decoded assignment dicts), or with *head* the
+    number of head rows staged into its derived table, or ``None`` to
     degrade to the in-memory executor.  The decision is recorded in the
     ``store.pushdown*`` counters and, when tracing is on, as a
     ``store.sql_pushdown`` span.
@@ -1426,18 +1587,32 @@ def _maybe_pushdown(
         cache = {}
         object.__setattr__(plan, "_sql_join_cache", cache)
     visibility = _sql.VIS_PINNED if pinned_gen is not None else _sql.VIS_HEAD
-    join = cache.get(visibility)
+    key = visibility if head is None else (visibility, head)
+    join = cache.get(key)
     if join is None:
         try:
-            join = _sql.compile_join_sql(plan, visibility, encode_value)
+            if head is None:
+                join = _sql.compile_join_sql(plan, visibility, encode_value)
+            else:
+                slot_of = {v: slot for slot, v in enumerate(plan.slot_variables)}
+                join = _sql.compile_stage_sql(
+                    plan,
+                    visibility,
+                    encode_value,
+                    head.relation,
+                    [
+                        (True, slot_of[term])
+                        if isinstance(term, Variable)
+                        else (False, term.value)
+                        for term in head.terms
+                    ],
+                )
         except TypeError:
             # A constant outside the scalar vocabulary: comparisons over
             # it have no SQL image — the in-memory executor decides them.
             _metrics.counter("store.pushdown_skipped")
             return None
-        cache[visibility] = join
-    if delta is not None:
-        store._ensure_delta(delta)
+        cache[key] = join
     args: List[object] = []
     for token, payload in join.params:
         if token == _sql.P_LIT:
@@ -1448,6 +1623,14 @@ def _maybe_pushdown(
             args.append(pinned_gen)
     _metrics.counter("store.pushdown")
     slot_variables = plan.slot_variables
+    if head is not None:
+        store._begin()
+        store._ensure_temp(
+            head.relation,
+            store._derived_relations,
+            _sql.create_derived_table_sql,
+            _sql.clear_derived_sql,
+        )
     with _trace.trace_span(
         "store.sql_pushdown",
         atoms=len(plan.atoms),
@@ -1455,6 +1638,11 @@ def _maybe_pushdown(
         delta=delta is not None,
     ):
         cursor = store._conn.execute(join.sql, args)
+        if head is not None:
+            staged = cursor.rowcount
+            if staged:
+                store._staged.add(head.relation)
+            return staged
         first = cursor.fetchmany(_FETCH_BATCH)
 
     def rows() -> Iterator[dict]:

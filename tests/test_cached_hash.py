@@ -25,8 +25,10 @@ from hypothesis import strategies as st
 
 from repro.automata.library import containment_automaton
 from repro.core import properties
+from repro.core.formulas import EmbeddedSentence
 from repro.core.sat_zeroary import translate_to_ltl
 from repro.core.solver import AccLTLSolver
+from repro.core.vocabulary import is_isbind
 from repro.queries.atoms import Equality, Inequality
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -160,6 +162,16 @@ def test_stored_hash_is_the_generated_hash(seed):
         assert "_cached_hash" in vars(fresh)
         assert dataclasses.fields(fresh) == fields_before
         assert "_cached_hash" not in {field.name for field in fields_before}
+        if isinstance(fresh, EmbeddedSentence):
+            # The stored relation set follows the stored hash's contract:
+            # a pickle drops it and the copy stores it again on first use.
+            assert "_cached_relations" not in vars(fresh)
+            assert fresh.relations() == fresh.query.relations()
+            assert fresh.mentions_nary_binding() == any(
+                is_isbind(name) for name in fresh.query.relations()
+            )
+            assert "_cached_relations" in vars(fresh)
+            assert pickle.dumps(fresh) == pickle.dumps(_fresh(node))
         assert encode_key(fresh) == key_before == encode_key(node)
         assert repr(fresh) == repr(node)
         for duplicate in (
