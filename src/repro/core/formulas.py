@@ -16,7 +16,7 @@ with inequality atoms) over the combined access vocabulary of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.vocabulary import (
     is_isbind,
@@ -26,10 +26,6 @@ from repro.core.vocabulary import (
 )
 from repro.immutable import cached_hash
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
-
-
-#: One shared object per distinct relation set the sentences mention.
-_RELATION_SETS: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
 
 @cached_hash
@@ -61,11 +57,10 @@ class EmbeddedSentence:
 
         Done at construction, in the same order for every sentence, so the
         values stay in the instance's shared-key layout instead of growing
-        a dict of its own, and equal relation sets share one object.
-        Pickles drop both; an unpickled sentence stores them on first use.
+        a dict of its own.  Pickles drop both; an unpickled sentence
+        stores them on first use.
         """
         relations = self.query.relations()
-        relations = _RELATION_SETS.setdefault(relations, relations)
         object.__setattr__(self, "_cached_relations", relations)
         object.__setattr__(
             self, "_cached_nary_binding", any(is_isbind(name) for name in relations)

@@ -263,12 +263,12 @@ def _sql_round(
 ) -> Tuple[SQLDelta, object]:
     """One round on the SQLite store: ``(new-fact delta, old)``.
 
-    Every variant keeps the routing of
-    :func:`~repro.queries.evaluation.satisfying_assignments_delta`: one
-    that pushes down stages its head rows in SQL
-    (``sql_assignments_delta(..., head=...)``); a declined variant, a rule
-    without delta variants and naive mode derive in Python and stage
-    their head tuples with one ``executemany`` per rule.  The store's
+    Every variant goes through the store's pushdown routing
+    (``sql_assignments_delta``: threshold, encodability, the
+    ``sql_pushdown`` fault point): one that pushes down stages its head
+    rows in SQL; a declined variant, a rule without delta variants and
+    naive mode derive in Python and stage their head tuples with one
+    ``executemany`` per rule.  The store's
     anti-join then turns the staged rows into the next delta, and only
     those new facts are read into Python (to validate and hash them).
     """
@@ -281,7 +281,7 @@ def _sql_round(
                 if not delta.counts.get(atom.relation):
                     continue
                 plan = get_delta_plan(body_query, position, state)
-                if state.sql_assignments_delta(plan, old, delta, head=head) is not None:
+                if state.sql_assignments_delta(plan, old, delta, head) is not None:
                     continue
                 if _reads_an_empty_side(plan, state, old):
                     continue  # derives nothing: leave its delta in SQLite

@@ -192,11 +192,6 @@ def satisfying_assignments_delta(
             "query cannot be slot-compiled; no delta variant exists: "
             f"{query}"
         )
-    if getattr(instance, "_sql_backend", False):
-        rows = instance.sql_assignments_delta(plan, old_instance, delta)
-        if rows is not None:
-            yield from rows
-            return
     yield from execute_delta_plan(plan, query, instance, old_instance, delta)
 
 

@@ -763,14 +763,15 @@ def compile_join_sql(
     new_visibility: str,
     encode_value,
 ) -> SQLJoin:
-    """Lower a (possibly delta-variant) slot plan to one SELECT.
+    """Lower a slot plan to one SELECT of its slots' binding sites.
 
     *new_visibility* selects the MVCC predicate of ``SRC_NEW`` atoms:
     :data:`VIS_HEAD` when the plan reads the store's live head,
     :data:`VIS_PINNED` when it reads a pinned snapshot generation
-    (parameterised — the same text serves every generation).  ``SRC_OLD``
-    atoms are always pinned (``old_gen`` params) and ``SRC_DELTA`` atoms
-    read their relation's delta temp table with no visibility predicate.
+    (parameterised — the same text serves every generation).  In the
+    delta variants :func:`compile_stage_sql` lowers, ``SRC_OLD`` atoms
+    are always pinned (``old_gen`` params) and ``SRC_DELTA`` atoms read
+    their relation's delta temp table with no visibility predicate.
 
     *encode_value* maps a Python constant to its stored SQLite value
     (its storage class, or a tagged BLOB); it raises ``TypeError`` for

@@ -1451,35 +1451,27 @@ class SQLStoreInstance:
     def sql_assignments_delta(
         self,
         plan: "_pc.QueryPlan",
-        old_instance,
-        delta: Mapping[str, Iterable[Tuple[object, ...]]],
-        head: Optional[Atom] = None,
-    ) -> Optional[object]:
-        """Execute a delta-variant plan as a pushed-down SQL join.
+        old_instance: "SQLStoreView",
+        delta: "SQLDelta",
+        head: Atom,
+    ) -> Optional[int]:
+        """Stage a rule's delta variant in SQL, or decline it.
 
-        The join reads *delta* from the store's delta tables, so *delta*
-        must be this store's :class:`SQLDelta`; any other mapping (a
-        Python fact set) returns ``None`` and the in-memory executor
-        scans it.  Without *head* the result is the assignment rows.
-        With a rule *head*, the variant runs as ``INSERT INTO <derived
-        table of the head> SELECT <head columns and constants> FROM
-        <join>`` and the result is the number of rows staged (an ``int``,
-        ``0`` included): no derived tuple passes through Python, and
-        :meth:`next_delta` takes the staged rows from there.  ``None``
-        still means "declined" (the same routing as the row form), and
-        the caller derives the variant in Python.
+        *old_instance* is a :meth:`pin` of this store and *delta* its
+        :class:`SQLDelta`, whose temp tables the join reads.  The variant
+        runs as ``INSERT INTO <derived table of the head> SELECT <head
+        columns and constants> FROM <join>`` and the result is the number
+        of rows staged (``0`` included): no derived tuple passes through
+        Python, and :meth:`next_delta` takes the staged rows from there.
+        ``None`` means declined (the routing of :meth:`sql_assignments`),
+        and the caller derives the variant in Python.
         """
-        if not isinstance(old_instance, SQLStoreView) or old_instance._store is not self:
-            return None  # mixed-backend delta round: in-memory path handles it
-        if not isinstance(delta, SQLDelta) or delta._store is not self:
-            return None  # a Python delta: the in-memory executor scans it
         return _maybe_pushdown(
             self,
             plan,
             counts=self._counts,
             old_counts=old_instance._snap._counts,
             old_gen=old_instance._snap.gen,
-            delta=delta,
             head=head,
         )
 
@@ -1551,14 +1543,14 @@ def _maybe_pushdown(
     pinned_gen: Optional[int] = None,
     old_counts: Optional[Mapping[str, int]] = None,
     old_gen: Optional[int] = None,
-    delta: Optional["SQLDelta"] = None,
     head: Optional[Atom] = None,
 ) -> Optional[object]:
     """The routing decision + execution of one SQL join pushdown.
 
-    Returns a row iterator (decoded assignment dicts), or with *head* the
-    number of head rows staged into its derived table, or ``None`` to
-    degrade to the in-memory executor.  The decision is recorded in the
+    Returns a row iterator (decoded assignment dicts) for a plain plan,
+    the number of head rows staged into its derived table for a delta
+    variant (given with its rule *head*), or ``None`` to degrade to the
+    in-memory executor.  The decision is recorded in the
     ``store.pushdown*`` counters and, when tracing is on, as a
     ``store.sql_pushdown`` span.
     """
@@ -1635,7 +1627,7 @@ def _maybe_pushdown(
         "store.sql_pushdown",
         atoms=len(plan.atoms),
         largest_relation=largest,
-        delta=delta is not None,
+        delta=head is not None,
     ):
         cursor = store._conn.execute(join.sql, args)
         if head is not None:
