@@ -413,8 +413,7 @@ def bench_matrices(
     run the legacy per-call procedures in a loop; the ``_batched`` rows
     run one :class:`repro.engine.DecisionEngine` batch, whose fingerprint
     dedup solves each unique request once — so batched can only win, and
-    on this 1-CPU host the win *is* the dedup (pool dispatch stays
-    cost-gated off).  Verdict equality between the modes is asserted, and
+    the win *is* the dedup (every batch runs in process).  Verdict equality between the modes is asserted, and
     the engine counters of the batched runs (dedup hits, cross-request
     hit rate) are reported via *matrix_stats_out*.
     """

@@ -1,8 +1,8 @@
 """Contract linter: AST static analysis enforcing the repo's invariants.
 
 Seven PRs of growth accumulated load-bearing conventions — deterministic
-folds across pool placements, picklable payloads crossing the process
-boundary, every ``REPRO_*`` knob routed through the typed registry, no
+folds independent of the hash seed, picklable payloads crossing the
+process boundary, every ``REPRO_*`` knob routed through the typed registry, no
 silent exception swallows — that were previously enforced only by
 runtime tests exercising specific paths.  This package checks the whole
 *class* of each past bug at the source level:
@@ -10,7 +10,7 @@ runtime tests exercising specific paths.  This package checks the whole
 * :mod:`repro.analysis.rules` — rule base class, stable-ID registry and
   shared AST helpers;
 * :mod:`repro.analysis.hygiene` — ENV001 (env-knob routing), POOL001
-  (one pool scheduler), EXC001 (silent swallows), DEF001 (mutable
+  (no process pools), EXC001 (silent swallows), DEF001 (mutable
   defaults), PRN001 (bare prints);
 * :mod:`repro.analysis.determinism` — ITER001 (unordered iteration in
   the deterministic folds), TIME001 (wall-clock/entropy isolation),

@@ -1,10 +1,10 @@
 """Determinism and picklability rules.
 
-Four rules guarding the properties the parallel layers are built on: the
-deterministic fold (results independent of pool placement), wall-clock
+Four rules guarding the properties the decision layers are built on: the
+deterministic fold (results independent of the hash seed), wall-clock
 isolation (verdicts never depend on when they ran), payload
-picklability (work items cross the process boundary) and fingerprint
-purity (memo keys survive process restarts).
+picklability (resume frontiers and cached results cross the process
+boundary) and fingerprint purity (memo keys survive process restarts).
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ class NondeterministicIterationRule(Rule):
     summary = (
         "iterating a set/frozenset expression into an ordered result "
         "(for loop, list/tuple/enumerate, ordered comprehension) or a "
-        "keyed min/max tie-break over one, inside the emptiness/workqueue/"
+        "keyed min/max tie-break over one, inside the emptiness and "
         "engine fold paths"
     )
     invariant = (
-        "the parallel folds return the first witness in canonical DFS "
-        "order regardless of pool placement; set iteration order varies "
-        "with the string hash seed, so an unordered fold makes the verdict "
-        "depend on PYTHONHASHSEED and on which worker answered first"
+        "the folds return the first witness in canonical DFS order; set "
+        "iteration order varies with the string hash seed, so an "
+        "unordered fold makes the verdict depend on PYTHONHASHSEED"
     )
     motivation = (
         "the PR 1 hash-seed nondeterminism fix in scenarios.py was exactly "
@@ -78,7 +77,6 @@ class NondeterministicIterationRule(Rule):
     #: The deterministic-fold modules this rule patrols.
     target_paths: Tuple[str, ...] = (
         "repro/automata/emptiness.py",
-        "repro/store/workqueue.py",
         "repro/engine/engine.py",
     )
 
@@ -230,26 +228,25 @@ class WallClockRule(Rule):
 
 @register
 class PayloadPicklabilityRule(Rule):
-    """PKL001: pool-crossing payload classes hold picklable state only."""
+    """PKL001: process-crossing payload classes hold picklable state only."""
 
     rule_id = "PKL001"
     name = "payload-picklability"
     summary = (
-        "a registered pool-crossing payload class (ResumeFrontier, "
-        "ReductionTask/Result, SpanRecord, chain checkpoints/outcomes, "
-        "the Shipped result envelope) stores a "
-        "lambda, generator expression, threading lock or open file handle"
+        "a registered process-crossing payload class (ResumeFrontier, "
+        "ReductionTask/Result, SpanRecord, chain checkpoints/outcomes) "
+        "stores a lambda, generator expression, threading lock or open "
+        "file handle"
     )
     invariant = (
-        "chain outcomes, resume frontiers, result envelopes and spans cross "
-        "the process boundary by pickle; a field that cannot pickle turns "
-        "every pooled run into a payload-error fallback (and a fork-start "
-        "pool hides it until the first spawn-start platform)"
+        "resume frontiers, cached results and spans cross the process "
+        "boundary by pickle; a field that cannot pickle breaks a resumed "
+        "search or the verdict cache's disk tier at run time"
     )
     motivation = (
-        "the PR 6 failure taxonomy exists because unpicklable payloads "
-        "used to surface as generic worker deaths; catching the field at "
-        "commit time beats diagnosing it from a pool_payload_errors counter"
+        "unpicklable payloads used to surface as generic worker deaths in "
+        "the retired process pool; catching the field at commit time beats "
+        "diagnosing it at run time"
     )
     fix = (
         "store data, not behaviour: module-level function references "
@@ -257,7 +254,7 @@ class PayloadPicklabilityRule(Rule):
         "and re-acquire locks/handles on the worker side"
     )
 
-    #: Payload classes per module: the pool-crossing pickle surface.
+    #: Payload classes per module: the process-crossing pickle surface.
     payload_classes: Dict[str, FrozenSet[str]] = {
         "repro/automata/emptiness.py": frozenset(
             {
@@ -268,7 +265,6 @@ class PayloadPicklabilityRule(Rule):
         ),
         "repro/engine/reduction.py": frozenset({"ReductionTask", "ReductionResult"}),
         "repro/obs/trace.py": frozenset({"SpanRecord"}),
-        "repro/store/workqueue.py": frozenset({"Shipped"}),
     }
 
     _LOCK_FACTORIES = frozenset(
@@ -340,7 +336,7 @@ class PayloadPicklabilityRule(Rule):
                     yield ctx.finding(
                         self,
                         statement,
-                        f"pool-crossing payload class {node.name} holds "
+                        f"process-crossing payload class {node.name} holds "
                         f"{kind} (cannot cross the process boundary)",
                     )
             # Instance attributes assigned in methods (self.x = lambda ...).
@@ -363,7 +359,7 @@ class PayloadPicklabilityRule(Rule):
                         yield ctx.finding(
                             self,
                             inner,
-                            f"pool-crossing payload class {node.name} holds "
+                            f"process-crossing payload class {node.name} holds "
                             f"{kind} (cannot cross the process boundary)",
                         )
 
@@ -382,7 +378,7 @@ class FingerprintPurityRule(Rule):
     invariant = (
         "fingerprints are content addresses: equal content yields equal "
         "keys across processes and runs, which is what lets the memo "
-        "cross the pool boundary and (per the ROADMAP) spill to disk; "
+        "spill to disk and serve another process; "
         "id() is a per-process address and poisons all of that"
     )
     motivation = (

@@ -2,7 +2,7 @@
 
 These six rules guard conventions that every PR so far has had to
 re-establish by review: environment access goes through the typed knob
-registry, process pools are reached only through the one scheduler,
+registry, no library module starts a process pool,
 broad exception handlers record what they swallowed, function defaults
 are immutable, nothing but the CLI writes to stdout, and every
 module-level import is used.
@@ -91,36 +91,35 @@ class EnvRegistryRule(Rule):
 
 @register
 class PoolSchedulerRule(Rule):
-    """POOL001: only the one pool scheduler touches the pool machinery."""
+    """POOL001: no library module reaches for a process pool."""
 
     rule_id = "POOL001"
     name = "one-pool-scheduler"
     summary = (
         "concurrent.futures / multiprocessing imported, or the shared pool "
-        "taken via shared_pool/discard_shared_pool, outside the pool "
-        "scheduler (repro/store/workqueue.py)"
+        "taken via shared_pool/discard_shared_pool, outside the "
+        "benchmark's pool stub (repro/store/workqueue.py)"
     )
     invariant = (
-        "every pooled item — a chain or an engine task — is "
-        "submitted, awaited, retried and recovered in-process by "
-        "repro.store.workqueue, so there is one failure taxonomy, one "
-        "result envelope and one set of pool_* counters"
+        "every decision runs in process; the one process pool left is the "
+        "stub in repro/store/workqueue.py that only the benchmark uses"
     )
     motivation = (
-        "the pooled callers each grew their own "
-        "submit/timeout/retry/fallback copy, and the copies drifted: a "
-        "failed chain recomputed every chain"
+        "the pooled paths each grew their own submit/timeout/retry/"
+        "fallback copy, and none of them won on a measured workload, so "
+        "the chain fan-out, the subtree queue and the engine's task pool "
+        "were deleted"
     )
     fix = (
-        "describe the work as a repro.store.workqueue item: dispatch it "
-        "through a PoolScheduler and collect it with PoolScheduler.resolve"
+        "run the work in process; a new pooled path needs a workload on "
+        "which it measurably wins"
     )
 
     #: The one module allowed to touch the pool machinery.
     allowed_paths: Tuple[str, ...] = ("repro/store/workqueue.py",)
 
     _POOL_MODULES = frozenset({"concurrent", "multiprocessing"})
-    #: Scheduler internals that hand out (or tear down) the raw pool.
+    #: The stub's functions that hand out (or tear down) the raw pool.
     _POOL_ACCESSORS = frozenset({"shared_pool", "discard_shared_pool"})
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -138,8 +137,7 @@ class PoolSchedulerRule(Rule):
                     yield ctx.finding(
                         self,
                         node,
-                        f"{called}() called outside the pool scheduler "
-                        "(repro/store/workqueue.py)",
+                        f"{called}() called outside repro/store/workqueue.py",
                     )
                 continue
             if isinstance(node, ast.Import):
@@ -154,8 +152,7 @@ class PoolSchedulerRule(Rule):
                 yield ctx.finding(
                     self,
                     node,
-                    f"{name} imported outside the pool scheduler "
-                    "(repro/store/workqueue.py)",
+                    f"{name} imported outside repro/store/workqueue.py",
                 )
 
 
@@ -172,7 +169,7 @@ class SilentSwallowRule(Rule):
     invariant = (
         "every broad handler leaves a trace: a metrics counter, a span "
         "event, a stats bump or a narrowed exception type — failures in "
-        "pool workers and candidate enumerations stay observable"
+        "storage layers and candidate enumerations stay observable"
     )
     motivation = (
         "the PR 6 pool hardening found worker deaths vanishing into "
@@ -227,8 +224,8 @@ class MutableDefaultRule(Rule):
     summary = "list/dict/set (literal, comprehension or constructor) as a parameter default"
     invariant = (
         "defaults are evaluated once per process; a mutable default shared "
-        "across calls is cross-request state the engine's memo and the pool "
-        "workers must never observe"
+        "across calls is cross-request state the engine's memo must never "
+        "observe"
     )
     motivation = (
         "the decision layer memoizes on canonical fingerprints and serves "
@@ -276,7 +273,7 @@ class BarePrintRule(Rule):
     summary = "print() call in src/ outside repro/cli.py"
     invariant = (
         "library code reports through return values, stats dicts and the "
-        "obs metrics/trace layer; stdout belongs to the CLI so pool workers "
+        "obs metrics/trace layer; stdout belongs to the CLI so library code "
         "and future servers never interleave garbage into user output"
     )
     motivation = (

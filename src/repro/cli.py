@@ -38,7 +38,7 @@ web-directory schema (or any named workload scenario):
     through the unified reduction engine (:mod:`repro.engine`) and report
     the verdicts together with the engine's dedup/memo statistics.
     ``--trace out.json`` records the run as nested spans (engine batch
-    phases, emptiness chains, pool workers) and writes a Chrome
+    phases, emptiness chains) and writes a Chrome
     trace-event file loadable in ``chrome://tracing``.
 
 ``repro stats``
@@ -263,7 +263,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         from repro.core.budget import Budget
 
         budget = Budget(deadline_s=args.deadline)
-    engine = DecisionEngine(parallel=args.parallel or None)
+    engine = DecisionEngine()
     if args.kind == "relevance":
         accesses = probe_accesses(schema, hidden, limit=args.limit)
         if args.stream or budget is not None:
@@ -373,7 +373,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         from repro.workloads.directory import join_query
 
         query = join_query()
-    engine = DecisionEngine(parallel=args.parallel or None)
+    engine = DecisionEngine()
     accesses = probe_accesses(schema, hidden, limit=args.limit)
     engine.relevance_matrix(
         schema, accesses, query, grounded=False, require_boolean_access=False
@@ -663,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="structurally-equal copies of each query (containment; shows dedup)",
     )
     matrix.add_argument("--steps", type=int, default=4, help="sweep granularity (answerability)")
-    matrix.add_argument("--parallel", action="store_true", help="allow cost-gated pool dispatch")
     matrix.add_argument(
         "--deadline",
         type=float,
@@ -691,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a small relevance workload and dump the metrics registry as JSON",
     )
     stats.add_argument("--limit", type=int, default=None, help="cap the candidate access list")
-    stats.add_argument("--parallel", action="store_true", help="allow cost-gated pool dispatch")
     stats.add_argument("--size", default="small", help="hidden instance size (small/medium/large)")
     add_scenario_option(stats)
     stats.set_defaults(func=cmd_stats)

@@ -13,13 +13,8 @@
   every access in a schema, pairwise containment over a query set,
   answerability sweeps) share one memo, one plan cache and one snapshot
   store;
-* independent tasks of a batch can be dispatched through the shared
-  persistent worker pool of :mod:`repro.store.workqueue`, behind an
-  affinity-aware cost gate: dispatch engages only when there are usable
-  extra CPUs and the estimated work clears
-  :func:`repro.store.workqueue.min_dispatch_cost`, so batching can never
-  lose to the sequential loop, and a pool failure falls back to identical
-  in-process execution.
+* every batch runs in process, one task after the other, and a batch
+  budget is enforced between tasks and inside the budget-aware back-ends.
 
 The per-call front doors (``long_term_relevant`` & friends) call their
 ``*_legacy`` procedures directly; those are also what the executors below
@@ -34,7 +29,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import env as envknobs
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.engine.reduction import (
@@ -52,12 +46,7 @@ from repro.engine.reduction import (
     values_key,
     vocabulary_key,
 )
-from repro.store import workqueue
 from repro.store.verdict_cache import VerdictCache
-
-#: Environment toggle consulted when ``DecisionEngine(parallel=None)``:
-#: allow batch dispatch through the shared worker pool (still cost-gated).
-PARALLEL_TASKS_ENV = envknobs.PARALLEL_TASKS_ENV
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +82,11 @@ def relevance_task(
     shared_key=None,
     cost_hint: Optional[int] = None,
 ) -> ReductionTask:
-    """Normalise a long-term-relevance request (Example 2.3)."""
+    """Normalise a long-term-relevance request (Example 2.3).
+
+    *cost_hint* is accepted and ignored: ``perfbench/serve_warm.py``
+    still passes it.
+    """
     snap = instance_key(initial)
     if shared_key is None:
         shared_key = relevance_shared_key(
@@ -102,15 +95,11 @@ def relevance_task(
     key = (
         try_key(lambda: shared_key + (access,)) if shared_key is not None else None
     )
-    if cost_hint is None:
-        size = snap.size() if snap is not None else 0
-        cost_hint = (1 + size) * (1 + _query_size(query))
     return ReductionTask(
         kind="relevance",
         backend=BOUNDED_CHECK,
         args=(schema, access, query, snap, grounded, require_boolean_access),
         key=key,
-        cost_hint=cost_hint,
     )
 
 
@@ -121,7 +110,6 @@ def containment_task(
     initial=None,
     max_identified_variables: int = 8,
     key_parts=None,
-    cost_hint: Optional[int] = None,
 ) -> ReductionTask:
     """Normalise an AP-containment request (Example 2.2).
 
@@ -139,17 +127,11 @@ def containment_task(
         if key_parts is not None
         else None
     )
-    if cost_hint is None:
-        size = snap.size() if snap is not None else 0
-        cost_hint = (1 + size) * (
-            1 + _query_size(query_one) * _query_size(query_two)
-        )
     return ReductionTask(
         kind="containment_ap",
         backend=BOUNDED_CHECK,
         args=(schema, query_one, query_two, snap, max_identified_variables),
         key=key,
-        cost_hint=cost_hint,
     )
 
 
@@ -168,13 +150,11 @@ def answerability_task(
     key = try_key(
         lambda: (schema_key(schema), query_key(query), snap, values_key(values))
     )
-    size = snap.size() if snap is not None else 0
     return ReductionTask(
         kind="answerability",
         backend=BOUNDED_CHECK,
         args=(schema, query, snap, values),
         key=key,
-        cost_hint=(1 + size) * (1 + _query_size(query)),
     )
 
 
@@ -197,13 +177,11 @@ def emptiness_task(
             tuple(sorted(kwargs.items())),
         )
     )
-    states, transitions = automaton.size()
     return ReductionTask(
         kind="emptiness",
         backend=EMPTINESS,
         args=(automaton, vocabulary, snap, dict(kwargs)),
         key=key,
-        cost_hint=(states + transitions) * int(kwargs.get("max_paths") or 40000),
     )
 
 
@@ -258,7 +236,6 @@ def bounded_check_task(
             budget,
         ),
         key=key,
-        cost_hint=bounds.max_paths,
     )
 
 
@@ -294,7 +271,6 @@ def accltl_sat_task(
             bounded_path_length,
         ),
         key=key,
-        cost_hint=max_paths,
     )
 
 
@@ -311,7 +287,6 @@ def ltl_word_task(formula, letters=None, max_length=None) -> ReductionTask:
         backend=DIRECT,
         args=(formula, normalized, max_length),
         key=key,
-        cost_hint=100 * (1 + (len(normalized) if normalized else 4)),
     )
 
 
@@ -325,7 +300,6 @@ def ctl_check_task(vocabulary, lts, formula) -> ReductionTask:
         backend=DIRECT,
         args=(vocabulary, lts, formula),
         key=key,
-        cost_hint=(1 + len(lts.transitions)) * formula.size(),
     )
 
 
@@ -351,18 +325,18 @@ def datalog_containment_task(
         backend=DIRECT,
         args=(program, query, max_depth, max_expansions),
         key=key,
-        cost_hint=max_expansions,
     )
 
 
 def _query_size(query) -> int:
+    """The size of *query* as a UCQ (``perfbench/serve_warm.py`` reads it)."""
     from repro.queries.ucq import as_ucq
 
     return as_ucq(query).size()
 
 
 # ----------------------------------------------------------------------
-# Task executors (the worker entry points — top-level, picklable by name)
+# Task executors
 # ----------------------------------------------------------------------
 def _materialise(payload):
     from repro.store.snapshot import Snapshot
@@ -566,22 +540,12 @@ def _refresh(kind: str, value):
 
 
 def execute_task(task: ReductionTask):
-    """Execute one task (in-process or inside a pool worker)."""
+    """Execute one task."""
     try:
         executor = _EXECUTORS[task.kind]
     except KeyError:
         raise ValueError(f"unknown reduction task kind {task.kind!r}") from None
     return executor(task.args)
-
-
-def _pooled_task(task: ReductionTask):
-    """Worker side of a pooled reduction task (picklable by name)."""
-    with _trace.trace_span(f"task:{task.kind}", pooled=True):
-        return execute_task(task)
-
-
-def _bump(stats: Dict[str, int], key: str, amount: int = 1) -> None:
-    stats[key] = stats.get(key, 0) + amount
 
 
 #: Task kinds whose executors honour a :class:`~repro.core.budget.Budget`
@@ -642,7 +606,7 @@ def _with_budget(task: ReductionTask, clock) -> ReductionTask:
 # The engine
 # ----------------------------------------------------------------------
 class DecisionEngine:
-    """Normalise, deduplicate, memoize and dispatch reduction tasks.
+    """Normalise, deduplicate, memoize and run reduction tasks.
 
     Parameters
     ----------
@@ -651,25 +615,16 @@ class DecisionEngine:
         :class:`~repro.engine.reduction.CachePolicy`: cross-request memo
         on).
     parallel:
-        Allow batch dispatch through the shared worker pool.  ``None``
-        defers to the :data:`PARALLEL_TASKS_ENV` environment toggle (off
-        by default); dispatch additionally requires usable extra CPUs and
-        estimated work above the cost gate, so batching never loses
-        to the in-process loop.
-    max_workers:
-        Explicit worker count; overrides the gate (tests use it to
-        exercise the real pool on single-CPU hosts).
+        Accepted and ignored: every batch runs in process.  The
+        ``perfbench`` workloads still pass it.
     """
 
     def __init__(
         self,
         cache_policy: Optional[CachePolicy] = None,
         parallel: Optional[bool] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.cache_policy = cache_policy if cache_policy is not None else CachePolicy()
-        self.parallel = parallel
-        self.max_workers = max_workers
         policy = self.cache_policy
         # Without cross-request memoization there is no cross-request
         # state to persist either — the persistent tier is pinned off so
@@ -686,12 +641,9 @@ class DecisionEngine:
             "memo_hits": 0,
             "memo_disk_hits": 0,
             "batch_dedup_hits": 0,
-            "pooled_tasks": 0,
             "uncacheable": 0,
             "deadline_tasks": 0,
-            "pool_payload_errors": 0,
-            "pool_submit_errors": 0,
-            "pool_worker_failures": 0,
+            # Always 0: ``perfbench/layers.py::_engine_retries`` reads them.
             "pool_retries": 0,
             "pool_timeouts": 0,
             "pool_inprocess_fallbacks": 0,
@@ -818,11 +770,9 @@ class DecisionEngine:
                     provenance,
                 ) in self._compute_stream(pending, clock):
                     if provenance == "deadline":
-                        _bump(stats, "deadline_tasks")
+                        stats["deadline_tasks"] += 1
                     else:
                         stats["computed"] += 1
-                    if provenance in ("pooled", "pooled_retry"):
-                        stats["pooled_tasks"] += 1
                     shared = False
                     if (
                         memoize
@@ -875,43 +825,12 @@ class DecisionEngine:
     def _compute_stream(self, pending, clock):
         """Yield ``(pending_entry, value, provenance)`` in submission order.
 
-        Pooled when the gate opens; otherwise in-process.  Either way the
-        batch deadline is enforced between tasks: an expired clock skips
-        the remaining computations with provenance ``"deadline"``.
-        Pooled tasks go through the shared scheduler of
-        :mod:`repro.store.workqueue`, which retries, times out and falls
-        back in-process with identical verdicts; every occurrence is
-        counted in this engine's stats.
+        The batch deadline is enforced between tasks: once the clock has
+        expired, a task that is not budget-aware is skipped with
+        provenance ``"deadline"``.
         """
-        scheduler = None
-        futures: List = [None] * len(pending)
-        if len(pending) > 1 and self._dispatch_allowed(pending):
-            workers = workqueue.worker_count(len(pending), self.max_workers)
-            scheduler = workqueue.PoolScheduler(workers, self._stats)
-            _trace.event("engine.dispatch", workers=workers, tasks=len(pending))
-            futures = [
-                scheduler.dispatch("task", _pooled_task, _with_budget(task, clock))
-                for _, task, _ in pending
-            ]
-        for entry, future in zip(pending, futures):
+        for entry in pending:
             _, task, _ = entry
-            if future is not None:
-                value, provenance = scheduler.resolve(
-                    future,
-                    "task",
-                    lambda: scheduler.dispatch(
-                        "task", _pooled_task, _with_budget(task, clock)
-                    ),
-                    lambda: execute_task(_with_budget(task, clock)),
-                    clock=clock,
-                    # Budget-aware kinds recompute past the batch deadline
-                    # with the (zero) remaining budget: a tagged, resumable
-                    # partial; the rest is simply not available in time.
-                    compute_on_expiry=task.kind in _BUDGET_AWARE_KINDS,
-                    kind=task.kind,
-                )
-                yield entry, value, provenance
-                continue
             if (
                 clock is not None
                 and clock.expired()
@@ -922,19 +841,6 @@ class DecisionEngine:
             with _trace.trace_span(f"task:{task.kind}"):
                 value = execute_task(_with_budget(task, clock))
             yield entry, value, "computed"
-
-    def _dispatch_allowed(self, pending) -> bool:
-        if self.max_workers is not None:
-            return True
-        if self.parallel is None:
-            if not envknobs.flag_strict(PARALLEL_TASKS_ENV):
-                return False
-        elif not self.parallel:
-            return False
-        if workqueue.available_cpus() <= 1:
-            return False
-        total_cost = sum(task.cost_hint for _, task, _ in pending)
-        return total_cost >= workqueue.min_dispatch_cost()
 
     # ------------------------------------------------------------------
     # Batch entry points (the matrix workloads)
@@ -960,8 +866,6 @@ class DecisionEngine:
         shared = relevance_shared_key(
             schema, query, snap, grounded, require_boolean_access
         )
-        size = snap.size() if snap is not None else 0
-        cost = (1 + size) * (1 + _query_size(query))
         tasks = [
             relevance_task(
                 schema,
@@ -971,7 +875,6 @@ class DecisionEngine:
                 grounded=grounded,
                 require_boolean_access=require_boolean_access,
                 shared_key=shared,
-                cost_hint=cost,
             )
             for access in accesses
         ]
@@ -1001,11 +904,6 @@ class DecisionEngine:
             if others is None
             else [try_key(lambda q=q: query_key(q)) for q in column_queries]
         )
-        row_sizes = [_query_size(q) for q in queries]
-        column_sizes = (
-            row_sizes if others is None else [_query_size(q) for q in column_queries]
-        )
-        size = snap.size() if snap is not None else 0
         tasks = [
             containment_task(
                 schema,
@@ -1020,7 +918,6 @@ class DecisionEngine:
                     and column_keys[j] is not None
                     else None
                 ),
-                cost_hint=(1 + size) * (1 + row_sizes[i] * column_sizes[j]),
             )
             for i, query_one in enumerate(queries)
             for j, query_two in enumerate(column_queries)
@@ -1097,7 +994,7 @@ def shared_engine() -> DecisionEngine:
 
     :meth:`AccLTLSolver.satisfiable`, the LTL word search, ``CTL_EX``
     model checking and Datalog containment all route here (ROADMAP
-    memo-tier item (a)), so a mixed workload shares one memo, one pool —
+    memo-tier item (a)), so a mixed workload shares one memo —
     and, when ``REPRO_MEMO_PERSIST_PATH`` is set, one crash-safe
     persistent verdict store with every other process pointed at it.
     """

@@ -8,8 +8,8 @@ bounded witness-path satisfiability (the reference model checker the
 decision procedures are cross-validated against).  Before this layer each
 module in :mod:`repro.access` re-implemented its own candidate
 enumeration, instance branching and solver invocation, so none of them
-could share the memoization, snapshot store or worker pool built for the
-emptiness pipeline.
+could share the memoization or snapshot store built for the emptiness
+pipeline.
 
 A :class:`ReductionTask` normalises one decision request into
 
@@ -18,8 +18,7 @@ A :class:`ReductionTask` normalises one decision request into
   the back-end the reduction bottoms out in,
 * ``args`` — the executable payload.  Instances travel as store
   :class:`~repro.store.snapshot.Snapshot` tokens, which are canonical,
-  exactly comparable and picklable by construction, so a task can be
-  executed in-process or shipped to a pool worker with identical results;
+  exactly comparable and picklable by construction;
 * ``key`` — the canonical fingerprint used for deduplication and
   cross-request memoization.  Content-addressed pieces (instances) key by
   their ``Snapshot.fingerprint()``; structural pieces (schemas, queries,
@@ -52,7 +51,7 @@ BOUNDED_CHECK = "bounded_check"
 
 #: Back-end tag: the task *is* its own decision procedure — a routed
 #: front-door call (LTL tableau search, CTL model checking, Datalog/UCQ
-#: containment) that the engine runs for its memo/dedup/pool services
+#: containment) that the engine runs for its memo and dedup services
 #: rather than reducing to another back-end.
 DIRECT = "direct"
 
@@ -99,7 +98,6 @@ class ReductionTask:
     backend: str
     args: Tuple[object, ...]
     key: Optional[Tuple[object, ...]] = None
-    cost_hint: int = 1
 
     def fingerprint(self) -> Optional[Tuple[object, ...]]:
         """The memo/dedup key, or ``None`` when the task is uncacheable."""
@@ -117,12 +115,9 @@ class ReductionResult:
     :class:`~repro.access.containment_ap.APContainmentResult`, a bool,
     :class:`~repro.automata.emptiness.EmptinessResult`, ...), so callers
     that only want the verdict unwrap one attribute.  ``provenance`` is
-    ``"computed"`` (executed here), ``"pooled"`` (executed in a worker
-    process), ``"pooled_retry"`` (executed in a worker after at least one
-    transient worker failure and pool rebuild), ``"fallback"`` (recomputed
-    in-process after the pool path failed — the value is identical, the
-    tag records the detour), ``"memo"`` (served from the engine's
-    cross-request memo), ``"dedup"`` (an identical task earlier in the
+    ``"computed"`` (executed in this batch), ``"memo"`` (served from the
+    engine's in-memory memo), ``"memo_disk"`` (served from its persistent
+    verdict store), ``"dedup"`` (an identical task earlier in the
     same batch supplied the value) or ``"deadline"`` (the batch budget
     expired before this task ran — ``value`` is ``None``).
     """

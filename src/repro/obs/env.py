@@ -3,15 +3,14 @@
 Every environment variable the library consults is declared here — name,
 type, default, and the exact parsing semantics its call site always had —
 so ``repro env`` can list each knob with its current value and source,
-and so a new knob cannot be added without a type and a default.  The
-accessor functions in :mod:`repro.store.workqueue`,
-:mod:`repro.engine.engine` and :mod:`repro.obs.trace` are thin wrappers
-over the parsers below, which keeps their behaviour (including the loud
-one-time :func:`warn_invalid_env` fallback on malformed values)
-field-identical to the pre-registry code.
+and so a new knob cannot be added without a type and a default.  Every
+consumer reads its knob through the parsers below, which warn once
+(:func:`warn_invalid_env`) about a malformed value and fall back to the
+default.
 
 This module must stay dependency-free within the package: it is imported
-by :mod:`repro.store.workqueue`, which initialises very early.
+by :mod:`repro.obs.trace` and :mod:`repro.store.faults`, which initialise
+very early.
 """
 
 from __future__ import annotations
@@ -25,15 +24,7 @@ from typing import Callable, Dict, List, Optional, Set
 # Knob names and defaults (the canonical definitions; the consuming
 # modules re-export them under their historical names)
 # ----------------------------------------------------------------------
-#: Strict flag: allow engine batch dispatch through the worker pool.
-PARALLEL_TASKS_ENV = "REPRO_PARALLEL_TASKS"
-#: Estimated-work floor for pool dispatch.
-PARALLEL_MIN_COST_ENV = "REPRO_PARALLEL_MIN_COST"
-#: Bounded retries for transient pool worker failures.
-POOL_RETRIES_ENV = "REPRO_POOL_RETRIES"
-#: Per-item pooled result timeout in seconds (unset = none).
-POOL_ITEM_TIMEOUT_ENV = "REPRO_POOL_ITEM_TIMEOUT"
-#: Scripted fault plan for the pool paths (see :mod:`repro.store.faults`).
+#: Scripted fault plan for the storage points (see :mod:`repro.store.faults`).
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 #: Strict flag: enable the tracing layer (see :mod:`repro.obs.trace`).
 TRACE_ENV = "REPRO_TRACE"
@@ -50,8 +41,6 @@ STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
 #: Relation-cardinality floor above which SQL-backed plans push down as SQL joins.
 SQL_PUSHDOWN_MIN_ROWS_ENV = "REPRO_SQL_PUSHDOWN_MIN_ROWS"
 
-DEFAULT_MIN_DISPATCH_COST = 100_000
-DEFAULT_POOL_RETRIES = 2
 DEFAULT_MEMO_CAPACITY = 0
 DEFAULT_MEMO_LOCK_TIMEOUT = 1.0
 DEFAULT_MEMO_COMPACT_SEGMENTS = 8
@@ -203,45 +192,17 @@ def _register(
 
 
 _register(
-    PARALLEL_TASKS_ENV,
-    "flag(strict)",
-    False,
-    "allow DecisionEngine batch dispatch through the worker pool (cost-gated)",
-    lambda: flag_strict(PARALLEL_TASKS_ENV),
-)
-_register(
-    PARALLEL_MIN_COST_ENV,
-    "int",
-    DEFAULT_MIN_DISPATCH_COST,
-    "estimated-work floor below which a DecisionEngine batch stays in process",
-    lambda: non_negative_int(PARALLEL_MIN_COST_ENV, DEFAULT_MIN_DISPATCH_COST),
-)
-_register(
-    POOL_RETRIES_ENV,
-    "int",
-    DEFAULT_POOL_RETRIES,
-    "bounded retries (with backoff, on a rebuilt pool) for transient worker failures",
-    lambda: non_negative_int(POOL_RETRIES_ENV, DEFAULT_POOL_RETRIES),
-)
-_register(
-    POOL_ITEM_TIMEOUT_ENV,
-    "float",
-    None,
-    "per-item pooled result timeout in seconds (unset: none; a healthy pool always terminates)",
-    lambda: positive_float(POOL_ITEM_TIMEOUT_ENV, None),
-)
-_register(
     FAULT_INJECT_ENV,
     "str",
     "",
-    "scripted fault plan action@point:index[:arg],... for the pool determinism suites",
+    "scripted fault plan action@point:index[:arg],... for the storage fault points",
     lambda: raw_string(FAULT_INJECT_ENV, ""),
 )
 _register(
     TRACE_ENV,
     "flag(strict)",
     False,
-    "enable span tracing across the engine, DFS and pool workers (repro.obs.trace)",
+    "enable span tracing across the engine and the searches (repro.obs.trace)",
     lambda: flag_strict(TRACE_ENV),
 )
 _register(

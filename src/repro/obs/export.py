@@ -4,8 +4,7 @@ All three consume the :class:`~repro.obs.trace.SpanRecord` trees drained
 by :func:`repro.obs.trace.take_spans` and use only the standard library.
 The Chrome format loads directly into ``chrome://tracing`` (or Perfetto):
 one complete ``"X"`` event per span, microsecond timestamps, the
-recording process's pid as both ``pid`` and ``tid`` — so coordinator and
-worker spans land on separate rows.
+recording process's pid as both ``pid`` and ``tid``.
 """
 
 from __future__ import annotations

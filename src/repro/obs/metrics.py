@@ -1,9 +1,9 @@
 """Named counter/gauge/histogram registry unifying the ad-hoc stats dicts.
 
 Before this module, instrumentation was a patchwork: the engine kept
-``DecisionEngine._stats``, the witness search its ``stats`` dict, the
-plan cache two module globals, and the pool its failure counters — each
-with its own shape and no single place to read them.  The registry
+``DecisionEngine._stats``, the witness search its ``stats`` dict and the
+plan cache two module globals — each with its own shape and no single
+place to read them.  The registry
 *absorbs* them without changing them:
 
 * long-lived stats dicts stay the source of truth and are **tracked** by
@@ -19,10 +19,8 @@ with its own shape and no single place to read them.  The registry
 
 Everything is plain dicts of numbers, always on (a dict bump per event —
 there is no disable flag to get wrong), and :meth:`snapshot` returns a
-picklable, JSON-able structure.  Worker processes ship their counter
-*deltas* back with results (:meth:`counters_snapshot` /
-:meth:`counters_delta` / :meth:`merge_counters`), so pooled work is
-accounted in the coordinator's registry too.
+picklable, JSON-able structure.  :meth:`counters_snapshot` and
+:meth:`counters_delta` measure the counters one piece of work moved.
 """
 
 from __future__ import annotations
@@ -141,14 +139,14 @@ class MetricsRegistry:
         self._histograms.clear()
 
     # ------------------------------------------------------------------
-    # Cross-process shipping
+    # Deltas
     # ------------------------------------------------------------------
     def counters_snapshot(self) -> Dict[str, float]:
-        """A copy of the counters (the 'before' side of a worker delta)."""
+        """A copy of the counters (the 'before' side of a delta)."""
         return dict(self._counters)
 
     def counters_delta(self, base: Dict[str, float]) -> Dict[str, float]:
-        """Counter increments since *base* (what a worker ships back)."""
+        """Counter increments since *base*."""
         return {
             name: value - base.get(name, 0)
             for name, value in self._counters.items()
@@ -156,14 +154,17 @@ class MetricsRegistry:
         }
 
     def merge_counters(self, counters: Optional[Dict[str, float]]) -> None:
-        """Fold a shipped worker delta into this registry."""
+        """Add a counter delta to this registry.
+
+        No library code calls it; ``perfbench/tracer.py`` patches it by
+        ``__dict__`` lookup, so it must stay defined on this class.
+        """
         if counters:
             for name, value in counters.items():
                 self.counter(name, value)
 
 
-#: The process-wide default registry (workers have their own copy and
-#: ship deltas back with their results).
+#: The process-wide default registry.
 REGISTRY = MetricsRegistry()
 
 

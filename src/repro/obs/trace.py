@@ -1,10 +1,8 @@
-"""Zero-dependency span tracing for the engine, DFS and pool workers.
+"""Zero-dependency span tracing for the engine and the searches.
 
 A *span* is one timed, named, attributed unit of work; spans nest, and a
 finished top-level span (with its subtree) is a plain picklable
-:class:`SpanRecord` — so a pool worker can record spans locally and ship
-them back piggybacked on its result payload, where the coordinator folds
-them into the parent trace (:func:`attach_children`).
+:class:`SpanRecord`.
 
 Tracing is **off by default** and the disabled path is near-zero cost:
 :func:`trace_span` reads one module-level flag and returns a shared
@@ -15,16 +13,10 @@ short-circuit on the same flag.  Enable in-process via :func:`enable`
 :func:`refresh_from_env`).
 
 Clocks are monotonic (:func:`time.monotonic`) and recorded relative to a
-per-process origin, so spans within one process are exactly ordered;
-spans attached from *another* process are re-based onto the
-coordinator's clock at fold time (their internal ordering and durations
-are preserved — cross-process absolute times are not comparable anyway).
+per-process origin, so spans within one process are exactly ordered.
 
 The span stack is module-level (per process, single-threaded by design:
-the engine and the worker entries both drain results on one thread);
-worker entries call :func:`configure_worker` so a persistent pool
-worker's tracing state is driven entirely by the submission that is
-running, never by stale inherited state.
+the engine drains its results on one thread).
 
 Exporters (JSON-lines, Chrome trace-event, text tree) live in
 :mod:`repro.obs.export`.
@@ -46,8 +38,7 @@ class SpanRecord:
 
     ``start_s`` is seconds since this process's trace origin (monotonic
     clock); ``duration_s`` is filled when the span closes.  ``pid`` tags
-    the recording process, which is how worker-side spans remain
-    identifiable after they are folded into a coordinator trace.
+    the recording process (the exporters' process row).
     """
 
     name: str
@@ -107,23 +98,9 @@ def refresh_from_env() -> bool:
 
 
 def reset() -> None:
-    """Drop every open and finished span (test/worker-entry hygiene)."""
+    """Drop every open and finished span (test hygiene)."""
     _stack.clear()
     _finished.clear()
-
-
-def configure_worker(trace_on: bool) -> None:
-    """Set a pool worker's tracing state for one submission.
-
-    Persistent workers inherit whatever flag (and half-open spans) the
-    coordinator had at fork time; each worker entry calls this with the
-    flag that travelled with the submission, so recording is a pure
-    function of the payload.  Any leftover spans from a previous
-    submission are dropped — shipped spans must belong to exactly the
-    work item that returns them.
-    """
-    set_enabled(trace_on)
-    reset()
 
 
 refresh_from_env()
@@ -233,27 +210,6 @@ def annotate(**attrs: object) -> None:
 def current_span() -> Optional[SpanRecord]:
     """The innermost open span, if any (introspection/tests)."""
     return _stack[-1] if _stack else None
-
-
-def attach_children(spans: Optional[Iterable[SpanRecord]]) -> None:
-    """Fold foreign (worker-recorded) spans under the current open span.
-
-    The spans' clocks are re-based so the earliest one starts at the
-    coordinator's *fold time* — sibling order and durations within the
-    shipped subtree are preserved, and each record keeps the recording
-    worker's ``pid``, so pooled work remains distinguishable in exports.
-    """
-    if not _enabled or not spans:
-        return
-    records = list(spans)
-    if not records:
-        return
-    shift = _now() - min(span.start_s for span in records)
-    sink = _stack[-1].children if _stack else _finished
-    for span in records:
-        for node in span.walk():
-            node.start_s += shift
-        sink.append(span)
 
 
 def take_spans() -> List[SpanRecord]:

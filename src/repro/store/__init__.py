@@ -1,9 +1,8 @@
-"""Persistent fact-store subsystem: O(1) snapshots + the one pool scheduler.
+"""Persistent fact-store subsystem: O(1) snapshots, a SQLite backend and
+the engine's crash-safe verdict cache.
 
-Snapshots make configurations cheap to capture and picklable; the pool
-scheduler (:mod:`repro.store.workqueue`) ships engine tasks to one shared
-worker pool with one failure taxonomy.  See ``src/repro/store/README.md``
-for the architecture note.
+Snapshots make configurations cheap to capture and picklable.  See
+``src/repro/store/README.md`` for the architecture note.
 """
 
 from repro.store.backend import (
@@ -27,12 +26,6 @@ from repro.store.verdict_cache import (
     encode_key,
     store_stats,
     verify_store,
-)
-from repro.store.workqueue import (
-    PoolScheduler,
-    Shipped,
-    discard_shared_pool,
-    shared_pool,
 )
 
 __all__ = [
@@ -59,8 +52,4 @@ __all__ = [
     "encode_key",
     "store_stats",
     "verify_store",
-    "PoolScheduler",
-    "Shipped",
-    "discard_shared_pool",
-    "shared_pool",
 ]

@@ -1,37 +1,27 @@
-"""Deterministic fault injection for the pool paths (``REPRO_FAULT_INJECT``).
+"""Deterministic fault injection at the storage points (``REPRO_FAULT_INJECT``).
 
-The robustness guarantees of the parallel modes — verdicts never change
-when workers die, stall or return garbage — are only worth stating if
-they are *provable*.  This module scripts faults at exact points so the
-determinism suites can kill a worker on the third engine task, delay a
-task result past its timeout, or corrupt a result pickle, and then
-assert field-by-field agreement with the sequential oracle.
+The storage layers promise that a failure never changes a verdict: a
+torn write, a corrupt record or a failed commit degrades to a counted
+recomputation or a clean error.  This module scripts faults at exact
+points so the test suites can prove it.
 
 ## Spec format
 
-A spec is a comma-separated list of ``action@point:index[:arg]``:
+A spec is a comma-separated list of ``action@point:index``:
 
-* ``action`` — ``kill`` (the worker process exits hard, breaking the
-  pool), ``delay`` (the worker sleeps ``arg`` seconds before computing —
-  pair with ``REPRO_POOL_ITEM_TIMEOUT`` to exercise the timeout path),
-  ``corrupt`` (the worker raises :class:`pickle.UnpicklingError`,
-  modelling a result blob that cannot be decoded — the coordinator's
-  fail-fast payload-error path), or ``raise`` (a generic transient
-  ``RuntimeError`` — the retry path).
-* ``point`` — which worker entry the fault arms: ``task`` (one pooled
-  engine reduction task).
-* ``index`` — fire on the *N*-th hit of that point (0-based).  Counters
-  are per process: a single-worker pool makes indices exact; with more
-  workers each counts its own stream.
-
-Example: ``kill@task:2,delay@task:0:0.2``.
+* ``action`` — ``trip`` (apply the point's storage semantics) or
+  ``kill`` (the process exits hard at the point, exit code
+  :data:`KILL_EXIT_CODE`);
+* ``point`` — one of :data:`STORAGE_POINTS` (below);
+* ``index`` — fire on the *N*-th hit of that point (0-based, counted
+  per process).
 
 ## Storage fault points
 
-The verdict cache (:mod:`repro.store.verdict_cache`) consults a second
-family of points through :func:`storage_fault`, which *returns* the armed
-fault instead of executing it — each point has storage semantics the
-cache implements at the exact syscall boundary:
+The verdict cache (:mod:`repro.store.verdict_cache`) consults its points
+through :func:`storage_fault`, which *returns* the armed fault instead
+of executing it — each point has storage semantics the cache implements
+at the exact syscall boundary:
 
 * ``torn_write`` — the atomic-write helper persists only a truncated
   prefix (``trip``), or dies mid-write with the tmp file on disk and the
@@ -54,33 +44,31 @@ The SQL store backend (:mod:`repro.store.sqlstore`) consults two more:
   executor over the same facade (counted in ``store.pushdown_fault``,
   verdict-identical).
 
-The canonical action for storage points is ``trip`` (apply the point's
-storage semantics); ``kill`` at ``torn_write`` scripts the mid-write
-process death.  Example: ``trip@corrupt_record:0,trip@lock_timeout:1``.
+``kill`` at ``torn_write`` or ``sql_commit`` scripts the process death
+mid-write or before ``COMMIT``.  Example:
+``trip@corrupt_record:0,trip@lock_timeout:1``.
 
 ## Activation
 
 Tests install a parsed plan in-process (:func:`install` / :func:`clear`)
-or set the :data:`FAULT_INJECT_ENV` environment variable before creating
-the pool — forked workers inherit the environment, so scripted faults
-fire inside real worker processes.  Production code never calls
-:func:`fire` unless a plan is active; the hot-path cost of the hook is
-one module attribute read and one ``dict.get`` on the environment.
+or set the :data:`FAULT_INJECT_ENV` environment variable, which a child
+process inherits.  A malformed spec warns once and injects nothing.
+With no plan the hot-path cost of :func:`storage_fault` is one module
+attribute read and one ``dict.get`` on the environment.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-#: Environment variable holding the fault spec (see the module docstring).
-FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
+from repro.obs import env as envknobs
 
-_ACTIONS = ("kill", "delay", "corrupt", "raise", "trip")
-_POINTS = ("task",)
+#: Environment variable holding the fault spec (see the module docstring).
+FAULT_INJECT_ENV = envknobs.FAULT_INJECT_ENV
+
+_ACTIONS = ("kill", "trip")
 #: Storage fault points consulted by :func:`storage_fault` (the verdict
 #: cache implements each point's semantics at its own syscall boundary).
 STORAGE_POINTS = (
@@ -93,7 +81,7 @@ STORAGE_POINTS = (
     "sql_pushdown",
 )
 
-#: Exit code of a scripted worker kill — distinctive in core-dump triage.
+#: Exit code of a scripted kill — distinctive in core-dump triage.
 KILL_EXIT_CODE = 86
 
 
@@ -104,7 +92,6 @@ class Fault:
     action: str
     point: str
     index: int
-    arg: float = 0.0
 
 
 class FaultPlan:
@@ -133,27 +120,24 @@ def parse_fault_spec(text: str) -> Tuple[Fault, ...]:
             continue
         try:
             action, rest = entry.split("@", 1)
-            point, _, tail = rest.partition(":")
-            index_text, _, arg_text = tail.partition(":")
+            point, _, index_text = rest.partition(":")
             index = int(index_text)
-            arg = float(arg_text) if arg_text else 0.0
         except ValueError:
             raise ValueError(
                 f"malformed {FAULT_INJECT_ENV} entry {entry!r} "
-                "(expected action@point:index[:arg])"
+                "(expected action@point:index)"
             ) from None
         if action not in _ACTIONS:
             raise ValueError(
                 f"unknown fault action {action!r} (one of {_ACTIONS})"
             )
-        if point not in _POINTS and point not in STORAGE_POINTS:
+        if point not in STORAGE_POINTS:
             raise ValueError(
-                f"unknown fault point {point!r} "
-                f"(one of {_POINTS + STORAGE_POINTS})"
+                f"unknown fault point {point!r} (one of {STORAGE_POINTS})"
             )
         if index < 0:
             raise ValueError(f"fault index must be >= 0, got {index}")
-        faults.append(Fault(action, point, index, arg))
+        faults.append(Fault(action, point, index))
     return tuple(faults)
 
 
@@ -193,48 +177,19 @@ def active_plan() -> Optional[FaultPlan]:
         try:
             _ENV_PLAN = (raw, FaultPlan(parse_fault_spec(raw)))
         except ValueError:
-            # A malformed spec must not take the pool down; the env-var
-            # warning machinery (store.workqueue) reports it.
+            # A malformed spec injects nothing, and says so once.
+            envknobs.warn_invalid_env(FAULT_INJECT_ENV, raw, "no faults")
             _ENV_PLAN = (raw, FaultPlan(()))
     return _ENV_PLAN[1]
-
-
-def fire(point: str) -> None:
-    """Apply the fault scripted for this hit of *point*, if any.
-
-    Called at the worker entry points.  ``kill`` exits the process hard
-    (``os._exit`` — no cleanup, exactly like a crashed worker), ``delay``
-    sleeps, ``corrupt`` raises :class:`pickle.UnpicklingError` and
-    ``raise`` a ``RuntimeError``; with no active plan this is a no-op.
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    fault = plan.next_fault(point)
-    if fault is None:
-        return
-    if fault.action == "kill":
-        os._exit(KILL_EXIT_CODE)
-    elif fault.action == "delay":
-        time.sleep(fault.arg)
-    elif fault.action == "corrupt":
-        raise pickle.UnpicklingError(
-            f"{FAULT_INJECT_ENV}: scripted corrupt result at {point}:{fault.index}"
-        )
-    elif fault.action == "raise":
-        raise RuntimeError(
-            f"{FAULT_INJECT_ENV}: scripted transient failure at {point}:{fault.index}"
-        )
 
 
 def storage_fault(point: str) -> Optional[Fault]:
     """The fault armed for this hit of a storage *point*, if any.
 
-    Unlike :func:`fire`, this never executes the fault: storage faults
-    have point-specific semantics (a torn write, a short read, an
-    immediate lock timeout) that only the cache's own syscall boundaries
-    can realise, so the caller receives the armed :class:`Fault` and acts
-    on it in place.  With no active plan the hot-path cost is one module
+    This never executes the fault: storage faults have point-specific
+    semantics (a torn write, a short read, an immediate lock timeout)
+    that only the store's own syscall boundaries can realise, so the
+    caller receives the armed :class:`Fault` and acts on it in place.  With no active plan the hot-path cost is one module
     attribute read.
     """
     plan = active_plan()

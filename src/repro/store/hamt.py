@@ -28,8 +28,8 @@ Design notes
   map therefore never ships its nodes: :meth:`PMap.__reduce__`
   serialises the items and the receiving process rebuilds the trie with
   its own hash seed.  This is what makes snapshots safely picklable into
-  worker processes (see :mod:`repro.store.workqueue`) even under the
-  ``spawn`` start method.
+  another process (a resume frontier, the verdict cache's disk tier)
+  whatever its hash seed.
 
 The map is deliberately minimal: exactly the operations the fact store
 needs, nothing speculative.

@@ -18,9 +18,8 @@ persistent (structurally shared) per-relation shards instead of mutable
   compare *exactly* (structural comparison with identity short-circuits),
   so they serve directly as visited-set and memo keys;
 * snapshots are picklable by construction — they serialise as their fact
-  list and rebuild on the receiving side — which is what lets pooled
-  engine tasks (:mod:`repro.store.workqueue`) and budgeted searches'
-  resume frontiers carry search states across processes.
+  list and rebuild on the receiving side — which is what lets budgeted
+  searches' resume frontiers carry search states across processes.
 
 Per-relation shards also carry **per-position indexes that survive
 snapshots** (``(position, value) -> frozenset of tuples``): built on the

@@ -51,8 +51,6 @@ from repro.queries import plan_cache as _pc
 _TABLE_PREFIX = "rel "
 #: Prefix of per-round delta temp tables.
 _DELTA_PREFIX = "delta "
-#: Prefix of the staging temp tables of :func:`select_missing_sql`.
-_STAGE_PREFIX = "stage "
 #: Prefix of the per-round derived-tuple temp tables of a fixedpoint.
 _DERIVED_PREFIX = "derived "
 #: Name of the store metadata table.
@@ -79,11 +77,6 @@ def table_for(relation: str) -> str:
 def delta_table_for(relation: str) -> str:
     """The quoted per-round delta temp-table identifier of *relation*."""
     return quote_ident(_DELTA_PREFIX + relation)
-
-
-def stage_table_for(relation: str) -> str:
-    """The quoted staging temp-table identifier of *relation*."""
-    return quote_ident(_STAGE_PREFIX + relation)
 
 
 def derived_table_for(relation: str) -> str:
@@ -390,75 +383,6 @@ def insert_live_from_delta_sql(relation: str, arity: int) -> str:
             cols_prefix,
             "?, NULL FROM",
             delta_table_for(relation),
-        ]
-    )
-
-
-@lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def create_stage_table_sql(relation: str, arity: int) -> str:
-    """The staging temp table of :func:`select_missing_sql` (connection-local).
-
-    Column ``i`` holds each staged tuple's position in the caller's
-    batch, so the missing tuples come back as positions rather than as
-    re-decoded values.  Value columns are ``BLOB NOT NULL`` like the
-    relation tables'.
-    """
-    decls = ["i INTEGER NOT NULL"]
-    decls += [" ".join([name, "BLOB", "NOT", "NULL"]) for name in _columns(arity)]
-    return " ".join(
-        [
-            "CREATE TEMP TABLE IF NOT EXISTS",
-            stage_table_for(relation),
-            "(",
-            ", ".join(decls),
-            ")",
-        ]
-    )
-
-
-@lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def clear_stage_sql(relation: str) -> str:
-    return " ".join(["DELETE FROM", stage_table_for(relation)])
-
-
-@lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def insert_stage_sql(relation: str, arity: int) -> str:
-    """Stage one tuple (params: batch position, then the values)."""
-    cols = ["i"] + _columns(arity)
-    return " ".join(
-        [
-            "INSERT INTO",
-            stage_table_for(relation),
-            "(",
-            ", ".join(cols),
-            ") VALUES (",
-            ", ".join(["?"] * len(cols)),
-            ")",
-        ]
-    )
-
-
-@lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def select_missing_sql(relation: str, arity: int) -> str:
-    """Batch positions of the staged tuples that have no live row.
-
-    One anti-join against the partial UNIQUE index over live rows: the
-    set-based form of one membership probe per tuple.
-    """
-    conditions = [
-        " ".join([".".join(["t", column(p)]), "=", ".".join(["s", column(p)])])
-        for p in range(arity)
-    ]
-    conditions.append("t.d IS NULL")
-    return " ".join(
-        [
-            "SELECT s.i FROM",
-            stage_table_for(relation),
-            "s WHERE NOT EXISTS ( SELECT 1 FROM",
-            table_for(relation),
-            "t WHERE",
-            " AND ".join(conditions),
-            ")",
         ]
     )
 

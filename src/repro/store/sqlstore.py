@@ -1012,11 +1012,10 @@ class SQLStoreInstance:
     def add_all(self, relation_name: str, tuples: Iterable[Sequence[object]]) -> None:
         """Validate and add several tuples with one ``executemany``.
 
-        Priced for tuples the store does not hold, which is what a
-        fixedpoint round adds (the ones :meth:`missing` reported): one
-        statement batch plus the Python counter updates.  A batch with
-        live or repeated facts is still exact — the insert skips them and
-        the counters are recounted from the rows.
+        Priced for tuples the store does not hold: one statement batch
+        plus the Python counter updates.  A batch with live or repeated
+        facts is still exact — the insert skips them and the counters are
+        recounted from the rows.
         """
         relation = self.schema.relation(relation_name)
         batch = [relation.validate_tuple(values) for values in tuples]
@@ -1104,33 +1103,11 @@ class SQLStoreInstance:
     ) -> Set[Tuple[object, ...]]:
         """The tuples of *tuples* that *relation_name* does not hold.
 
-        Set-based: the batch is staged into a temp table with one
-        ``executemany`` and one anti-join returns the positions of the
-        missing tuples, so the result holds the caller's own objects.
-        Tuples no stored fact can equal (wrong arity, un-encodable
-        values) are missing without a probe.
+        One :meth:`contains` probe per tuple, so a tuple no stored fact
+        can equal (wrong arity, un-encodable values) is missing.  The
+        fixedpoint does not call this: its rounds stage their rows in SQL.
         """
-        batch = list(tuples)
-        if not batch or not self._counts.get(relation_name):
-            return set(batch)
-        arity = self.schema.arity(relation_name)
-        absent: Set[Tuple[object, ...]] = set()
-        staged = []
-        for position, tup in enumerate(batch):
-            if len(tup) == arity:
-                try:
-                    staged.append((position,) + _encode_tuple(tup))
-                    continue
-                except TypeError:
-                    pass  # un-encodable values are never stored
-            absent.add(tup)
-        # Created on every call: a rollback drops a table created inside it.
-        self._conn.execute(_sql.create_stage_table_sql(relation_name, arity))
-        self._conn.execute(_sql.clear_stage_sql(relation_name))
-        self._conn.executemany(_sql.insert_stage_sql(relation_name, arity), staged)
-        cursor = self._conn.execute(_sql.select_missing_sql(relation_name, arity))
-        absent.update(batch[position] for (position,) in cursor.fetchall())
-        return absent
+        return {tup for tup in tuples if not self.contains(relation_name, tup)}
 
     def contains(self, relation_name: str, values: Sequence[object]) -> bool:
         if relation_name not in self.schema:

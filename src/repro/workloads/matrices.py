@@ -2,7 +2,7 @@
 
 The batch entry points of :class:`repro.engine.DecisionEngine`
 (``relevance_matrix`` / ``containment_matrix`` / ``answerability_sweep``)
-amortise pool startup, the plan cache and the cross-request memo across a
+amortise the plan cache and the cross-request memo across a
 whole workload of decisions.  This module builds the workloads themselves:
 
 * :func:`probe_accesses` — the relevance matrix's candidate list: every
@@ -97,7 +97,7 @@ class StreamedMatrix:
     the wall-clock delay until the *first* result was yielded (memo hits
     make this near-zero on warm engines) and ``total_s`` the full batch
     time.  ``by_provenance`` counts the consumed results per provenance
-    tag (``memo``/``dedup``/``computed``/``pooled``/...), the per-request
+    tag (``memo``/``dedup``/``computed``/...), the per-request
     summary the engine records for every batch.
     """
 
@@ -127,15 +127,13 @@ def stream_relevance_matrix(
     the whole sweep (budget-aware back-ends receive the unspent portion,
     everything after expiry comes back ``None``).
     """
-    from repro.engine.engine import _query_size, relevance_shared_key, relevance_task
+    from repro.engine.engine import relevance_shared_key, relevance_task
     from repro.engine.reduction import instance_key
 
     snap = instance_key(initial)
     shared = relevance_shared_key(
         access_schema, query, snap, grounded, require_boolean_access
     )
-    size = snap.size() if snap is not None else 0
-    cost = (1 + size) * (1 + _query_size(query))
     tasks = [
         relevance_task(
             access_schema,
@@ -145,7 +143,6 @@ def stream_relevance_matrix(
             grounded=grounded,
             require_boolean_access=require_boolean_access,
             shared_key=shared,
-            cost_hint=cost,
         )
         for access in accesses
     ]

@@ -192,7 +192,7 @@ def rule_ids_suppressed(report) -> list:
 
 
 # ----------------------------------------------------------------------
-# POOL001 — pool machinery only in the scheduler
+# POOL001 — pool machinery only in the benchmark's stub
 # ----------------------------------------------------------------------
 class TestPoolSchedulerRule:
     @pytest.mark.parametrize(
@@ -215,7 +215,7 @@ class TestPoolSchedulerRule:
             "repro/engine/engine.py",
         )
         assert rule_ids(report) == ["POOL001"]
-        assert "outside the pool scheduler" in report.findings[0].message
+        assert "imported outside repro/store/workqueue.py" in report.findings[0].message
 
     @pytest.mark.parametrize(
         "call",
@@ -239,7 +239,7 @@ class TestPoolSchedulerRule:
             "repro/engine/engine.py",
         )
         assert rule_ids(report) == ["POOL001"]
-        assert "called outside the pool scheduler" in report.findings[0].message
+        assert "called outside repro/store/workqueue.py" in report.findings[0].message
 
     def test_scheduler_module_allowed(self):
         report = findings_of(
@@ -253,15 +253,15 @@ class TestPoolSchedulerRule:
         )
         assert report.findings == []
 
-    def test_scheduler_api_clean(self):
+    def test_stub_attribute_read_clean(self):
+        # Reading the stub's state (as the benchmark harness does) starts
+        # no pool.
         report = findings_of(
             """
-            import os
             from repro.store import workqueue
 
-            def fan_out(items):
-                scheduler = workqueue.PoolScheduler(2)
-                return [scheduler.dispatch("task", os.getpid) for _ in items]
+            def pool_started():
+                return workqueue._POOL is not None
             """,
             "repro/engine/engine.py",
         )
@@ -376,7 +376,7 @@ class TestSilentSwallowRule:
 # ITER001 — unordered iteration in the deterministic fold paths
 # ----------------------------------------------------------------------
 class TestNondeterministicIterationRule:
-    FOLD_PATH = "repro/store/workqueue.py"
+    FOLD_PATH = "repro/engine/engine.py"
 
     def test_for_over_set_call_flagged(self):
         report = findings_of(
@@ -652,20 +652,6 @@ class TestPayloadPicklabilityRule:
         )
         assert rule_ids(report) == ["PKL001"]
         assert "file handle" in report.findings[0].message
-
-    def test_result_envelope_is_a_payload_class(self):
-        report = findings_of(
-            """
-            import dataclasses
-
-            @dataclasses.dataclass(frozen=True)
-            class Shipped:
-                value: object
-                hook = lambda self: 0
-            """,
-            "repro/store/workqueue.py",
-        )
-        assert rule_ids(report) == ["PKL001"]
 
     def test_plain_data_fields_clean(self):
         report = findings_of(

@@ -1,14 +1,12 @@
 """Tests for the unified reduction engine (repro.engine).
 
 The load-bearing property is *field-identical equivalence*: whatever the
-engine batches, dedups, memoizes or ships to a pool worker must come back
-exactly equal — dataclass field by dataclass field — to the legacy
-per-call procedures it replaced.  The randomized suites below drive all
-three access procedures (relevance, AP-containment, answerability)
-through seeded :class:`~repro.workloads.generators.WorkloadGenerator`
-workloads and compare against the ``*_legacy`` oracle paths, and the
-pooled cases go through the real worker entry (``execute_task`` submitted
-to the shared process pool, plus an explicit pickle round-trip).
+engine batches, dedups or memoizes must come back exactly equal —
+dataclass field by dataclass field — to the legacy per-call procedures
+it replaced.  The randomized suites below drive all three access
+procedures (relevance, AP-containment, answerability) through seeded
+:class:`~repro.workloads.generators.WorkloadGenerator` workloads and
+compare against the ``*_legacy`` oracle paths.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from repro.engine import (
     query_key,
     relevance_task,
 )
+from repro.engine.reduction import CachePolicy
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
 from repro.store import workqueue
@@ -255,72 +254,11 @@ class TestCrossRequestMemo:
         assert query_key(q) == query_key(renamed)
 
 
-class TestPooledDeterminism:
-    def test_pooled_matches_in_process_through_real_worker_entry(self):
-        """Explicit ``max_workers`` forces dispatch through the shared pool;
-        every field of every result must match the in-process batch."""
-        schema, initial, query, accesses = _relevance_workload(7)
-        try:
-            engine_in = DecisionEngine()
-            in_process = engine_in.relevance_matrix(
-                schema,
-                accesses,
-                query,
-                initial=initial,
-                require_boolean_access=False,
-            )
-            engine_pool = DecisionEngine(max_workers=2)
-            pooled = engine_pool.relevance_matrix(
-                schema,
-                accesses,
-                query,
-                initial=initial,
-                require_boolean_access=False,
-            )
-            assert pooled == in_process
-            assert engine_pool.stats()["pooled_tasks"] > 0
-        finally:
-            workqueue.discard_shared_pool()
+def _union_tasks(max_paths: int = 300, count: int = 2):
+    """*count* distinct emptiness tasks over one multi-chain union automaton.
 
-    def test_task_pickle_round_trip_matches_in_process(self):
-        """The worker entry on an unpickled task reproduces the result —
-        the spawn-safe property (snapshots rebuild from fact lists)."""
-        schema, initial, query, accesses = _relevance_workload(9)
-        task = relevance_task(
-            schema,
-            accesses[0],
-            query,
-            initial=initial,
-            require_boolean_access=False,
-        )
-        shipped = pickle.loads(pickle.dumps(task))
-        assert execute_task(shipped) == execute_task(task)
-        generator = WorkloadGenerator(seed=9)
-        q1 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
-        q2 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
-        ctask = containment_task(schema, q1, q2, initial=initial)
-        assert execute_task(pickle.loads(pickle.dumps(ctask))) == execute_task(ctask)
-        atask = answerability_task(schema, query, initial, ("v0",))
-        assert execute_task(pickle.loads(pickle.dumps(atask))) == execute_task(atask)
-
-    def test_dispatch_gate_stays_closed_by_default(self, monkeypatch):
-        """Without an explicit worker count or env opt-in, batches never
-        pay pool latency (the PR 4 non-loss discipline)."""
-        monkeypatch.delenv("REPRO_PARALLEL_TASKS", raising=False)
-        schema, initial, query, accesses = _relevance_workload(2)
-        engine = DecisionEngine()
-        engine.relevance_matrix(
-            schema, accesses, query, initial=initial, require_boolean_access=False
-        )
-        assert engine.stats()["pooled_tasks"] == 0
-
-
-def _gate_tasks(max_paths: int, count: int = 2):
-    """*count* distinct emptiness tasks whose ``cost_hint`` follows *max_paths*.
-
-    The union of the directory LTR and containment automata has 197
-    states and transitions, so ``max_paths=3`` stays far below the default
-    dispatch floor and ``max_paths=2000`` clears it.
+    The union of the directory containment and LTR automata, as the
+    ``chains_pooled`` benchmark builds its batches.
     """
     from repro.automata.library import ltr_automaton
     from repro.automata.operations import union_automaton
@@ -349,158 +287,54 @@ def _gate_tasks(max_paths: int, count: int = 2):
     ]
 
 
-def _spy_pool(monkeypatch):
-    """Record each pool request (its worker count) and fail it."""
-    calls = []
+class TestInProcessBatches:
+    def test_parallel_flag_runs_every_task_in_process(self, monkeypatch):
+        """``parallel`` is accepted and ignored: no batch reaches for the
+        process pool, and every result is computed in process, field for
+        field equal whatever the flag says."""
 
-    def record(workers):
-        calls.append(workers)
-        raise RuntimeError("pool intentionally unavailable in this test")
+        asked = []
 
-    monkeypatch.setattr(workqueue, "shared_pool", record)
-    return calls
+        def no_pool(workers):  # pragma: no cover - must not run
+            asked.append(workers)
+            raise AssertionError("a batch asked for the process pool")
 
+        monkeypatch.setattr(workqueue, "shared_pool", no_pool)
+        tasks = _union_tasks()
+        policy = CachePolicy(memoize_results=False, persist_path="")
+        runs = [
+            [
+                (r.value, r.kind, r.backend, r.provenance, r.fingerprint)
+                for r in DecisionEngine(cache_policy=policy, parallel=parallel).run_batch(
+                    tasks
+                )
+            ]
+            for parallel in (True, False, None)
+        ]
+        assert asked == []
+        assert runs[0] == runs[1] == runs[2]
+        assert [row[3] for row in runs[0]] == ["computed", "computed"]
 
-class TestDispatchGate:
-    """The engine's cost gate: a batch never pays for a pool that cannot win."""
-
-    @staticmethod
-    def _values(engine, tasks):
-        return [result.value for result in engine.run_batch(tasks)]
-
-    def test_single_cpu_blocks_dispatch(self, monkeypatch):
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 1)
-        calls = _spy_pool(monkeypatch)
-        tasks = _gate_tasks(max_paths=2000)
-        gated = self._values(DecisionEngine(parallel=True), tasks)
-        assert calls == []
-        assert gated == self._values(DecisionEngine(parallel=False), tasks)
-
-    def test_small_workload_blocks_dispatch_even_multicore(self, monkeypatch):
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
-        calls = _spy_pool(monkeypatch)
-        tasks = _gate_tasks(max_paths=3)
-        assert sum(task.cost_hint for task in tasks) < workqueue.min_dispatch_cost()
-        gated = self._values(DecisionEngine(parallel=True), tasks)
-        assert calls == []
-        assert gated == self._values(DecisionEngine(parallel=False), tasks)
-
-    def test_large_workload_dispatches_on_multicore(self, monkeypatch):
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
-        calls = _spy_pool(monkeypatch)
-        tasks = _gate_tasks(max_paths=2000)
-        engine = DecisionEngine(parallel=True)
-        values = self._values(engine, tasks)
-        # The gate opened (pool requested); the rigged pool failure then
-        # fell back in process without changing a result.
-        assert calls
-        assert engine.stats()["pool_submit_errors"] == 1
-        assert values == self._values(DecisionEngine(parallel=False), tasks)
-
-    def test_explicit_max_workers_overrides_gate(self, monkeypatch):
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 1)
-        calls = _spy_pool(monkeypatch)
-        self._values(DecisionEngine(max_workers=2), _gate_tasks(max_paths=3))
-        assert calls == [2]  # explicit worker count forces dispatch
-
-    def test_min_cost_env_override(self, monkeypatch):
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
-        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "1")
-        calls = _spy_pool(monkeypatch)
-        self._values(DecisionEngine(parallel=True), _gate_tasks(max_paths=3))
-        assert calls  # the lowered floor lets the tiny workload through
-
-    def test_min_cost_env(self, monkeypatch):
-        monkeypatch.delenv(workqueue.PARALLEL_MIN_COST_ENV, raising=False)
-        assert workqueue.min_dispatch_cost() == workqueue.DEFAULT_MIN_DISPATCH_COST
-        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "42")
-        assert workqueue.min_dispatch_cost() == 42
-        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "-5")
-        assert workqueue.min_dispatch_cost() == workqueue.DEFAULT_MIN_DISPATCH_COST
-
-    def test_worker_cap_holds(self, monkeypatch):
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 64)
-        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "0")
-        assert workqueue.worker_count(20, None) == workqueue._MAX_WORKERS_CAP
-        assert workqueue.worker_count(3, None) == 3
-        assert workqueue.worker_count(20, 16) == 16  # explicit count honoured
-        calls = _spy_pool(monkeypatch)
-        tasks = _gate_tasks(max_paths=3, count=10)
-        self._values(DecisionEngine(parallel=True), tasks)
-        assert calls == [workqueue._MAX_WORKERS_CAP]
-
-    def test_pool_failure_falls_back_to_sequential(self, monkeypatch):
-        class _BrokenPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no process pool in this environment")
-
-        monkeypatch.setattr(workqueue, "ProcessPoolExecutor", _BrokenPool)
-        monkeypatch.setattr(workqueue, "_POOL", None)
-        monkeypatch.setattr(workqueue, "_POOL_WORKERS", 0)
-        tasks = _gate_tasks(max_paths=300)
-        engine = DecisionEngine(max_workers=2)
-        fallback = self._values(engine, tasks)
-        assert engine.stats()["pool_submit_errors"] == 1
-        assert engine.stats()["pooled_tasks"] == 0
-        assert fallback == self._values(DecisionEngine(parallel=False), tasks)
-
-
-class TestParallelTasksEnvParsing:
-    """``REPRO_PARALLEL_TASKS`` value parsing, case by case.
-
-    The toggle is read when ``DecisionEngine(parallel=None)``; a multicore
-    host and a zero dispatch floor leave it as the only gate, and a rigged
-    pool records whether the batch asked for workers.
-    """
-
-    @staticmethod
-    def _dispatches(monkeypatch, value):
-        if value is None:
-            monkeypatch.delenv("REPRO_PARALLEL_TASKS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PARALLEL_TASKS", value)
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
-        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "0")
-        calls = _spy_pool(monkeypatch)
-        DecisionEngine().run_batch(_gate_tasks(max_paths=3))
-        return bool(calls)
-
-    @pytest.mark.parametrize(
-        "value",
-        ["0", "false", "False", "FALSE", "no", "No", "off", "OFF", "", "  ", " 0 "],
-    )
-    def test_disabling_values(self, monkeypatch, value):
-        assert self._dispatches(monkeypatch, value) is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "True", "yes", "on", " 1 "])
-    def test_enabling_values(self, monkeypatch, value):
-        assert self._dispatches(monkeypatch, value) is True
-
-    @pytest.mark.parametrize("value", ["2"])
-    def test_unknown_values_disable(self, monkeypatch, value):
-        assert self._dispatches(monkeypatch, value) is False
-
-    def test_unset_disables(self, monkeypatch):
-        assert self._dispatches(monkeypatch, None) is False
-
-    def test_env_toggle_controls_default(self, monkeypatch):
-        assert self._dispatches(monkeypatch, None) is False
-        assert self._dispatches(monkeypatch, "1") is True
-        assert self._dispatches(monkeypatch, "off") is False
-
-    def test_zero_verifiably_bypasses_the_pool(self, monkeypatch):
-        # With REPRO_PARALLEL_TASKS=0 and parallel=None a batch must stay
-        # in process: the scheduler is rigged to explode if touched.
-        monkeypatch.setenv("REPRO_PARALLEL_TASKS", "0")
-        monkeypatch.setattr(workqueue, "available_cpus", lambda: 8)
-        monkeypatch.setenv(workqueue.PARALLEL_MIN_COST_ENV, "0")
-
-        def _explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("process pool used despite REPRO_PARALLEL_TASKS=0")
-
-        monkeypatch.setattr(workqueue, "PoolScheduler", _explode)
-        results = DecisionEngine().run_batch(_gate_tasks(max_paths=3))
-        assert all(result.value is not None for result in results)
+    def test_task_pickle_round_trip_matches_in_process(self):
+        """An unpickled task reproduces the result (snapshots rebuild from
+        fact lists)."""
+        schema, initial, query, accesses = _relevance_workload(9)
+        task = relevance_task(
+            schema,
+            accesses[0],
+            query,
+            initial=initial,
+            require_boolean_access=False,
+        )
+        shipped = pickle.loads(pickle.dumps(task))
+        assert execute_task(shipped) == execute_task(task)
+        generator = WorkloadGenerator(seed=9)
+        q1 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
+        q2 = generator.conjunctive_query(schema.schema, num_atoms=2, num_variables=3)
+        ctask = containment_task(schema, q1, q2, initial=initial)
+        assert execute_task(pickle.loads(pickle.dumps(ctask))) == execute_task(ctask)
+        atask = answerability_task(schema, query, initial, ("v0",))
+        assert execute_task(pickle.loads(pickle.dumps(atask))) == execute_task(atask)
 
 
 class TestNodeMemo:

@@ -5,21 +5,17 @@ Covers the tentpole guarantees of the tracing/metrics subsystem
 
 * span records are nested, monotonic and picklable, and recording is a
   no-op with tracing disabled;
-* the metrics registry absorbs legacy stats dicts and merges worker
-  counter deltas without perturbing either side;
-* spans cross the process boundary: the real pool worker entries ship
-  their locally recorded spans back on the result payload under fork
-  *and* spawn, and the coordinator folds them into the live trace;
-* the acceptance scenario: a pooled relevance matrix under fault
-  injection exports a Chrome-trace JSON containing worker-side child
-  spans and a retry event — and with tracing off, verdicts and legacy
-  stats are field-identical to the traced run.
+* the metrics registry absorbs legacy stats dicts and merges counter
+  deltas without perturbing either side;
+* the env-knob registry lists every knob, and a strict flag parses its
+  values case by case;
+* with tracing off, verdicts and legacy stats are field-identical to the
+  traced run.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 
@@ -31,8 +27,6 @@ from repro.core.solver import AccLTLSolver
 from repro.engine import DecisionEngine
 from repro.obs import env as envknobs
 from repro.obs import export, metrics, trace
-from repro.store import faults
-from repro.store import workqueue as workqueue_module
 from repro.workloads.directory import (
     directory_access_schema,
     directory_hidden_instance,
@@ -44,15 +38,12 @@ from repro.workloads.matrices import probe_accesses, stream_relevance_matrix
 
 @pytest.fixture(autouse=True)
 def _clean_trace_state():
-    """Tracing off and no span/plan leakage into or out of any test."""
+    """Tracing off and no span leakage into or out of any test."""
     trace.set_enabled(False)
     trace.reset()
-    faults.clear()
     yield
     trace.set_enabled(False)
     trace.reset()
-    faults.clear()
-    workqueue_module.discard_shared_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +95,6 @@ class TestSpanRecords:
         assert root.name == "outer"
         assert root.attrs["closed"] is True
         assert [child.name for child in root.children] == ["abandoned"]
-
-    def test_attach_children_rebases_foreign_spans(self):
-        trace.set_enabled(True)
-        with trace.trace_span("worker-side"):
-            pass
-        shipped = pickle.loads(pickle.dumps(tuple(trace.take_spans())))
-        with trace.trace_span("coordinator"):
-            trace.attach_children(shipped)
-        (root,) = trace.take_spans()
-        (child,) = root.children
-        assert child.name == "worker-side"
-        assert root.start_s <= child.start_s
 
     def test_exporters_agree_on_the_span_set(self, tmp_path):
         trace.set_enabled(True)
@@ -195,8 +174,7 @@ class TestMetricsRegistry:
         assert legacy == {"memo_hits": 4, "label": "ignored", "flag": True}
 
     def test_counter_deltas_merge_across_registries(self):
-        # The cross-process shipping shape: a worker-side registry's delta
-        # since submission merges into the coordinator's registry.
+        # One registry's delta since a snapshot merges into another's.
         coordinator = metrics.MetricsRegistry()
         coordinator.counter("shared", 1)
         worker = metrics.MetricsRegistry()
@@ -229,23 +207,24 @@ class TestMetricsRegistry:
 class TestEnvRegistry:
     def test_every_repro_knob_is_registered(self):
         names = {knob.name for knob in envknobs.all_knobs()}
-        assert {
+        assert names == {
             "REPRO_TRACE",
             "REPRO_FAULT_INJECT",
-            "REPRO_PARALLEL_TASKS",
-            "REPRO_PARALLEL_MIN_COST",
-            "REPRO_POOL_RETRIES",
-            "REPRO_POOL_ITEM_TIMEOUT",
-        } <= names
-        assert len(names) == 12
+            "REPRO_MEMO_CAPACITY",
+            "REPRO_MEMO_PERSIST_PATH",
+            "REPRO_MEMO_LOCK_TIMEOUT",
+            "REPRO_MEMO_COMPACT_SEGMENTS",
+            "REPRO_STORE_BACKEND",
+            "REPRO_SQL_PUSHDOWN_MIN_ROWS",
+        }
 
     def test_current_reports_source_and_value(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_RETRIES", raising=False)
-        row = envknobs.knob("REPRO_POOL_RETRIES").current()
+        monkeypatch.delenv("REPRO_MEMO_CAPACITY", raising=False)
+        row = envknobs.knob("REPRO_MEMO_CAPACITY").current()
         assert row["source"] == "default"
-        assert row["value"] == envknobs.DEFAULT_POOL_RETRIES
-        monkeypatch.setenv("REPRO_POOL_RETRIES", "5")
-        row = envknobs.knob("REPRO_POOL_RETRIES").current()
+        assert row["value"] == envknobs.DEFAULT_MEMO_CAPACITY
+        monkeypatch.setenv("REPRO_MEMO_CAPACITY", "5")
+        row = envknobs.knob("REPRO_MEMO_CAPACITY").current()
         assert row["source"] == "env"
         assert row["value"] == 5
         assert row["raw"] == "5"
@@ -290,56 +269,45 @@ class TestStreamedMatrixStats:
         assert histogram["count"] == len(accesses)
 
 
-# ---------------------------------------------------------------------------
-# Worker-side span shipping through the real pool entry point
-# ---------------------------------------------------------------------------
-class TestWorkerSpanShipping:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_task_worker_ships_picklable_spans(self, start_method):
-        from concurrent.futures import ProcessPoolExecutor
+class TestStrictFlagParsing:
+    """A strict flag's values, case by case, read through ``REPRO_TRACE``."""
 
-        from repro.automata.library import ltr_automaton
-        from repro.core.solver import AccLTLSolver
-        from repro.engine.engine import _pooled_task, emptiness_task
+    @staticmethod
+    def _traced(monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv(envknobs.TRACE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(envknobs.TRACE_ENV, value)
+        return trace.refresh_from_env()
 
-        schema = directory_access_schema()
-        voc = AccLTLSolver(schema).vocabulary
-        automaton = ltr_automaton(voc, schema.access("AcM1", ("Smith",)), join_query())
-        task = emptiness_task(
-            automaton,
-            voc,
-            max_length=3,
-            max_paths=200,
-            use_datalog_precheck=False,
-            memoize=False,
-        )
-        context = multiprocessing.get_context(start_method)
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            shipped = pool.submit(
-                workqueue_module._run_item, "task", _pooled_task, (task,), True
-            ).result()
-        assert shipped.spans, "worker recorded no spans with tracing on"
-        clone = pickle.loads(pickle.dumps(shipped.spans))
-        names = [span.name for root in clone for span in root.walk()]
-        assert "emptiness.chain" in names
-        worker_pids = {span.pid for root in shipped.spans for span in root.walk()}
-        assert worker_pids and os.getpid() not in worker_pids
-        # The same submission with tracing off ships nothing.
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            quiet = pool.submit(
-                workqueue_module._run_item, "task", _pooled_task, (task,), False
-            ).result()
-        assert quiet.spans is None
-        result, quiet = shipped.value, quiet.value
-        assert (quiet.witness, quiet.paths_explored, quiet.exhausted) == (
-            result.witness,
-            result.paths_explored,
-            result.exhausted,
-        )
+    @pytest.mark.parametrize(
+        "value",
+        ["0", "false", "False", "FALSE", "no", "No", "off", "OFF", "", "  ", " 0 "],
+    )
+    def test_disabling_values(self, monkeypatch, value):
+        assert self._traced(monkeypatch, value) is False
+
+    @pytest.mark.parametrize("value", ["1", "true", "True", "yes", "on", " 1 "])
+    def test_enabling_values(self, monkeypatch, value):
+        assert self._traced(monkeypatch, value) is True
+
+    @pytest.mark.parametrize("value", ["2"])
+    def test_unknown_values_disable(self, monkeypatch, value):
+        monkeypatch.setattr(envknobs, "_ENV_WARNED", set())
+        with pytest.warns(RuntimeWarning, match=envknobs.TRACE_ENV):
+            assert self._traced(monkeypatch, value) is False
+
+    def test_unset_disables(self, monkeypatch):
+        assert self._traced(monkeypatch, None) is False
+
+    def test_env_toggle_controls_default(self, monkeypatch):
+        assert self._traced(monkeypatch, None) is False
+        assert self._traced(monkeypatch, "1") is True
+        assert self._traced(monkeypatch, "off") is False
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: pooled relevance matrix, fault injection, Chrome export
+# Acceptance: tracing never changes a verdict
 # ---------------------------------------------------------------------------
 def _relevance_workload(limit=8):
     schema = directory_access_schema()
@@ -347,47 +315,7 @@ def _relevance_workload(limit=8):
     return schema, probe_accesses(schema, hidden, limit=limit), join_query()
 
 
-class TestPooledTraceAcceptance:
-    def test_pooled_run_exports_worker_spans_and_retry(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(faults.FAULT_INJECT_ENV, "raise@task:1")
-        workqueue_module.discard_shared_pool()  # fork workers with the spec
-        trace.set_enabled(True)
-        trace.reset()
-        schema, accesses, query = _relevance_workload()
-        engine = DecisionEngine(max_workers=1)
-        results = engine.relevance_matrix(
-            schema, accesses, query, require_boolean_access=False
-        )
-        spans = trace.take_spans()
-        assert all(result is not None for result in results)
-        assert engine.stats()["pool_worker_failures"] >= 1
-        flat = [span for root in spans for span in root.walk()]
-        names = [span.name for span in flat]
-        assert "engine.batch" in names and "engine.drain" in names
-        worker_spans = [
-            span
-            for span in flat
-            if span.name.startswith("task:") and span.pid != os.getpid()
-        ]
-        assert worker_spans, "no worker-side child spans in the folded trace"
-        assert any(span.attrs.get("pooled") for span in worker_spans)
-        retry_like = [
-            span
-            for span in flat
-            if span.name in ("pool.retry", "pool.fallback", "pool.timeout")
-        ]
-        assert retry_like, "fault injection left no retry/fallback span"
-        target = tmp_path / "pooled_trace.json"
-        export.write_chrome_trace(spans, str(target))
-        events = json.loads(target.read_text())["traceEvents"]
-        event_names = {event["name"] for event in events}
-        assert any(name.startswith("task:") for name in event_names)
-        assert event_names & {"pool.retry", "pool.fallback", "pool.timeout"}
-        assert any(
-            event["name"].startswith("task:") and event["pid"] != os.getpid()
-            for event in events
-        )
-
+class TestTraceAcceptance:
     def test_disabled_tracing_is_field_identical(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         schema, accesses, query = _relevance_workload()

@@ -121,16 +121,41 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     rename in ``src/`` that breaks a traced benchmark run fails here.  The
     per-call front doors must look their ``*_legacy`` procedure up at call
     time, so a patched name still sees every front-door call.
+
+    A ``DecisionEngine(parallel=True)`` batch, as ``chains_pooled`` runs
+    it, must pass the per-layer cross-check of ``perfbench/layers.py``,
+    which reads the engine's zero-valued ``pool_*`` stats; the pool
+    stub's names that ``chains_pooled`` and ``harness.stop_pool`` use
+    must resolve.
     """
     monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import layers
     import references  # noqa: F401
     from tracer import Tracer
 
     from repro.access.answerability import is_answerable_exactly
+    from repro.automata.library import ltr_automaton
+    from repro.core.solver import AccLTLSolver
+    from repro.engine import DecisionEngine, emptiness_task
+    from repro.engine.reduction import CachePolicy
+    from repro.obs.metrics import REGISTRY
+    from repro.queries.plan_cache import plan_cache_info
+    from repro.store import workqueue
     from repro.workloads.scenarios import standard_scenarios
 
     scenario = standard_scenarios()[0]
+    vocabulary = AccLTLSolver(scenario.access_schema).vocabulary
+    automaton = ltr_automaton(vocabulary, scenario.probe_access, scenario.query_one)
+    tasks = [
+        emptiness_task(automaton, vocabulary, max_paths=max_paths, use_datalog_precheck=False)
+        for max_paths in (200, 201)
+    ]
+    engine = DecisionEngine(
+        cache_policy=CachePolicy(memoize_results=False, persist_path=""), parallel=True
+    )
     tracer = Tracer()
+    registry_base = REGISTRY.counters_snapshot()
+    plan_base = plan_cache_info()
     try:
         tracer.install()
         is_answerable_exactly(
@@ -140,9 +165,18 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
             scenario.initial_values,
         )
         assert tracer.layer_calls()["access"] == 1
+        results = list(engine.iter_results(tasks))
     finally:
         tracer.uninstall()
     assert not tracer._patches
+    assert [result.provenance for _, result in results] == ["computed", "computed"]
+    assert tracer.counts["engine.computed"] == 2
+    assert layers._engine_retries(tracer) == 0
+    plan_now = plan_cache_info()
+    plan_delta = {key: plan_now[key] - plan_base[key] for key in ("hits", "misses")}
+    assert layers.cross_check(tracer, REGISTRY.counters_delta(registry_base), plan_delta) == []
+    assert callable(workqueue.shared_pool) and callable(workqueue.discard_shared_pool)
+    assert workqueue._POOL is None or workqueue._POOL_WORKERS > 0
 
 
 #: ``repro.core`` modules that must not depend on the automata layer.

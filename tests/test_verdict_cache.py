@@ -119,7 +119,7 @@ class TestAtomicWrite:
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
     def test_disk_full_raises_before_touching_anything(self, tmp_path):
-        faults.install("raise@disk_full:0")
+        faults.install("trip@disk_full:0")
         target = str(tmp_path / "file.bin")
         with pytest.raises(OSError):
             atomic_write_bytes(target, b"data")
@@ -729,7 +729,7 @@ class TestStorageFaults:
         store = str(tmp_path / "store")
         tasks = _tasks(3)
         oracle = _oracle(tasks)
-        faults.install("raise@disk_full:0")
+        faults.install("trip@disk_full:0")
         with pytest.warns(RuntimeWarning, match="no space left"):
             values, engine = _run_persisted(store, tasks)
         assert values == oracle
@@ -759,7 +759,7 @@ class TestStorageFaults:
         store = str(tmp_path / "store")
         tasks = _tasks(2)
         oracle = _oracle(tasks)
-        faults.install("corrupt@corrupt_record:0")
+        faults.install("trip@corrupt_record:0")
         values, _ = _run_persisted(store, tasks)
         assert values == oracle
         faults.clear()

@@ -1,39 +1,13 @@
-"""Unit tests for the pool scheduler of :mod:`repro.store.workqueue`.
+"""Unit tests for the shared-pool stub of :mod:`repro.store.workqueue`.
 
-The shared pool is reused and grown, never rebuilt for a caller it
-already fits, and a pooled item whose worker fails is computed in
-process.  The scheduler's behaviour on real worker faults has its own
-suite (``tests/test_faults.py``).
+No library code uses the pool; the repository benchmark warms and stops
+it.  The pool is reused and grown, never rebuilt for a caller it already
+fits, and discarding it clears the state the benchmark reads.
 """
 
 from __future__ import annotations
 
 from repro.store import workqueue
-
-
-class TestExecutorFailureFallback:
-    def test_broken_future_falls_back_in_process(self, monkeypatch):
-        monkeypatch.setenv(workqueue.POOL_RETRIES_ENV, "0")
-
-        class FailingFuture:
-            def result(self):
-                raise OSError("worker died")
-
-            def cancel(self):
-                pass
-
-        scheduler = workqueue.PoolScheduler(workers=1)
-        value, provenance = scheduler.resolve(
-            FailingFuture(), "chain", lambda: None, lambda: "computed"
-        )
-        assert (value, provenance) == ("computed", "fallback")
-        assert scheduler.counters == {
-            "pool_worker_failures": 1,
-            "pool_inprocess_fallbacks": 1,
-        }
-        # The failure marks the scheduler dead: later items stay in process.
-        assert not scheduler.usable
-        assert scheduler.dispatch("chain", print) is None
 
 
 class TestSharedPool:
