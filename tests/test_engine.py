@@ -315,6 +315,61 @@ class TestInProcessBatches:
         assert runs[0] == runs[1] == runs[2]
         assert [row[3] for row in runs[0]] == ["computed", "computed"]
 
+    def test_deleted_pool_knobs_change_nothing(self, monkeypatch):
+        """The removed pool knobs are inert: set to values that used to
+        open the pool, a batch still runs in process with equal results."""
+        tasks = _union_tasks(max_paths=3)
+        policy = CachePolicy(memoize_results=False, persist_path="")
+
+        def fields(results):
+            return [(r.value, r.provenance, r.fingerprint) for r in results]
+
+        for name in (
+            "REPRO_PARALLEL_TASKS",
+            "REPRO_PARALLEL_MIN_COST",
+            "REPRO_POOL_RETRIES",
+            "REPRO_POOL_ITEM_TIMEOUT",
+        ):
+            monkeypatch.delenv(name, raising=False)
+        clean = fields(DecisionEngine(cache_policy=policy).run_batch(tasks))
+        monkeypatch.setenv("REPRO_PARALLEL_TASKS", "1")
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_COST", "0")
+        monkeypatch.setenv("REPRO_POOL_RETRIES", "3")
+        monkeypatch.setenv("REPRO_POOL_ITEM_TIMEOUT", "0.001")
+
+        def no_pool(workers):  # pragma: no cover - must not run
+            raise AssertionError("a pool knob reopened the process pool")
+
+        monkeypatch.setattr(workqueue, "shared_pool", no_pool)
+        assert fields(DecisionEngine(cache_policy=policy).run_batch(tasks)) == clean
+
+    def test_default_engine_keeps_pool_counters_at_zero(self):
+        """A default engine computes a relevance matrix in process; the pool
+        counters kept for the benchmark harness stay present and zero."""
+        schema, initial, query, accesses = _relevance_workload(2)
+        engine = DecisionEngine()
+        engine.relevance_matrix(
+            schema, accesses, query, initial=initial, require_boolean_access=False
+        )
+        stats = engine.stats()
+        assert stats["computed"] > 0
+        assert "pooled_tasks" not in stats
+        for key in ("pool_retries", "pool_timeouts", "pool_inprocess_fallbacks"):
+            assert stats[key] == 0
+
+    def test_iter_results_streams_in_submission_order(self):
+        """Without memo hits or duplicates, a wide batch yields its results
+        in submission order, each one computed as it lands."""
+        tasks = _union_tasks(max_paths=3, count=10)
+        policy = CachePolicy(memoize_results=False, persist_path="")
+        engine = DecisionEngine(cache_policy=policy)
+        streamed = list(engine.iter_results(tasks))
+        assert [index for index, _ in streamed] == list(range(len(tasks)))
+        assert {result.provenance for _, result in streamed} == {"computed"}
+        assert [record["index"] for record in engine.last_batch_profile] == list(
+            range(len(tasks))
+        )
+
     def test_task_pickle_round_trip_matches_in_process(self):
         """An unpickled task reproduces the result (snapshots rebuild from
         fact lists)."""
