@@ -12,9 +12,10 @@ This module implements:
 * :func:`accessible_part_program` — the Datalog program whose IDB predicates
   ``Acc_R`` contain the accessible part of each relation ``R`` (plus a
   unary ``Known`` predicate of accessible values);
-* :func:`accessible_part` — direct fixedpoint computation of the accessible
-  part (equivalent to evaluating the program, provided as an independent
-  implementation for cross-checking);
+* :func:`accessible_part` — the direct worklist computation of the
+  accessible part that :func:`maximal_answers` and
+  :func:`is_answerable_exactly` run; it equals the ``Acc_R`` facts of the
+  program's fixedpoint, which the tests check on both store backends;
 * :func:`maximal_answers` — the certain answers obtainable through grounded
   exact access paths, i.e. the query evaluated on the accessible part;
 * :func:`is_answerable_exactly` — whether the maximal answers coincide with

@@ -9,9 +9,10 @@ configuration resulting from ``p`` satisfies ``Q1`` then it also satisfies
 Because responses of non-exact sources may contain *any* tuples compatible
 with the binding, the configurations reachable by grounded paths from an
 initial instance ``I0`` are exactly the instances ``I ⊇ I0`` whose facts
-can be ordered so that each fact is revealed through some access method all
-of whose input-position values occur in ``I0`` or in earlier facts (we call
-such instances *grounded-reachable*).  Containment under access patterns is
+outside ``I0`` can be ordered so that each is revealed through some access
+method all of whose input-position values occur in ``I0`` or in earlier
+facts (we call such instances *grounded-reachable*; the facts of ``I0``
+need no access).  Containment under access patterns is
 therefore: every grounded-reachable instance satisfying ``Q1`` satisfies
 ``Q2``.
 
@@ -20,10 +21,10 @@ The procedure implemented here:
 1. Plain containment ``Q1 ⊆ Q2`` is checked first — it implies containment
    under access patterns (sound fast path).
 2. Counterexample search: for every disjunct of ``Q1`` and every
-   identification of its variables, freeze the disjunct into a canonical
-   instance; optionally enrich it with a bounded number of auxiliary
-   value-introducing facts; if the result is grounded-reachable, satisfies
-   ``Q1``, and fails ``Q2``, report non-containment with the certificate.
+   identification of its variables, freeze the disjunct on top of ``I0``;
+   if the result satisfies ``Q1``, fails ``Q2`` and is grounded-reachable
+   (:func:`~repro.access.path.revealing_steps`), report non-containment
+   with the certificate.
 3. If no counterexample is found the queries are reported contained; the
    result records whether the search was exhaustive for the configured
    bounds (it is, for the query/schema sizes exercised in this repository —
@@ -38,17 +39,19 @@ compares this direct procedure against the automata pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.access.methods import AccessSchema
+from repro.access.path import revealing_steps
 from repro.engine.reduction import Deduper
 from repro.queries.containment import ucq_contained_in
-from repro.queries.cq import ConjunctiveQuery, QueryError
+from repro.queries.cq import QueryError
 from repro.queries.evaluation import holds
+from repro.queries.homomorphism import frozen_branch
 from repro.queries.terms import Variable
 from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
-from repro.store.snapshot import Snapshot, SnapshotInstance
+from repro.store.snapshot import SnapshotInstance
 
 
 @dataclass(frozen=True)
@@ -69,35 +72,6 @@ class APContainmentResult:
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.contained
-
-
-def grounded_reachable(
-    facts: Sequence[Tuple[str, Tuple[object, ...]]],
-    initial_values: Iterable[object],
-    schema: AccessSchema,
-) -> bool:
-    """Whether the fact set admits a grounded revelation order.
-
-    Greedy fixedpoint: a fact is revealable once some access method of its
-    relation has all input-position values among the known values; known
-    values start as *initial_values* and grow with every revealed fact.
-    The greedy order is complete because revealing a fact never removes
-    knowledge.
-    """
-    known: Set[object] = set(initial_values)
-    remaining = list(facts)
-    progress = True
-    while remaining and progress:
-        progress = False
-        for fact in list(remaining):
-            relation, tup = fact
-            for method in schema.methods_for(relation):
-                if all(tup[i] in known for i in method.input_positions):
-                    known.update(tup)
-                    remaining.remove(fact)
-                    progress = True
-                    break
-    return not remaining
 
 
 def _identifications(variables: List[Variable]) -> Iterable[Dict[Variable, Variable]]:
@@ -125,33 +99,6 @@ def _identifications(variables: List[Variable]) -> Iterable[Dict[Variable, Varia
         yield mapping
 
 
-def _frozen_candidate(
-    disjunct: ConjunctiveQuery,
-    identification: Dict[Variable, Variable],
-    schema: AccessSchema,
-    initial_snap: Snapshot,
-) -> Optional[Tuple[SnapshotInstance, List[Tuple[str, Tuple[object, ...]]]]]:
-    """Freeze an identified disjunct into a candidate counterexample instance.
-
-    The candidate branches off the initial instance's snapshot in
-    O(#relations) — the enumeration below builds one candidate per
-    variable identification, so deep copies would dominate it.
-    """
-    try:
-        identified = disjunct.rename_variables(identification)
-    except QueryError:
-        return None  # identification forces a head variable onto a constant
-    assignment = {v: f"~{v.name}" for v in identified.variables()}
-    candidate = SnapshotInstance.from_snapshot(initial_snap)
-    facts: List[Tuple[str, Tuple[object, ...]]] = []
-    for atom in identified.atoms:
-        fact = (atom.relation, atom.substitute(assignment))
-        facts.append(fact)
-        if fact not in candidate:
-            candidate.add_fact(fact)
-    return candidate, facts
-
-
 def contained_under_access_patterns(
     schema: AccessSchema,
     query_one,
@@ -161,11 +108,11 @@ def contained_under_access_patterns(
 ) -> APContainmentResult:
     """Is ``Q1`` contained in ``Q2`` under grounded access patterns?
 
-    See the module docstring for the procedure and its guarantees.  Both
-    queries must be boolean (existentially close them first if needed);
-    non-boolean queries are compared via their boolean versions conjoined
-    with head-equality, which matches the containment semantics used in the
-    paper's Example 2.2.
+    See the module docstring for the procedure and its guarantees.  The
+    check is on Boolean queries: a non-Boolean query is replaced by its
+    Boolean closure (``boolean_version()``, the head variables
+    existentially quantified), so two non-Boolean queries are compared by
+    whether they have *some* answer, not by their answer tuples.
 
     This public signature runs
     :func:`contained_under_access_patterns_legacy`, the direct procedure
@@ -243,10 +190,11 @@ def contained_under_access_patterns_legacy(
         else:
             identifications = _identifications(variables)
         for identification in identifications:
-            frozen = _frozen_candidate(disjunct, identification, schema, initial_snap)
-            if frozen is None:
-                continue
-            candidate, facts = frozen
+            try:
+                identified = disjunct.rename_variables(identification)
+            except QueryError:
+                continue  # identification forces a head variable onto a constant
+            candidate, facts, _ = frozen_branch(identified, initial_snap)
             candidates_seen += 1
             if candidate_dedup.register(frozenset(facts), True) is not None:
                 continue
@@ -254,7 +202,9 @@ def contained_under_access_patterns_legacy(
                 continue
             if holds(q2, candidate):
                 continue
-            if grounded_reachable(facts, initial_values, schema):
+            if revealing_steps(
+                schema, facts, initial_values, grounded=True, configuration=initial
+            ) is not None:
                 # Materialise the reported counterexample as a dict-backed
                 # Instance (O(n), once per report) so the result type
                 # matches the dataclass contract on every return path.

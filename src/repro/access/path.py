@@ -22,10 +22,12 @@ Definitions from Section 2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.access.methods import Access, AccessMethod, AccessSchema
-from repro.relational.instance import Instance
+from repro.relational.instance import Fact, Instance
 from repro.relational.schema import SchemaError
 
 Response = FrozenSet[Tuple[object, ...]]
@@ -228,24 +230,64 @@ def is_grounded(path: AccessPath, initial: Instance) -> bool:
     A value is "known" at step *i* if it occurs in the initial instance or
     in the response of some earlier step ``j < i``.
     """
-    known: Set[object] = set(initial.active_domain())
-    for step in path:
-        for value in step.access.binding:
-            if value not in known:
-                return False
-        known |= step.returned_values()
-    return True
+    return grounded_prefix_length(path, initial) == len(path)
 
 
-def grounded_prefix_length(path: AccessPath, initial: Instance) -> int:
-    """Length of the longest grounded prefix of the path."""
-    known: Set[object] = set(initial.active_domain())
+def grounded_prefix_length(
+    path: AccessPath, initial: Instance, seeded: Iterable[object] = ()
+) -> int:
+    """Length of the longest grounded prefix of the path.
+
+    The *seeded* values count as known from the start, as the values of
+    *initial* do.
+    """
+    known: Set[object] = set(initial.active_domain()).union(seeded)
     for index, step in enumerate(path):
         for value in step.access.binding:
             if value not in known:
                 return index
         known |= step.returned_values()
     return len(path)
+
+
+def revealing_steps(
+    schema: AccessSchema,
+    facts: Iterable[Fact],
+    known: Iterable[object],
+    grounded: bool,
+    configuration: Container[Fact],
+) -> Optional[List[PathStep]]:
+    """Steps revealing every fact of *facts* not already in *configuration*.
+
+    Each step accesses one fact's tuple through the first usable method of
+    its relation and responds with that tuple alone.  Over general
+    accesses any binding may be guessed, so every method is usable.  Over
+    grounded accesses a method is usable once its input values are all
+    known: *known* at the start, growing with every revealed fact.  The
+    facts are revealed in greedy passes over the list until a pass reveals
+    nothing; the greedy order is complete because revealing a fact never
+    removes knowledge.  ``None`` when some fact cannot be revealed.
+    """
+    known_values: Set[object] = set(known)
+    remaining = [fact for fact in facts if fact not in configuration]
+    steps: List[PathStep] = []
+    progress = True
+    while remaining and progress:
+        pending: List[Fact] = []
+        for fact in remaining:
+            relation, tup = fact
+            for method in schema.methods_for(relation):
+                binding = tuple(tup[i] for i in method.input_positions)
+                if grounded and not all(value in known_values for value in binding):
+                    continue
+                steps.append(PathStep(Access(method, binding), frozenset({tup})))
+                known_values.update(tup)
+                break
+            else:
+                pending.append(fact)
+        progress = len(pending) < len(remaining)
+        remaining = pending
+    return None if remaining else steps
 
 
 def satisfies_sanity_conditions(

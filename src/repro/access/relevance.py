@@ -19,31 +19,39 @@ small-witness structure:
    instance) is a candidate witness configuration.
 2. Check that ``Q`` fails on the witness with the accessed tuple removed
    (so the first access is genuinely needed).
-3. Check that the remaining facts of the witness are *revealable*: over
-   general accesses it suffices that each relation has some access method;
-   over grounded accesses we run the accessible-part fixedpoint starting
-   from the values of ``I0`` plus the accessed tuple, optionally allowing a
-   bounded number of auxiliary "value revealing" accesses.
+3. Check that the remaining facts of the witness outside ``I0`` are
+   *revealable* (:func:`~repro.access.path.revealing_steps`): over general
+   accesses it suffices that each relation has some access method; over
+   grounded accesses they are revealed greedily, starting from the values
+   of ``I0`` plus the accessed tuple.
 
 The procedure is sound (a reported witness really is one — this is checked
 by construction and revalidated with the AccLTL semantics in the tests) and
-complete for the independent-access case; for grounded accesses it is
-complete up to the auxiliary-access bound, which the result object reports.
+complete for the independent-access case; for grounded accesses a
+candidate whose facts cannot be revealed makes the result report
+``complete=False``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.access.methods import Access, AccessSchema
-from repro.access.path import AccessPath, PathStep, conf
+from repro.access.path import (
+    AccessPath,
+    PathStep,
+    conf,
+    grounded_prefix_length,
+    revealing_steps,
+)
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import evaluate_ucq
+from repro.queries.homomorphism import frozen_branch
 from repro.queries.terms import Constant, Variable
 from repro.queries.ucq import as_ucq
 from repro.relational.instance import Instance
-from repro.store.snapshot import Snapshot, SnapshotInstance
+from repro.store.snapshot import SnapshotInstance
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,8 @@ class RelevanceResult:
         Whether the witness path is grounded in the initial instance.
     complete:
         Whether the search was exhaustive for the requested mode (always
-        true for independent accesses; for grounded accesses it is true
-        unless the auxiliary-access bound was reached).
+        true for independent accesses; for grounded accesses it is false
+        when some candidate witness had facts no grounded path reveals).
     """
 
     relevant: bool
@@ -103,79 +111,6 @@ def _unifications(
                 assignment[term] = value
         if ok:
             yield dict(assignment)
-
-
-def _witness_instance(
-    disjunct: ConjunctiveQuery,
-    assignment: Dict[Variable, object],
-    schema: AccessSchema,
-    initial_snap: Snapshot,
-) -> Tuple[SnapshotInstance, List[Tuple[str, Tuple[object, ...]]], Dict[Variable, object]]:
-    """Freeze the disjunct under *assignment*.
-
-    Returns the witness instance (initial facts plus the frozen image,
-    branched off the initial snapshot in O(#relations) instead of a deep
-    copy), the frozen facts, and the complete frozen assignment (used to
-    read off the answer tuple the witness produces).
-    """
-    frozen_assignment = dict(assignment)
-    for variable in disjunct.variables():
-        if variable not in frozen_assignment:
-            frozen_assignment[variable] = f"~{variable.name}"
-    witness = SnapshotInstance.from_snapshot(initial_snap)
-    facts: List[Tuple[str, Tuple[object, ...]]] = []
-    for atom in disjunct.atoms:
-        fact = (atom.relation, atom.substitute(frozen_assignment))
-        facts.append(fact)
-        if fact not in witness:
-            witness.add_fact(fact)
-    return witness, facts, frozen_assignment
-
-
-def _revealing_path(
-    schema: AccessSchema,
-    first_step: PathStep,
-    facts_to_reveal: List[Tuple[str, Tuple[object, ...]]],
-    initial_snap: Snapshot,
-    grounded: bool,
-) -> Optional[AccessPath]:
-    """Build a path starting with *first_step* revealing the remaining facts.
-
-    Over general accesses any binding may be guessed, so any relation with
-    at least one access method can be revealed.  Over grounded accesses we
-    greedily reveal facts whose required binding values are already known,
-    iterating to a fixedpoint.
-    """
-    steps: List[PathStep] = [first_step]
-    # The configuration after the first step, used only to seed `known` and
-    # `remaining` (the greedy loop below tracks progress through them); an
-    # O(#relations) branch of the caller's snapshot avoids the deep copy.
-    revealed = SnapshotInstance.from_snapshot(initial_snap)
-    known: Set[object] = set(revealed.active_domain()) | set(
-        first_step.returned_values()
-    ) | set(first_step.access.binding)
-    for tup in first_step.response:
-        revealed.add(first_step.relation, tup)
-    remaining = [fact for fact in facts_to_reveal if fact not in revealed]
-    progress = True
-    while remaining and progress:
-        progress = False
-        for fact in list(remaining):
-            relation, tup = fact
-            for method in schema.methods_for(relation):
-                binding = tuple(tup[i] for i in method.input_positions)
-                if grounded and not all(value in known for value in binding):
-                    continue
-                access = Access(method, binding)
-                steps.append(PathStep(access, frozenset({tup})))
-                known.update(tup)
-                known.update(binding)
-                remaining.remove(fact)
-                progress = True
-                break
-    if remaining:
-        return None
-    return AccessPath(tuple(steps))
 
 
 def long_term_relevant(
@@ -242,6 +177,7 @@ def long_term_relevant_legacy(
     # Candidate witnesses below branch off this snapshot in O(#relations)
     # per candidate instead of deep-copying the initial instance.
     initial_snap = SnapshotInstance.from_instance(initial).snapshot()
+    initial_values = initial.active_domain()
 
     complete = True
     for disjunct in target.disjuncts:
@@ -259,8 +195,8 @@ def long_term_relevant_legacy(
             candidate_tuples.append(tuple(values))
         for accessed_tuple in candidate_tuples:
             for assignment in _unifications(disjunct, relation, accessed_tuple):
-                witness, facts, frozen_assignment = _witness_instance(
-                    disjunct, assignment, schema, initial_snap
+                witness, facts, frozen_assignment = frozen_branch(
+                    disjunct, initial_snap, assignment
                 )
                 witness_with_access = witness.copy()  # O(#relations) branch
                 if (relation, accessed_tuple) not in witness_with_access:
@@ -278,17 +214,23 @@ def long_term_relevant_legacy(
                         dropped.add_fact(fact)
                 if answer in evaluate_ucq(target, dropped):
                     continue
-                first_step = PathStep(access, frozenset({accessed_tuple}))
-                remaining_facts = [
-                    fact for fact in facts if fact != (relation, accessed_tuple)
-                ]
-                path = _revealing_path(
-                    schema, first_step, remaining_facts, initial_snap, grounded
+                # The first access reveals the accessed tuple; every other
+                # frozen fact outside the initial instance needs an access
+                # of its own, grounded in the values known after the first.
+                steps = revealing_steps(
+                    schema,
+                    [fact for fact in facts if fact != (relation, accessed_tuple)],
+                    initial_values | set(accessed_tuple),
+                    grounded,
+                    configuration=initial,
                 )
-                if path is None:
+                if steps is None:
                     if grounded:
                         complete = False
                     continue
+                path = AccessPath(
+                    (PathStep(access, frozenset({accessed_tuple})), *steps)
+                )
                 final = conf(path, initial)
                 if answer not in evaluate_ucq(target, final):
                     continue
@@ -298,30 +240,12 @@ def long_term_relevant_legacy(
                 return RelevanceResult(
                     relevant=True,
                     witness_path=path,
-                    grounded=_grounded_given_first_access(path, initial),
+                    grounded=grounded_prefix_length(
+                        path, initial, access.binding
+                    ) == len(path),
                     complete=True,
                 )
     return RelevanceResult(relevant=False, complete=complete)
-
-
-def _grounded_given_first_access(path: AccessPath, initial: Instance) -> bool:
-    """Groundedness of the path, treating the first access as given.
-
-    The candidate access's binding is part of the problem instance (the
-    query planner is asking about *this* access), so its values count as
-    known; all later bindings must be grounded in the usual sense.
-    """
-    if len(path) == 0:
-        return True
-    known = set(initial.active_domain())
-    known.update(path[0].access.binding)
-    known.update(path[0].returned_values())
-    for step in path.steps[1:]:
-        if not all(value in known for value in step.access.binding):
-            return False
-        known.update(step.access.binding)
-        known.update(step.returned_values())
-    return True
 
 
 def relevant_accesses(

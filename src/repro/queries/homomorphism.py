@@ -21,8 +21,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import satisfying_assignments
 from repro.queries.terms import Variable
-from repro.relational.instance import Instance
+from repro.relational.instance import Fact, Instance
 from repro.relational.schema import Relation, Schema
+from repro.store.snapshot import Snapshot, SnapshotInstance
 
 
 def find_homomorphism(
@@ -69,6 +70,18 @@ class FreshValue:
     index: int
 
 
+def freezing_assignment(
+    query: ConjunctiveQuery, assignment: Optional[Mapping[Variable, object]] = None
+) -> Dict[Variable, object]:
+    """*assignment* completed by freezing every other variable ``v`` of
+    *query* to the value ``"~v"`` (its name, tagged to avoid collision
+    with constants)."""
+    frozen = dict(assignment) if assignment else {}
+    for variable in query.variables():
+        frozen.setdefault(variable, f"~{variable.name}")
+    return frozen
+
+
 def canonical_instance(
     query: ConjunctiveQuery,
     schema: Optional[Schema] = None,
@@ -76,9 +89,8 @@ def canonical_instance(
 ) -> Tuple[Instance, Dict[Variable, object]]:
     """The canonical (frozen) instance of a CQ and the freezing assignment.
 
-    Variables are frozen to fresh values (their own names, tagged to avoid
-    collision with constants), or to their values under *assignment* when
-    it is given (it must cover every variable); constants map to
+    Variables are frozen to their values under *assignment*, and the
+    others as :func:`freezing_assignment` does; constants map to
     themselves.  If *schema* is not supplied, one is inferred from the
     query's atoms (all positions typed ``ANY``).
     """
@@ -93,9 +105,30 @@ def canonical_instance(
             spec[atom.relation] = atom.arity
         schema = Schema([Relation(name, arity) for name, arity in spec.items()])
 
-    if assignment is None:
-        assignment = {v: f"~{v.name}" for v in query.variables()}
+    frozen = freezing_assignment(query, assignment)
     instance = Instance(schema)
-    for atom in query.atoms:
-        instance.add(atom.relation, atom.substitute(assignment))
-    return instance, dict(assignment)
+    for relation, tup in homomorphism_image(query, frozen):
+        instance.add(relation, tup)
+    return instance, frozen
+
+
+def frozen_branch(
+    query: ConjunctiveQuery,
+    base: Snapshot,
+    assignment: Optional[Mapping[Variable, object]] = None,
+) -> Tuple[SnapshotInstance, List[Fact], Dict[Variable, object]]:
+    """*base* plus the body of *query* frozen as :func:`canonical_instance` does.
+
+    The instance branches off the snapshot in O(#relations), so callers
+    that freeze one query many times (a candidate per variable
+    identification or per unification) pay no deep copies.  Returns the
+    instance, the frozen facts in body order (duplicates kept) and the
+    completed freezing assignment.
+    """
+    frozen = freezing_assignment(query, assignment)
+    instance = SnapshotInstance.from_snapshot(base)
+    facts = homomorphism_image(query, frozen)
+    for fact in facts:
+        if fact not in instance:
+            instance.add_fact(fact)
+    return instance, facts, frozen

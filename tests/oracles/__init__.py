@@ -1,0 +1,7 @@
+"""Reference implementations the tests check the library against.
+
+Nothing under ``src/`` imports these modules: :mod:`oracles.algebra`
+evaluates conjunctive queries through a relational-algebra plan tree, and
+:mod:`oracles.plans` executes recursive access plans (its canonical plan
+computes the accessible part).
+"""

@@ -1,18 +1,12 @@
 """A small relational-algebra evaluator and a CQ-to-algebra compiler.
 
-The query substrate evaluates conjunctive queries directly by backtracking
-join (:mod:`repro.queries.evaluation`).  This module provides the classical
+The library evaluates conjunctive queries by backtracking join
+(:mod:`repro.queries.evaluation`).  This test oracle is the classical
 alternative — a relational-algebra plan tree (scan / selection / projection
 / natural join / union / rename) with an explicit evaluator — plus a
-compiler from conjunctive queries to algebra plans.  It serves two
-purposes:
-
-* it is an independent implementation of CQ evaluation, used by the tests
-  to cross-validate the backtracking evaluator, and
-* it is the execution backend of :mod:`repro.access.plans`, which turns the
-  accessible-part computation into explicit, inspectable access plans — the
-  "recursive plans" of the optimisation literature the paper's introduction
-  cites.
+compiler from conjunctive queries to algebra plans.  It is an independent
+implementation of CQ evaluation that the tests use to cross-validate the
+backtracking evaluator; nothing in the library imports it.
 
 Plans are immutable trees; evaluation produces *named relations* — sets of
 tuples together with a column-name tuple — so joins can be expressed by

@@ -1,11 +1,11 @@
-"""Executable access plans over schemas with binding patterns.
+"""Executable access plans over schemas with binding patterns (a test oracle).
 
 The paper's introduction motivates the static-analysis machinery with query
 *plans* over limited-access sources: recursive plans that repeatedly feed
 values obtained from one access into the bindings of the next ([4, 16] in
-the paper's bibliography).  This module provides a small, executable plan
-language so that the analyses of the rest of the library (relevance,
-answerability) can be connected to actual plan execution:
+the paper's bibliography).  This module is a small, executable plan
+language that the tests run against the library's analyses (relevance,
+answerability); nothing in the library imports it:
 
 * an :class:`AccessStep` performs every grounded access through one method,
   drawing bindings from the values collected so far (optionally filtered to
@@ -20,8 +20,11 @@ answerability) can be connected to actual plan execution:
   long-term relevant to the query — the optimisation the paper's framework
   is designed to justify.
 
-Plan execution records a trace of the accesses made, so tests and examples
-can compare the work performed by different plans.
+Plan execution records a trace of the accesses made, so tests can compare
+the work performed by different plans.  Executing :func:`canonical_plan`
+is a third computation of the accessible part, next to
+:func:`~repro.access.answerability.accessible_part` and
+:func:`~repro.access.answerability.accessible_part_program`.
 """
 
 from __future__ import annotations

@@ -5,11 +5,13 @@ import pytest
 from repro.access.containment_ap import (
     contained_under_access_patterns,
     equivalent_under_access_patterns,
-    grounded_reachable,
 )
 from repro.access.methods import AccessSchema
-from repro.access.path import conf, is_grounded
+from repro.access.path import conf, is_grounded, revealing_steps
 from repro.access.relevance import long_term_relevant, relevant_accesses
+from repro.automata.emptiness import automaton_emptiness
+from repro.automata.library import containment_automaton
+from repro.core.vocabulary import AccessVocabulary
 from repro.queries.evaluation import holds
 from repro.queries.parser import parse_cq
 from repro.queries.ucq import as_ucq
@@ -122,11 +124,12 @@ class TestGroundedReachability:
             ("Mobile", ("Smith", "OX1", "Parks Rd", 1)),
             ("Address", ("Parks Rd", "OX1", "Jones", 2)),
         ]
-        assert grounded_reachable(facts, ["Smith"], directory)
+        steps = revealing_steps(directory, facts, ["Smith"], True, configuration=())
+        assert steps is not None
 
     def test_unreachable_without_seed(self, directory):
         facts = [("Mobile", ("Smith", "OX1", "Parks Rd", 1))]
-        assert not grounded_reachable(facts, [], directory)
+        assert revealing_steps(directory, facts, [], True, configuration=()) is None
 
     def test_order_matters_but_fixedpoint_finds_it(self, directory):
         # The Address fact unlocks nothing; the Mobile fact must come first.
@@ -134,7 +137,9 @@ class TestGroundedReachability:
             ("Address", ("Parks Rd", "OX1", "Jones", 2)),
             ("Mobile", ("Smith", "OX1", "Parks Rd", 1)),
         ]
-        assert grounded_reachable(facts, ["Smith"], directory)
+        steps = revealing_steps(directory, facts, ["Smith"], True, configuration=())
+        assert steps is not None
+        assert [step.relation for step in steps] == ["Mobile", "Address"]
 
 
 class TestContainmentUnderAccessPatterns:
@@ -186,6 +191,27 @@ class TestContainmentUnderAccessPatterns:
         q2 = parse_cq("Q :- S(x)")
         result = contained_under_access_patterns(schema, q1, q2)
         assert not result.contained
+
+    def test_initial_facts_need_no_access(self):
+        # R has no access method, yet R("a") is in the initial instance: the
+        # grounded path mS("a") -> {("a", "b")} satisfies Q1 and not Q2.
+        schema = AccessSchema(make_schema({"R": 1, "S": 2, "T": 1}))
+        schema.add("mS", "S", (0,))
+        initial = Instance(schema.schema)
+        initial.add("R", ("a",))
+        q1 = parse_cq('Q :- R("a"), S("a", y)')
+        q2 = parse_cq("Q :- T(z)")
+        direct = contained_under_access_patterns(schema, q1, q2, initial=initial)
+        assert not direct.contained
+        assert holds(as_ucq(q1), direct.counterexample)
+        assert not holds(as_ucq(q2), direct.counterexample)
+        vocab = AccessVocabulary.of(schema)
+        automaton = automaton_emptiness(
+            containment_automaton(vocab, q1, q2, grounded=True),
+            vocab,
+            initial=initial,
+        )
+        assert automaton.empty == direct.contained
 
     def test_equivalence_under_access_patterns(self, directory):
         directory.add("AddrScan", "Address", ())

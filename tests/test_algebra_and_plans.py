@@ -1,29 +1,13 @@
-"""Tests for the relational-algebra evaluator and the access-plan language."""
+"""Tests for the relational-algebra evaluator and the access-plan language.
+
+Both live in :mod:`oracles` (test-only reference implementations).
+"""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from repro.access.plans import (
-    AccessStep,
-    Plan,
-    canonical_plan,
-    plans_equivalent_on,
-    relevance_pruned_plan,
-    verify_canonical_plan,
-)
 from repro.access.answerability import maximal_answers
-from repro.queries.algebra import (
-    NamedRelation,
-    NaturalJoin,
-    Projection,
-    Rename,
-    Scan,
-    Selection,
-    Union,
-    compile_cq,
-    evaluate_cq_via_algebra,
-)
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import evaluate_cq
@@ -37,6 +21,26 @@ from repro.workloads.directory import (
     join_query,
     resident_names_query,
     smith_phone_query,
+)
+
+from oracles.algebra import (
+    NamedRelation,
+    NaturalJoin,
+    Projection,
+    Rename,
+    Scan,
+    Selection,
+    Union,
+    compile_cq,
+    evaluate_cq_via_algebra,
+)
+from oracles.plans import (
+    AccessStep,
+    Plan,
+    canonical_plan,
+    plans_equivalent_on,
+    relevance_pruned_plan,
+    verify_canonical_plan,
 )
 
 
