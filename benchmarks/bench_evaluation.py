@@ -633,8 +633,10 @@ def bench_anytime(
 def _memo_persist_tasks(smoke: bool):
     """A deterministic mixed batch for the persistent verdict store rows.
 
-    LTL word searches plus Datalog-in-UCQ containment checks — two of the
-    front-door procedures PR 9 routed through the shared engine.  Every
+    LTL word searches plus Datalog-in-UCQ containment checks, submitted
+    as ``ltl_word``/``datalog_containment`` engine tasks: their front
+    doors (``find_satisfying_word``, ``datalog_contained_in_ucq``) run no
+    engine, so only a batch like this one reaches the store.  Every
     task is structurally unique (no intra-batch dedup), so warm/cold hit
     counts measure the persistent tier and nothing else.  Construction
     must be reproducible across *processes*: the cross-process row

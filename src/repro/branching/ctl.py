@@ -189,23 +189,8 @@ def ctl_satisfiable_in_lts(
 
     This is model checking over the finite explored fragment, not a
     decision procedure for the (undecidable, Theorem 5.3) satisfiability
-    problem over the full LTS.  Routed through the shared decision engine
-    (:func:`ctl_satisfiable_in_lts_legacy` is the unrouted oracle), so
-    repeated checks of one fragment/formula pair are served from the
-    shared memo.
+    problem over the full LTS.
     """
-    from repro.engine.engine import ctl_check_task, shared_engine
-
-    task = ctl_check_task(vocabulary, lts, formula)
-    return shared_engine().run(task).value.witness
-
-
-def ctl_satisfiable_in_lts_legacy(
-    vocabulary: AccessVocabulary,
-    lts: LabelledTransitionSystem,
-    formula: CTLFormula,
-) -> Optional[Transition]:
-    """The direct (engine-free) sweep behind :func:`ctl_satisfiable_in_lts`."""
     cache: Dict = {}
     for transition in lts.transitions:
         if ctl_satisfies(vocabulary, lts, transition, formula, cache):

@@ -85,23 +85,17 @@ class AccLTLSolver:
     ) -> SatResult:
         """Decide satisfiability, dispatching on the formula's fragment.
 
-        Routed through the shared :class:`~repro.engine.engine.DecisionEngine`
-        so repeated queries (and other front-door procedures) share one
-        memo — and the persistent verdict store when one is configured.
-        :meth:`satisfiable_legacy` is the unrouted oracle the tests
-        compare against.
+        This public signature runs :meth:`satisfiable_legacy`, the direct
+        procedure (looked up at call time, so instrumentation that patches
+        the method sees every call).
         """
-        from repro.engine.engine import accltl_sat_task, shared_engine
-
-        task = accltl_sat_task(
-            self.access_schema,
+        return self.satisfiable_legacy(
             formula,
             initial=initial,
             grounded_only=grounded_only,
             max_paths=max_paths,
             bounded_path_length=bounded_path_length,
         )
-        return shared_engine().run(task).value
 
     def satisfiable_legacy(
         self,

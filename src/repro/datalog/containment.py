@@ -97,26 +97,6 @@ def datalog_contained_in_ucq(
     ``D`` (boolean goal) then the boolean query ``Q`` holds in ``D``; for
     non-boolean goals, every goal tuple is an answer of ``Q``.
 
-    Routed through the shared decision engine — the emptiness pipeline's
-    Datalog precheck and direct callers share one memo
-    (:func:`datalog_contained_in_ucq_legacy` is the unrouted oracle).
-    """
-    from repro.engine.engine import datalog_containment_task, shared_engine
-
-    task = datalog_containment_task(
-        program, query, max_depth=max_depth, max_expansions=max_expansions
-    )
-    return shared_engine().run(task).value
-
-
-def datalog_contained_in_ucq_legacy(
-    program: DatalogProgram,
-    query,
-    max_depth: int = 6,
-    max_expansions: int = 2000,
-) -> ContainmentResult:
-    """The direct (engine-free) expansion enumeration.
-
     The expansions of the program are enumerated up to *max_depth*; each is
     checked for containment in ``Q`` via the canonical-database test.  See
     the module docstring for the exactness guarantees.

@@ -321,8 +321,8 @@ def evaluate_program(
     oracle backend the property tests compare against.
 
     *backend* picks the store backend for the fixedpoint state
-    (``"memory"``/``"sqlite"``; ``None`` defers to the
-    ``REPRO_STORE_BACKEND`` knob).  On the ``sqlite`` backend, the
+    (``"memory"``/``"sqlite"``; ``None`` is the memory store).  On the
+    ``sqlite`` backend, the
     rounds pin MVCC generations inside one open transaction and large
     rule joins push down as SQL (see :mod:`repro.store.sqlstore`) — the
     bigger-than-RAM path.  As a special case, when *database* is itself
@@ -357,8 +357,12 @@ def evaluate_program(
     if not store_backed:
         state = Instance(combined)
     else:
-        resolved = _backend.resolve_backend(backend)
-        if resolved == _backend.SQLITE_BACKEND:
+        if backend is not None and backend not in _backend.BACKENDS:
+            raise ValueError(
+                f"unknown store backend {backend!r}; expected one of "
+                + ", ".join(_backend.BACKENDS)
+            )
+        if backend == _backend.SQLITE_BACKEND:
             if (
                 isinstance(database, SQLStoreInstance)
                 and database.schema == combined

@@ -16,9 +16,12 @@
 * every batch runs in process, one task after the other, and a batch
   budget is enforced between tasks and inside the budget-aware back-ends.
 
-The per-call front doors (``long_term_relevant`` & friends) call their
-``*_legacy`` procedures directly; those are also what the executors below
-run, so an engine result is field-identical to the direct call.  Emptiness
+The per-call front doors (``long_term_relevant`` & friends,
+:meth:`AccLTLSolver.satisfiable`, ``find_satisfying_word``,
+``ctl_satisfiable_in_lts``, ``datalog_contained_in_ucq``) call their
+procedures directly, with no engine in between; those procedures are also
+what the executors below run, so an engine result is field-identical to
+the direct call.  Emptiness
 tasks keep ``automaton_emptiness``'s default ``memoize=True``, so their
 search runs with the expansion memo and the guard cache on.
 """
@@ -429,8 +432,8 @@ class _LTLWordValue:
     The raw return value is ``Optional[List[Letter]]`` — ``None`` means
     *unsatisfiable*, which the engine would refuse to memoize (a ``None``
     value reads as "no result").  Wrapping makes negative verdicts
-    first-class cacheable values, and the immutable tuple lets the public
-    wrapper hand every caller a fresh list.
+    first-class cacheable values, and the immutable tuple keeps a memoized
+    witness from being mutated by whoever read it.
     """
 
     word: Optional[Tuple] = None
@@ -458,27 +461,25 @@ def _execute_accltl_sat(args):
 
 
 def _execute_ltl_word(args):
-    from repro.ltl.sat import find_satisfying_word_legacy
+    from repro.ltl.sat import find_satisfying_word
 
     formula, letters, max_length = args
-    word = find_satisfying_word_legacy(
-        formula, letters=letters, max_length=max_length
-    )
+    word = find_satisfying_word(formula, letters=letters, max_length=max_length)
     return _LTLWordValue(tuple(word) if word is not None else None)
 
 
 def _execute_ctl_check(args):
-    from repro.branching.ctl import ctl_satisfiable_in_lts_legacy
+    from repro.branching.ctl import ctl_satisfiable_in_lts
 
     vocabulary, lts, formula = args
-    return _CTLWitnessValue(ctl_satisfiable_in_lts_legacy(vocabulary, lts, formula))
+    return _CTLWitnessValue(ctl_satisfiable_in_lts(vocabulary, lts, formula))
 
 
 def _execute_datalog_containment(args):
-    from repro.datalog.containment import datalog_contained_in_ucq_legacy
+    from repro.datalog.containment import datalog_contained_in_ucq
 
     program, query, max_depth, max_expansions = args
-    return datalog_contained_in_ucq_legacy(
+    return datalog_contained_in_ucq(
         program, query, max_depth=max_depth, max_expansions=max_expansions
     )
 
@@ -990,13 +991,11 @@ _SHARED_ENGINE: Optional[DecisionEngine] = None
 
 
 def shared_engine() -> DecisionEngine:
-    """The process-wide engine behind the routed front-door procedures.
+    """A lazily built process-wide engine that no library code runs on.
 
-    :meth:`AccLTLSolver.satisfiable`, the LTL word search, ``CTL_EX``
-    model checking and Datalog containment all route here (ROADMAP
-    memo-tier item (a)), so a mixed workload shares one memo —
-    and, when ``REPRO_MEMO_PERSIST_PATH`` is set, one crash-safe
-    persistent verdict store with every other process pointed at it.
+    Every front door calls its procedure directly.  This is kept for the
+    repository benchmark only: ``perfbench/decide_cold.py`` calls
+    ``shared_engine().clear()`` every round.
     """
     global _SHARED_ENGINE
     if _SHARED_ENGINE is None:

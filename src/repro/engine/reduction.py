@@ -49,10 +49,10 @@ EMPTINESS = "emptiness"
 #: of the small-witness enumerations of :mod:`repro.access`).
 BOUNDED_CHECK = "bounded_check"
 
-#: Back-end tag: the task *is* its own decision procedure — a routed
-#: front-door call (LTL tableau search, CTL model checking, Datalog/UCQ
-#: containment) that the engine runs for its memo and dedup services
-#: rather than reducing to another back-end.
+#: Back-end tag: the task *is* its own decision procedure — a front-door
+#: procedure (AccLTL satisfiability, LTL tableau search, CTL model
+#: checking, Datalog/UCQ containment) that the engine runs for its memo
+#: and dedup services rather than reducing to another back-end.
 DIRECT = "direct"
 
 

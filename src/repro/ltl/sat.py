@@ -283,11 +283,6 @@ def find_satisfying_word(
 ) -> Optional[List[Letter]]:
     """A finite word satisfying *formula*, or ``None`` if unsatisfiable.
 
-    Routed through the shared decision engine (one memo across all the
-    front-door procedures; :func:`find_satisfying_word_legacy` is the
-    unrouted oracle).  Every call returns a fresh list — the cached
-    witness is an immutable tuple the caller can never mutate.
-
     Parameters
     ----------
     letters:
@@ -299,19 +294,6 @@ def find_satisfying_word(
         omitted, the search covers the whole (finite) tableau graph, so the
         answer is exact.
     """
-    from repro.engine.engine import ltl_word_task, shared_engine
-
-    task = ltl_word_task(formula, letters=letters, max_length=max_length)
-    value = shared_engine().run(task).value
-    return list(value.word) if value.word is not None else None
-
-
-def find_satisfying_word_legacy(
-    formula: LTLFormula,
-    letters: Optional[Sequence[Iterable[str]]] = None,
-    max_length: Optional[int] = None,
-) -> Optional[List[Letter]]:
-    """The direct (engine-free) tableau search behind :func:`find_satisfying_word`."""
     desugared = desugar(formula)
     normalized_letters = (
         [frozenset(letter) for letter in letters] if letters is not None else None

@@ -36,19 +36,13 @@ MEMO_PERSIST_PATH_ENV = "REPRO_MEMO_PERSIST_PATH"
 MEMO_LOCK_TIMEOUT_ENV = "REPRO_MEMO_LOCK_TIMEOUT"
 #: Segment count above which the persistent verdict store compacts.
 MEMO_COMPACT_SEGMENTS_ENV = "REPRO_MEMO_COMPACT_SEGMENTS"
-#: Default store backend for backend-agnostic call sites ("memory"/"sqlite").
-STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
 #: Relation-cardinality floor above which SQL-backed plans push down as SQL joins.
 SQL_PUSHDOWN_MIN_ROWS_ENV = "REPRO_SQL_PUSHDOWN_MIN_ROWS"
 
 DEFAULT_MEMO_CAPACITY = 0
 DEFAULT_MEMO_LOCK_TIMEOUT = 1.0
 DEFAULT_MEMO_COMPACT_SEGMENTS = 8
-DEFAULT_STORE_BACKEND = "memory"
 DEFAULT_SQL_PUSHDOWN_MIN_ROWS = 512
-
-#: The values :func:`choice` accepts for ``REPRO_STORE_BACKEND``.
-STORE_BACKEND_CHOICES = ("memory", "sqlite")
 
 
 # ----------------------------------------------------------------------
@@ -138,18 +132,6 @@ def raw_string(name: str, default: str = "") -> str:
     return os.environ.get(name, default)
 
 
-def choice(name: str, choices: "tuple", default: str) -> str:
-    """One of *choices* (case-insensitive) or *default* (warning otherwise)."""
-    raw = os.environ.get(name, "")
-    value = raw.strip().lower()
-    if not value:
-        return default
-    if value in choices:
-        return value
-    warn_invalid_env(name, raw, default)
-    return default
-
-
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
@@ -232,13 +214,6 @@ _register(
     DEFAULT_MEMO_COMPACT_SEGMENTS,
     "segment-file count above which the verdict store compacts its append log",
     lambda: positive_int(MEMO_COMPACT_SEGMENTS_ENV, DEFAULT_MEMO_COMPACT_SEGMENTS),
-)
-_register(
-    STORE_BACKEND_ENV,
-    "str",
-    DEFAULT_STORE_BACKEND,
-    "store backend for backend-agnostic call sites: memory (shards) or sqlite (disk)",
-    lambda: choice(STORE_BACKEND_ENV, STORE_BACKEND_CHOICES, DEFAULT_STORE_BACKEND),
 )
 _register(
     SQL_PUSHDOWN_MIN_ROWS_ENV,

@@ -10,15 +10,11 @@ from repro.store.backend import (
     MEMORY_BACKEND,
     SQLITE_BACKEND,
     StoreBackend,
-    configured_store_backend,
-    create_store,
-    resolve_backend,
 )
 from repro.store.hamt import EMPTY_PMAP, PMap
 from repro.store.snapshot import Shard, Snapshot, SnapshotInstance
 from repro.store.sqlstore import SQLSnapshot, SQLStoreInstance, SQLStoreView
 from repro.store.verdict_cache import (
-    BloomFilter,
     LRUMemo,
     VerdictCache,
     atomic_write_bytes,
@@ -33,9 +29,6 @@ __all__ = [
     "MEMORY_BACKEND",
     "SQLITE_BACKEND",
     "StoreBackend",
-    "configured_store_backend",
-    "create_store",
-    "resolve_backend",
     "EMPTY_PMAP",
     "PMap",
     "Shard",
@@ -44,7 +37,6 @@ __all__ = [
     "SQLSnapshot",
     "SQLStoreInstance",
     "SQLStoreView",
-    "BloomFilter",
     "LRUMemo",
     "VerdictCache",
     "atomic_write_bytes",

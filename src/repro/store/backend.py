@@ -1,4 +1,4 @@
-"""The store backend interface and factory.
+"""The store backend interface.
 
 Two backends satisfy :class:`StoreBackend`:
 
@@ -21,25 +21,22 @@ backend-agnostic.  Cross-backend snapshots hash and compare equal on
 equal facts — engine memo keys and the persistent verdict cache carry
 across.
 
-The default backend is selected by the ``REPRO_STORE_BACKEND`` knob
-(registered in :mod:`repro.obs.env`); call sites that want an explicit
-choice pass ``backend=`` to :func:`create_store`.
+Call sites pick a backend by constructing the store themselves or, for a
+Datalog fixedpoint, with ``evaluate_program(backend=...)``; the memory
+store is the default.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
-from repro.obs import env as _env
-from repro.relational.schema import Schema
 from repro.store.snapshot import SnapshotInstance
 from repro.store.sqlstore import SQLStoreInstance
 
 MEMORY_BACKEND = "memory"
 SQLITE_BACKEND = "sqlite"
 
-#: Every recognised ``REPRO_STORE_BACKEND`` value.
+#: Every recognised ``backend=`` value.
 BACKENDS = (MEMORY_BACKEND, SQLITE_BACKEND)
 
 
@@ -105,40 +102,3 @@ class StoreBackend(ABC):
 
 StoreBackend.register(SnapshotInstance)
 StoreBackend.register(SQLStoreInstance)
-
-
-def configured_store_backend() -> str:
-    """The backend name selected by ``REPRO_STORE_BACKEND`` (warn-once)."""
-    return _env.choice(
-        _env.STORE_BACKEND_ENV, BACKENDS, _env.DEFAULT_STORE_BACKEND
-    )
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """*backend* if given, else the environment-configured default."""
-    if backend is None:
-        return configured_store_backend()
-    if backend not in BACKENDS:
-        raise ValueError(
-            "unknown store backend " + repr(backend) + "; expected one of "
-            + ", ".join(BACKENDS)
-        )
-    return backend
-
-
-def create_store(
-    schema: Schema,
-    backend: Optional[str] = None,
-    path: Optional[str] = None,
-) -> StoreBackend:
-    """A fresh empty store on the requested (or configured) backend.
-
-    *path* persists a ``sqlite`` store on disk (reopenable with
-    :meth:`SQLStoreInstance.open`); the memory backend rejects it.
-    """
-    name = resolve_backend(backend)
-    if name == SQLITE_BACKEND:
-        return SQLStoreInstance(schema, path)
-    if path is not None:
-        raise ValueError("the memory backend does not take a path")
-    return SnapshotInstance(schema)

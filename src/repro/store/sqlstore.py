@@ -580,8 +580,7 @@ class SQLStoreInstance:
     the in-memory facade).  ``copy``/``from_snapshot`` materialise an
     independent store in O(n) (unlike the memory backend's O(#relations)
     branch): deep-branching searches should stay on the memory backend,
-    which is exactly what the pushdown threshold's sibling knob
-    ``REPRO_STORE_BACKEND`` defaults to.
+    which is what ``evaluate_program`` uses unless told ``backend="sqlite"``.
     """
 
     __slots__ = (

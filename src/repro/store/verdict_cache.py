@@ -14,7 +14,10 @@ every failure mode degrades to a counted, traced recomputation.
   ``0`` = unbounded) with hit/miss/eviction counters.
 * **Disk** — an append log of immutable *segment* files in a shared
   directory (``REPRO_MEMO_PERSIST_PATH``).  Batches of verdicts are
-  buffered in memory and spilled as one new segment per flush.
+  buffered in memory and spilled as one new segment per flush.  Every
+  engine built with the default policy shares it, ``repro matrix``'s
+  included; the per-call front doors (``repro sat`` among them) run no
+  engine, so they neither read nor write it.
 
 ## Record format
 
@@ -300,44 +303,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 # ----------------------------------------------------------------------
-# Bloom filter (negative lookups without touching the index)
-# ----------------------------------------------------------------------
-class BloomFilter:
-    """A plain bloom filter over key digests.
-
-    Three probe positions come from independent 4-byte slices of the
-    16-byte key digest — the digest already is a uniform hash, so no
-    further mixing is needed.  Sized at ~10 bits/key for a ~1% false
-    positive rate; false positives cost one index probe, false negatives
-    are impossible.
-    """
-
-    __slots__ = ("_bits", "_nbits")
-
-    def __init__(self, capacity: int, bits_per_key: int = 10) -> None:
-        nbits = max(256, capacity * bits_per_key)
-        self._bits = bytearray((nbits + 7) // 8)
-        self._nbits = len(self._bits) * 8
-
-    def _positions(self, digest: bytes) -> Tuple[int, int, int]:
-        return (
-            int.from_bytes(digest[0:4], "little") % self._nbits,
-            int.from_bytes(digest[4:8], "little") % self._nbits,
-            int.from_bytes(digest[8:12], "little") % self._nbits,
-        )
-
-    def add(self, digest: bytes) -> None:
-        for pos in self._positions(digest):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
-
-    def might_contain(self, digest: bytes) -> bool:
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7))
-            for pos in self._positions(digest)
-        )
-
-
-# ----------------------------------------------------------------------
 # Memory tier
 # ----------------------------------------------------------------------
 class LRUMemo:
@@ -389,7 +354,6 @@ class LRUMemo:
 _COUNTERS = (
     "disk_hits",
     "disk_misses",
-    "bloom_negatives",
     "persisted_records",
     "segments_written",
     "compactions",
@@ -444,7 +408,6 @@ class VerdictCache:
         self._part_bytes: Dict[int, Tuple[object, bytes]] = {}
         # digest -> (segment path, record payload offset, klen, vlen, crc)
         self._index: Dict[bytes, Tuple[str, int, int, int, int]] = {}
-        self._bloom = BloomFilter(0)
         self._scanned = False
         self._dir_sig: Optional[Tuple[int, int]] = None
         self._disabled = False  # newer-format store: compute-only mode
@@ -500,7 +463,6 @@ class VerdictCache:
         if disk and self.persist_path is not None:
             clear_store(self.persist_path, lock_timeout_s=self.lock_timeout_s)
         self._index.clear()
-        self._bloom = BloomFilter(0)
         self._scanned = False
         self._dir_sig = None
 
@@ -581,13 +543,11 @@ class VerdictCache:
         return data
 
     def _scan(self) -> None:
-        """(Re)build the digest index + bloom filter from the segments."""
+        """(Re)build the digest index from the segments."""
         self._index.clear()
         self._scanned = True
         self._dir_sig = self._dir_signature()
-        paths = self._segment_paths()
-        records: List[Tuple[bytes, Tuple[str, int, int, int, int]]] = []
-        for path in paths:
+        for path in self._segment_paths():
             try:
                 data = self._read_file(path)
             except OSError:
@@ -626,13 +586,9 @@ class VerdictCache:
                     ),
                 )
                 continue
-            for digest, entry in self._parse_records(path, data):
-                records.append((digest, entry))
-        self._bloom = BloomFilter(max(len(records), 64))
-        for digest, entry in records:
             # Later segments win (the dict keeps the last assignment).
-            self._index[digest] = entry
-            self._bloom.add(digest)
+            for digest, entry in self._parse_records(path, data):
+                self._index[digest] = entry
 
     def _parse_records(
         self, path: str, data: bytes
@@ -669,9 +625,6 @@ class VerdictCache:
             if self._disabled:
                 return _MISS
         digest = hashlib.sha256(key_bytes).digest()[:16]
-        if not self._bloom.might_contain(digest):
-            self._bump("bloom_negatives")
-            return _MISS
         entry = self._index.get(digest)
         if entry is None:
             self._bump("disk_misses")
@@ -810,7 +763,6 @@ class VerdictCache:
         if self._scanned:
             for digest, start, klen, vlen, crc in offsets:
                 self._index[digest] = (path, start, klen, vlen, crc)
-                self._bloom.add(digest)
 
     def _next_sequence(self) -> int:
         highest = 0

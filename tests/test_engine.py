@@ -23,6 +23,7 @@ from repro.access.containment_ap import (
     contained_under_access_patterns,
     contained_under_access_patterns_legacy,
 )
+from repro.access.lts import explore
 from repro.access.relevance import (
     long_term_relevant,
     long_term_relevant_legacy,
@@ -30,27 +31,42 @@ from repro.access.relevance import (
 )
 from repro.automata.emptiness import automaton_emptiness
 from repro.automata.library import containment_automaton
+from repro.branching.ctl import ctl_atom, ctl_satisfiable_in_lts
 from repro.core.bounded_check import (
     Bounds,
     bounded_satisfiability,
     bounded_satisfiability_legacy,
 )
 from repro.core import properties
+from repro.core.formulas import lnext
 from repro.core.solver import AccLTLSolver
+from repro.datalog.containment import datalog_contained_in_ucq
+from repro.datalog.program import DatalogProgram, Rule
 from repro.engine import (
     DecisionEngine,
     Deduper,
+    accltl_sat_task,
     answerability_task,
     containment_task,
+    ctl_check_task,
+    datalog_containment_task,
     emptiness_task,
     execute_task,
+    ltl_word_task,
     query_key,
     relevance_task,
 )
+from repro.engine import engine as engine_module
 from repro.engine.reduction import CachePolicy
+from repro.ltl.sat import find_satisfying_word
+from repro.ltl.syntax import And, Eventually, Globally, Not, Prop
+from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
+from repro.queries.terms import Variable
+from repro.relational.schema import make_schema
 from repro.store import workqueue
+from repro.workloads.directory import directory_access_schema, directory_hidden_instance
 from repro.workloads.generators import WorkloadGenerator
 from repro.workloads.matrices import (
     instance_prefixes,
@@ -72,6 +88,58 @@ def _relevance_workload(seed: int):
     )
     accesses = probe_accesses(schema, hidden)
     return schema, initial, query, accesses
+
+
+def _direct_front_doors():
+    """``(call, task, unwrap)`` for the four front doors that used to run
+    on a process-wide engine: ``call()`` is the front door, ``unwrap``
+    turns the engine task's value into the front door's return value."""
+    directory = directory_access_schema()
+    solver = AccLTLSolver(directory)
+    formula = lnext(properties.relation_nonempty_post(solver.vocabulary, "Mobile"))
+    word_formula = And(Eventually(Prop("p")), Globally(Not(Prop("q"))))
+    lts = explore(
+        directory,
+        hidden_instance=directory_hidden_instance("small"),
+        value_pool=["Smith", "Parks Rd", "OX13QD"],
+        max_depth=2,
+    )
+    revealed = ctl_atom(parse_cq("Q :- Mobile__post(a, b, c, d)"))
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    closure = DatalogProgram(
+        rules=[
+            Rule(head=Atom("Path", (x, y)), body=(Atom("Edge", (x, y)),)),
+            Rule(
+                head=Atom("Path", (x, z)),
+                body=(Atom("Edge", (x, y)), Atom("Path", (y, z))),
+            ),
+        ],
+        edb_schema=make_schema({"Edge": 2}),
+        goal="Path",
+    )
+    endpoints = parse_cq("Q(x, y) :- Edge(x, z), Edge(w, y)")
+    return [
+        (
+            lambda: solver.satisfiable(formula),
+            accltl_sat_task(directory, formula),
+            lambda value: value,
+        ),
+        (
+            lambda: find_satisfying_word(word_formula),
+            ltl_word_task(word_formula),
+            lambda value: list(value.word),
+        ),
+        (
+            lambda: ctl_satisfiable_in_lts(solver.vocabulary, lts, revealed),
+            ctl_check_task(solver.vocabulary, lts, revealed),
+            lambda value: value.witness,
+        ),
+        (
+            lambda: datalog_contained_in_ucq(closure, endpoints, max_depth=4),
+            datalog_containment_task(closure, endpoints, max_depth=4),
+            lambda value: value,
+        ),
+    ]
 
 
 class TestRandomizedEquivalence:
@@ -175,6 +243,17 @@ class TestRandomizedEquivalence:
         assert is_answerable_exactly(
             schema, query, initial, ["v0"]
         ) == is_answerable_exactly_legacy(schema, query, initial, ["v0"])
+        engine = DecisionEngine(
+            cache_policy=CachePolicy(memoize_results=False, persist_path="")
+        )
+        for call, task, unwrap in _direct_front_doors():
+            assert call() == unwrap(engine.run(task).value)
+
+    def test_front_doors_build_no_process_wide_engine(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_SHARED_ENGINE", None)
+        for call, _task, _unwrap in _direct_front_doors():
+            call()
+        assert engine_module._SHARED_ENGINE is None
 
     def test_bounded_check_wrapper_matches_legacy(self):
         scenario = next(s for s in standard_scenarios() if s.name == "directory")

@@ -214,7 +214,6 @@ class TestEnvRegistry:
             "REPRO_MEMO_PERSIST_PATH",
             "REPRO_MEMO_LOCK_TIMEOUT",
             "REPRO_MEMO_COMPACT_SEGMENTS",
-            "REPRO_STORE_BACKEND",
             "REPRO_SQL_PUSHDOWN_MIN_ROWS",
         }
 

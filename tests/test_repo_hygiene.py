@@ -9,7 +9,8 @@ library's behaviour:
 * no silent broad-exception swallow sites may exist in ``src/``;
 * the bounded checker and the modules it evaluates formulas with never
   import ``repro.automata``: the transition refuter both searches share
-  lives in ``repro.core``.
+  lives in ``repro.core``;
+* every ``REPRO_*`` knob the READMEs name is a registered knob.
 
 The silent-swallow check used to be an ad-hoc AST walk here; it now
 lives in the contract linter (:class:`repro.analysis.hygiene.
@@ -26,6 +27,7 @@ that keeps the guarantee **at least as strong as the seed check**:
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 from pathlib import Path
 
@@ -33,6 +35,7 @@ import pytest
 
 from repro.analysis import lint_tree
 from repro.analysis.hygiene import SilentSwallowRule
+from repro.obs import env as envknobs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,7 +129,8 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     it, must pass the per-layer cross-check of ``perfbench/layers.py``,
     which reads the engine's zero-valued ``pool_*`` stats; the pool
     stub's names that ``chains_pooled`` and ``harness.stop_pool`` use
-    must resolve.
+    must resolve, and so must ``shared_engine().clear``, which
+    ``decide_cold`` calls every round.
     """
     monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
     import layers
@@ -136,7 +140,8 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     from repro.access.answerability import is_answerable_exactly
     from repro.automata.library import ltr_automaton
     from repro.core.solver import AccLTLSolver
-    from repro.engine import DecisionEngine, emptiness_task
+    from repro.engine import DecisionEngine, emptiness_task, shared_engine
+    from repro.engine import engine as engine_module
     from repro.engine.reduction import CachePolicy
     from repro.obs.metrics import REGISTRY
     from repro.queries.plan_cache import plan_cache_info
@@ -177,6 +182,24 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     assert layers.cross_check(tracer, REGISTRY.counters_delta(registry_base), plan_delta) == []
     assert callable(workqueue.shared_pool) and callable(workqueue.discard_shared_pool)
     assert workqueue._POOL is None or workqueue._POOL_WORKERS > 0
+    monkeypatch.setattr(engine_module, "_SHARED_ENGINE", None)
+    shared_engine().clear()
+
+
+def test_readme_knobs_are_registered():
+    """Docs cannot advertise a knob that ``repro env`` does not list."""
+    registered = {knob.name for knob in envknobs.all_knobs()}
+    readmes = [REPO_ROOT / "README.md"]
+    readmes += sorted((REPO_ROOT / "src" / "repro").glob("*/README.md"))
+    named = {
+        (readme.relative_to(REPO_ROOT).as_posix(), name)
+        for readme in readmes
+        for name in re.findall(r"\bREPRO_[A-Z][A-Z0-9_]*", readme.read_text())
+    }
+    assert named, "no README names a knob"
+    assert sorted(
+        (readme, name) for readme, name in named if name not in registered
+    ) == []
 
 
 #: ``repro.core`` modules that must not depend on the automata layer.

@@ -38,13 +38,7 @@ from repro.queries.evaluation import (
 from repro.relational.instance import Instance
 from repro.relational.schema import Relation, Schema, SchemaError, make_schema
 from repro.store import faults, sqlcodegen
-from repro.store.backend import (
-    MEMORY_BACKEND,
-    SQLITE_BACKEND,
-    configured_store_backend,
-    create_store,
-    resolve_backend,
-)
+from repro.store.backend import MEMORY_BACKEND, SQLITE_BACKEND
 from repro.store.snapshot import SnapshotInstance
 from repro.store.sqlstore import (
     SQLSnapshot,
@@ -428,16 +422,17 @@ class TestCompiledEngineOnSqlStore:
 # ----------------------------------------------------------------------
 # Datalog fixedpoints on the sqlite backend
 # ----------------------------------------------------------------------
-class TestDatalogOnSqlBackend:
-    def _workload(self, total_facts=300):
-        program = scaling.grid_reach_program()
-        database = Instance(scaling.grid_reach_schema())
-        for fact in scaling.grid_reach_facts(total_facts):
-            database.add_fact(fact)
-        return program, database
+def _grid_workload(total_facts=300):
+    program = scaling.grid_reach_program()
+    database = Instance(scaling.grid_reach_schema())
+    for fact in scaling.grid_reach_facts(total_facts):
+        database.add_fact(fact)
+    return program, database
 
+
+class TestDatalogOnSqlBackend:
     def test_fixedpoint_and_generations_match_memory(self, pushdown_always):
-        program, database = self._workload()
+        program, database = _grid_workload()
         oracle = evaluate_program(program, database, store_backed=False)
         mem_log, sql_log = [], []
         mem = evaluate_program(
@@ -455,7 +450,7 @@ class TestDatalogOnSqlBackend:
         sql.close()
 
     def test_naive_mode_matches(self, pushdown_always):
-        program, database = self._workload(120)
+        program, database = _grid_workload(120)
         oracle = evaluate_program(
             program, database, store_backed=False, semi_naive=False
         )
@@ -468,7 +463,7 @@ class TestDatalogOnSqlBackend:
     def test_in_place_adoption(self, pushdown_always):
         # An SQLite database over the combined schema is adopted: the
         # fixedpoint lands in the same store, with no re-ingest copy.
-        program, database = self._workload(200)
+        program, database = _grid_workload(200)
         combined = program.combined_schema()
         store = SQLStoreInstance(combined)
         for fact in database.facts():
@@ -483,7 +478,7 @@ class TestDatalogOnSqlBackend:
         # The fixedpoint commits nothing: its rounds pin generations inside
         # one open transaction, and restoring the base rolls it back, so
         # repeated fixedpoints leave no dead rows behind.
-        program, database = self._workload(300)
+        program, database = _grid_workload(300)
         oracle = evaluate_program(program, database, store_backed=False)
         store = SQLStoreInstance(program.combined_schema())
         for fact in database.facts():
@@ -1057,49 +1052,21 @@ class TestFixedpointAgreesWithOracle:
 
 
 # ----------------------------------------------------------------------
-# Backend selection (the REPRO_STORE_BACKEND knob)
+# Backend selection (``evaluate_program(backend=...)``)
 # ----------------------------------------------------------------------
 class TestBackendFactory:
     def test_default_is_memory(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        assert configured_store_backend() == MEMORY_BACKEND
-        store = create_store(make_schema({"R": 1}))
-        assert isinstance(store, SnapshotInstance)
-
-    def test_env_knob_selects_sqlite(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert configured_store_backend() == SQLITE_BACKEND
-        store = create_store(make_schema({"R": 1}))
-        assert isinstance(store, SQLStoreInstance)
-        store.close()
-
-    def test_invalid_env_value_warns_once_and_falls_back(self, monkeypatch):
-        from repro.obs import env as envknobs_module
-
-        monkeypatch.setattr(envknobs_module, "_ENV_WARNED", set())
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "postgres")
-        with pytest.warns(RuntimeWarning, match="REPRO_STORE_BACKEND"):
-            assert configured_store_backend() == MEMORY_BACKEND
-        # Warn-once: the second read is silent and still the default.
-        assert configured_store_backend() == MEMORY_BACKEND
-
-    def test_explicit_backend_with_path(self, tmp_path):
-        path = str(tmp_path / "explicit.db")
-        store = create_store(
-            make_schema({"R": 1}), backend=SQLITE_BACKEND, path=path
-        )
-        assert isinstance(store, SQLStoreInstance)
-        assert store.path == path
-        store.close()
-
-    def test_memory_backend_rejects_a_path(self, tmp_path):
-        with pytest.raises(ValueError):
-            create_store(
-                make_schema({"R": 1}),
-                backend=MEMORY_BACKEND,
-                path=str(tmp_path / "x.db"),
-            )
+        # No environment variable picks the store: an unset backend is
+        # the memory store even where the retired REPRO_STORE_BACKEND
+        # knob names SQLite.
+        monkeypatch.setenv("REPRO_STORE_BACKEND", SQLITE_BACKEND)
+        program, database = _grid_workload(40)
+        result = evaluate_program(program, database)
+        assert isinstance(result, SnapshotInstance)
+        explicit = evaluate_program(program, database, backend=MEMORY_BACKEND)
+        assert result.freeze() == explicit.freeze()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("duckdb")
+        program, database = _grid_workload(40)
+        with pytest.raises(ValueError, match="duckdb"):
+            evaluate_program(program, database, backend="duckdb")

@@ -38,7 +38,6 @@ from repro.store import verdict_cache as vc
 from repro.store.verdict_cache import (
     FORMAT_VERSION,
     MAGIC,
-    BloomFilter,
     LRUMemo,
     VerdictCache,
     atomic_write_bytes,
@@ -233,7 +232,7 @@ class TestDiskTier:
         reader = VerdictCache(capacity=0, persist_path=store)
         assert reader.lookup(("fp",))[0] == "new"
 
-    def test_bloom_rejects_unknown_keys(self, tmp_path):
+    def test_unknown_key_counts_a_disk_miss(self, tmp_path):
         store = str(tmp_path / "store")
         writer = VerdictCache(capacity=0, persist_path=store)
         writer.put(("known",), 1)
@@ -241,7 +240,7 @@ class TestDiskTier:
         reader = VerdictCache(capacity=0, persist_path=store)
         assert reader.lookup(("unknown",))[1] is None
         stats = reader.stats()
-        assert stats["bloom_negatives"] + stats["disk_misses"] == 1
+        assert stats["disk_misses"] == 1
 
     def test_compaction_preserves_later_wins(self, tmp_path):
         store = str(tmp_path / "store")
