@@ -243,6 +243,17 @@ class _WitnessSearch:
     recorded candidate, so resuming to completion gives the result of
     the uninterrupted run, field for field.
 
+    The **last level** of a deepening round — a node one step short of
+    the round's depth limit — only asks whether a candidate reaches an
+    accepting state: its child would be cut by the depth limit before
+    trying anything.  There :meth:`node_guards` evaluates only the
+    transitions into accepting states, so a candidate's following set is
+    either empty or a witness, and :meth:`run` never applies a delta,
+    descends or restores for it.  Candidates are tried and counted exactly
+    as under a full evaluation, so results, checkpoints and the expansion
+    memo do not depend on the rule; only the informational guard-cache
+    counters do.
+
     Three memoisation layers (disabled together by ``memoize=False``,
     which must not change any verdict of a search that stays under its
     ``max_paths`` cap — a property the regression tests assert) keep the
@@ -393,6 +404,12 @@ class _WitnessSearch:
                 (transition.target,) + parts
             )
         self.compiled_transitions = compiled_transitions
+        # The same lists cut to the transitions into accepting states: all
+        # a last-level node evaluates (see :meth:`node_guards`).
+        self.accepting_transitions: Dict[str, List[Tuple]] = {
+            source: [entry for entry in entries if entry[0] in automaton.accepting]
+            for source, entries in compiled_transitions.items()
+        }
 
         # Sentence cache: (sentence number, config fingerprint[, the
         # part of the candidate its kind reads]) -> verdict.  Keying
@@ -462,7 +479,10 @@ class _WitnessSearch:
     # Guard evaluation
     # ------------------------------------------------------------------
     def node_guards(
-        self, states: FrozenSet[str], fingerprint: Optional[Snapshot]
+        self,
+        states: FrozenSet[str],
+        fingerprint: Optional[Snapshot],
+        last_level: bool = False,
     ) -> Callable[[int], AbstractSet[str]]:
         """The guard evaluator of the positioned node: candidate index -> following states.
 
@@ -481,6 +501,14 @@ class _WitnessSearch:
         2, its binding facts) staged over ``base``, and ``base`` is clean
         again when the function returns, so the caller may descend between
         calls.
+
+        At a *last_level* node (one step short of the round's depth limit)
+        the search only asks whether a candidate reaches an accepting
+        state, so only the transitions into accepting states are
+        evaluated, in the kind-0 pass and in the residual list alike: the
+        returned sets hold the accepting states reached, and a
+        non-accepting target, which could only feed a descent the last
+        level never makes, costs no guard work.
         """
         base = self.base
         memoize = self.memoize
@@ -509,11 +537,14 @@ class _WitnessSearch:
                 tally[0] += 1
             return verdict
 
+        transitions = (
+            self.accepting_transitions if last_level else self.compiled_transitions
+        )
         always: Set[str] = set()
         residual: List[Tuple[str, Tuple, Tuple]] = []
         for state in states:
             for target, positives0, negated0, positives, negated in (
-                self.compiled_transitions.get(state, ())
+                transitions.get(state, ())
             ):
                 if target in always:
                     continue
@@ -630,6 +661,13 @@ class _WitnessSearch:
         path; the search gives up, undecided, when the count passes
         ``max_paths`` (``explored == max_paths + 1``).
 
+        On the last level of a round (``remaining == 1``) the guards are
+        evaluated for accepting targets only (:meth:`node_guards`): a
+        counted candidate either is a witness or has no following state,
+        so no delta is applied and undone there for a child the depth
+        limit would stop at once.  A node that replays a checkpoint
+        through one of its candidates is never on the last level.
+
         A started budget *clock* is charged the same count.  The search
         stops before the candidate that would pass the clock's node cap,
         and before any candidate at which it reads the wall clock (every
@@ -719,7 +757,10 @@ class _WitnessSearch:
                     node_expansions += 1
             else:
                 fingerprint = None
-            following_of = node_guards(states, fingerprint)
+            # A checkpoint's path stops at most at the depth limit, so a
+            # node that replays through a candidate is above the last level
+            # and keeps the full evaluation its candidate needs.
+            following_of = node_guards(states, fingerprint, remaining == 1)
             # Below a replayed candidate the DFS was already descending.
             through = replay[1:]
             for index in range(replay[0] if replay else 0, num_candidates):

@@ -107,7 +107,9 @@ def expansions(
     ----------
     max_depth:
         Maximal unfolding depth (number of nested rule applications along
-        any branch of the proof tree).
+        any branch of the proof tree).  Each IDB atom carries the number
+        of rule applications above it, so unfolding one atom never uses up
+        the depth of its siblings.
     max_expansions:
         Optional cap on the number of expansions yielded.
     max_atoms:
@@ -128,12 +130,13 @@ def expansions(
     initial_atom = Atom(program.goal, goal_vars)
 
     yielded = 0
-    # Each work item: (idb_atoms_to_expand, edb_atoms, equalities, inequalities, depth)
-    stack: List[Tuple[Tuple[Atom, ...], Tuple[Atom, ...], Tuple, Tuple, int]] = [
-        ((initial_atom,), (), (), (), 0)
+    # Each work item: (atoms to expand with their depths, edb_atoms,
+    # equalities, inequalities).
+    stack: List[Tuple[Tuple[Tuple[Atom, int], ...], Tuple[Atom, ...], Tuple, Tuple]] = [
+        (((initial_atom, 0),), (), (), ())
     ]
     while stack:
-        idb_atoms, edb_atoms, equalities, inequalities, depth = stack.pop()
+        idb_atoms, edb_atoms, equalities, inequalities = stack.pop()
         if not idb_atoms:
             head = tuple(
                 v for v in goal_vars if any(v in atom.variables() for atom in edb_atoms)
@@ -156,27 +159,27 @@ def expansions(
             if max_expansions is not None and yielded >= max_expansions:
                 return
             continue
-        if depth >= max_depth:
-            continue
         if max_atoms is not None and len(edb_atoms) > max_atoms:
             continue
-        atom, rest = idb_atoms[0], idb_atoms[1:]
+        (atom, depth), rest = idb_atoms[0], idb_atoms[1:]
         if atom.relation in program.edb_schema:
-            stack.append((rest, edb_atoms + (atom,), equalities, inequalities, depth))
+            stack.append((rest, edb_atoms + (atom,), equalities, inequalities))
+            continue
+        if depth >= max_depth:
             continue
         for rule in program.rules_for(atom.relation):
             fresh = namer.rename_rule(rule)
             substitution = _unify_terms(fresh.head.terms, atom.terms)
             if substitution is None:
                 continue
-            new_idb: List[Atom] = []
+            new_idb: List[Tuple[Atom, int]] = []
             new_edb = list(edb_atoms)
             for body_atom in fresh.body:
                 resolved = _apply_substitution_atom(body_atom, substitution)
                 if resolved.relation in program.edb_schema:
                     new_edb.append(resolved)
                 else:
-                    new_idb.append(resolved)
+                    new_idb.append((resolved, depth + 1))
             new_eq = tuple(equalities) + tuple(
                 _apply_substitution_cmp(eq, substitution) for eq in fresh.equalities
             )
@@ -189,7 +192,6 @@ def expansions(
                     tuple(new_edb),
                     new_eq,
                     new_ineq,
-                    depth + 1,
                 )
             )
 

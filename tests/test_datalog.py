@@ -346,6 +346,34 @@ class TestContainment:
         not_contained = datalog_contained_in_ucq(program, parse_cq("Q(x, z) :- Edge(x, z)"))
         assert not not_contained.contained
 
+    def test_sibling_unfoldings_do_not_share_a_depth_bound(self):
+        """``Goal <- A(x),A(y),A(z),B(w)``, ``A <- E``, ``B <- F``: each
+        IDB atom of the goal is one rule application deep, so the one
+        expansion ``E(x),E(y),E(z),F(w)`` is found and refutes
+        ``Q :- E(v),F(v)``.  A single depth counted across the whole proof
+        ran out after the third ``A`` and reported contained and
+        exhaustive after 0 expansions."""
+        schema = make_schema({"E": 1, "F": 1})
+        rules = [
+            Rule(
+                head=Atom("Goal", ()),
+                body=tuple(Atom("A", (var(v),)) for v in "xyz")
+                + (Atom("B", (var("w"),)),),
+            ),
+            Rule(head=Atom("A", (var("u"),)), body=(Atom("E", (var("u"),)),)),
+            Rule(head=Atom("B", (var("u"),)), body=(Atom("F", (var("u"),)),)),
+        ]
+        program = DatalogProgram(rules=rules, edb_schema=schema, goal="Goal")
+        result = datalog_contained_in_ucq(program, parse_cq("Q :- E(v), F(v)"))
+        assert not result.contained
+        assert result.expansions_checked == 1
+        assert sorted(a.relation for a in result.counterexample.atoms) == [
+            "E",
+            "E",
+            "E",
+            "F",
+        ]
+
     def test_containment_in_union(self, edge_schema):
         rules = [
             Rule(head=Atom("P", (var("x"),)), body=(Atom("Edge", (var("x"), var("y"))),)),

@@ -9,7 +9,8 @@ count, which these tests pin three ways:
 
 * an oracle: at sampled nodes the search's set of following automaton
   states equals the set computed from scratch, guard by guard, with
-  ``holds`` over a freshly built transition structure;
+  ``holds`` over a freshly built transition structure, and a last-level
+  evaluation gives that set's accepting states;
 * a committed fixture (``tests/data/emptiness_results.json``) holding the
   ``EmptinessResult`` fields of a fixed list of inputs, recorded for the
   sequential and ``memoize=False`` runs and matched by those, by the
@@ -288,13 +289,13 @@ def _oracle_following(automaton, vocabulary, configuration, states, access, resp
     return following
 
 
-def _successors(search, states):
+def _successors(search, states, last_level=False):
     """The search's own following states per candidate at its position."""
     fingerprint = None
     if search.memoize:
         snapshot = search.config.snapshot()
         fingerprint = search.interned_fingerprints.setdefault(snapshot, snapshot)
-    following_of = search.node_guards(states, fingerprint)
+    following_of = search.node_guards(states, fingerprint, last_level)
     return {index: following_of(index) for index in range(len(search.candidates))}
 
 
@@ -347,11 +348,18 @@ def test_following_states_match_oracle(name, memoize):
         # Twice: the second pass reads the verdicts cached by the first.
         for _ in range(2):
             observed = _successors(search, states)
+            # A last-level node evaluates only the guards into accepting
+            # states.
+            last_level = _successors(search, states, last_level=True)
             for index, (access, response) in enumerate(search.candidates):
                 expected = _oracle_following(
                     automaton, vocabulary, configuration, states, access, response
                 )
                 assert observed[index] == expected, (name, index)
+                assert last_level[index] == expected & automaton.accepting, (
+                    name,
+                    index,
+                )
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,13 @@ quotient has no subsumed chain.  So the guard also searches
 builds its requests (relabelled relevance automata of its probe grid),
 sequentially and with that workload's path cap, and pins their summed
 ``paths_explored`` and ``chains_checked`` (``unions.*``): a union keeps a
-direct exit chain per branch only when chain subsumption is lost.
+direct exit chain per branch only when chain subsumption is lost.  The
+unions run under a tracer of their own, with the plan wrappers, and
+also pin :data:`UNION_KEYS`, the store work and plan executions of their
+searches: the search's last level (``automata/emptiness.py``) evaluates
+only the guards into accepting states and descends into no child, and
+losing either half moves these counts on this shape of automaton while
+every search count stays.
 
 The ``serve_warm`` guard runs the first :data:`WARM_ROUNDS` rounds of
 that workload's seed-1 session (``perfbench/serve_warm.py``: new and
@@ -96,6 +102,9 @@ WARM_KEYS = (
 #: union is searched: three capped branches, then two capped and one
 #: witnessed.
 UNIONS = (((0, 3), (0, 0)), ((3, 5), (0, 1)))
+
+#: Store and plan work of the union searches, beside their search counts.
+UNION_KEYS = ("relational.mutations", "store.snapshot.ops", "queries.execute_plan")
 
 #: Base-store size and operation count of the ``store_scale`` slice.
 STORE_BASE_FACTS = 10_000
@@ -177,19 +186,30 @@ pooled = ChainsPooled(seed={SEED}, workdir="")
 pooled.schema = directory_probe_schema()
 pooled.vocabulary = AccLTLSolver(pooled.schema).vocabulary
 capped, witnessed = ltr_candidates()
+automata = [
+    pooled.automaton(Request("fanout", tuple(capped[c0:c1] + witnessed[w0:w1]), w1 > w0))
+    for (c0, c1), (w0, w1) in {UNIONS!r}
+]
 counts["unions.paths_explored"] = counts["unions.chains_checked"] = 0
-for (c0, c1), (w0, w1) in {UNIONS!r}:
-    parts = tuple(capped[c0:c1] + witnessed[w0:w1])
-    result = automaton_emptiness(
-        pooled.automaton(Request("fanout", parts, w1 > w0)),
-        pooled.vocabulary,
-        max_paths=MAX_PATHS,
-        use_datalog_precheck=False,
-        parallel=False,
-        subtree_parallel=False,
-    )
-    counts["unions.paths_explored"] += result.paths_explored
-    counts["unions.chains_checked"] += result.chains_checked
+tracer = Tracer()
+tracer.install()
+{_COUNT_PLANS}
+try:
+    for automaton in automata:
+        result = automaton_emptiness(
+            automaton,
+            pooled.vocabulary,
+            max_paths=MAX_PATHS,
+            use_datalog_precheck=False,
+            parallel=False,
+            subtree_parallel=False,
+        )
+        counts["unions.paths_explored"] += result.paths_explored
+        counts["unions.chains_checked"] += result.chains_checked
+finally:
+    tracer.uninstall()
+for key in {UNION_KEYS!r}:
+    counts["unions." + key] = tracer.counts[key]
 
 import shutil
 import tempfile
